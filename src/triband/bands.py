@@ -14,8 +14,8 @@ from typing import Optional
 from . import multipliers as mult
 from .coeffs import PeriodicCoefficients
 from .discriminant import rho_formula_scale, rho_trace_formula
-from .monodromy import PropagationOverflowError, SpectralParameter, propagate
-from .util import parallel_map, uniform_grid
+from .monodromy import PropagationOverflowError, trace_at
+from .util import uniform_grid
 
 FLAG_NEAR_BRANCH_POINT = mult.FLAG_NEAR_BRANCH_POINT
 FLAG_AMBIGUOUS_MATCH = mult.FLAG_AMBIGUOUS_MATCH
@@ -79,6 +79,18 @@ def _assemble(
     )
 
 
+def _evaluate(
+    c: PeriodicCoefficients, lam: float, circle_tol: Optional[float]
+) -> tuple[Optional[tuple[mult.MultiplierSet, float]], Optional[str]]:
+    """((multiplier set, rho), None) at lam, or (None, overflow message)."""
+    try:
+        T = trace_at(c, lam)
+    except PropagationOverflowError as exc:
+        return None, str(exc)
+    ms = mult.multiplier_set(lam, T, circle_tol=circle_tol)
+    return (ms, rho_trace_formula(T)), None
+
+
 def band_point(
     c: PeriodicCoefficients,
     lam: float,
@@ -87,12 +99,10 @@ def band_point(
 ) -> BandPoint:
     """Diagnostics at a single point (branch order as solved, not continued)."""
     lam = float(lam)
-    try:
-        m = propagate(c, SpectralParameter.from_lambda(lam))
-    except PropagationOverflowError as exc:
-        return BandPoint(lam=lam, error=str(exc))
-    rho = rho_trace_formula(m.trace_T)
-    ms = mult.multiplier_set(lam, m.trace_T, circle_tol=circle_tol)
+    ms_rho, err = _evaluate(c, lam, circle_tol)
+    if err is not None:
+        return BandPoint(lam=lam, error=err)
+    ms, rho = ms_rho
     return _assemble(lam, ms, rho, circle_tol, degeneracy_rtol)
 
 
@@ -113,37 +123,18 @@ def scan_real_axis(
     recorded on the affected row and the scan continues.
     """
     grid = uniform_grid(float(interval[0]), float(interval[1]), points)
-
-    def eval_point(lam: float):
-        lam = float(lam)
-        try:
-            m = propagate(c, SpectralParameter.from_lambda(lam))
-        except PropagationOverflowError as exc:
-            return lam, None, str(exc)
-        rho = rho_trace_formula(m.trace_T)
-        ms = mult.multiplier_set(lam, m.trace_T, circle_tol=circle_tol)
-        return lam, (ms, rho), None
-
-    evaluated = parallel_map(eval_point, grid)
+    evaluated = [(lam, *_evaluate(c, lam, circle_tol)) for lam in map(float, grid)]
 
     good = [(lam, ms_rho) for lam, ms_rho, err in evaluated if err is None]
-    if good:
-        continued = mult.continue_branches(
-            [lam for lam, _ in good], [ms for _, (ms, _) in good]
-        )
-    else:
-        continued = []
-
-    out: list[BandPoint] = []
-    pos = 0
-    for lam, ms_rho, err in evaluated:
-        if err is not None:
-            out.append(BandPoint(lam=lam, error=err))
-            continue
-        _, rho = ms_rho
-        out.append(_assemble(lam, continued[pos], rho, circle_tol, degeneracy_rtol))
-        pos += 1
-    return out
+    continued = iter(
+        mult.continue_branches([lam for lam, _ in good], [ms for _, (ms, _) in good])
+    )
+    return [
+        BandPoint(lam=lam, error=err)
+        if err is not None
+        else _assemble(lam, next(continued), ms_rho[1], circle_tol, degeneracy_rtol)
+        for lam, ms_rho, err in evaluated
+    ]
 
 
 def multiplicity_is_locally_constant(points: list[BandPoint]) -> bool:

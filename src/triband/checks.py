@@ -25,6 +25,7 @@ from .monodromy import (
     picard_monodromy,
     propagate,
     propagate_pair,
+    trace_at,
 )
 from ._linalg import det3, spectral_norm
 from .util import hausdorff_distance
@@ -102,7 +103,7 @@ def check_free_trace(grid_size: int = 4) -> CheckResult:
     for lam in np.linspace(-1e6, 1e6, 80):
         if lam == 0.0:
             continue
-        T = propagate(c, SpectralParameter.from_lambda(float(lam))).trace_T
+        T = trace_at(c, float(lam))
         T0 = free_trace(float(lam))
         worst = max(worst, abs(T - T0) / abs(T0))
     return CheckResult("free-case-trace", worst <= 1e-10, worst, 1e-10)
@@ -111,7 +112,7 @@ def check_free_trace(grid_size: int = 4) -> CheckResult:
 def check_discriminant_consistency(c: PeriodicCoefficients) -> CheckResult:
     worst = 0.0
     for lam in _real_grid(n=80):
-        T = propagate(c, SpectralParameter.from_lambda(float(lam))).trace_T
+        T = trace_at(c, float(lam))
         rt = rho_trace_formula(T)
         rp = rho_product_formula(mult.solve_multipliers(T, np.conj(T)))
         scale = 1.0 + abs(rt)
@@ -173,7 +174,7 @@ def check_free_closed_forms(grid_size: int = 4) -> CheckResult:
         if lam == 0.0:
             continue
         ref = free_case(float(lam))
-        T = propagate(c, SpectralParameter.from_lambda(float(lam))).trace_T
+        T = trace_at(c, float(lam))
         taus = mult.solve_multipliers(T, np.conj(T))
         worst = max(worst, hausdorff_distance(tuple(taus), ref.taus0))
         rt = rho_trace_formula(ref.T0)
@@ -185,7 +186,7 @@ def check_multiplier_symmetry(c: PeriodicCoefficients) -> CheckResult:
     """Invariance of the multiplier set under tau -> 1/conj(tau), real lambda."""
     worst = 0.0
     for lam in _real_grid(n=60):
-        T = propagate(c, SpectralParameter.from_lambda(float(lam))).trace_T
+        T = trace_at(c, float(lam))
         taus = mult.solve_multipliers(T, np.conj(T))
         worst = max(worst, hausdorff_distance(tuple(taus), tuple(1.0 / np.conj(taus))))
     return CheckResult("multiplier-symmetry", worst <= 1e-8, worst, 1e-8)

@@ -7,8 +7,7 @@
 
 Output goes to --out (default stdout) as CSV or JSON.  CSV files start
 with '# key = value' comment lines echoing the configuration, so a result
-file is reproducible from its own header.  The TRIBAND_THREADS environment
-variable caps worker threads; row order never depends on it.
+file is reproducible from its own header.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict, astuple
 from typing import Optional, Sequence
 
 from . import __version__
@@ -228,28 +228,14 @@ def _cmd_eigs(args: argparse.Namespace) -> int:
     res = eigenvalues_at_k(c, args.k, args.n_range, tol=args.tol)
     config = _config_echo(args, c)
     if args.format == "csv":
-        rows = [
-            [e.n, e.k, e.lambda_n, e.residual, e.cube_root_gap, e.multiplicity]
-            for e in res.eigenvalues
-        ]
         text = _render_csv(
             config,
             ["n", "k", "lambda_n", "residual", "cube_root_gap", "multiplicity"],
-            rows,
+            [astuple(e) for e in res.eigenvalues],
         )
     else:
         payload = {
-            "eigenvalues": [
-                {
-                    "n": e.n,
-                    "k": e.k,
-                    "lambda_n": e.lambda_n,
-                    "residual": e.residual,
-                    "cube_root_gap": e.cube_root_gap,
-                    "multiplicity": e.multiplicity,
-                }
-                for e in res.eigenvalues
-            ],
+            "eigenvalues": [asdict(e) for e in res.eigenvalues],
             "missed": [
                 {
                     "n": miss.n,
@@ -283,8 +269,7 @@ def _cmd_sigma3(args: argparse.Namespace) -> int:
         )
     if args.format == "csv":
         rows: list[list] = [
-            ["interval", iv.lo, iv.hi, iv.rho_lo, iv.rho_hi,
-             int(iv.lo_clipped), int(iv.hi_clipped)]
+            ["interval", *astuple(iv)[:4], int(iv.lo_clipped), int(iv.hi_clipped)]
             for iv in res.intervals
         ]
         rows += [["touch", x, x, None, None, 0, 0] for x in res.touch_points]
@@ -295,17 +280,7 @@ def _cmd_sigma3(args: argparse.Namespace) -> int:
         )
     else:
         payload = {
-            "intervals": [
-                {
-                    "lo": iv.lo,
-                    "hi": iv.hi,
-                    "rho_lo": iv.rho_lo,
-                    "rho_hi": iv.rho_hi,
-                    "lo_clipped": iv.lo_clipped,
-                    "hi_clipped": iv.hi_clipped,
-                }
-                for iv in res.intervals
-            ],
+            "intervals": [asdict(iv) for iv in res.intervals],
             "touch_points": list(res.touch_points),
         }
         text = _render_json(config, payload)
@@ -319,16 +294,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = _config_echo(args, c)
     if args.format == "json":
         payload = {
-            "checks": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "worst": r.worst,
-                    "threshold": r.threshold,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
+            "checks": [asdict(r) for r in results],
             "all_passed": all(r.passed for r in results),
         }
         _emit(_render_json(config, payload), args.out)

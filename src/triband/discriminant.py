@@ -24,8 +24,8 @@ import numpy as np
 from . import multipliers as mult
 from ._rootfind import brent
 from .coeffs import PeriodicCoefficients
-from .monodromy import SpectralParameter, propagate
-from .util import parallel_map, uniform_grid
+from .monodromy import trace_at
+from .util import uniform_grid
 
 _LD = np.longdouble
 
@@ -75,8 +75,7 @@ class DiscriminantValue:
 
 def rho_at(c: PeriodicCoefficients, lam: float) -> float:
     """One-point evaluation of the discriminant via the trace route."""
-    m = propagate(c, SpectralParameter.from_lambda(float(lam)))
-    return rho_trace_formula(m.trace_T)
+    return rho_trace_formula(trace_at(c, float(lam)))
 
 
 @dataclass(frozen=True)
@@ -145,22 +144,18 @@ def sigma3_intervals(
         raise ValueError("tol must be positive")
     grid = uniform_grid(a, b, scan_points)
 
-    def eval_point(lam: float) -> tuple[float, float]:
-        m = propagate(c, SpectralParameter.from_lambda(float(lam)))
-        return rho_trace_formula(m.trace_T), rho_formula_scale(m.trace_T)
-
-    values = parallel_map(eval_point, grid)
-    rho = np.array([v[0] for v in values])
-    scale = np.array([v[1] for v in values])
+    traces = [trace_at(c, float(lam)) for lam in grid]
+    rho = np.array([rho_trace_formula(T) for T in traces])
+    scale = np.array([rho_formula_scale(T) for T in traces])
 
     # sign with a roundoff-aware zero band: -1, 0, +1 per grid point
     signs = np.zeros(len(grid), dtype=int)
     signs[rho > zero_rtol * scale] = 1
     signs[rho < -zero_rtol * scale] = -1
 
-    def refine(i: int, j: int) -> float:
-        """Root of rho between grid points i < j with opposite strict signs."""
-        x, _ = brent(
+    def refine(i: int, j: int) -> tuple[float, float]:
+        """(root, rho there) between grid points i < j with opposite strict signs."""
+        return brent(
             lambda lam: rho_at(c, lam),
             float(grid[i]),
             float(grid[j]),
@@ -168,7 +163,6 @@ def sigma3_intervals(
             fa=float(rho[i]),
             fb=float(rho[j]),
         )
-        return x
 
     intervals: list[Sigma3Interval] = []
     touches: list[float] = []
@@ -181,27 +175,20 @@ def sigma3_intervals(
         j = i
         while j + 1 < n and signs[j + 1] != 1:
             j += 1
-        run_has_negative = bool(np.any(signs[i : j + 1] == -1))
-        if run_has_negative:
-            if i > 0:
-                lo = refine(i - 1, next(k for k in range(i, j + 1) if signs[k] == -1))
-                lo_clipped = False
+        negative = [k for k in range(i, j + 1) if signs[k] == -1]
+        if negative:
+            # clipped ends keep the grid point and its already computed rho
+            lo_clipped, hi_clipped = i == 0, j + 1 == n
+            if lo_clipped:
+                lo, rho_lo = float(grid[0]), float(rho[0])
             else:
-                lo, lo_clipped = float(grid[0]), True
-            if j + 1 < n:
-                hi = refine(max(k for k in range(i, j + 1) if signs[k] == -1), j + 1)
-                hi_clipped = False
+                lo, rho_lo = refine(i - 1, negative[0])
+            if hi_clipped:
+                hi, rho_hi = float(grid[-1]), float(rho[-1])
             else:
-                hi, hi_clipped = float(grid[-1]), True
+                hi, rho_hi = refine(negative[-1], j + 1)
             intervals.append(
-                Sigma3Interval(
-                    lo=lo,
-                    hi=hi,
-                    rho_lo=rho_at(c, lo),
-                    rho_hi=rho_at(c, hi),
-                    lo_clipped=lo_clipped,
-                    hi_clipped=hi_clipped,
-                )
+                Sigma3Interval(lo, hi, rho_lo, rho_hi, lo_clipped, hi_clipped)
             )
         else:
             # zeros only: rho touches 0 without crossing

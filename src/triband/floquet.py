@@ -27,8 +27,8 @@ import numpy as np
 
 from ._rootfind import brent
 from .coeffs import PeriodicCoefficients
-from .monodromy import SpectralParameter, propagate
-from .util import parallel_map, real_cbrt
+from .monodromy import trace_at
+from .util import real_cbrt
 
 
 def char_real_function(k: float, T: complex) -> float:
@@ -81,9 +81,8 @@ def _f_in_s(c: PeriodicCoefficients, k: float):
     """F(k, .) as a function of s = cbrt(lambda), with the trace alongside."""
 
     def g(s: float) -> tuple[float, complex]:
-        lam = float(s) ** 3
-        m = propagate(c, SpectralParameter.from_lambda(lam))
-        return char_real_function(k, m.trace_T), m.trace_T
+        T = trace_at(c, float(s) ** 3)
+        return char_real_function(k, T), T
 
     return g
 
@@ -188,9 +187,7 @@ def eigenvalues_at_k(
     if n_lo > n_hi:
         raise ValueError("empty index range")
 
-    outcomes = parallel_map(
-        lambda n: _solve_one(c, k, n, tol), range(n_lo, n_hi + 1)
-    )
+    outcomes = [_solve_one(c, k, n, tol) for n in range(n_lo, n_hi + 1)]
     found = [e for e, _ in outcomes if e is not None]
     missed = tuple(miss for _, miss in outcomes if miss is not None)
 

@@ -100,55 +100,53 @@ class PropagationMethod(Enum):
 class MonodromyResult:
     """Period map M(1, lambda) with its trace and self-check residuals.
 
-    symplectic_residual is filled automatically for real lambda; for a
-    complex point it needs the paired evaluation at conj(lambda), see
-    propagate_pair.  For the series method, term_norms holds the norms of
-    the computed series terms and tail_bound the analytic truncation bound
-    that fixed the number of terms.
+    The residuals are computed from M on access, so evaluations that only
+    need the trace pay nothing for them.  symplectic_residual needs the
+    period map at conj(lambda): it is M itself for real lambda, M_conj when
+    propagate_pair filled it, and None otherwise.  For the series method,
+    term_norms holds the norms of the computed series terms and tail_bound
+    the analytic truncation bound that fixed the number of terms.
     """
 
     param: SpectralParameter
     M: np.ndarray
     trace_T: complex
-    det_residual: float
-    symplectic_residual: Optional[float]
     method: PropagationMethod
     steps_or_terms: int
     term_norms: Optional[tuple[float, ...]] = None
     tail_bound: Optional[float] = None
+    M_conj: Optional[np.ndarray] = None
+
+    @property
+    def det_residual(self) -> float:
+        return abs(complex(det3(self.M)) - 1.0)
+
+    @property
+    def symplectic_residual(self) -> Optional[float]:
+        if self.M_conj is not None:
+            return symplectic_residual(self.M, self.M_conj)
+        return symplectic_residual(self.M, self.M) if self.param.is_real else None
 
 
 def system_matrices(
-    param: SpectralParameter, p_i: float, q_i: float
+    param: SpectralParameter, p, q, dtype=complex
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Constant system blocks (P, Q) for one coefficient cell."""
-    P = np.zeros((3, 3), dtype=complex)
+    """System blocks (P, Q) of Y' = (P + Q) Y for the cells with values p, q.
+
+    P is one 3x3 matrix; Q is 3x3 for scalar p, q and a stack (n, 3, 3)
+    for arrays of n cell values.
+    """
+    P = np.zeros((3, 3), dtype=dtype)
     P[0, 1] = 1.0
     P[1, 2] = 1.0
     P[2, 0] = -1j * param.lam
-    Q = np.zeros((3, 3), dtype=complex)
-    Q[1, 0] = -p_i
-    Q[2, 0] = 1j * q_i
-    Q[2, 1] = -p_i
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    Q = np.zeros(p.shape + (3, 3), dtype=dtype)
+    Q[..., 1, 0] = -p
+    Q[..., 2, 0] = 1j * q
+    Q[..., 2, 1] = -p
     return P, Q
-
-
-def _cell_generators(
-    c: PeriodicCoefficients, param: SpectralParameter, substeps: int, dtype
-) -> np.ndarray:
-    """Stack of (P + Q_i) * h over all cells, in time order."""
-    p = np.repeat(c.p_samples, substeps)
-    q = np.repeat(c.q_samples, substeps)
-    n = p.size
-    h = 1.0 / n
-    A = np.zeros((n, 3, 3), dtype=dtype)
-    A[:, 0, 1] = 1.0
-    A[:, 1, 2] = 1.0
-    A[:, 2, 0] = -1j * param.lam
-    A[:, 1, 0] -= p
-    A[:, 2, 0] += 1j * q
-    A[:, 2, 1] -= p
-    return A * np.asarray(h, dtype=dtype)
 
 
 def _check_growth(c: PeriodicCoefficients, param: SpectralParameter) -> None:
@@ -170,59 +168,51 @@ def symplectic_residual(M_at_lam: np.ndarray, M_at_conj: np.ndarray) -> float:
     return spectral_norm(R)
 
 
+def _trace(M: np.ndarray) -> complex:
+    return complex(M[0, 0] + M[1, 1] + M[2, 2])
+
+
 def propagate(
-    c: PeriodicCoefficients,
-    param: SpectralParameter,
-    substeps: int = 1,
-    dtype=EXTENDED,
+    c: PeriodicCoefficients, param: SpectralParameter, dtype=EXTENDED
 ) -> MonodromyResult:
     """Period map by per-cell matrix exponentials (exact for the step model).
 
     M(1, lambda) = exp(A_{N-1}) ... exp(A_0) with A_i = (P + Q_i)/N; the
-    leftmost factor is the last cell.  substeps > 1 splits every cell
-    without changing the coefficient model (a conditioning knob only).
+    leftmost factor is the last cell.
     """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
     _check_growth(c, param)
-    A = _cell_generators(c, param, substeps, dtype)
+    P, Q = system_matrices(param, c.p_samples, c.q_samples, dtype)
+    A = (P + Q) * np.asarray(1.0 / c.grid_size, dtype=dtype)
     M = ordered_product(expm_stack(A, dtype))
-    trace = complex(M[0, 0] + M[1, 1] + M[2, 2])
-    det_res = abs(complex(det3(M)) - 1.0)
-    symp = symplectic_residual(M, M) if param.is_real else None
     return MonodromyResult(
         param=param,
         M=M,
-        trace_T=trace,
-        det_residual=det_res,
-        symplectic_residual=symp,
+        trace_T=_trace(M),
         method=PropagationMethod.EXPONENTIAL_STEPS,
-        steps_or_terms=c.grid_size * substeps,
+        steps_or_terms=c.grid_size,
     )
 
 
 def propagate_pair(
-    c: PeriodicCoefficients, lam: complex, substeps: int = 1, dtype=EXTENDED
+    c: PeriodicCoefficients, lam: complex, dtype=EXTENDED
 ) -> tuple[MonodromyResult, MonodromyResult]:
-    """Evaluate at lambda and conj(lambda) and fill both symplectic residuals.
+    """Evaluate at lambda and conj(lambda), each carrying the other's M.
 
     The symplectic identity couples the two points, so for complex lambda a
     single evaluation cannot certify it; this helper makes the pairing
     explicit instead of conjugating silently.
     """
     param = SpectralParameter.from_lambda(lam)
-    m = propagate(c, param, substeps=substeps, dtype=dtype)
+    m = propagate(c, param, dtype=dtype)
     if param.is_real:
         return m, m
-    m_bar = propagate(c, param.conjugate(), substeps=substeps, dtype=dtype)
-    res = symplectic_residual(m.M, m_bar.M)
-    res_bar = symplectic_residual(m_bar.M, m.M)
-    return replace(m, symplectic_residual=res), replace(m_bar, symplectic_residual=res_bar)
+    m_bar = propagate(c, param.conjugate(), dtype=dtype)
+    return replace(m, M_conj=m_bar.M), replace(m_bar, M_conj=m.M)
 
 
-def trace_at(c: PeriodicCoefficients, lam: complex, **kwargs) -> complex:
-    """Convenience: T(lambda) = tr M(1, lambda)."""
-    return propagate(c, SpectralParameter.from_lambda(lam), **kwargs).trace_T
+def trace_at(c: PeriodicCoefficients, lam: complex) -> complex:
+    """T(lambda) = tr M(1, lambda): the one evaluation every trace consumer calls."""
+    return propagate(c, SpectralParameter.from_lambda(lam)).trace_T
 
 
 def char_poly(
@@ -283,14 +273,10 @@ def free_diagonalizer(param: SpectralParameter) -> tuple[np.ndarray, np.ndarray,
 
 def q_norm_integral(c: PeriodicCoefficients) -> float:
     """Integral over one period of the spectral norm of Q(t)."""
+    _, Q = system_matrices(SpectralParameter.from_lambda(0.0), c.p_samples, c.q_samples)
     total = 0.0
-    for i in range(c.grid_size):
-        p_i, q_i = c.cell_values(i)
-        Q = np.zeros((3, 3), dtype=complex)
-        Q[1, 0] = -p_i
-        Q[2, 0] = 1j * q_i
-        Q[2, 1] = -p_i
-        total += spectral_norm(Q)
+    for norm in np.linalg.norm(Q, 2, axis=(-2, -1)):
+        total += float(norm)
     return total / c.grid_size
 
 
@@ -354,20 +340,13 @@ def picard_monodromy(
     K = n_terms
 
     h = 1.0 / c.grid_size
-    P = np.zeros((3, 3), dtype=dtype)
-    P[0, 1] = 1.0
-    P[1, 2] = 1.0
-    P[2, 0] = -1j * param.lam
+    P, Q = system_matrices(param, c.p_samples, c.q_samples, dtype)
     Ph = P * h
 
     W = np.zeros((K + 1, 3, 3), dtype=dtype)
     W[0] = np.eye(3, dtype=dtype)
-    for i in range(c.grid_size):
-        p_i, q_i = c.cell_values(i)
-        Qh = np.zeros((3, 3), dtype=dtype)
-        Qh[1, 0] = -p_i * h
-        Qh[2, 0] = 1j * q_i * h
-        Qh[2, 1] = -p_i * h
+    for Qi in Q:
+        Qh = Qi * h
         norm = float(np.abs(Ph).sum(axis=-1).max() + np.abs(Qh).sum(axis=-1).max())
         squarings = 0
         if norm > 0.25:
@@ -391,18 +370,12 @@ def picard_monodromy(
         W = _toeplitz_apply(G, W)
 
     M = W.sum(axis=0)
-    term_norms = tuple(spectral_norm(W[n]) for n in range(K + 1))
-    trace = complex(M[0, 0] + M[1, 1] + M[2, 2])
-    det_res = abs(complex(det3(M)) - 1.0)
-    symp = symplectic_residual(M, M) if param.is_real else None
     return MonodromyResult(
         param=param,
         M=M,
-        trace_T=trace,
-        det_residual=det_res,
-        symplectic_residual=symp,
+        trace_T=_trace(M),
         method=PropagationMethod.PICARD_SERIES,
         steps_or_terms=K,
-        term_norms=term_norms,
+        term_norms=tuple(spectral_norm(W[n]) for n in range(K + 1)),
         tail_bound=tail,
     )

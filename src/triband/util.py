@@ -1,48 +1,15 @@
-"""Small shared helpers: real cube root, thread-pool mapping."""
+"""Small shared helpers: real cube root, grids, ranges, set distances."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
-
-T = TypeVar("T")
-U = TypeVar("U")
-
-THREADS_ENV = "TRIBAND_THREADS"
 
 
 def real_cbrt(x: float) -> float:
     """Sign-preserving real cube root."""
     return float(np.cbrt(x))
-
-
-def thread_count() -> int:
-    """Worker cap from the TRIBAND_THREADS environment variable (default 1)."""
-    raw = os.environ.get(THREADS_ENV, "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
-def parallel_map(fn: Callable[[T], U], items: Iterable[T]) -> list[U]:
-    """Map fn over items, threaded when TRIBAND_THREADS > 1.
-
-    Output order always matches input order, so results are deterministic
-    regardless of the worker count.
-    """
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def uniform_grid(a: float, b: float, points: int) -> np.ndarray:
