@@ -109,9 +109,13 @@ def solve_multipliers(T: complex, T_conj_bar: complex) -> np.ndarray:
     if not (cmath.isfinite(T) and cmath.isfinite(T_conj_bar)):
         raise ValueError("polynomial coefficients must be finite")
     center = T / 3.0
+    # distance to the perfect cube (tau - T/3)^3, relative to (1 + |T|)^2
+    # and (1 + |T|)^3; scaled first so that no power can overflow
+    s = 1.0 + abs(T)
+    u = center / s
     cube_defect = max(
-        abs(T_conj_bar - 3.0 * center**2) / (1.0 + abs(T)) ** 2,
-        abs(center**3 - 1.0) / (1.0 + abs(T)) ** 3,
+        abs(T_conj_bar / s / s - 3.0 * u**2),
+        abs(u**3 - (1.0 / s) ** 3),
     )
     if cube_defect <= 1e-10:
         return np.array([center, center, center])
@@ -252,9 +256,9 @@ def continue_branches(
     Labels are anchored at the largest grid point by proximity to the
     zero-coefficient multipliers exp(i z w^(j-1)) and swept downward by
     nearest matching between consecutive points.  Points whose discriminant
-    (product of squared multiplier differences) is within tolerance of zero
-    are flagged near-branch-point: label continuity through such a point is
-    not asserted.  A matching whose best and runner-up permutations are
+    (product of squared multiplier differences) is within
+    branch_point_rtol * (1 + |T|)^4 of zero are flagged near-branch-point:
+    label continuity through such a point is not asserted.  A matching whose best and runner-up permutations are
     within tie_rtol of each other is flagged ambiguous, not rejected.
 
     The result is returned in the input order; the matching itself works on
@@ -277,10 +281,12 @@ def continue_branches(
         flags = set(relabeled.flags)
         if second < math.inf and (second - best) <= tie_rtol * (1.0 + best):
             flags.add(FLAG_AMBIGUOUS_MATCH)
+        # rho / (1 + |T|)^4: rho grows like |T|^4, so it is scaled before
+        # squaring rather than compared with a power of (1 + |T|)
         t1, t2, t3 = relabeled.taus
-        rho = ((t1 - t2) * (t1 - t3) * (t2 - t3)) ** 2
-        scale = (1.0 + abs(relabeled.trace)) ** 6
-        if abs(rho) <= branch_point_rtol * scale:
+        s = 1.0 + abs(relabeled.trace)
+        rho_scaled = ((t1 - t2) / s * (t1 - t3) / s * (t2 - t3)) ** 2
+        if abs(rho_scaled) <= branch_point_rtol:
             flags.add(FLAG_NEAR_BRANCH_POINT)
         relabeled = replace(relabeled, flags=frozenset(flags))
         out[order[pos]] = relabeled

@@ -75,13 +75,19 @@ def test_multiplicity_locally_constant_between_flags():
 def test_scan_far_outside_is_simple(const_c):
     for pt in scan_real_axis(const_c, (5_000.0, 6_000.0), 11):
         assert pt.multiplicity == 1
+        # far from the triple set the multipliers are well separated, so the
+        # branch-point flag must not fire (its scale once grew like |T|^6)
+        assert FLAG_NEAR_BRANCH_POINT not in pt.flags
+        assert pt.on_circle_count == pt.multiplicity
 
 
-def test_classification_survives_discriminant_saturation(zero_c):
+@pytest.mark.parametrize("lam", [2.0e7, 5e7, -5e7, 1e8, -1e8, 3e8, -3e8])
+@pytest.mark.parametrize("coeffs", ["zero_c", "const_c"])
+def test_classification_survives_discriminant_saturation(request, coeffs, lam):
     # between the float64 range of rho (|lambda| ~ 8.6e6) and the
     # propagation guard (~5e8) the discriminant saturates to +inf but the
     # multiplicity and circle count must stay correct
-    pt = band_point(zero_c, 2.0e7)
+    pt = band_point(request.getfixturevalue(coeffs), lam)
     assert pt.error is None
     assert pt.rho == float("inf")
     assert pt.multiplicity == 1

@@ -208,3 +208,21 @@ def test_output_is_deterministic(tmp_path):
     assert main(args + ["--out", str(p1)]) == 0
     assert main(args + ["--out", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_scan_up_to_the_propagation_guard(capfd):
+    # the trace outgrows every power of float64 here; the scan must finish,
+    # keep stdout pure CSV and report the points past the guard as rows
+    code = main(["scan", "--p-const", "0.5", "--q-const", "0.3", "--grid", "16",
+                 "--interval=1e7,6e8", "--points", "60"])
+    captured = capfd.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    comments, header, rows = parse_csv(captured.out)
+    assert all(ln.startswith("# ") for ln in captured.out.splitlines()[: len(comments)])
+    assert len(rows) == 60 and all(len(r) == len(header) for r in rows)
+    for r in rows:
+        if float(r[0]) > 5.25e8:  # z0 + kappa passes 700 near 5.28e8
+            assert r[6].startswith("error:")
+        else:
+            assert r[2] == "1" and not r[6].startswith("error:")
