@@ -75,8 +75,7 @@ def test_multiplicity_locally_constant_between_flags():
 def test_scan_far_outside_is_simple(const_c):
     for pt in scan_real_axis(const_c, (5_000.0, 6_000.0), 11):
         assert pt.multiplicity == 1
-        # far from the triple set the multipliers are well separated, so the
-        # branch-point flag must not fire (its scale once grew like |T|^6)
+        # far from the triple set the multipliers are well separated
         assert FLAG_NEAR_BRANCH_POINT not in pt.flags
         assert pt.on_circle_count == pt.multiplicity
 

@@ -75,6 +75,16 @@ def test_system_matrices_entries():
     assert np.trace(Pm + Qm) == 0
 
 
+def test_system_matrices_stack_and_q_norm_match_cell_loop(sin_c):
+    _, Q = system_matrices(P(3.0), sin_c.p_samples, sin_c.q_samples)
+    total = 0.0
+    for i in range(sin_c.grid_size):
+        _, Q_i = system_matrices(P(3.0), *sin_c.cell_values(i))
+        assert np.array_equal(Q[i], Q_i)
+        total += np.linalg.norm(Q_i, 2)
+    assert q_norm_integral(sin_c) == total / sin_c.grid_size
+
+
 # ---------------------------------------------------------------- propagate
 
 
