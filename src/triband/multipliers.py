@@ -258,8 +258,9 @@ def continue_branches(
     nearest matching between consecutive points.  Points whose discriminant
     (product of squared multiplier differences) is within
     branch_point_rtol * (1 + |T|)^4 of zero are flagged near-branch-point:
-    label continuity through such a point is not asserted.  A matching whose best and runner-up permutations are
-    within tie_rtol of each other is flagged ambiguous, not rejected.
+    label continuity through such a point is not asserted.  A matching
+    whose best and runner-up permutations are within tie_rtol of each
+    other is flagged ambiguous, not rejected.
 
     The result is returned in the input order; the matching itself works on
     the sorted grid, so a reversed grid yields identical labels.
@@ -281,8 +282,8 @@ def continue_branches(
         flags = set(relabeled.flags)
         if second < math.inf and (second - best) <= tie_rtol * (1.0 + best):
             flags.add(FLAG_AMBIGUOUS_MATCH)
-        # rho / (1 + |T|)^4: rho grows like |T|^4, so it is scaled before
-        # squaring rather than compared with a power of (1 + |T|)
+        # rho / (1 + |T|)^4, scaled before squaring: rho itself grows like
+        # |T|^4 and overflows long before the propagation guard
         t1, t2, t3 = relabeled.taus
         s = 1.0 + abs(relabeled.trace)
         rho_scaled = ((t1 - t2) / s * (t1 - t3) / s * (t2 - t3)) ** 2

@@ -27,12 +27,14 @@ CONST_C = ["--p-const", "1", "--q-const", "-0.5", "--grid", "64"]  # const_c
 
 CASES = {
     "scan-const_c": ["scan", *CONST_C, "--interval", "-40,40", "--points", "41"],
-    "scan-sin_c": ["scan", "--coeffs", str(SIN_C), "--interval", "-40,40", "--points", "41"],
+    "scan-sin_c": ["scan", "--coeffs", str(SIN_C),
+                   "--interval", "-40,40", "--points", "41"],
     "eigs-const_c": ["eigs", *CONST_C, "--k", "1.0", "--n-range", "-2..2"],
     "eigs-sin_c": ["eigs", "--coeffs", str(SIN_C), "--k", "2.5", "--n-range", "-2..2"],
     # the interval starts inside the triple set, so its lower end is clipped
     "sigma3-const_c": ["sigma3", *CONST_C, "--interval", "-1,10", "--points", "56"],
-    "sigma3-sin_c": ["sigma3", "--coeffs", str(SIN_C), "--interval", "-2,2", "--points", "41"],
+    "sigma3-sin_c": ["sigma3", "--coeffs", str(SIN_C),
+                     "--interval", "-2,2", "--points", "41"],
     # constant coefficients do not depend on the grid; 4 cells keep it fast
     "verify-const": ["verify", "--p-const", "1", "--q-const", "-0.5", "--grid", "4"],
 }
