@@ -101,11 +101,17 @@ class MonodromyResult:
     """Period map M(1, lambda) with its trace and self-check residuals.
 
     The residuals are computed from M on access, so evaluations that only
-    need the trace pay nothing for them.  symplectic_residual needs the
+    need the trace pay nothing for them.  The symplectic residuals need the
     period map at conj(lambda): it is M itself for real lambda, M_conj when
     propagate_pair filled it, and None otherwise.  For the series method,
     term_norms holds the norms of the computed series terms and tail_bound
     the analytic truncation bound that fixed the number of terms.
+
+    The raw residuals grow like ||M||^3 and ||M||^2, so above |lambda| ~ 1e3
+    they no longer tell roundoff from a fault.  The *_scaled variants
+    divide those powers out, one factor of the norm at a time in M's own
+    dtype, so they stay at roundoff and nothing overflows up to the
+    propagation guard.
     """
 
     param: SpectralParameter
@@ -122,10 +128,29 @@ class MonodromyResult:
         return abs(complex(det3(self.M)) - 1.0)
 
     @property
+    def det_residual_scaled(self) -> float:
+        """|det M - 1| / ||M||^3."""
+        norm = _wide_norm(self.M)
+        return float(abs(det3(self.M) - 1) / norm / norm / norm)
+
+    @property
     def symplectic_residual(self) -> Optional[float]:
+        M_conj = self._paired_map()
+        return None if M_conj is None else symplectic_residual(self.M, M_conj)
+
+    @property
+    def symplectic_residual_scaled(self) -> Optional[float]:
+        """symplectic_residual / (||M(conj(lambda))|| ||M||), i.e. / ||M||^2 for real lambda."""
+        M_conj = self._paired_map()
+        if M_conj is None:
+            return None
+        R = _symplectic_defect(self.M, M_conj)
+        return spectral_norm(R / _wide_norm(M_conj) / _wide_norm(self.M))
+
+    def _paired_map(self) -> Optional[np.ndarray]:
         if self.M_conj is not None:
-            return symplectic_residual(self.M, self.M_conj)
-        return symplectic_residual(self.M, self.M) if self.param.is_real else None
+            return self.M_conj
+        return self.M if self.param.is_real else None
 
 
 def system_matrices(
@@ -163,9 +188,24 @@ def symplectic_residual(M_at_lam: np.ndarray, M_at_conj: np.ndarray) -> float:
 
     For real lambda pass the same matrix twice.
     """
+    return spectral_norm(_symplectic_defect(M_at_lam, M_at_conj))
+
+
+def _symplectic_defect(M_at_lam: np.ndarray, M_at_conj: np.ndarray) -> np.ndarray:
+    """M(1, conj(lambda))^* J M(1, lambda) - J in the dtype of M_at_lam."""
     J = SYMPLECTIC_J.astype(M_at_lam.dtype)
-    R = M_at_conj.conj().T @ J @ M_at_lam - J
-    return spectral_norm(R)
+    return M_at_conj.conj().T @ J @ M_at_lam - J
+
+
+def _wide_norm(M: np.ndarray) -> np.floating:
+    """Spectral norm of M as a scalar of M's own real dtype.
+
+    Near the propagation guard ||M|| exceeds double range by a factor of
+    up to |lambda|^(2/3), so the complex128 SVD runs on M scaled by its
+    largest entry and the scale is multiplied back in the extended type.
+    """
+    scale = np.abs(M).max()
+    return scale * spectral_norm(M / scale)
 
 
 def _trace(M: np.ndarray) -> complex:
@@ -175,14 +215,22 @@ def _trace(M: np.ndarray) -> complex:
 def propagate(
     c: PeriodicCoefficients, param: SpectralParameter, dtype=EXTENDED
 ) -> MonodromyResult:
-    """Period map by per-cell matrix exponentials (exact for the step model).
+    """Period map by per-run matrix exponentials (exact for the step model).
 
-    M(1, lambda) = exp(A_{N-1}) ... exp(A_0) with A_i = (P + Q_i)/N; the
-    leftmost factor is the last cell.
+    A run of n equal cells starting at cell i propagates by one exp(A_i)
+    with A_i = n (P + Q_i)/N, the product of its n cell exponentials, and
+    M(1, lambda) = exp(A_{last run}) ... exp(A_{first run}).  Constant
+    coefficients take one exponential.
     """
     _check_growth(c, param)
-    P, Q = system_matrices(param, c.p_samples, c.q_samples, dtype)
-    A = (P + Q) * np.asarray(1.0 / c.grid_size, dtype=dtype)
+    p, q = c.p_samples, c.q_samples
+    starts = np.flatnonzero(
+        np.concatenate(([True], (p[1:] != p[:-1]) | (q[1:] != q[:-1])))
+    )
+    run_lengths = np.diff(starts, append=c.grid_size)
+    P, Q = system_matrices(param, p[starts], q[starts], dtype)
+    widths = run_lengths.astype(dtype) / c.grid_size
+    A = (P + Q) * widths[:, np.newaxis, np.newaxis]
     M = ordered_product(expm_stack(A, dtype))
     return MonodromyResult(
         param=param,

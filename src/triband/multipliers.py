@@ -60,6 +60,21 @@ class MultiplierSet:
         return sum(self.taus)
 
 
+def _newton_step(tau: complex, a: complex, b: complex) -> Optional[complex]:
+    """Newton step at tau for tau^3 - a tau^2 + b tau - 1, or None.
+
+    None when the slope is zero, or when the value or the slope is not
+    finite: tau^3 overflows once |T| exceeds ~1e102, and such a step could
+    never pass the callers' size test anyway.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = ((tau - a) * tau + b) * tau - 1.0
+        slope = (3.0 * tau - 2.0 * a) * tau + b
+    if slope == 0 or not (cmath.isfinite(value) and cmath.isfinite(slope)):
+        return None
+    return value / slope
+
+
 def _companion_roots(a: complex, b: complex) -> np.ndarray:
     """Eigenvalue roots of tau^3 - a tau^2 + b tau - 1 with Newton polish."""
     companion = np.array(
@@ -67,14 +82,11 @@ def _companion_roots(a: complex, b: complex) -> np.ndarray:
     )
     taus = np.linalg.eigvals(companion)
     for i, tau in enumerate(taus):
-        value = ((tau - a) * tau + b) * tau - 1.0
-        slope = (3.0 * tau - 2.0 * a) * tau + b
-        if slope != 0:
-            step = value / slope
-            # a polish step larger than the root itself means the slope is
-            # noise (multiple root); leave the eigenvalue alone
-            if abs(step) <= 0.5 * (1.0 + abs(tau)):
-                taus[i] = tau - step
+        step = _newton_step(tau, a, b)
+        # a polish step larger than the root itself means the slope is
+        # noise (multiple root); leave the eigenvalue alone
+        if step is not None and abs(step) <= 0.5 * (1.0 + abs(tau)):
+            taus[i] = tau - step
     return taus
 
 
@@ -129,12 +141,9 @@ def solve_multipliers(T: complex, T_conj_bar: complex) -> np.ndarray:
     sigma = _companion_roots(T_conj_bar, T)
     tau_small = 1.0 / sigma[int(np.argmax(np.abs(sigma)))]
     tau_mid = 1.0 / (tau_big * tau_small)
-    value = ((tau_mid - T) * tau_mid + T_conj_bar) * tau_mid - 1.0
-    slope = (3.0 * tau_mid - 2.0 * T) * tau_mid + T_conj_bar
-    if slope != 0:
-        step = value / slope
-        if abs(step) <= 0.1 * (1.0 + abs(tau_mid)):
-            tau_mid = tau_mid - step
+    step = _newton_step(tau_mid, T, T_conj_bar)
+    if step is not None and abs(step) <= 0.1 * (1.0 + abs(tau_mid)):
+        tau_mid = tau_mid - step
     return np.array([tau_big, tau_mid, tau_small])
 
 

@@ -153,7 +153,7 @@ def test_k_range_validation(small_c):
 # -------------------------------------------------------------- reflection
 
 
-def test_k_reflection_via_spectrum_negation(zero_c, small_c):
+def test_k_reflection_via_spectrum_negation():
     """The valid k-reflection law for this operator class.
 
     Complex conjugation maps the fiber at k to the negated fiber at
@@ -161,25 +161,25 @@ def test_k_reflection_via_spectrum_negation(zero_c, small_c):
 
         lambda_n(2 pi - k; p, -q) = -lambda_{-n-1}(k; p, q),
 
-    exactly (for q = 0 the coefficients are untouched).  The naive list
-    equality lambda_n(k) = lambda_n(2 pi - k) does NOT hold.
+    exactly.  The naive list equality lambda_n(k) = lambda_n(2 pi - k) does
+    NOT hold.  Criterion 10 checks the law on constant coefficients; here
+    p and q are three-level steps with no odd symmetry about x = 0 (on odd
+    coefficients such as sin_c the law holds even without the q flip).
     """
-    small_neg_q = PeriodicCoefficients.from_constants(0.5, -0.3, 64)
-    cases = [(zero_c, zero_c), (small_c, small_neg_q)]
+    p = np.repeat([0.6, -0.4, 0.2], [20, 25, 19])
+    q = np.repeat([0.3, -0.2, 0.5], [12, 30, 22])
+    c = PeriodicCoefficients.from_samples(p, q)
+    c_reflected = PeriodicCoefficients.from_samples(p, -q)
     for k in (0.5, 1.3):
-        for c, c_reflected in cases:
-            at_k = {
-                e.n: e.lambda_n
-                for e in eigenvalues_at_k(c, k, (-6, 5)).eigenvalues
-            }
-            at_rk = {
-                e.n: e.lambda_n
-                for e in eigenvalues_at_k(c_reflected, TWO_PI - k, (-6, 5)).eigenvalues
-            }
-            for n in range(-5, 5):
-                lhs = at_rk[n]
-                rhs = -at_k[-n - 1]
-                assert abs(lhs - rhs) <= 1e-7 * max(1.0, abs(rhs))
+        at_k = {e.n: e.lambda_n for e in eigenvalues_at_k(c, k, (-6, 5)).eigenvalues}
+        at_rk = {
+            e.n: e.lambda_n
+            for e in eigenvalues_at_k(c_reflected, TWO_PI - k, (-6, 5)).eigenvalues
+        }
+        for n in range(-5, 5):
+            lhs = at_rk[n]
+            rhs = -at_k[-n - 1]
+            assert abs(lhs - rhs) <= 1e-7 * max(1.0, abs(rhs))
 
 
 # ------------------------------------------------- degenerate-root handling

@@ -143,6 +143,23 @@ def test_determinant_and_symplectic_residuals(coefficient_sets):
             assert m.symplectic_residual <= 1e-8
 
 
+@pytest.mark.parametrize("lam", [1e2, -1e2, 1e4, -1e4, 1e6, -1e6])
+def test_scaled_residuals_stay_at_roundoff(const_c, sin_c, lam):
+    """|det M - 1|/||M||^3 and the symplectic residual/||M||^2 far out.
+
+    The raw residuals grow with ||M|| and fail their verify thresholds
+    from |lambda| ~ 2e3 on; the scaled ones stay at roundoff (below 1e-23
+    and 1e-18 on these sets).
+    """
+    steps = PeriodicCoefficients.from_samples(
+        np.repeat([0.8, -0.3], [40, 24]), np.repeat([-0.5, 0.4], [40, 24])
+    )
+    for c in (const_c, sin_c, steps):
+        m = propagate(c, P(lam))
+        assert m.det_residual_scaled <= 1e-17
+        assert m.symplectic_residual_scaled <= 1e-15
+
+
 def test_symplectic_identity_complex_pairs(sin_c):
     rng = np.random.default_rng(11)
     for _ in range(8):
@@ -150,10 +167,13 @@ def test_symplectic_identity_complex_pairs(sin_c):
         m, m_bar = propagate_pair(sin_c, lam)
         assert m.symplectic_residual <= 1e-8
         assert m_bar.symplectic_residual <= 1e-8
+        assert max(m.symplectic_residual_scaled, m_bar.symplectic_residual_scaled) <= 1e-15
         # direct form of the identity
         J = SYMPLECTIC_J
         R = np.asarray(m_bar.M, complex).conj().T @ J @ np.asarray(m.M, complex) - J
         assert np.linalg.norm(R, 2) <= 1e-8
+    # unpaired complex lambda: the identity needs M(conj(lambda))
+    assert propagate(sin_c, P(lam)).symplectic_residual_scaled is None
 
 
 def test_propagate_pair_real_lambda_is_single_evaluation(sin_c):
