@@ -7,7 +7,8 @@ growth exponent, which is not enough for the determinant and symplectic
 residual targets at the far end of the scan window; 80-bit arithmetic
 restores a comfortable margin at roughly twice the cost.
 
-Both stack kernels do a fixed number of batched matmuls and no
+Both stack kernels take leading batch axes (one per spectral point in the
+period-map core) and do a fixed number of batched matmuls with no
 data-dependent stopping test: 6 plus the squarings for expm_stack,
 ceil(log2 N) for the product of N factors.
 """
@@ -47,25 +48,36 @@ def _taylor_table(dtype: np.dtype) -> np.ndarray:
 
 
 def expm_stack(A: np.ndarray, dtype: np.dtype | type = EXTENDED) -> np.ndarray:
-    """Matrix exponential of a stack (..., n, n) via scaling + Taylor + squaring.
+    """Matrix exponential of a stack (..., m, n, n) via scaling + Taylor + squaring.
 
-    The whole stack shares one scaling exponent s, the least with
-    ||A||_inf / 2^s <= 0.25, so every step is a batched matmul.  At that
-    radius the degree-16 Taylor tail is below 1.6e-25, so the degree is
-    fixed and no term is tested.  Paterson-Stockmeyer evaluates the
-    polynomial in 6 matmuls: the powers X^2, X^3, X^4, four block sums from
-    one tensordot against the 1/k! table, and three Horner steps in X^4.
+    The m matrices of each stack share one scaling exponent s, the least
+    with ||A||_inf / 2^s <= 0.25 over that stack; leading axes hold
+    independent stacks with their own s, and a single (n, n) matrix is a
+    stack of one.  At that radius the degree-16 Taylor tail is below
+    1.6e-25, so the degree is fixed and no term is tested.  Paterson-
+    Stockmeyer evaluates the polynomial in 6 matmuls: the powers X^2, X^3,
+    X^4, four block sums from one tensordot against the 1/k! table, and
+    three Horner steps in X^4.  The squarings then run level by level on
+    the stacks that still need them.
     """
     A = np.asarray(A, dtype=dtype)
-    n = A.shape[-1]
-    norm = float(np.abs(A).sum(axis=-1).max()) if A.size else 0.0
-    squarings = 0
-    if norm > _TAYLOR_RADIUS:
-        squarings = int(np.ceil(np.log2(norm / _TAYLOR_RADIUS)))
-    # powers I, X, X^2, X^3, X^4 of the scaled stack X, built in place
-    powers = np.empty((5,) + A.shape, dtype=dtype)
+    shape = A.shape
+    n = shape[-1]
+    m = shape[-3] if A.ndim > 2 else 1
+    stacks = A.reshape(-1, m, n, n)
+    rows = np.abs(stacks).sum(axis=-1).reshape(-1, m * n)
+    norms = rows.max(axis=1, initial=0.0).astype(np.float64)
+    ratio = np.maximum(norms, _TAYLOR_RADIUS) / _TAYLOR_RADIUS
+    squarings = np.ceil(np.log2(ratio)).astype(int)
+    # powers I, X, X^2, X^3, X^4 of the scaled matrices X, built in place;
+    # everything but the scaling and the squarings is per matrix, so the
+    # stacks are flattened into one
+    powers = np.empty((5, stacks.shape[0] * m, n, n), dtype=dtype)
     powers[0] = np.eye(n, dtype=dtype)
-    X = np.divide(A, np.asarray(2.0**squarings, dtype=dtype), out=powers[1])
+    scale = np.ldexp(1.0, squarings).astype(dtype)
+    np.divide(stacks, scale[:, np.newaxis, np.newaxis, np.newaxis],
+              out=powers[1].reshape(stacks.shape))
+    X = powers[1]
     powers[2] = X @ X
     powers[3] = powers[2] @ X
     powers[4] = powers[2] @ powers[2]
@@ -74,9 +86,23 @@ def expm_stack(A: np.ndarray, dtype: np.dtype | type = EXTENDED) -> np.ndarray:
     for block in blocks[-2::-1]:
         total = total @ powers[4]
         total += block
-    for _ in range(squarings):
-        total = total @ total
-    return total
+    # square level by level: the stacks with s >= level take the squarings
+    # from the previous level up to this one
+    levels = squarings.tolist()
+    done = 0
+    for level in sorted(set(levels) - {0}):
+        todo = [s >= level for s in levels]
+        if all(todo):
+            for _ in range(level - done):
+                total = total @ total
+        else:
+            by_stack = total.reshape(stacks.shape)
+            part = by_stack[todo]
+            for _ in range(level - done):
+                part = part @ part
+            by_stack[todo] = part
+        done = level
+    return total.reshape(shape)
 
 
 def det3(M: np.ndarray) -> complex:
@@ -94,15 +120,16 @@ def spectral_norm(M: np.ndarray) -> float:
 
 
 def ordered_product(factors: np.ndarray) -> np.ndarray:
-    """Product factors[N-1] @ ... @ factors[0] of a stack of matrices.
+    """Product factors[..., N-1, :, :] @ ... @ factors[..., 0, :, :] of stacks.
 
-    This is the time ordering of a transfer-matrix sweep: index 0 acts
-    first.  It is formed as a balanced tree: each round is one stacked
-    matmul F[2j+1] @ F[2j] over all neighbour pairs, carrying an odd last
-    factor, so N factors take ceil(log2 N) rounds.
+    This is the time ordering of a transfer-matrix sweep: index 0 of the
+    cell axis (axis -3) acts first; leading axes are independent stacks.
+    It is formed as a balanced tree: each round is one stacked matmul
+    F[2j+1] @ F[2j] over all neighbour pairs, carrying an odd last factor,
+    so N factors take ceil(log2 N) rounds.
     """
     F = factors
-    while F.shape[0] > 1:
-        paired = F[1::2] @ F[0:-1:2]
-        F = np.concatenate((paired, F[-1:])) if F.shape[0] % 2 else paired
-    return F[0]
+    while F.shape[-3] > 1:
+        paired = F[..., 1::2, :, :] @ F[..., 0:-1:2, :, :]
+        F = np.concatenate((paired, F[..., -1:, :, :]), axis=-3) if F.shape[-3] % 2 else paired
+    return F[..., 0, :, :]

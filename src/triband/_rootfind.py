@@ -2,27 +2,29 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional
 
 _EPS = 2.220446049250313e-16
 
 
-def brent(
-    f: Callable[[float], float],
+def brent_steps(
     a: float,
     b: float,
     xtol: float,
     fa: Optional[float] = None,
     fb: Optional[float] = None,
     max_iter: int = 200,
-) -> tuple[float, float]:
-    """Root of f in the sign-change bracket [a, b].
+) -> Generator[float, float, tuple[float, float]]:
+    """Brent's iteration on the sign-change bracket [a, b], as a generator.
 
-    Returns (x, f(x)) with x within about 2*eps*|x| + xtol of a zero.
+    It yields each point x at which it needs f and is sent f(x) back
+    (``fb = yield b``), so a caller can evaluate the points of many
+    iterations together.  It returns (x, f(x)) with x within about
+    2*eps*|x| + xtol of a zero; x is always a point whose f it was given.
     Inverse-quadratic / secant steps guarded by bisection, after Brent.
     """
-    fa = f(a) if fa is None else fa
-    fb = f(b) if fb is None else fb
+    fa = (yield a) if fa is None else fa
+    fb = (yield b) if fb is None else fb
     if fa == 0.0:
         return a, fa
     if fb == 0.0:
@@ -66,5 +68,27 @@ def brent(
                 d = e = mid
         a, fa = b, fb
         b += d if abs(d) > tol else (tol if mid > 0 else -tol)
-        fb = f(b)
+        fb = yield b
     return b, fb
+
+
+def brent(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    xtol: float,
+    fa: Optional[float] = None,
+    fb: Optional[float] = None,
+    max_iter: int = 200,
+) -> tuple[float, float]:
+    """Root of f in the sign-change bracket [a, b]: brent_steps driven by f.
+
+    Returns (x, f(x)) with x within about 2*eps*|x| + xtol of a zero.
+    """
+    steps = brent_steps(a, b, xtol, fa, fb, max_iter)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as done:
+        return done.value

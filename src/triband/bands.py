@@ -14,7 +14,7 @@ from typing import Optional
 from . import multipliers as mult
 from .coeffs import PeriodicCoefficients
 from .discriminant import rho_formula_scale, rho_trace_formula
-from .monodromy import PropagationOverflowError, trace_at
+from .monodromy import SpectralParameter, growth_refusal, traces_at
 from .util import uniform_grid
 
 FLAG_NEAR_BRANCH_POINT = mult.FLAG_NEAR_BRANCH_POINT
@@ -80,15 +80,23 @@ def _assemble(
 
 
 def _evaluate(
-    c: PeriodicCoefficients, lam: float, circle_tol: Optional[float]
-) -> tuple[Optional[tuple[mult.MultiplierSet, float]], Optional[str]]:
-    """((multiplier set, rho), None) at lam, or (None, overflow message)."""
-    try:
-        T = trace_at(c, lam)
-    except PropagationOverflowError as exc:
-        return None, str(exc)
-    ms = mult.multiplier_set(lam, T, circle_tol=circle_tol)
-    return (ms, rho_trace_formula(T)), None
+    c: PeriodicCoefficients, lams: list[float], circle_tol: Optional[float]
+) -> list[tuple[Optional[tuple[mult.MultiplierSet, float]], Optional[str]]]:
+    """Per lambda ((multiplier set, rho), None), or (None, overflow message).
+
+    The lambdas that propagation accepts go to the core in one call.
+    """
+    refusals = [growth_refusal(c, SpectralParameter.from_lambda(lam)) for lam in lams]
+    traces = iter(traces_at(c, [lam for lam, err in zip(lams, refusals) if err is None]))
+    out = []
+    for lam, err in zip(lams, refusals):
+        if err is not None:
+            out.append((None, str(err)))
+            continue
+        T = next(traces)
+        ms = mult.multiplier_set(lam, T, circle_tol=circle_tol)
+        out.append(((ms, rho_trace_formula(T)), None))
+    return out
 
 
 def band_point(
@@ -99,7 +107,7 @@ def band_point(
 ) -> BandPoint:
     """Diagnostics at a single point (branch order as solved, not continued)."""
     lam = float(lam)
-    ms_rho, err = _evaluate(c, lam, circle_tol)
+    [(ms_rho, err)] = _evaluate(c, [lam], circle_tol)
     if err is not None:
         return BandPoint(lam=lam, error=err)
     ms, rho = ms_rho
@@ -123,7 +131,8 @@ def scan_real_axis(
     recorded on the affected row and the scan continues.
     """
     grid = uniform_grid(float(interval[0]), float(interval[1]), points)
-    evaluated = [(lam, *_evaluate(c, lam, circle_tol)) for lam in map(float, grid)]
+    lams = [float(lam) for lam in grid]
+    evaluated = [(lam, *result) for lam, result in zip(lams, _evaluate(c, lams, circle_tol))]
 
     good = [(lam, ms_rho) for lam, ms_rho, err in evaluated if err is None]
     continued = iter(

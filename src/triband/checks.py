@@ -23,9 +23,9 @@ from .monodromy import (
     char_poly,
     free_diagonalizer,
     picard_monodromy,
-    propagate,
-    propagate_pair,
-    trace_at,
+    propagate_many,
+    propagate_pairs,
+    traces_at,
 )
 from ._linalg import det3, spectral_norm
 from .util import hausdorff_distance
@@ -61,23 +61,25 @@ def _real_grid(lo: float = -500.0, hi: float = 500.0, n: int = 60) -> np.ndarray
     return grid[grid != 0.0]
 
 
+def _propagate_grid(c: PeriodicCoefficients, grid) -> list:
+    """Period maps at the real points of grid, from one core call."""
+    return propagate_many(c, [SpectralParameter.from_lambda(float(lam)) for lam in grid])
+
+
 def check_determinant_identity(c: PeriodicCoefficients) -> CheckResult:
     worst = 0.0
-    for lam in _real_grid():
-        m = propagate(c, SpectralParameter.from_lambda(float(lam)))
+    for m in _propagate_grid(c, _real_grid()):
         worst = max(worst, m.det_residual)
     return CheckResult("determinant-identity", worst <= 1e-9, worst, 1e-9)
 
 
 def check_symplectic_identity(c: PeriodicCoefficients) -> CheckResult:
     worst = 0.0
-    for lam in _real_grid(n=40):
-        m = propagate(c, SpectralParameter.from_lambda(float(lam)))
+    for m in _propagate_grid(c, _real_grid(n=40)):
         worst = max(worst, m.symplectic_residual)
     rng = np.random.default_rng(20240817)
-    for _ in range(10):
-        lam = complex(rng.uniform(-350, 350), rng.uniform(-350, 350))
-        m, m_bar = propagate_pair(c, lam)
+    lams = [complex(rng.uniform(-350, 350), rng.uniform(-350, 350)) for _ in range(10)]
+    for m, m_bar in propagate_pairs(c, lams):
         worst = max(worst, m.symplectic_residual, m_bar.symplectic_residual)
     return CheckResult("symplectic-identity", worst <= 1e-8, worst, 1e-8)
 
@@ -85,11 +87,13 @@ def check_symplectic_identity(c: PeriodicCoefficients) -> CheckResult:
 def check_char_poly_identity(c: PeriodicCoefficients) -> CheckResult:
     """det(M - tau) against the trace form of the cubic, complex lambda included."""
     rng = np.random.default_rng(7)
+    draws = [
+        (complex(rng.uniform(-200, 200), rng.uniform(-200, 200)),
+         complex(rng.normal(), rng.normal()))
+        for _ in range(20)
+    ]
     worst = 0.0
-    for _ in range(20):
-        lam = complex(rng.uniform(-200, 200), rng.uniform(-200, 200))
-        m, m_bar = propagate_pair(c, lam)
-        tau = complex(rng.normal(), rng.normal())
+    for (m, m_bar), (_, tau) in zip(propagate_pairs(c, [lam for lam, _ in draws]), draws):
         direct = complex(det3(np.asarray(m.M, dtype=complex) - tau * np.eye(3)))
         poly = char_poly(m, tau, paired=m_bar)
         worst = max(worst, abs(direct - poly) / (1.0 + abs(direct)))
@@ -100,19 +104,16 @@ def check_free_trace(grid_size: int = 4) -> CheckResult:
     """Propagated trace against the closed form, zero coefficients, |lam| <= 1e6."""
     c = zero_coefficients(grid_size)
     worst = 0.0
-    for lam in np.linspace(-1e6, 1e6, 80):
-        if lam == 0.0:
-            continue
-        T = trace_at(c, float(lam))
-        T0 = free_trace(float(lam))
+    grid = [float(lam) for lam in np.linspace(-1e6, 1e6, 80) if lam != 0.0]
+    for lam, T in zip(grid, traces_at(c, grid)):
+        T0 = free_trace(lam)
         worst = max(worst, abs(T - T0) / abs(T0))
     return CheckResult("free-case-trace", worst <= 1e-10, worst, 1e-10)
 
 
 def check_discriminant_consistency(c: PeriodicCoefficients) -> CheckResult:
     worst = 0.0
-    for lam in _real_grid(n=80):
-        T = trace_at(c, float(lam))
+    for T in traces_at(c, _real_grid(n=80)):
         rt = rho_trace_formula(T)
         rp = rho_product_formula(mult.solve_multipliers(T, np.conj(T)))
         scale = 1.0 + abs(rt)
@@ -131,9 +132,8 @@ def check_trace_bounds(c: PeriodicCoefficients) -> CheckResult:
     """
     worst = 0.0
     kappa = c.kappa
-    for lam in _real_grid(n=50):
-        param = SpectralParameter.from_lambda(float(lam))
-        m = propagate(c, param)
+    for m in _propagate_grid(c, _real_grid(n=50)):
+        param = m.param
         cap = 3.0 * math.exp(param.z0 + kappa)
         worst = max(worst, abs(m.trace_T) / cap)
         if abs(param.lam) >= 1.0:
@@ -154,10 +154,8 @@ def check_trace_bounds(c: PeriodicCoefficients) -> CheckResult:
 
 def check_picard_agreement(c: PeriodicCoefficients, tol: float = 1e-10) -> CheckResult:
     worst = 0.0
-    for lam in np.linspace(-100.0, 100.0, 9):
-        param = SpectralParameter.from_lambda(float(lam))
-        m_exp = propagate(c, param)
-        m_ser = picard_monodromy(c, param, tol=tol)
+    for m_exp in _propagate_grid(c, np.linspace(-100.0, 100.0, 9)):
+        m_ser = picard_monodromy(c, m_exp.param, tol=tol)
         diff = np.abs(
             np.asarray(m_exp.M, dtype=complex) - np.asarray(m_ser.M, dtype=complex)
         ).max()
@@ -170,11 +168,9 @@ def check_free_closed_forms(grid_size: int = 4) -> CheckResult:
     """Solved multipliers and both discriminant routes against the closed forms."""
     c = zero_coefficients(grid_size)
     worst = 0.0
-    for lam in np.linspace(-900.0, 900.0, 40):
-        if lam == 0.0:
-            continue
-        ref = free_case(float(lam))
-        T = trace_at(c, float(lam))
+    grid = [float(lam) for lam in np.linspace(-900.0, 900.0, 40) if lam != 0.0]
+    for lam, T in zip(grid, traces_at(c, grid)):
+        ref = free_case(lam)
         taus = mult.solve_multipliers(T, np.conj(T))
         worst = max(worst, hausdorff_distance(tuple(taus), ref.taus0))
         rt = rho_trace_formula(ref.T0)
@@ -185,8 +181,7 @@ def check_free_closed_forms(grid_size: int = 4) -> CheckResult:
 def check_multiplier_symmetry(c: PeriodicCoefficients) -> CheckResult:
     """Invariance of the multiplier set under tau -> 1/conj(tau), real lambda."""
     worst = 0.0
-    for lam in _real_grid(n=60):
-        T = trace_at(c, float(lam))
+    for T in traces_at(c, _real_grid(n=60)):
         taus = mult.solve_multipliers(T, np.conj(T))
         worst = max(worst, hausdorff_distance(tuple(taus), tuple(1.0 / np.conj(taus))))
     return CheckResult("multiplier-symmetry", worst <= 1e-8, worst, 1e-8)
@@ -195,9 +190,9 @@ def check_multiplier_symmetry(c: PeriodicCoefficients) -> CheckResult:
 def check_reduction_identity(c: PeriodicCoefficients) -> CheckResult:
     """det(M - e^{ik}) == 2i e^{3ik/2} F(k, lambda) on the real axis."""
     worst = 0.0
+    maps = _propagate_grid(c, np.linspace(-150.0, 150.0, 16))
     for k in (0.0, 0.3, 1.0, math.pi, 5.0):
-        for lam in np.linspace(-150.0, 150.0, 16):
-            m = propagate(c, SpectralParameter.from_lambda(float(lam)))
+        for m in maps:
             direct = complex(
                 det3(np.asarray(m.M, dtype=complex) - np.exp(1j * k) * np.eye(3))
             )

@@ -24,7 +24,7 @@ import numpy as np
 from . import multipliers as mult
 from ._rootfind import brent
 from .coeffs import PeriodicCoefficients
-from .monodromy import trace_at
+from .monodromy import trace_at, traces_at
 from .util import uniform_grid
 
 _LD = np.longdouble
@@ -144,7 +144,7 @@ def sigma3_intervals(
         raise ValueError("tol must be positive")
     grid = uniform_grid(a, b, scan_points)
 
-    traces = [trace_at(c, float(lam)) for lam in grid]
+    traces = traces_at(c, grid)
     rho = np.array([rho_trace_formula(T) for T in traces])
     scale = np.array([rho_formula_scale(T) for T in traces])
 

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from itertools import islice
+from typing import Generator, Optional
 
 import numpy as np
 
-from ._rootfind import brent
+from ._rootfind import brent_steps
 from .coeffs import PeriodicCoefficients
-from .monodromy import trace_at
+from .monodromy import traces_at
 from .util import real_cbrt
 
 
@@ -77,30 +78,33 @@ class FloquetSolveResult:
         return np.array([e.lambda_n for e in self.eigenvalues])
 
 
-def _f_in_s(c: PeriodicCoefficients, k: float):
-    """F(k, .) as a function of s = cbrt(lambda), with the trace alongside."""
-
-    def g(s: float) -> tuple[float, complex]:
-        T = trace_at(c, float(s) ** 3)
-        return char_real_function(k, T), T
-
-    return g
-
-
 _GROW = 1.45
 _FINE_SCAN = 48
 
+# one seed's search: yields lists of probe points s = cbrt(lambda), is sent
+# their (F, T) values, returns (root, None) or (None, missed-root record)
+_Search = Generator[
+    list[float],
+    list[tuple[float, complex]],
+    tuple[Optional[FloquetEigenvalue], Optional[MissedRoot]],
+]
 
-def _solve_one(
-    c: PeriodicCoefficients, k: float, n: int, tol: float
-) -> tuple[Optional[FloquetEigenvalue], Optional[MissedRoot]]:
-    g_full = _f_in_s(c, k)
+
+def _solve_one(k: float, n: int, tol: float) -> _Search:
+    """Root search near the seed s = 2 pi n + k in the cube-root variable.
+
+    It asks for its points in lists: the bracket ends [lo, hi], then each
+    9-point subdivision, then the fine scan, then one Brent step at a
+    time.  Points it has been sent values for are never asked for again.
+    """
     cache: dict[float, tuple[float, complex]] = {}
 
-    def g(s: float) -> float:
-        if s not in cache:
-            cache[s] = g_full(s)
-        return cache[s][0]
+    def probe(points: list[float]):
+        """F at the points, asking only for the ones not yet evaluated."""
+        missing = [s for s in points if s not in cache]
+        if missing:
+            cache.update(zip(missing, (yield missing)))
+        return [cache[s][0] for s in points]
 
     seed = 2.0 * math.pi * n + k
     # bracket stays inside the midpoints to the neighbouring seeds so a
@@ -110,13 +114,14 @@ def _solve_one(
     bracket = None
     while True:
         lo, hi = seed - w, seed + w
-        if (g(lo) > 0) != (g(hi) > 0):
+        f_lo, f_hi = yield from probe([lo, hi])
+        if (f_lo > 0) != (f_hi > 0):
             bracket = (lo, hi)
             break
         # same sign at the edges: an interior pair of roots would still
         # show up on a subdivision
         pts = np.linspace(lo, hi, 9)
-        vals = [g(float(s)) for s in pts]
+        vals = yield from probe([float(s) for s in pts])
         for a, b, fa, fb in zip(pts, pts[1:], vals, vals[1:]):
             if (fa > 0) != (fb > 0):
                 bracket = (float(a), float(b))
@@ -128,7 +133,7 @@ def _solve_one(
     if bracket is None:
         # last resort: fine scan, mostly to diagnose an even-order touch
         pts = np.linspace(seed - w_max, seed + w_max, _FINE_SCAN + 1)
-        vals = [g(float(s)) for s in pts]
+        vals = yield from probe([float(s) for s in pts])
         for a, b, fa, fb in zip(pts, pts[1:], vals, vals[1:]):
             if (fa > 0) != (fb > 0):
                 bracket = (float(a), float(b))
@@ -146,9 +151,17 @@ def _solve_one(
             )
 
     xtol_s = max(tol * max(1.0, abs(seed)) / 3.0, 6e-16 * max(1.0, abs(seed)))
-    s_root, _ = brent(g, bracket[0], bracket[1], xtol=xtol_s,
-                      fa=cache[bracket[0]][0], fb=cache[bracket[1]][0])
-    f_val, trace = g_full(s_root)
+    steps = brent_steps(bracket[0], bracket[1], xtol=xtol_s,
+                        fa=cache[bracket[0]][0], fb=cache[bracket[1]][0])
+    try:
+        s = next(steps)
+        while True:
+            [f_s] = yield from probe([s])
+            s = steps.send(f_s)
+    except StopIteration as done:
+        s_root, _ = done.value
+    # Brent returns a point it has evaluated, so its trace is cached
+    f_val, trace = cache[s_root]
     lam = s_root**3
     return (
         FloquetEigenvalue(
@@ -160,6 +173,36 @@ def _solve_one(
         ),
         None,
     )
+
+
+def _f_in_s(c: PeriodicCoefficients, k: float):
+    """F(k, .) with the trace alongside, at a list of points s = cbrt(lambda).
+
+    The points go to the period-map core in one call.
+    """
+
+    def g(points: list[float]) -> list[tuple[float, complex]]:
+        traces = traces_at(c, [s**3 for s in points])
+        return [(char_real_function(k, T), T) for T in traces]
+
+    return g
+
+
+def _run_lockstep(c: PeriodicCoefficients, k: float, searches: list[_Search]) -> list:
+    """Advance all searches together; the points of each round go to one core call."""
+    g = _f_in_s(c, k)
+    outcomes = [None] * len(searches)
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    while pending:
+        values = iter(g([s for probes in pending.values() for s in probes]))
+        advanced = {}
+        for i, probes in pending.items():
+            try:
+                advanced[i] = searches[i].send(list(islice(values, len(probes))))
+            except StopIteration as done:
+                outcomes[i] = done.value
+        pending = advanced
+    return outcomes
 
 
 def eigenvalues_at_k(
@@ -176,7 +219,9 @@ def eigenvalues_at_k(
     10 * tol of each other (relative) are a degenerate eigenvalue and are
     both reported with multiplicity 2.  Seeds without any sign change are
     returned as missed-root diagnostics, which is the expected signature of
-    an even-order touch of F at a double eigenvalue.
+    an even-order touch of F at a double eigenvalue.  The seeds advance in
+    lockstep: each round's probe points go to the period-map core in one
+    call.
     """
     k = float(k)
     if not 0.0 <= k < 2.0 * math.pi:
@@ -187,7 +232,9 @@ def eigenvalues_at_k(
     if n_lo > n_hi:
         raise ValueError("empty index range")
 
-    outcomes = [_solve_one(c, k, n, tol) for n in range(n_lo, n_hi + 1)]
+    outcomes = _run_lockstep(
+        c, k, [_solve_one(k, n, tol) for n in range(n_lo, n_hi + 1)]
+    )
     found = [e for e, _ in outcomes if e is not None]
     missed = tuple(miss for _, miss in outcomes if miss is not None)
 

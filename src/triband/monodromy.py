@@ -28,7 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -154,33 +154,46 @@ class MonodromyResult:
 
 
 def system_matrices(
-    param: SpectralParameter, p, q, dtype=complex
+    param: SpectralParameter | Sequence[SpectralParameter], p, q, dtype=complex
 ) -> tuple[np.ndarray, np.ndarray]:
     """System blocks (P, Q) of Y' = (P + Q) Y for the cells with values p, q.
 
-    P is one 3x3 matrix; Q is 3x3 for scalar p, q and a stack (n, 3, 3)
-    for arrays of n cell values.
+    P is one 3x3 matrix for one SpectralParameter and a stack (L, 3, 3)
+    for a sequence of L of them; Q is 3x3 for scalar p, q and a stack
+    (n, 3, 3) for arrays of n cell values.
     """
-    P = np.zeros((3, 3), dtype=dtype)
-    P[0, 1] = 1.0
-    P[1, 2] = 1.0
-    P[2, 0] = -1j * param.lam
+    single = isinstance(param, SpectralParameter)
+    params = [param] if single else param
+    P = np.zeros((len(params), 3, 3), dtype=dtype)
+    P[:, 0, 1] = 1.0
+    P[:, 1, 2] = 1.0
+    P[:, 2, 0] = [-1j * prm.lam for prm in params]
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     Q = np.zeros(p.shape + (3, 3), dtype=dtype)
     Q[..., 1, 0] = -p
     Q[..., 2, 0] = 1j * q
     Q[..., 2, 1] = -p
-    return P, Q
+    return (P[0] if single else P), Q
+
+
+def growth_refusal(
+    c: PeriodicCoefficients, param: SpectralParameter
+) -> Optional[PropagationOverflowError]:
+    """The PropagationOverflowError for param past the growth guard, else None."""
+    if param.z0 + c.kappa <= MAX_GROWTH_EXPONENT:
+        return None
+    return PropagationOverflowError(
+        f"growth exponent z0 + kappa = {param.z0 + c.kappa:.1f} exceeds "
+        f"{MAX_GROWTH_EXPONENT:.0f}; entries of the period map would "
+        "overflow double precision"
+    )
 
 
 def _check_growth(c: PeriodicCoefficients, param: SpectralParameter) -> None:
-    if param.z0 + c.kappa > MAX_GROWTH_EXPONENT:
-        raise PropagationOverflowError(
-            f"growth exponent z0 + kappa = {param.z0 + c.kappa:.1f} exceeds "
-            f"{MAX_GROWTH_EXPONENT:.0f}; entries of the period map would "
-            "overflow double precision"
-        )
+    refusal = growth_refusal(c, param)
+    if refusal is not None:
+        raise refusal
 
 
 def symplectic_residual(M_at_lam: np.ndarray, M_at_conj: np.ndarray) -> float:
@@ -208,59 +221,109 @@ def _wide_norm(M: np.ndarray) -> np.floating:
     return scale * spectral_norm(M / scale)
 
 
-def _trace(M: np.ndarray) -> complex:
-    return complex(M[0, 0] + M[1, 1] + M[2, 2])
+def _traces(M: np.ndarray) -> list[complex]:
+    """Traces of a stack (L, 3, 3) of matrices, as L Python complex numbers."""
+    return (M[:, 0, 0] + M[:, 1, 1] + M[:, 2, 2]).astype(complex).tolist()
 
 
-def propagate(
-    c: PeriodicCoefficients, param: SpectralParameter, dtype=EXTENDED
-) -> MonodromyResult:
-    """Period map by per-run matrix exponentials (exact for the step model).
+# Run exponentials per stack of the period-map core.  Spectral points are
+# grouped so that one stack holds about this many; from 128 runs on, a
+# stack holds one point.
+_STACK_MATRICES = 128
 
-    A run of n equal cells starting at cell i propagates by one exp(A_i)
-    with A_i = n (P + Q_i)/N, the product of its n cell exponentials, and
-    M(1, lambda) = exp(A_{last run}) ... exp(A_{first run}).  Constant
-    coefficients take one exponential.
+
+def period_maps(
+    c: PeriodicCoefficients, params: Sequence[SpectralParameter], dtype=EXTENDED
+) -> np.ndarray:
+    """M(1, lambda) at every SpectralParameter in params, as an (L, 3, 3) array.
+
+    The one evaluation core: every period map of the exponential-steps
+    route comes from here.  A run of n equal cells starting at cell i
+    propagates by one exp(A_i) with A_i = n (P + Q_i)/N, the product of
+    its n cell exponentials, and M(1, lambda) = exp(A_{last run}) ...
+    exp(A_{first run}); constant coefficients take one exponential.  The
+    points are evaluated in stacks of about 128 run exponentials, each
+    point with its own scaling exponent, so every M is bit-identical to
+    the one-point evaluation.  Raises PropagationOverflowError, before any
+    work, if the guard refuses any of the points.
     """
-    _check_growth(c, param)
+    for param in params:
+        _check_growth(c, param)
     p, q = c.p_samples, c.q_samples
     starts = np.flatnonzero(
         np.concatenate(([True], (p[1:] != p[:-1]) | (q[1:] != q[:-1])))
     )
     run_lengths = np.diff(starts, append=c.grid_size)
-    P, Q = system_matrices(param, p[starts], q[starts], dtype)
-    widths = run_lengths.astype(dtype) / c.grid_size
-    A = (P + Q) * widths[:, np.newaxis, np.newaxis]
-    M = ordered_product(expm_stack(A, dtype))
-    return MonodromyResult(
-        param=param,
-        M=M,
-        trace_T=_trace(M),
-        method=PropagationMethod.EXPONENTIAL_STEPS,
-        steps_or_terms=c.grid_size,
-    )
+    widths = (run_lengths.astype(dtype) / c.grid_size)[:, np.newaxis, np.newaxis]
+    P, Q = system_matrices(params, p[starts], q[starts], dtype)
+    per_stack = max(1, _STACK_MATRICES // starts.size)
+    M = np.empty((len(params), 3, 3), dtype=dtype)
+    for i in range(0, len(params), per_stack):
+        A = (P[i : i + per_stack, np.newaxis] + Q) * widths
+        M[i : i + per_stack] = ordered_product(expm_stack(A, dtype))
+    return M
+
+
+def propagate_many(
+    c: PeriodicCoefficients, params: Sequence[SpectralParameter], dtype=EXTENDED
+) -> list[MonodromyResult]:
+    """Period maps with their traces at every SpectralParameter in params."""
+    M = period_maps(c, params, dtype)
+    return [
+        MonodromyResult(
+            param=param,
+            M=M_i,
+            trace_T=trace,
+            method=PropagationMethod.EXPONENTIAL_STEPS,
+            steps_or_terms=c.grid_size,
+        )
+        for param, M_i, trace in zip(params, M, _traces(M))
+    ]
+
+
+def propagate(
+    c: PeriodicCoefficients, param: SpectralParameter, dtype=EXTENDED
+) -> MonodromyResult:
+    """Period map by per-run matrix exponentials (exact for the step model)."""
+    return propagate_many(c, [param], dtype)[0]
+
+
+def propagate_pairs(
+    c: PeriodicCoefficients, lams: Iterable[complex], dtype=EXTENDED
+) -> list[tuple[MonodromyResult, MonodromyResult]]:
+    """Evaluate at each lambda and at its conjugate, each carrying the other's M.
+
+    The symplectic identity couples the two points, so for complex lambda a
+    single evaluation cannot certify it; this helper makes the pairing
+    explicit instead of conjugating silently.  The points and their
+    conjugates go to the core in one call.
+    """
+    params = [SpectralParameter.from_lambda(lam) for lam in lams]
+    conjugates = [param.conjugate() for param in params if not param.is_real]
+    results = propagate_many(c, params + conjugates, dtype)
+    m_bars = iter(results[len(params) :])
+
+    def pair(m: MonodromyResult, m_bar: MonodromyResult):
+        return replace(m, M_conj=m_bar.M), replace(m_bar, M_conj=m.M)
+
+    return [(m, m) if m.param.is_real else pair(m, next(m_bars)) for m in results[: len(params)]]
 
 
 def propagate_pair(
     c: PeriodicCoefficients, lam: complex, dtype=EXTENDED
 ) -> tuple[MonodromyResult, MonodromyResult]:
-    """Evaluate at lambda and conj(lambda), each carrying the other's M.
+    """Evaluate at lambda and conj(lambda): the one-point case of propagate_pairs."""
+    return propagate_pairs(c, [lam], dtype)[0]
 
-    The symplectic identity couples the two points, so for complex lambda a
-    single evaluation cannot certify it; this helper makes the pairing
-    explicit instead of conjugating silently.
-    """
-    param = SpectralParameter.from_lambda(lam)
-    m = propagate(c, param, dtype=dtype)
-    if param.is_real:
-        return m, m
-    m_bar = propagate(c, param.conjugate(), dtype=dtype)
-    return replace(m, M_conj=m_bar.M), replace(m_bar, M_conj=m.M)
+
+def traces_at(c: PeriodicCoefficients, lams: Iterable[complex]) -> list[complex]:
+    """T(lambda) = tr M(1, lambda) at every lambda, from one core call."""
+    return _traces(period_maps(c, [SpectralParameter.from_lambda(lam) for lam in lams]))
 
 
 def trace_at(c: PeriodicCoefficients, lam: complex) -> complex:
-    """T(lambda) = tr M(1, lambda): the one evaluation every trace consumer calls."""
-    return propagate(c, SpectralParameter.from_lambda(lam)).trace_T
+    """T(lambda) at one point: the one-point case of traces_at."""
+    return traces_at(c, [lam])[0]
 
 
 def char_poly(
@@ -421,7 +484,7 @@ def picard_monodromy(
     return MonodromyResult(
         param=param,
         M=M,
-        trace_T=_trace(M),
+        trace_T=_traces(M[np.newaxis])[0],
         method=PropagationMethod.PICARD_SERIES,
         steps_or_terms=K,
         term_norms=tuple(spectral_norm(W[n]) for n in range(K + 1)),

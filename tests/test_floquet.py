@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from triband import (
     count_in_disk,
     eigenvalues_at_k,
     free_eigenvalues,
+    load_coefficients,
     multiplier_set,
     propagate,
 )
@@ -198,8 +201,8 @@ def test_even_order_touch_is_reported_missed(zero_c, monkeypatch):
     touch = 2 * math.pi * 1 + 0.5 + 0.2345  # off every sampling lattice
 
     def fake_factory(c, k):
-        def g(s):
-            return (s - touch) ** 2, 1.0 + 0j
+        def g(points):
+            return [((s - touch) ** 2, 1.0 + 0j) for s in points]
         return g
 
     monkeypatch.setattr(fl, "_f_in_s", fake_factory)
@@ -221,8 +224,8 @@ def test_colliding_roots_get_multiplicity_two(zero_c, monkeypatch):
     delta = 1e-8  # wide enough that both brackets can reach their root
 
     def fake_factory(c, k_arg):
-        def g(s):
-            return (s - (mid - delta)) * (s - (mid + delta)), 1.0 + 0j
+        def g(points):
+            return [((s - (mid - delta)) * (s - (mid + delta)), 1.0 + 0j) for s in points]
         return g
 
     monkeypatch.setattr(fl, "_f_in_s", fake_factory)
@@ -230,6 +233,37 @@ def test_colliding_roots_get_multiplicity_two(zero_c, monkeypatch):
     assert len(res.eigenvalues) == 2
     assert all(e.multiplicity == 2 for e in res.eigenvalues)
     assert res.eigenvalues[0].lambda_n == pytest.approx(mid**3, rel=1e-9)
+
+
+# Period maps the search made at the commit before the root value was read
+# from Brent's cache, which was one more per root: (k, maps, roots) over
+# n = -4..4 on the strong step set of tests/golden, one seed missed each;
+# the golden case holds the roots.
+_STEPS_MAPS_BEFORE = (("eigs-steps-k2", 2.0, 171, 8), ("eigs-steps-k5", 5.2, 173, 8))
+
+
+@pytest.mark.parametrize("case, k, maps_before, roots", _STEPS_MAPS_BEFORE)
+def test_root_value_comes_from_the_brent_cache(case, k, maps_before, roots, monkeypatch):
+    """Each root costs one period map less, and the roots stay bit-identical."""
+    import triband.floquet as fl
+
+    golden = Path(__file__).parent / "golden"
+    c = load_coefficients(golden / "steps.json")
+    counted = []
+    traces_at = fl.traces_at
+
+    def counting(c_arg, lams):
+        counted.append(len(lams))
+        return traces_at(c_arg, lams)
+
+    monkeypatch.setattr(fl, "traces_at", counting)
+    res = eigenvalues_at_k(c, k, (-4, 4))
+    assert len(res.eigenvalues) == roots and len(res.missed) == 1
+    assert sum(counted) == maps_before - roots
+    recorded = json.loads((golden / f"{case}.json").read_text(encoding="utf-8"))
+    assert [e.lambda_n for e in res.eigenvalues] == [
+        e["lambda_n"] for e in recorded["eigenvalues"]
+    ]
 
 
 # ----------------------------------------------------------------- counting

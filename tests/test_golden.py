@@ -23,6 +23,10 @@ from triband.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 SIN_C = GOLDEN / "sin_c.json"  # the sin_c fixture of conftest.py
+# a strong 4-level step set (levels |p| <= 16, |q| <= 8) on which one seed
+# near n = 0 has no sign change in its allowed bracket
+STEPS = GOLDEN / "steps.json"
+STEP_RUNS = ((14, -11.22, 0.2), (3, -11.65, 3.02), (42, 10.94, -1.19), (5, 14.62, 5.21))
 CONST_C = ["--p-const", "1", "--q-const", "-0.5", "--grid", "64"]  # const_c
 
 CASES = {
@@ -31,6 +35,10 @@ CASES = {
                    "--interval", "-40,40", "--points", "41"],
     "eigs-const_c": ["eigs", *CONST_C, "--k", "1.0", "--n-range", "-2..2"],
     "eigs-sin_c": ["eigs", "--coeffs", str(SIN_C), "--k", "2.5", "--n-range", "-2..2"],
+    # missed seeds: n = 0 at k = 2, n = -1 at k = 5.2 (the fine scan's
+    # minimum is pinned as well as the roots found in lockstep beside it)
+    "eigs-steps-k2": ["eigs", "--coeffs", str(STEPS), "--k", "2.0", "--n-range", "-4..4"],
+    "eigs-steps-k5": ["eigs", "--coeffs", str(STEPS), "--k", "5.2", "--n-range", "-4..4"],
     # the interval starts inside the triple set, so its lower end is clipped
     "sigma3-const_c": ["sigma3", *CONST_C, "--interval", "-1,10", "--points", "56"],
     "sigma3-sin_c": ["sigma3", "--coeffs", str(SIN_C),
@@ -45,7 +53,8 @@ _NUMBER = re.compile(r"-?(?:\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+|\d+)")
 
 def _run(name: str, fmt: str, out: Path) -> str:
     main(CASES[name] + ["--format", fmt, "--out", str(out)])
-    return out.read_text(encoding="utf-8").replace(str(SIN_C), "sin_c.json")
+    text = out.read_text(encoding="utf-8")
+    return text.replace(str(SIN_C), "sin_c.json").replace(str(STEPS), "steps.json")
 
 
 def _verify_outcomes(text: str, fmt: str) -> list:
@@ -88,6 +97,11 @@ def _record() -> None:
         "grid_size": 64,
         "p": np.sin(2 * np.pi * t).tolist(),
         "q": (0.5 * np.sin(4 * np.pi * t)).tolist(),
+    }) + "\n", encoding="utf-8")
+    STEPS.write_text(json.dumps({
+        "grid_size": sum(n for n, _, _ in STEP_RUNS),
+        "p": [p for n, p, _ in STEP_RUNS for _ in range(n)],
+        "q": [q for n, _, q in STEP_RUNS for _ in range(n)],
     }) + "\n", encoding="utf-8")
     for name in CASES:
         for fmt in FORMATS:

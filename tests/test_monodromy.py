@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from triband import (
     symplectic_residual,
     zero_coefficients,
 )
+from triband import monodromy
 from triband.monodromy import q_norm_integral, system_matrices
 
 
@@ -474,3 +476,68 @@ def test_standard_conjugate_against_classical_integration():
 def test_symplectic_residual_direct():
     M = np.eye(3, dtype=complex)
     assert symplectic_residual(M, M) == pytest.approx(0.0, abs=1e-15)
+
+
+# ------------------------------------------------------- batched core
+
+
+def _coefficient_family(name, n):
+    t = (np.arange(n) + 0.5) / n
+    if name == "zero":
+        return zero_coefficients(n)
+    if name == "const":
+        return PeriodicCoefficients.from_constants(1.0, -0.5, n)
+    if name == "sin":
+        return PeriodicCoefficients.from_samples(
+            np.sin(2 * np.pi * t), 0.5 * np.sin(4 * np.pi * t)
+        )
+    # three levels on contiguous runs of cells
+    return PeriodicCoefficients.from_samples(
+        np.select([t < 0.3, t < 0.7], [0.6, -0.4], 0.2),
+        np.select([t < 0.3, t < 0.7], [0.3, -0.2], 0.5),
+    )
+
+
+# 0, 0-2, 12-13 and 22 squarings per run at N = 1, plus complex pairs
+_MIXED_LAMBDAS = (0.0, 1.0, -1.0, 5e2, -5e2, 1e6, -1e6, 3 + 4j, 3 - 4j,
+                  -2e3 + 50j, -2e3 - 50j)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 64, 1024])
+@pytest.mark.parametrize("family", ["zero", "const", "sin", "steps3"])
+def test_batched_core_equals_per_lambda_loop(family, n):
+    """One core call over many lambdas gives the one-lambda maps bit for bit.
+
+    The list is longer than one stack, so it spans stacks and mixes
+    scaling exponents within each.  The complex128 fallback may differ in
+    how its matmuls are batched, so it gets a 1e-15 relative bound.
+    """
+    c = _coefficient_family(family, n)
+    runs = 1 + int(np.count_nonzero(
+        (np.diff(c.p_samples) != 0) | (np.diff(c.q_samples) != 0)))
+    length = max(len(_MIXED_LAMBDAS), monodromy._STACK_MATRICES // runs + 3)
+    lams = [lam * (1 + i // len(_MIXED_LAMBDAS) / 1000)
+            for i, lam in zip(range(length), itertools.cycle(_MIXED_LAMBDAS))]
+    params = [P(lam) for lam in lams]
+
+    batched = monodromy.period_maps(c, params)
+    looped = np.stack([propagate(c, par).M for par in params])
+    assert batched.dtype == looped.dtype
+    assert np.array_equal(batched, looped)
+    assert monodromy.traces_at(c, lams) == [propagate(c, par).trace_T for par in params]
+
+    wide = monodromy.period_maps(c, params, dtype=np.complex128)
+    for M, par in zip(wide, params):
+        ref = propagate(c, par, dtype=np.complex128).M
+        assert np.abs(M - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_batched_core_refuses_like_the_one_lambda_path(sin_c):
+    far = P(-1e12)
+    with pytest.raises(PropagationOverflowError) as single:
+        propagate(sin_c, far)
+    with pytest.raises(PropagationOverflowError) as batched:
+        monodromy.period_maps(sin_c, [P(1.0), P(3 + 4j), far, P(-5.0)])
+    assert str(batched.value) == str(single.value)
+    with pytest.raises(PropagationOverflowError):
+        monodromy.traces_at(sin_c, [1.0, -1e12])
