@@ -92,15 +92,11 @@ def expm_stack(A: np.ndarray, dtype: np.dtype | type = EXTENDED) -> np.ndarray:
     done = 0
     for level in sorted(set(levels) - {0}):
         todo = [s >= level for s in levels]
-        if all(todo):
-            for _ in range(level - done):
-                total = total @ total
-        else:
-            by_stack = total.reshape(stacks.shape)
-            part = by_stack[todo]
-            for _ in range(level - done):
-                part = part @ part
-            by_stack[todo] = part
+        by_stack = total.reshape(stacks.shape)
+        part = by_stack[todo]
+        for _ in range(level - done):
+            part = part @ part
+        by_stack[todo] = part
         done = level
     return total.reshape(shape)
 

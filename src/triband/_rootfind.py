@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 _EPS = 2.220446049250313e-16
 
@@ -72,6 +72,24 @@ def brent_steps(
     return b, fb
 
 
+def drive(
+    steps: Generator[float, float, tuple[float, float]],
+    probe: Callable[[float], Generator[Any, Any, float]],
+) -> Generator[Any, Any, tuple[float, float]]:
+    """Run brent_steps to its result, taking each f(x) as ``yield from probe(x)``.
+
+    probe is a generator function, so a caller that runs drive with
+    ``yield from`` can hand every point on to its own caller; brent passes
+    one that calls f directly and never yields.
+    """
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send((yield from probe(x)))
+    except StopIteration as done:
+        return done.value
+
+
 def brent(
     f: Callable[[float], float],
     a: float,
@@ -85,10 +103,14 @@ def brent(
 
     Returns (x, f(x)) with x within about 2*eps*|x| + xtol of a zero.
     """
-    steps = brent_steps(a, b, xtol, fa, fb, max_iter)
+
+    def probe(x: float):
+        return f(x)
+        yield  # a generator that never yields: drive runs through in one next()
+
+    run = drive(brent_steps(a, b, xtol, fa, fb, max_iter), probe)
     try:
-        x = next(steps)
-        while True:
-            x = steps.send(f(x))
+        next(run)
     except StopIteration as done:
         return done.value
+    raise AssertionError("a direct probe never yields")
