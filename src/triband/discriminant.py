@@ -9,7 +9,7 @@ over the solved multipliers.  rho is real on the real axis, negative or
 zero exactly where all three multipliers are unimodular, i.e. where the
 spectrum has multiplicity three.  That set is bounded; scans locate it by
 sign changes of the trace route (one period-map evaluation per point) and
-refine every bracket by bisection, keeping the product route for
+refine every bracket by Brent, keeping the product route for
 cross-checks.
 """
 
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import multipliers as mult
-from ._rootfind import brent
+from ._rootfind import brent_steps, drive, lockstep
 from .coeffs import PeriodicCoefficients
 from .monodromy import trace_at, traces_at
 from .util import uniform_grid
@@ -78,6 +78,12 @@ def rho_at(c: PeriodicCoefficients, lam: float) -> float:
     return rho_trace_formula(trace_at(c, float(lam)))
 
 
+def _ask_one(lam: float):
+    """A drive probe that hands lam on to the lockstep round and takes rho back."""
+    [rho] = yield [lam]
+    return rho
+
+
 @dataclass(frozen=True)
 class Sigma3Interval:
     """One maximal interval where rho <= 0, endpoints refined to tolerance."""
@@ -130,9 +136,10 @@ def sigma3_intervals(
 
     Sign-scans rho on a uniform grid, classifies roundoff-size values as
     zeros (threshold zero_rtol times the formula's magnitude scale),
-    bisects every sign-change bracket down to width tol, and assembles
-    maximal nonpositive runs into intervals.  Runs of zeros with positive
-    neighbours on both sides come back as zero-width touch points.
+    refines every sign-change bracket by Brent down to width tol, all
+    endpoints in lockstep, and assembles maximal nonpositive runs into
+    intervals.  Runs of zeros with positive neighbours on both sides come
+    back as zero-width touch points.
     """
     was_default = search_interval is None
     if search_interval is None:
@@ -153,18 +160,8 @@ def sigma3_intervals(
     signs[rho > zero_rtol * scale] = 1
     signs[rho < -zero_rtol * scale] = -1
 
-    def refine(i: int, j: int) -> tuple[float, float]:
-        """(root, rho there) between grid points i < j with opposite strict signs."""
-        return brent(
-            lambda lam: rho_at(c, lam),
-            float(grid[i]),
-            float(grid[j]),
-            xtol=tol,
-            fa=float(rho[i]),
-            fb=float(rho[j]),
-        )
-
-    intervals: list[Sigma3Interval] = []
+    # maximal runs i..j of non-positive signs, with their negative points
+    runs: list[tuple[int, int, list[int]]] = []
     touches: list[float] = []
     n = len(grid)
     i = 0
@@ -177,24 +174,36 @@ def sigma3_intervals(
             j += 1
         negative = [k for k in range(i, j + 1) if signs[k] == -1]
         if negative:
-            # clipped ends keep the grid point and its already computed rho
-            lo_clipped, hi_clipped = i == 0, j + 1 == n
-            if lo_clipped:
-                lo, rho_lo = float(grid[0]), float(rho[0])
-            else:
-                lo, rho_lo = refine(i - 1, negative[0])
-            if hi_clipped:
-                hi, rho_hi = float(grid[-1]), float(rho[-1])
-            else:
-                hi, rho_hi = refine(negative[-1], j + 1)
-            intervals.append(
-                Sigma3Interval(lo, hi, rho_lo, rho_hi, lo_clipped, hi_clipped)
-            )
+            runs.append((i, j, negative))
         else:
             # zeros only: rho touches 0 without crossing
             k = i + int(np.argmin(np.abs(rho[i : j + 1])))
             touches.append(float(grid[k]))
         i = j + 1
+
+    def refine(i: int, j: int):
+        """Search for (root, rho there) between grid points i < j of opposite strict signs."""
+        steps = brent_steps(float(grid[i]), float(grid[j]), xtol=tol,
+                            fa=float(rho[i]), fb=float(rho[j]))
+        return drive(steps, _ask_one)
+
+    def rho_of(lams: list[float]) -> list[float]:
+        return [rho_trace_formula(T) for T in traces_at(c, lams)]
+
+    # every endpoint inside the scan refines in lockstep, one core call per
+    # round; ends clipped at the scan edge keep the grid point and its rho
+    searches = []
+    for i, j, negative in runs:
+        if i > 0:
+            searches.append(refine(i - 1, negative[0]))
+        if j + 1 < n:
+            searches.append(refine(negative[-1], j + 1))
+    refined = iter(lockstep(rho_of, searches))
+    intervals = []
+    for i, j, _ in runs:
+        lo, rho_lo = next(refined) if i > 0 else (float(grid[0]), float(rho[0]))
+        hi, rho_hi = next(refined) if j + 1 < n else (float(grid[-1]), float(rho[-1]))
+        intervals.append(Sigma3Interval(lo, hi, rho_lo, rho_hi, i == 0, j + 1 == n))
 
     return Sigma3Result(
         intervals=tuple(intervals),

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import Generator, Optional
 
 import numpy as np
 
-from ._rootfind import brent_steps, drive
+from ._rootfind import brent_steps, drive, lockstep
 from .coeffs import PeriodicCoefficients
 from .monodromy import traces_at
 from .util import real_cbrt
@@ -186,23 +185,6 @@ def _f_in_s(c: PeriodicCoefficients, k: float):
     return g
 
 
-def _run_lockstep(c: PeriodicCoefficients, k: float, searches: list[_Search]) -> list:
-    """Advance all searches together; the points of each round go to one core call."""
-    g = _f_in_s(c, k)
-    outcomes = [None] * len(searches)
-    pending = {i: next(search) for i, search in enumerate(searches)}
-    while pending:
-        values = iter(g([s for probes in pending.values() for s in probes]))
-        advanced = {}
-        for i, probes in pending.items():
-            try:
-                advanced[i] = searches[i].send(list(islice(values, len(probes))))
-            except StopIteration as done:
-                outcomes[i] = done.value
-        pending = advanced
-    return outcomes
-
-
 def eigenvalues_at_k(
     c: PeriodicCoefficients,
     k: float,
@@ -230,8 +212,8 @@ def eigenvalues_at_k(
     if n_lo > n_hi:
         raise ValueError("empty index range")
 
-    outcomes = _run_lockstep(
-        c, k, [_solve_one(k, n, tol) for n in range(n_lo, n_hi + 1)]
+    outcomes = lockstep(
+        _f_in_s(c, k), [_solve_one(k, n, tol) for n in range(n_lo, n_hi + 1)]
     )
     found = [e for e, _ in outcomes if e is not None]
     missed = tuple(miss for _, miss in outcomes if miss is not None)

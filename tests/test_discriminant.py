@@ -21,6 +21,9 @@ from triband import (
     solve_multipliers,
     zero_coefficients,
 )
+from triband import monodromy
+from triband._rootfind import brent
+from triband.util import uniform_grid
 
 
 def P(lam):
@@ -128,6 +131,46 @@ def test_sigma3_strong_perturbation_intervals():
         # and the interval genuinely brackets the sign change
         assert rho_at(c, iv.lo + 2e-6) < 0
         assert rho_at(c, iv.hi - 2e-6) < 0
+
+
+def test_sigma3_endpoints_refine_in_lockstep(monkeypatch):
+    """Both endpoints share each round's core call and land where Brent alone lands.
+
+    On this asymmetric constant set Brent takes 5 evaluations for the
+    lower end and 4 for the upper one, so the grid plus lockstep rounds
+    make 1 + 5 core calls where one endpoint after the other makes 1 + 9.
+    """
+    c = PeriodicCoefficients.from_constants(3.0, 0.7, 8)
+    window, points, tol = (-40.0, 41.0), 41, 1e-6
+    calls = []
+    period_maps = monodromy.period_maps
+
+    def counting(c_arg, params, *args, **kwargs):
+        calls.append(len(params))
+        return period_maps(c_arg, params, *args, **kwargs)
+
+    monkeypatch.setattr(monodromy, "period_maps", counting)
+    [iv] = sigma3_intervals(c, window, points, tol).intervals
+    assert not (iv.lo_clipped or iv.hi_clipped)
+    # the grid, then one round per Brent step with both ends until the upper one stops
+    core_calls = list(calls)
+    assert core_calls == [points] + [2] * 4 + [1]
+
+    grid = uniform_grid(*window, points)
+    evaluations = []
+    for end in (iv.lo, iv.hi):
+        k = int(np.searchsorted(grid, end))
+        count = [0]
+
+        def rho(lam, count=count):
+            count[0] += 1
+            return rho_at(c, lam)
+
+        a, b = float(grid[k - 1]), float(grid[k])
+        assert brent(rho, a, b, tol, rho_at(c, a), rho_at(c, b))[0] == end
+        evaluations.append(count[0])
+    assert evaluations == [5, 4]
+    assert len(core_calls) == 1 + max(evaluations)
 
 
 def test_sigma3_window_inside_triple_set_is_clipped():

@@ -1,8 +1,10 @@
 """The stack kernels of _linalg against independent references.
 
 expm_stack is checked against a 40-digit mpmath exponential,
-ordered_product against the plain left-multiplying loop, and the
-run-collapsed propagate against the uncollapsed per-cell product.
+ordered_product against the plain left-multiplying loop, the
+run-collapsed propagate against the uncollapsed per-cell product, and the
+trace of the period map against a 60-digit mpmath product of the run
+exponentials.
 """
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 from triband import PeriodicCoefficients, SpectralParameter, propagate
 from triband._linalg import EXTENDED, expm_stack, ordered_product
-from triband.monodromy import system_matrices
+from triband.monodromy import period_maps, system_matrices
 
 EPS = float(np.finfo(EXTENDED).eps)
 
@@ -82,3 +84,39 @@ def test_propagate_matches_uncollapsed_cell_product(lam):
     got = propagate(c, param).M
     err = np.abs(got - expected).max() / np.abs(expected).max()
     assert float(err) <= 1e-15 * max(1.0, abs(lam) / 1e3)
+
+
+# three runs of a step set at N = 64: cells, and the levels of p and q
+_RUN_CELLS, _RUN_P, _RUN_Q = (20, 25, 19), (0.6, -0.4, 0.2), (0.3, -0.2, 0.5)
+
+
+@pytest.mark.parametrize("lam", [1e3, 1e5, 1e7, 1e8, -2e8])
+def test_trace_matches_60_digit_oracle_out_to_the_guard(lam):
+    """Forward error of T against one 60-digit mpmath.expm per run.
+
+    The generator's entry -i lambda dominates its norm, while the growth
+    is only of size |lambda|^(1/3); without the balanced frame the error
+    grew like eps |lambda|, to 1.4e-11 in complex256 and 9.6e-10 in
+    complex128 on these points.  Measured in the frame: at most 2.2e-17
+    in complex256 and 9.5e-14 (at -2e8) in complex128, about eps times the
+    growth exponent z0 = 506 there.
+    """
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 60
+    ref = mp.eye(3)
+    for cells, p, q in zip(_RUN_CELLS, _RUN_P, _RUN_Q):
+        A = mp.matrix([[0, 1, 0], [-p, 0, 1], [1j * (mp.mpf(q) - mp.mpf(lam)), -p, 0]])
+        ref = mp.expm(A * cells / 64) * ref
+    T_ref = ref[0, 0] + ref[1, 1] + ref[2, 2]
+
+    c = PeriodicCoefficients.from_samples(
+        np.repeat(_RUN_P, _RUN_CELLS), np.repeat(_RUN_Q, _RUN_CELLS)
+    )
+    param = SpectralParameter.from_lambda(lam)
+    # where EXTENDED falls back to complex128 only the complex128 bound applies
+    bounds = {EXTENDED: 1e-15, np.dtype(np.complex128): 1e-13}
+    for dtype, bound in bounds.items():
+        M = period_maps(c, [param], dtype=dtype)[0]
+        T = M[0, 0] + M[1, 1] + M[2, 2]
+        got = mp.mpc(mp.mpf(str(T.real)), mp.mpf(str(T.imag)))
+        assert float(abs(got - T_ref) / abs(T_ref)) <= bound, dtype
