@@ -27,6 +27,7 @@ from .checks import run_verify
 from .coeffs import PeriodicCoefficients, load_coefficients
 from .discriminant import sigma3_intervals
 from .floquet import eigenvalues_at_k
+from .monodromy import PicardTruncationError, PropagationOverflowError
 from .util import parse_int_range
 
 
@@ -341,10 +342,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_sigma3(args)
         if args.command == "verify":
             return _cmd_verify(args)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError, PropagationOverflowError, PicardTruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

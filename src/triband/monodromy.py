@@ -114,9 +114,8 @@ class MonodromyResult:
     propagation guard.  They measure structure, not the forward error of
     M: without the balanced frame of period_maps, T on a step set was off
     by 1.4e-11 relative at lambda = -2e8 while both scaled residuals sat
-    at roundoff.  The forward error of T is checked against a 60-digit
-    product of the run exponentials instead; in the frame it stays below
-    3e-17 relative in complex256 and 1e-13 in complex128 up to 2e8.
+    at roundoff.  Against 50- and 60-digit products of the run
+    exponentials, the forward error of T is a few eps times z0 (_linalg).
     """
 
     param: SpectralParameter
@@ -252,16 +251,17 @@ def period_maps(
     exp(A_{first run}); constant coefficients take one exponential.
 
     The exponentials are taken in a balanced frame (Parlett-Reinsch
-    balancing ahead of scaling and squaring, as in Ward 1977).  With
-    mu = max(|lambda|^(1/3), 1) and D = diag(1, 1/mu, 1/mu^2), D P D^-1 is
-    mu times a unitary weighted cyclic permutation and D Q D^-1 has the
-    entries p/mu, q/mu^2 and p/mu, so ||D A D^-1|| is of size
-    |lambda|^(1/3) * (run width), the size of the growth, instead of
-    |lambda| * (run width).  The squarings scale with the former, and the
-    forward error of T stays at roundoff out to the guard.  The product
-    of the run exponentials is taken in the frame and the similarity is
-    undone once on it, M = D^-1 (product) D; in exact arithmetic this is
-    the same M, and the trace is not touched at all.
+    balancing ahead of scaling and squaring, as in Ward 1977): with
+    mu = max(|lambda|^(1/3), 1) and D = diag(1, 1/mu, 1/mu^2), each run
+    generator becomes D A_i D^-1 = [[0, a, 0], [b, 0, a], [c, b, 0]] with
+    a = w mu, b = -w p/mu and c = i w (q - lambda)/mu^2 for the run width
+    w = n/N, the three entries expm_stack reads.  Its norm is of size
+    |lambda|^(1/3) w, the size of the growth, instead of |lambda| w; the
+    squarings scale with the former, and the forward error of T stays at
+    a few eps times z0 out to the guard.  The product of the run
+    exponentials is taken in the frame and the similarity is undone once
+    on it, M = D^-1 (product) D; in exact arithmetic this is the same M,
+    and the trace is not touched at all.
 
     The points are evaluated in stacks of about 128 run exponentials, each
     point with its own frame and scaling exponent, so every M is

@@ -226,3 +226,25 @@ def test_scan_up_to_the_propagation_guard(capfd):
             assert r[6].startswith("error:")
         else:
             assert r[2] == "1" and not r[6].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the default sigma3 window of p = 200 reaches 8.5e9
+        ["sigma3", "--p-const", "200", "--q-const", "5", "--points", "101"],
+        ["sigma3", "--p-const", "3", "--q-const", "1", "--interval", "-1e9,1e9"],
+        ["eigs", "--p-const", "0", "--q-const", "0", "--k", "1", "--n-range", "130..131"],
+        ["verify", "--p-const", "1e4", "--q-const", "0"],
+        # past the Picard tail bound rather than the growth guard
+        ["verify", "--p-const", "60", "--q-const", "0", "--grid", "4"],
+    ],
+    ids=["sigma3-default-window", "sigma3-interval", "eigs", "verify", "verify-picard"],
+)
+def test_refusals_are_clean_errors(capsys, argv):
+    """The growth guard and the Picard tail bound end in 'error: ...', exit 1."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

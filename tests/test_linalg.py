@@ -1,40 +1,47 @@
 """The stack kernels of _linalg against independent references.
 
-expm_stack is checked against a 40-digit mpmath exponential,
-ordered_product against the plain left-multiplying loop, the
-run-collapsed propagate against the uncollapsed per-cell product, and the
-trace of the period map against a 60-digit mpmath product of the run
-exponentials.
+expm_stack is checked against a 40-digit mpmath exponential on the run
+generators it is built for, and those generators, as period_maps hands
+them over, against the structure the kernel reads; ordered_product
+against the plain left-multiplying loop, the run-collapsed propagate
+against the uncollapsed per-cell product, and the trace of the period map
+against a 60-digit mpmath product of the run exponentials.
 """
 
 import numpy as np
 import pytest
 
-from triband import PeriodicCoefficients, SpectralParameter, propagate
+from triband import PeriodicCoefficients, SpectralParameter, monodromy, propagate
 from triband._linalg import EXTENDED, expm_stack, ordered_product
 from triband.monodromy import period_maps, system_matrices
 
 EPS = float(np.finfo(EXTENDED).eps)
+# three runs of a step set at N = 64: cells, and the levels of p and q
+_RUN_CELLS, _RUN_P, _RUN_Q = (20, 25, 19), (0.6, -0.4, 0.2), (0.3, -0.2, 0.5)
+_RUN_P_WITH_ZERO = (0.6, 0.0, 0.2)
 
 
-def _random_stack(rng, size, norm):
-    A = rng.standard_normal((size, 3, 3)) + 1j * rng.standard_normal((size, 3, 3))
+def _run_generators(rng, size, norm):
+    """size matrices [[0, a, 0], [b, 0, a], [c, b, 0]] of infinity norm norm.
+
+    a and b are real and c is complex, as in the run generators of
+    period_maps; the first matrix has b = 0 (p = 0 on its run).
+    """
+    a = rng.uniform(0.1, 1.0, size) * rng.choice([-1.0, 1.0], size)
+    b = rng.standard_normal(size)
+    b[0] = 0.0
+    c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    A = np.zeros((size, 3, 3), dtype=complex)
+    A[:, 0, 1] = A[:, 1, 2] = a
+    A[:, 1, 0] = A[:, 2, 1] = b
+    A[:, 2, 0] = c
     return A * (norm / np.abs(A).sum(axis=-1).max(axis=-1))[:, None, None]
 
 
-@pytest.mark.parametrize("norm", np.logspace(-3, 4, 8))
-def test_expm_stack_matches_mpmath(norm):
-    """Entrywise error relative to max |exp(A)|, within 16 eps ||A||.
-
-    The relative condition number of exp is at least ||A|| (Van Loan), so
-    above ||A|| ~ 1e2 no method in this precision can do better than a
-    small multiple of eps ||A||; below it the bound is at most 1.7e-16.
-    """
+def _assert_matches_mpmath(A, E):
+    """Entrywise error of each E = exp(A) relative to max |exp(A)|, within 16 eps ||A||."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
-    rng = np.random.default_rng(int(np.log10(norm)) + 100)
-    A = _random_stack(rng, 4, norm)
-    E = expm_stack(A.astype(EXTENDED), EXTENDED)
     for a, e in zip(A, E):
         ref = mp.expm(mp.matrix(a.tolist()))
         err = scale = mp.mpf(0)
@@ -43,7 +50,65 @@ def test_expm_stack_matches_mpmath(norm):
                 got = mp.mpc(mp.mpf(str(e[i, j].real)), mp.mpf(str(e[i, j].imag)))
                 err = max(err, abs(got - ref[i, j]))
                 scale = max(scale, abs(ref[i, j]))
+        norm = float(np.abs(a).sum(axis=-1).max())
         assert float(err / scale) <= 16 * EPS * max(1.0, norm)
+
+
+@pytest.mark.parametrize("norm", np.logspace(-3, 4, 8))
+def test_expm_stack_matches_mpmath(norm):
+    """Run generators of norm 1e-3 .. 1e4 against a 40-digit exponential.
+
+    The relative condition number of exp is at least ||A|| (Van Loan), so
+    above ||A|| ~ 1e2 no method in this precision can do better than a
+    small multiple of eps ||A||; below it the bound is at most 1.7e-16.
+    """
+    rng = np.random.default_rng(int(np.log10(norm)) + 100)
+    A = _run_generators(rng, 4, norm)
+    _assert_matches_mpmath(A, expm_stack(A.astype(EXTENDED), EXTENDED))
+
+
+def test_expm_stack_scales_each_stack_on_its_own():
+    """Two stacks of a (2, m, 3, 3) input take 0 and 14 squarings.
+
+    Each matches mpmath, and each equals the result of its stack alone,
+    bit for bit: the squarings of one stack never touch the other.
+    """
+    rng = np.random.default_rng(7)
+    A = np.stack([_run_generators(rng, 3, 0.2), _run_generators(rng, 3, 3e3)])
+    E = expm_stack(A.astype(EXTENDED), EXTENDED)
+    assert E.shape == (2, 3, 3, 3)
+    for stack, result in zip(A, E):
+        _assert_matches_mpmath(stack, result)
+        assert np.array_equal(result, expm_stack(stack.astype(EXTENDED), EXTENDED))
+
+
+@pytest.mark.parametrize("lams", [[0.0], [1e3], [-1e3], [1e7], [300 + 200j, 300 - 200j]])
+def test_period_maps_hands_expm_stack_its_structure(monkeypatch, lams):
+    """The frame-scaled generators that period_maps builds from system_matrices.
+
+    expm_stack reads only a = X[0, 1], b = X[1, 0] and c = X[2, 0]: every
+    generator it receives must be [[0, a, 0], [b, 0, a], [c, b, 0]]
+    exactly, with real a and b (three runs of a step set, p = 0 on one of
+    them).
+    """
+    seen = []
+
+    def spy(A, dtype):
+        seen.append(A.copy())
+        return expm_stack(A, dtype)
+
+    monkeypatch.setattr(monodromy, "expm_stack", spy)
+    c = PeriodicCoefficients.from_samples(
+        np.repeat(_RUN_P_WITH_ZERO, _RUN_CELLS), np.repeat(_RUN_Q, _RUN_CELLS)
+    )
+    period_maps(c, [SpectralParameter.from_lambda(lam) for lam in lams])
+    X = np.concatenate([A.reshape(-1, 3, 3) for A in seen])
+    assert len(X) == 3 * len(lams)
+    a, b = X[:, 0, 1], X[:, 1, 0]
+    assert np.all(X[:, [0, 1, 2, 0], [0, 1, 2, 2]] == 0)
+    assert np.array_equal(X[:, 1, 2], a) and np.array_equal(X[:, 2, 1], b)
+    assert np.all(a.imag == 0) and np.all(b.imag == 0)
+    assert np.all(a.real > 0) and np.any(b == 0) and np.any(b != 0)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 7, 64, 1025])
@@ -86,10 +151,6 @@ def test_propagate_matches_uncollapsed_cell_product(lam):
     assert float(err) <= 1e-15 * max(1.0, abs(lam) / 1e3)
 
 
-# three runs of a step set at N = 64: cells, and the levels of p and q
-_RUN_CELLS, _RUN_P, _RUN_Q = (20, 25, 19), (0.6, -0.4, 0.2), (0.3, -0.2, 0.5)
-
-
 @pytest.mark.parametrize("lam", [1e3, 1e5, 1e7, 1e8, -2e8])
 def test_trace_matches_60_digit_oracle_out_to_the_guard(lam):
     """Forward error of T against one 60-digit mpmath.expm per run.
@@ -97,9 +158,12 @@ def test_trace_matches_60_digit_oracle_out_to_the_guard(lam):
     The generator's entry -i lambda dominates its norm, while the growth
     is only of size |lambda|^(1/3); without the balanced frame the error
     grew like eps |lambda|, to 1.4e-11 in complex256 and 9.6e-10 in
-    complex128 on these points.  Measured in the frame: at most 2.2e-17
-    in complex256 and 9.5e-14 (at -2e8) in complex128, about eps times the
-    growth exponent z0 = 506 there.
+    complex128 on these points.  Measured in the frame: at most 1.9e-17
+    in complex256 and 4.3e-14 (at 1e8, 0.5 eps z0) in complex128.  Over
+    random points the complex128 error reaches about 2.3 eps z0, which
+    passes 1e-13 from |lambda| ~ 1.2e7 (z0 ~ 200) on: at the two largest
+    points the bound holds by the rounding at those points, not by an
+    envelope.
     """
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 60
