@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .bands import BandPoint, band_point, scan_real_axis
 from .coeffs import PeriodicCoefficients, load_coefficients, parse_coefficients, zero_coefficients
 from .discriminant import (
-    DiscriminantValue,
     Sigma3Interval,
     Sigma3Result,
     default_search_interval,
@@ -44,7 +43,6 @@ from .monodromy import (
     picard_monodromy,
     propagate,
     propagate_pair,
-    standard_monodromy_conjugate,
     symplectic_residual,
     trace_at,
 )
@@ -62,7 +60,6 @@ from .multipliers import (
 __all__ = [
     "BandPoint",
     "Classification",
-    "DiscriminantValue",
     "DiskCountResult",
     "FloquetEigenvalue",
     "FloquetSolveResult",
@@ -104,7 +101,6 @@ __all__ = [
     "scan_real_axis",
     "sigma3_intervals",
     "solve_multipliers",
-    "standard_monodromy_conjugate",
     "symplectic_residual",
     "trace_at",
     "zero_coefficients",

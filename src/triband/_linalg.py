@@ -60,8 +60,7 @@ def expm_stack(A: np.ndarray, dtype: np.dtype | type = EXTENDED) -> np.ndarray:
     # the row sums of |X| are |a|, |a| + |b| and |b| + |c|
     mag = np.abs(abc)
     rows = (mag[..., :2] + mag[..., 1:]).reshape(len(abc), -1)
-    norms = rows.max(axis=1, initial=0.0).astype(np.float64)
-    squarings = np.ceil(np.log2(np.maximum(norms, _TAYLOR_RADIUS) / _TAYLOR_RADIUS)).astype(int)
+    squarings = scaling_exponents(rows.max(axis=1, initial=0.0).astype(np.float64))
     abc *= np.ldexp(1.0, -squarings)[:, np.newaxis, np.newaxis]  # exact: powers of 2
     # all but the scaling and the squarings is per matrix: one flat stack
     a, b, c = abc.reshape(-1, 3).T
@@ -86,19 +85,25 @@ def expm_stack(A: np.ndarray, dtype: np.dtype | type = EXTENDED) -> np.ndarray:
     total[:, 0, 2] = f2 * a2
     total[:, 1, 0] = total[:, 2, 1] = f1 * b + f2 * a * c
     total[:, 2, 0] = f1 * c + f2 * b * b
-    # square level by level: the stacks with s >= level take the squarings
-    # from the previous level up to this one
-    levels = squarings.tolist()
-    done = 0
-    for level in sorted(set(levels) - {0}):
-        todo = [s >= level for s in levels]
-        by_stack = total.reshape(-1, m, 3, 3)
-        part = by_stack[todo]
-        for _ in range(level - done):
-            part = part @ part
-        by_stack[todo] = part
-        done = level
+    square_by_level(total.reshape(-1, m, 3, 3), squarings, lambda part: part @ part)
     return total.reshape(A.shape)
+
+
+def scaling_exponents(norms: np.ndarray) -> np.ndarray:
+    """Least s >= 0 with norm / 2^s <= 0.25, the radius of the degree-16 Taylor polynomial."""
+    return np.ceil(np.log2(np.maximum(norms, _TAYLOR_RADIUS) / _TAYLOR_RADIUS)).astype(int)
+
+
+def square_by_level(stacks: np.ndarray, squarings: np.ndarray, square) -> None:
+    """Apply square squarings[i] times to stacks[i], in place, one batched call per level."""
+    done = 0
+    for level in sorted(set(squarings.tolist()) - {0}):
+        todo = squarings >= level
+        part = stacks[todo]
+        for _ in range(level - done):
+            part = square(part)
+        stacks[todo] = part
+        done = level
 
 
 def det3(M: np.ndarray) -> complex:

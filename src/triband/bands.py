@@ -144,16 +144,3 @@ def scan_real_axis(
         else _assemble(lam, next(continued), ms_rho[1], circle_tol, degeneracy_rtol)
         for lam, ms_rho, err in evaluated
     ]
-
-
-def multiplicity_is_locally_constant(points: list[BandPoint]) -> bool:
-    """True when multiplicity only changes across flagged or error rows."""
-    prev: Optional[int] = None
-    for pt in points:
-        if pt.error is not None or pt.flags:
-            prev = None
-            continue
-        if prev is not None and pt.multiplicity != prev:
-            return False
-        prev = pt.multiplicity
-    return True

@@ -22,12 +22,12 @@ from .monodromy import (
     SpectralParameter,
     char_poly,
     free_diagonalizer,
-    picard_monodromy,
+    picard_maps,
     propagate_many,
     propagate_pairs,
     traces_at,
 )
-from ._linalg import det3, spectral_norm
+from ._linalg import det3
 from .util import hausdorff_distance
 
 # bound checks allow machine-epsilon slack: several are equalities at
@@ -130,22 +130,22 @@ def check_trace_bounds(c: PeriodicCoefficients) -> CheckResult:
     in the frame that diagonalizes the free system, a matching bound on the
     full matrix deviation from the diagonal free propagator.
     """
-    worst = 0.0
     kappa = c.kappa
-    for m in _propagate_grid(c, _real_grid(n=50)):
-        param = m.param
-        cap = 3.0 * math.exp(param.z0 + kappa)
-        worst = max(worst, abs(m.trace_T) / cap)
-        if abs(param.lam) >= 1.0:
-            dev_cap = 3.0 * kappa * math.exp(param.z0 + kappa) / abs(param.z)
-            if kappa > 0:
-                worst = max(worst, abs(m.trace_T - free_trace(param.lam)) / dev_cap)
-            V, V_inv, B = free_diagonalizer(param)
-            frame = V_inv @ np.asarray(m.M, dtype=complex) @ V
-            diag_free = np.diag(np.exp(1j * param.z * np.diag(B)))
-            if kappa > 0:
-                matrix_cap = kappa * math.exp(param.z0 + kappa) / abs(param.z)
-                worst = max(worst, spectral_norm(frame - diag_free) / matrix_cap)
+    maps = _propagate_grid(c, _real_grid(n=50))
+    T = np.array([m.trace_T for m in maps])
+    z0 = np.array([m.param.z0 for m in maps])
+    worst = float(np.max(np.abs(T) / (3.0 * np.exp(z0 + kappa))))
+    far = [i for i, m in enumerate(maps) if abs(m.param.lam) >= 1.0]
+    if kappa > 0 and far:
+        z = np.array([maps[i].param.z for i in far])
+        matrix_cap = kappa * np.exp(z0[far] + kappa) / np.abs(z)
+        T0 = np.array([free_trace(maps[i].param.lam) for i in far])
+        worst = max(worst, float(np.max(np.abs(T[far] - T0) / (3.0 * matrix_cap))))
+        V, V_inv, B = free_diagonalizer([maps[i].param for i in far])
+        frame = V_inv @ np.array([maps[i].M for i in far], dtype=complex) @ V
+        diag_free = np.exp(1j * z[:, np.newaxis] * np.diag(B))[:, np.newaxis] * np.eye(3)
+        deviation = np.linalg.norm(frame - diag_free, 2, axis=(-2, -1))
+        worst = max(worst, float(np.max(deviation / matrix_cap)))
     return CheckResult(
         "growth-bounds", worst <= 1.0 + _BOUND_SLACK, worst, 1.0,
         detail="(ratios to the proved caps)",
@@ -153,13 +153,9 @@ def check_trace_bounds(c: PeriodicCoefficients) -> CheckResult:
 
 
 def check_picard_agreement(c: PeriodicCoefficients, tol: float = 1e-10) -> CheckResult:
-    worst = 0.0
-    for m_exp in _propagate_grid(c, np.linspace(-100.0, 100.0, 9)):
-        m_ser = picard_monodromy(c, m_exp.param, tol=tol)
-        diff = np.abs(
-            np.asarray(m_exp.M, dtype=complex) - np.asarray(m_ser.M, dtype=complex)
-        ).max()
-        worst = max(worst, float(diff))
+    maps = _propagate_grid(c, np.linspace(-100.0, 100.0, 9))
+    series = picard_maps(c, [m.param for m in maps], tol=tol)
+    worst = max(float(np.abs(m.M.astype(complex) - s.M).max()) for m, s in zip(maps, series))
     threshold = max(1e-8, 10.0 * tol)
     return CheckResult("series-vs-steps", worst <= threshold, worst, threshold)
 

@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import multipliers as mult
 from ._rootfind import brent_steps, drive, lockstep
 from .coeffs import PeriodicCoefficients
 from .monodromy import trace_at, traces_at
@@ -54,23 +53,6 @@ def rho_formula_scale(T: complex) -> float:
     a = _LD(abs(T))
     value = float(((a + 8.0) * a + 18.0) * a * a + 27.0)
     return value if math.isfinite(value) else 1e300
-
-
-@dataclass(frozen=True)
-class DiscriminantValue:
-    """Both discriminant routes at one real lambda, with their disagreement."""
-
-    lam: float
-    rho_trace: float
-    rho_product: complex
-    residual: float
-
-    @classmethod
-    def from_trace(cls, lam: float, T: complex) -> "DiscriminantValue":
-        rt = rho_trace_formula(T)
-        taus = mult.solve_multipliers(T, np.conj(T))
-        rp = rho_product_formula(taus)
-        return cls(lam=float(lam), rho_trace=rt, rho_product=rp, residual=abs(rt - rp.real))
 
 
 def rho_at(c: PeriodicCoefficients, lam: float) -> float:

@@ -33,6 +33,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._linalg import EXTENDED, det3, expm_stack, ordered_product, spectral_norm
+from ._linalg import _TAYLOR_DEGREE, scaling_exponents, square_by_level
 from .coeffs import PeriodicCoefficients
 
 OMEGA: complex = cmath.exp(2j * cmath.pi / 3)
@@ -271,18 +272,8 @@ def period_maps(
     """
     for param in params:
         _check_growth(c, param)
-    p, q = c.p_samples, c.q_samples
-    starts = np.flatnonzero(
-        np.concatenate(([True], (p[1:] != p[:-1]) | (q[1:] != q[:-1])))
-    )
-    run_lengths = np.diff(starts, append=c.grid_size)
-    widths = (run_lengths.astype(np.finfo(dtype).dtype) / c.grid_size)[:, np.newaxis, np.newaxis]
-    P, Q = system_matrices(params, p[starts], q[starts], dtype)
-    # the frame D = diag(1, 1/mu, 1/mu^2) scales entry (i, j) by mu^(j - i);
-    # |lambda| is read off P's entry -i lambda
-    mu = np.maximum(np.cbrt(np.abs(P[:, 2, 0])), 1)
-    frame = mu[:, np.newaxis, np.newaxis] ** _FRAME_POWERS
-    per_stack = max(1, _STACK_MATRICES // starts.size)
+    P, Q, widths, frame = _framed_runs(c, params, dtype)
+    per_stack = max(1, _STACK_MATRICES // len(Q))
     M = np.empty((len(params), 3, 3), dtype=dtype)
     for i in range(0, len(params), per_stack):
         D = frame[i : i + per_stack]
@@ -290,6 +281,20 @@ def period_maps(
         A *= widths * D[:, np.newaxis]
         M[i : i + per_stack] = ordered_product(expm_stack(A, dtype)) / D
     return M
+
+
+def _framed_runs(c: PeriodicCoefficients, params: Sequence[SpectralParameter], dtype):
+    """P (L, 3, 3); Q and widths n/N of the R runs of equal cells; frames mu^(j - i) (L, 3, 3)."""
+    p, q = c.p_samples, c.q_samples
+    starts = np.flatnonzero(
+        np.concatenate(([True], (p[1:] != p[:-1]) | (q[1:] != q[:-1])))
+    )
+    run_lengths = np.diff(starts, append=c.grid_size)
+    widths = (run_lengths.astype(np.finfo(dtype).dtype) / c.grid_size)[:, np.newaxis, np.newaxis]
+    P, Q = system_matrices(params, p[starts], q[starts], dtype)
+    # |lambda| is read off P's entry -i lambda
+    mu = np.maximum(np.cbrt(np.abs(P[:, 2, 0])), 1)
+    return P, Q, widths, mu[:, np.newaxis, np.newaxis] ** _FRAME_POWERS
 
 
 def propagate_many(
@@ -375,39 +380,27 @@ def char_poly(
     return ((-tau + m.trace_T) * tau - t_bar) * tau + 1.0
 
 
-def standard_monodromy_conjugate(m: MonodromyResult, p_at_0: float) -> np.ndarray:
-    """Conjugate to the classical period map in the (y, y', y'') variables.
-
-    Returns S M S^{-1} with S = [[1,0,0],[0,1,0],[-p(0),0,1]].  Meaningful
-    when p is smooth enough for y'' to be continuous; the caller owns that
-    assumption.
-    """
-    S = np.eye(3, dtype=complex)
-    S[2, 0] = -p_at_0
-    S_inv = np.eye(3, dtype=complex)
-    S_inv[2, 0] = p_at_0
-    return S @ np.asarray(m.M, dtype=complex) @ S_inv
-
-
-def free_diagonalizer(param: SpectralParameter) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def free_diagonalizer(
+    param: SpectralParameter | Sequence[SpectralParameter],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Similarity (V, V^{-1}, B) with P = V (i z B) V^{-1} for lambda != 0.
 
     V = Z U where U is the unitary discrete-Fourier matrix of order 3 and
     Z = diag(1, iz, (iz)^2); B = diag(1, w, w^2).  In this frame the free
     propagator is the diagonal exp(i z t B), which is what makes the
-    large-lambda perturbation bounds sharp.
+    large-lambda perturbation bounds sharp.  V and V^{-1} are stacks
+    (L, 3, 3) for a sequence of L points; B is the same for all.
     """
-    if param.lam == 0:
+    single = isinstance(param, SpectralParameter)
+    params = [param] if single else param
+    if any(prm.lam == 0 for prm in params):
         raise ValueError("diagonalization requires lambda != 0")
-    iz = 1j * param.z
-    U = np.array(
-        [[1, 1, 1], [1, OMEGA, OMEGA**2], [1, OMEGA**2, OMEGA]], dtype=complex
-    ) / math.sqrt(3.0)
-    Z = np.diag([1.0, iz, iz**2]).astype(complex)
-    V = Z @ U
-    V_inv = U.conj().T @ np.diag([1.0, 1.0 / iz, 1.0 / iz**2]).astype(complex)
+    iz = 1j * np.array([prm.z for prm in params], dtype=complex)
+    Z = np.stack((np.ones_like(iz), iz, iz * iz), axis=-1)  # the diagonals of Z
+    U = np.array([[1, 1, 1], [1, OMEGA, OMEGA**2], [1, OMEGA**2, OMEGA]]) / math.sqrt(3.0)
+    V, V_inv = Z[..., np.newaxis] * U, U.conj().T / Z[:, np.newaxis]
     B = np.diag([1.0, OMEGA, OMEGA**2]).astype(complex)
-    return V, V_inv, B
+    return (V[0], V_inv[0], B) if single else (V, V_inv, B)
 
 
 def q_norm_integral(c: PeriodicCoefficients) -> float:
@@ -419,37 +412,126 @@ def q_norm_integral(c: PeriodicCoefficients) -> float:
     return total / c.grid_size
 
 
-def _toeplitz_square(G: np.ndarray) -> np.ndarray:
-    """Square a lower block-Toeplitz matrix given by its first block column."""
-    out = np.empty_like(G)
-    for j in range(G.shape[0]):
-        out[j] = np.einsum("nij,njk->ik", G[: j + 1], G[j::-1])
-    return out
+# Bytes of block columns per chunk of picard_maps, and of block-Toeplitz matrices per
+# product: at 1 MB the peak RSS of a verify-far benchmark run rose by 2 MB, at 64 KB not.
+_SERIES_CHUNK_BYTES = 1 << 16
 
 
-def _toeplitz_apply(G: np.ndarray, W: np.ndarray) -> np.ndarray:
-    out = np.empty_like(W)
-    for j in range(W.shape[0]):
-        out[j] = np.einsum("nij,njk->ik", G[: j + 1], W[j::-1])
-    return out
+def _block_toeplitz(G: np.ndarray) -> np.ndarray:
+    """Lower block-Toeplitz matrices (..., 3n, 3n) with first block columns G (..., n, 3, 3)."""
+    n = G.shape[-3]
+    # entry (3j + r, 3k + c) is entry (3(j - k) + r, c) of the block column,
+    # or of the zero row appended to it when k > j
+    rows = np.subtract.outer(np.arange(3 * n), 3 * np.arange(n))
+    rows[rows < 0] = 3 * n
+    column = G.reshape(G.shape[:-3] + (3 * n, 3))
+    padded = np.concatenate((column, np.zeros_like(column[..., :1, :])), axis=-2)
+    return padded.take(rows, axis=-2).reshape(G.shape[:-3] + (3 * n, 3 * n))
+
+
+def _series_exponentials(A0: np.ndarray, A1: np.ndarray, n: int) -> np.ndarray:
+    """First block columns (B, n, 3, 3) of exp of the block-bidiagonal generators (A0, A1).
+
+    Reads a = A0[0, 1] = A0[1, 2], c0 = A0[2, 0], b = A1[1, 0] = A1[2, 1], c1 = A1[2, 0];
+    scales by 2^-s with ||A0||_inf + ||A1||_inf <= 0.25, takes the degree-16 Taylor
+    polynomial row by row (term k reaches block k at most) and s squarings by level.
+    """
+    a, c0, b, c1 = A0[:, 0, 1], A0[:, 2, 0], A1[:, 1, 0], A1[:, 2, 0]
+    squarings = scaling_exponents(np.maximum(abs(a), abs(c0)) + abs(b) + abs(c1))
+    a, c0, b, c1 = (x * np.ldexp(1.0, -squarings) for x in (a, c0, b, c1))  # exact: powers of 2
+    # pairs on the last axis: each row operation is one long inner loop
+    G = np.zeros((n, 3, 3, len(a)), dtype=A0.dtype)
+    G[0, [0, 1, 2], [0, 1, 2]] = 1
+    term = G[:1]
+    for k in range(1, _TAYLOR_DEGREE + 1):
+        nxt = np.zeros_like(G[: min(k + 1, n)])
+        nxt[: len(term), :2] = a * term[:, 1:]
+        nxt[: len(term), 2] = c0 * term[:, 0]
+        below = term[: len(nxt) - 1]
+        nxt[1:, 1:] += b * below[:, :2]
+        nxt[1:, 2] += c1 * below[:, 0]
+        nxt /= k
+        G[: len(nxt)] += nxt
+        term = nxt
+    G = np.ascontiguousarray(np.moveaxis(G, -1, 0))
+    square_by_level(G, squarings, _toeplitz_squares)
+    return G
+
+
+def _toeplitz_squares(G: np.ndarray) -> np.ndarray:
+    """Replace each G[i] by the first block column of T(G[i])^2, a chunk at a time."""
+    step = max(1, _SERIES_CHUNK_BYTES // (G[0].nbytes * G.shape[1]))
+    for i in range(0, len(G), step):
+        X = G[i : i + step]
+        X[...] = (_block_toeplitz(X) @ X.reshape(len(X), -1, 3)).reshape(X.shape)
+    return G
+
+
+def picard_maps(
+    c: PeriodicCoefficients, params: Sequence[SpectralParameter], tol: float,
+    max_terms: int = 80, dtype=np.complex128,
+) -> list[MonodromyResult]:
+    """picard_monodromy at every point of params, from one evaluation.
+
+    The points share the largest order K of the call: block j of a lower
+    block-Toeplitz product depends on blocks 0..j only.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    kq = q_norm_integral(c)
+    orders = []  # (K, tail bound) per point
+    for param in params:
+        _check_growth(c, param)
+        prefactor = math.exp(min(param.z0, MAX_GROWTH_EXPONENT)) * math.exp(kq)
+        for K in range(max_terms + 1):
+            tail = prefactor * kq ** (K + 1) / math.factorial(K + 1)
+            if tail < tol:
+                break
+        else:
+            raise PicardTruncationError(
+                f"series tail bound {tail:.3e} still above tol={tol:.3e} "
+                f"after {max_terms} terms (kq={kq:.3g}, z0={param.z0:.3g})"
+            )
+        orders.append((K, tail))
+    n = max((K for K, _ in orders), default=0) + 1
+    P, Q, widths, frame = _framed_runs(c, params, dtype)
+    A0, A1 = P * frame, Q * widths
+    column_bytes = 9 * n * np.dtype(dtype).itemsize
+    group = max(1, min(len(params), _SERIES_CHUNK_BYTES // (n * column_bytes)))
+    runs = max(1, _SERIES_CHUNK_BYTES // (group * column_bytes))
+    W = np.zeros((len(params), n, 3, 3), dtype=dtype)
+    W[:, 0] = np.eye(3)
+    for i in range(0, len(params), group):
+        W_i = W[i : i + group].reshape(-1, 3 * n, 3)
+        for j in range(0, len(Q), runs):
+            a0 = A0[i : i + group, np.newaxis] * widths[j : j + runs]
+            a1 = A1[j : j + runs] * frame[i : i + group, np.newaxis]
+            G = _series_exponentials(a0.reshape(-1, 3, 3), a1.reshape(-1, 3, 3), n)
+            for G_k in G.reshape(a1.shape[:2] + G.shape[1:]).swapaxes(0, 1):
+                W_i = _block_toeplitz(G_k) @ W_i
+        W[i : i + group] = W_i.reshape(-1, n, 3, 3)
+    W /= frame[:, np.newaxis]
+    norms = np.linalg.norm(W.astype(np.complex128), 2, axis=(-2, -1)).tolist()
+    kept = np.arange(n) <= np.array([K for K, _ in orders], dtype=int)[:, np.newaxis]
+    M = (W * kept[..., np.newaxis, np.newaxis]).sum(axis=1)
+    return [
+        MonodromyResult(param, M_i, T, PropagationMethod.PICARD_SERIES, K, tuple(ns[: K + 1]), tail)
+        for param, M_i, T, ns, (K, tail) in zip(params, M, _traces(M), norms, orders)
+    ]
 
 
 def picard_monodromy(
-    c: PeriodicCoefficients,
-    param: SpectralParameter,
-    tol: float,
-    max_terms: int = 80,
-    dtype=np.complex128,
+    c: PeriodicCoefficients, param: SpectralParameter, tol: float,
+    max_terms: int = 80, dtype=np.complex128,
 ) -> MonodromyResult:
     """Period map as a truncated iterated-integral series (independent route).
 
     The series terms solve M_n' = P M_n + Q(t) M_{n-1} with M_0 the free
-    propagator, so on each coefficient cell the stack (M_0, ..., M_K)
-    advances by the exponential of a block-bidiagonal constant matrix.
-    That exponential is lower block-Toeplitz and is computed through its
-    first block column, which evaluates every nested integral of the step
-    model exactly -- no quadrature grid, no interaction with the
-    exponential-steps route.
+    propagator, so on each run of equal cells the stack (M_0, ..., M_K)
+    advances by the exponential of a block-bidiagonal constant matrix, a
+    lower block-Toeplitz matrix computed through its first block column:
+    every nested integral of the step model is exact, with no quadrature
+    grid and no interaction with the exponential-steps route.
 
     The truncation order K is fixed in advance by the analytic tail bound
     exp(z0) * kq^(K+1)/(K+1)! * exp(kq) < tol with kq the integral of the
@@ -457,64 +539,15 @@ def picard_monodromy(
     non-normal growth of the free propagator, which can exceed exp(z0 t)
     by an O(1)..O(|z|) factor at small t; agreement with the
     exponential-steps route is the operative accuracy check and holds with
-    orders of magnitude to spare.)
+    orders of magnitude to spare.)  The growth guard and the tail bound
+    refuse before any work.
+
+    The generators are taken in the balanced frame of period_maps, A0 =
+    w D P D^-1 and A1 = w D Q D^-1 for a run of width w, so the scaling
+    follows |lambda|^(1/3), not |lambda|; the similarity is undone once on
+    the final stack, before term_norms are taken.  Each exponential is the
+    fixed degree-16 Taylor polynomial of expm_stack with its own scaling,
+    each block-Toeplitz product one stacked gemm on the 3(K+1) x 3(K+1)
+    matrix; picard_maps batches points in chunks of 64 KB.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    _check_growth(c, param)
-    kq = q_norm_integral(c)
-    prefactor = math.exp(min(param.z0, MAX_GROWTH_EXPONENT)) * math.exp(kq)
-    n_terms = None
-    tail = math.inf
-    for K in range(max_terms + 1):
-        tail = prefactor * kq ** (K + 1) / math.factorial(K + 1)
-        if tail < tol:
-            n_terms = K
-            break
-    if n_terms is None:
-        raise PicardTruncationError(
-            f"series tail bound {tail:.3e} still above tol={tol:.3e} "
-            f"after {max_terms} terms (kq={kq:.3g}, z0={param.z0:.3g})"
-        )
-    K = n_terms
-
-    h = 1.0 / c.grid_size
-    P, Q = system_matrices(param, c.p_samples, c.q_samples, dtype)
-    Ph = P * h
-
-    W = np.zeros((K + 1, 3, 3), dtype=dtype)
-    W[0] = np.eye(3, dtype=dtype)
-    for Qi in Q:
-        Qh = Qi * h
-        norm = float(np.abs(Ph).sum(axis=-1).max() + np.abs(Qh).sum(axis=-1).max())
-        squarings = 0
-        if norm > 0.25:
-            squarings = int(np.ceil(np.log2(norm / 0.25)))
-        scale = np.asarray(2.0**-squarings, dtype=dtype)
-        A0 = Ph * scale
-        A1 = Qh * scale
-
-        G = np.zeros((K + 1, 3, 3), dtype=dtype)
-        G[0] = np.eye(3, dtype=dtype)
-        term = G.copy()
-        for m_idx in range(1, 48):
-            nxt = np.einsum("ij,njk->nik", A0, term)
-            nxt[1:] += np.einsum("ij,njk->nik", A1, term[:-1])
-            term = nxt / m_idx
-            G += term
-            if np.abs(term).max() <= 1e-20 * max(1.0, float(np.abs(G).max())):
-                break
-        for _ in range(squarings):
-            G = _toeplitz_square(G)
-        W = _toeplitz_apply(G, W)
-
-    M = W.sum(axis=0)
-    return MonodromyResult(
-        param=param,
-        M=M,
-        trace_T=_traces(M[np.newaxis])[0],
-        method=PropagationMethod.PICARD_SERIES,
-        steps_or_terms=K,
-        term_norms=tuple(spectral_norm(W[n]) for n in range(K + 1)),
-        tail_bound=tail,
-    )
+    return picard_maps(c, [param], tol, max_terms, dtype)[0]

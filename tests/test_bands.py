@@ -1,12 +1,23 @@
 import math
+from typing import Optional
 
 import pytest
 
 from triband import PeriodicCoefficients, band_point, scan_real_axis
-from triband.bands import (
-    FLAG_NEAR_BRANCH_POINT,
-    multiplicity_is_locally_constant,
-)
+from triband.bands import FLAG_NEAR_BRANCH_POINT, BandPoint
+
+
+def multiplicity_is_locally_constant(points: list[BandPoint]) -> bool:
+    """True when multiplicity only changes across flagged or error rows."""
+    prev: Optional[int] = None
+    for pt in points:
+        if pt.error is not None or pt.flags:
+            prev = None
+            continue
+        if prev is not None and pt.multiplicity != prev:
+            return False
+        prev = pt.multiplicity
+    return True
 
 
 def test_free_scan_is_simple_spectrum(zero_c):

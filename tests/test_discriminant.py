@@ -1,12 +1,12 @@
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from triband import (
     Classification,
-    DiscriminantValue,
     OMEGA,
     PeriodicCoefficients,
     SpectralParameter,
@@ -28,6 +28,23 @@ from triband.util import uniform_grid
 
 def P(lam):
     return SpectralParameter.from_lambda(lam)
+
+
+@dataclass(frozen=True)
+class DiscriminantValue:
+    """Both discriminant routes at one real lambda, with their disagreement."""
+
+    lam: float
+    rho_trace: float
+    rho_product: complex
+    residual: float
+
+    @classmethod
+    def from_trace(cls, lam: float, T: complex) -> "DiscriminantValue":
+        rt = rho_trace_formula(T)
+        taus = solve_multipliers(T, np.conj(T))
+        rp = rho_product_formula(taus)
+        return cls(lam=float(lam), rho_trace=rt, rho_product=rp, residual=abs(rt - rp.real))
 
 
 def test_rho_trace_simple_values():
@@ -207,3 +224,22 @@ def test_sigma3_rejects_bad_arguments(const_c):
         sigma3_intervals(const_c, (0.0, 1.0), 10, -1.0)
     with pytest.raises(ValueError):
         sigma3_intervals(const_c, (1.0, 0.0), 10, 1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason="D3: a sigma3 endpoint can land on a touch of rho")
+def test_sigma3_endpoints_are_sign_changes_of_rho():
+    """Every sigma3 endpoint inside the scan is a sign change of rho at tol.
+
+    Live reproducer of D3 (ROADMAP): on this constant set the nine-point
+    scan puts an interior touch of rho (about -11.925, rho <= 0 on both
+    sides) and the true start of the set (about -12.618) into one bracket,
+    and Brent stops on the touch.  The fix must make this test pass.
+    """
+    c = PeriodicCoefficients.from_constants(5.942823370666968, 3.1544276746960014, 64)
+    tol = 1e-6
+    res = sigma3_intervals(c, (-15.691997430662607, 20.86053824692716), 9, tol)
+    assert res.intervals
+    for iv in res.intervals:
+        for x, inward, clipped in ((iv.lo, 1.0, iv.lo_clipped), (iv.hi, -1.0, iv.hi_clipped)):
+            if not clipped:
+                assert rho_at(c, x - inward * tol) > 0 > rho_at(c, x + inward * tol), x

@@ -18,7 +18,6 @@ from triband import (
     picard_monodromy,
     propagate,
     propagate_pair,
-    standard_monodromy_conjugate,
     symplectic_residual,
     zero_coefficients,
 )
@@ -28,6 +27,20 @@ from triband.monodromy import q_norm_integral, system_matrices
 
 def P(lam):
     return SpectralParameter.from_lambda(lam)
+
+
+def standard_monodromy_conjugate(m, p_at_0: float) -> np.ndarray:
+    """Conjugate to the classical period map in the (y, y', y'') variables.
+
+    Returns S M S^{-1} with S = [[1,0,0],[0,1,0],[-p(0),0,1]].  Meaningful
+    when p is smooth enough for y'' to be continuous; the caller owns that
+    assumption.
+    """
+    S = np.eye(3, dtype=complex)
+    S[2, 0] = -p_at_0
+    S_inv = np.eye(3, dtype=complex)
+    S_inv[2, 0] = p_at_0
+    return S @ np.asarray(m.M, dtype=complex) @ S_inv
 
 
 # ---------------------------------------------------------------- parameter
@@ -373,6 +386,95 @@ def test_picard_truncation_failure_is_loud(const_c):
 def test_picard_rejects_bad_tol(const_c):
     with pytest.raises(ValueError):
         picard_monodromy(const_c, P(1.0), tol=0.0)
+
+
+def _harmonic_set(seed, n):
+    """Random p, q of 2 to 5 harmonics at the cell midpoints: no two cells equal."""
+    rng = np.random.default_rng(seed)
+    t = (np.arange(n) + 0.5) / n
+    p, q = np.zeros(n), np.zeros(n)
+    for k in range(1, int(rng.integers(2, 6)) + 1):
+        p += 0.5 * rng.normal() / k * np.cos(2 * np.pi * k * t + rng.uniform(0, 2 * np.pi))
+        q += 0.5 * rng.normal() / k * np.cos(2 * np.pi * k * t + rng.uniform(0, 2 * np.pi))
+    return PeriodicCoefficients.from_samples(p, q)
+
+
+def _sin_cos_set(n):
+    t = (np.arange(n) + 0.5) / n
+    return PeriodicCoefficients.from_samples(np.sin(2 * np.pi * t), np.cos(2 * np.pi * t))
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: _harmonic_set(1, 8), lambda: _harmonic_set(2, 8), lambda: _sin_cos_set(64)],
+    ids=["harmonic-1", "harmonic-2", "sin-cos-64"],
+)
+def test_picard_matches_50_digit_cell_product(make):
+    """The series route against a 50-digit product of mpmath.expm per cell.
+
+    Entrywise error relative to max |M|, at most 1e-14.  Before the
+    series route took the balanced frame it read up to 1.5e-14 here (at
+    lambda = 50 on the harmonic sets); in the frame at most 3e-15.
+    """
+    mp = pytest.importorskip("mpmath")
+    c = make()
+    lams = [-100.0, -25.0, 50.0, 100.0, 37.3 + 12j]
+    results = monodromy.picard_maps(c, [P(lam) for lam in lams], tol=1e-10)
+    with mp.workdps(50):
+        for lam, m in zip(lams, results):
+            ref = mp.eye(3)
+            for p, q in zip(c.p_samples, c.q_samples):
+                A = mp.matrix([[0, 1, 0], [-p, 0, 1], [1j * (mp.mpf(q) - mp.mpc(lam)), -p, 0]])
+                ref = mp.expm(A / c.grid_size) * ref
+            ref = np.array(ref.tolist(), dtype=complex)
+            err = np.abs(np.asarray(m.M, complex) - ref).max() / np.abs(ref).max()
+            assert err <= 1e-14, lam
+
+
+@pytest.mark.parametrize("family", ["zero", "harmonic"])
+def test_picard_maps_equals_one_point_calls(family):
+    """One series call over points of different orders K gives the one-point results.
+
+    The call pads every point to its largest K; block j of a lower
+    block-Toeplitz product depends on blocks 0..j only, so each point's
+    own terms come out as in a call of its own.  The loose tol gives
+    orders 7 to 11 on the harmonic set, where the first padded term is
+    far above roundoff: a point that summed the padded terms would fail.
+    """
+    c = zero_coefficients(4) if family == "zero" else _harmonic_set(3, 8)
+    params = [P(lam) for lam in (0.0, -100.0, 100.0, 1e3, 20 + 30j, 20 - 30j)]
+    batched = monodromy.picard_maps(c, params, tol=1e-4)
+    orders = {m.steps_or_terms for m in batched}
+    if family == "zero":
+        assert orders == {0}
+    else:
+        assert len(orders) >= 3
+    eps = np.finfo(np.complex128).eps
+    for par, m in zip(params, batched):
+        one = picard_monodromy(c, par, tol=1e-4)
+        assert m.param == par
+        assert m.steps_or_terms == one.steps_or_terms
+        assert m.tail_bound == one.tail_bound
+        assert np.abs(m.M - one.M).max() <= 4 * eps * np.linalg.norm(one.M, 2)
+        assert m.trace_T == pytest.approx(one.trace_T, rel=4 * eps, abs=0)
+        assert len(m.term_norms) == m.steps_or_terms + 1
+        assert m.term_norms == pytest.approx(one.term_norms, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "far, error", [(1.1e8, PicardTruncationError), (-1e12, PropagationOverflowError)]
+)
+def test_picard_maps_refuses_before_any_work(const_c, monkeypatch, far, error):
+    """A point past the tail bound or the growth guard refuses the whole list."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("series exponentials evaluated before the refusal")
+
+    with pytest.raises(error) as single:
+        picard_monodromy(const_c, P(far), tol=1e-10)
+    monkeypatch.setattr(monodromy, "_series_exponentials", no_work)
+    with pytest.raises(error) as batched:
+        monodromy.picard_maps(const_c, [P(1.0), P(3 + 4j), P(far), P(-5.0)], tol=1e-10)
+    assert str(batched.value) == str(single.value)
 
 
 # --------------------------------------------------- characteristic cubic
