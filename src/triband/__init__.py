@@ -41,10 +41,10 @@ from .monodromy import (
     char_poly,
     free_diagonalizer,
     picard_monodromy,
-    propagate,
-    propagate_pair,
+    propagate_pairs,
     symplectic_residual,
     trace_at,
+    traces_at,
 )
 from .multipliers import (
     Classification,
@@ -93,8 +93,7 @@ __all__ = [
     "multiplier_set",
     "parse_coefficients",
     "picard_monodromy",
-    "propagate",
-    "propagate_pair",
+    "propagate_pairs",
     "rho_at",
     "rho_product_formula",
     "rho_trace_formula",
@@ -103,5 +102,6 @@ __all__ = [
     "solve_multipliers",
     "symplectic_residual",
     "trace_at",
+    "traces_at",
     "zero_coefficients",
 ]

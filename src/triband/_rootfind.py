@@ -6,6 +6,7 @@ from itertools import islice
 from typing import Any, Callable, Generator, Optional, Sequence
 
 _EPS = 2.220446049250313e-16
+_MAX_ITER = 200
 
 
 def brent_steps(
@@ -14,7 +15,6 @@ def brent_steps(
     xtol: float,
     fa: Optional[float] = None,
     fb: Optional[float] = None,
-    max_iter: int = 200,
 ) -> Generator[float, float, tuple[float, float]]:
     """Brent's iteration on the sign-change bracket [a, b], as a generator.
 
@@ -35,7 +35,7 @@ def brent_steps(
 
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if (fb > 0) == (fc > 0):
             c, fc = a, fa
             d = e = b - a
@@ -80,8 +80,8 @@ def drive(
     """Run brent_steps to its result, taking each f(x) as ``yield from probe(x)``.
 
     probe is a generator function, so a caller that runs drive with
-    ``yield from`` can hand every point on to its own caller; brent passes
-    one that calls f directly and never yields.
+    ``yield from`` can hand every point on to its own caller, as the
+    lockstep searches of floquet and discriminant do.
     """
     try:
         x = next(steps)
@@ -125,20 +125,15 @@ def brent(
     xtol: float,
     fa: Optional[float] = None,
     fb: Optional[float] = None,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
     """Root of f in the sign-change bracket [a, b]: brent_steps driven by f.
 
     Returns (x, f(x)) with x within about 2*eps*|x| + xtol of a zero.
     """
-
-    def probe(x: float):
-        return f(x)
-        yield  # a generator that never yields: drive runs through in one next()
-
-    run = drive(brent_steps(a, b, xtol, fa, fb, max_iter), probe)
+    steps = brent_steps(a, b, xtol, fa, fb)
     try:
-        next(run)
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
     except StopIteration as done:
         return done.value
-    raise AssertionError("a direct probe never yields")

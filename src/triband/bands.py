@@ -21,6 +21,9 @@ FLAG_NEAR_BRANCH_POINT = mult.FLAG_NEAR_BRANCH_POINT
 FLAG_AMBIGUOUS_MATCH = mult.FLAG_AMBIGUOUS_MATCH
 FLAG_DEGENERATE = "degenerate"
 
+# |rho| within this share of the formula's scale flags a point near-branch-point
+_DEGENERACY_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BandPoint:
@@ -51,13 +54,12 @@ def _assemble(
     ms: mult.MultiplierSet,
     rho: float,
     circle_tol: Optional[float],
-    degeneracy_rtol: float,
 ) -> BandPoint:
     tol = mult.circle_tolerance(ms.taus, circle_tol)
     on_circle = tuple(bool(abs(abs(tau) - 1.0) <= tol) for tau in ms.taus)
 
     flags = set(ms.flags)
-    if abs(rho) <= degeneracy_rtol * rho_formula_scale(ms.trace):
+    if abs(rho) <= _DEGENERACY_RTOL * rho_formula_scale(ms.trace):
         flags.add(FLAG_NEAR_BRANCH_POINT)
     if ms.classification is mult.Classification.DEGENERATE:
         flags.add(FLAG_DEGENERATE)
@@ -100,10 +102,7 @@ def _evaluate(
 
 
 def band_point(
-    c: PeriodicCoefficients,
-    lam: float,
-    circle_tol: Optional[float] = None,
-    degeneracy_rtol: float = 1e-9,
+    c: PeriodicCoefficients, lam: float, circle_tol: Optional[float] = None
 ) -> BandPoint:
     """Diagnostics at a single point (branch order as solved, not continued)."""
     lam = float(lam)
@@ -111,7 +110,7 @@ def band_point(
     if err is not None:
         return BandPoint(lam=lam, error=err)
     ms, rho = ms_rho
-    return _assemble(lam, ms, rho, circle_tol, degeneracy_rtol)
+    return _assemble(lam, ms, rho, circle_tol)
 
 
 def scan_real_axis(
@@ -119,7 +118,6 @@ def scan_real_axis(
     interval: tuple[float, float],
     points: int,
     circle_tol: Optional[float] = None,
-    degeneracy_rtol: float = 1e-9,
 ) -> list[BandPoint]:
     """Uniform-grid scan: one period-map evaluation per point.
 
@@ -141,6 +139,6 @@ def scan_real_axis(
     return [
         BandPoint(lam=lam, error=err)
         if err is not None
-        else _assemble(lam, next(continued), ms_rho[1], circle_tol, degeneracy_rtol)
+        else _assemble(lam, next(continued), ms_rho[1], circle_tol)
         for lam, ms_rho, err in evaluated
     ]

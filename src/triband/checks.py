@@ -19,11 +19,9 @@ from .discriminant import rho_product_formula, rho_trace_formula
 from .floquet import char_real_function, count_in_disk
 from .freecase import free_case, free_trace
 from .monodromy import (
-    SpectralParameter,
     char_poly,
     free_diagonalizer,
     picard_maps,
-    propagate_many,
     propagate_pairs,
     traces_at,
 )
@@ -33,6 +31,9 @@ from .util import hausdorff_distance
 # bound checks allow machine-epsilon slack: several are equalities at
 # isolated points (e.g. |T| = 3 exp(z0) in the free case at lambda = 0)
 _BOUND_SLACK = 1e-9
+# requested tail bound of the series route, and the index N of root counting
+_PICARD_TOL = 1e-10
+_ROOT_COUNT_N = 5
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ def _real_grid(lo: float = -500.0, hi: float = 500.0, n: int = 60) -> np.ndarray
 
 def _propagate_grid(c: PeriodicCoefficients, grid) -> list:
     """Period maps at the real points of grid, from one core call."""
-    return propagate_many(c, [SpectralParameter.from_lambda(float(lam)) for lam in grid])
+    return [m for m, _ in propagate_pairs(c, grid)]
 
 
 def check_determinant_identity(c: PeriodicCoefficients) -> CheckResult:
@@ -93,16 +94,16 @@ def check_char_poly_identity(c: PeriodicCoefficients) -> CheckResult:
         for _ in range(20)
     ]
     worst = 0.0
-    for (m, m_bar), (_, tau) in zip(propagate_pairs(c, [lam for lam, _ in draws]), draws):
+    for (m, _), (_, tau) in zip(propagate_pairs(c, [lam for lam, _ in draws]), draws):
         direct = complex(det3(np.asarray(m.M, dtype=complex) - tau * np.eye(3)))
-        poly = char_poly(m, tau, paired=m_bar)
+        poly = char_poly(m, tau)
         worst = max(worst, abs(direct - poly) / (1.0 + abs(direct)))
     return CheckResult("characteristic-polynomial", worst <= 1e-8, worst, 1e-8)
 
 
-def check_free_trace(grid_size: int = 4) -> CheckResult:
+def check_free_trace() -> CheckResult:
     """Propagated trace against the closed form, zero coefficients, |lam| <= 1e6."""
-    c = zero_coefficients(grid_size)
+    c = zero_coefficients()
     worst = 0.0
     grid = [float(lam) for lam in np.linspace(-1e6, 1e6, 80) if lam != 0.0]
     for lam, T in zip(grid, traces_at(c, grid)):
@@ -152,17 +153,17 @@ def check_trace_bounds(c: PeriodicCoefficients) -> CheckResult:
     )
 
 
-def check_picard_agreement(c: PeriodicCoefficients, tol: float = 1e-10) -> CheckResult:
+def check_picard_agreement(c: PeriodicCoefficients) -> CheckResult:
     maps = _propagate_grid(c, np.linspace(-100.0, 100.0, 9))
-    series = picard_maps(c, [m.param for m in maps], tol=tol)
+    series = picard_maps(c, [m.param for m in maps], tol=_PICARD_TOL)
     worst = max(float(np.abs(m.M.astype(complex) - s.M).max()) for m, s in zip(maps, series))
-    threshold = max(1e-8, 10.0 * tol)
+    threshold = max(1e-8, 10.0 * _PICARD_TOL)
     return CheckResult("series-vs-steps", worst <= threshold, worst, threshold)
 
 
-def check_free_closed_forms(grid_size: int = 4) -> CheckResult:
+def check_free_closed_forms() -> CheckResult:
     """Solved multipliers and both discriminant routes against the closed forms."""
-    c = zero_coefficients(grid_size)
+    c = zero_coefficients()
     worst = 0.0
     grid = [float(lam) for lam in np.linspace(-900.0, 900.0, 40) if lam != 0.0]
     for lam, T in zip(grid, traces_at(c, grid)):
@@ -197,7 +198,7 @@ def check_reduction_identity(c: PeriodicCoefficients) -> CheckResult:
     return CheckResult("determinant-reduction", worst <= 1e-8, worst, 1e-8)
 
 
-def check_root_counts(c: PeriodicCoefficients, N: int = 5) -> CheckResult:
+def check_root_counts(c: PeriodicCoefficients) -> CheckResult:
     """Exact root counts in the two canonical disks (2N+1 and 2N roots).
 
     The exact counts are guaranteed only above an unquantified
@@ -208,7 +209,7 @@ def check_root_counts(c: PeriodicCoefficients, N: int = 5) -> CheckResult:
     ok = True
     worst = 0.0
     for k in (0.3, 2.0):
-        res = count_in_disk(c, k, N)
+        res = count_in_disk(c, k, _ROOT_COUNT_N)
         ok = ok and res.count == res.expected and res.reliable
         worst = max(worst, float(abs(res.count - res.expected)))
         detail.append(f"k={k}: {res.count}/{res.expected}")

@@ -123,8 +123,8 @@ def _config_echo(args: argparse.Namespace, c: PeriodicCoefficients) -> dict:
     echo = {"command": args.command, "version": __version__}
     for key in ("coeffs", "p_const", "q_const", "interval", "points", "k",
                 "n_range", "tol", "format"):
-        if hasattr(args, key.replace("-", "_")):
-            value = getattr(args, key.replace("-", "_"))
+        if hasattr(args, key):
+            value = getattr(args, key)
             if value is not None:
                 echo[key] = list(value) if isinstance(value, tuple) else value
     echo["grid_size"] = c.grid_size

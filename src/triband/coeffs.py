@@ -82,10 +82,6 @@ class PeriodicCoefficients:
         """p(0), the value used when conjugating to the classical period map."""
         return float(self.p_samples[0])
 
-    @property
-    def is_zero(self) -> bool:
-        return self.kappa == 0.0
-
 
 def zero_coefficients(grid_size: int = 4) -> PeriodicCoefficients:
     """The free case p = q = 0 (any grid size is exact here)."""

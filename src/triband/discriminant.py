@@ -28,6 +28,9 @@ from .util import uniform_grid
 
 _LD = np.longdouble
 
+# rho within this share of the formula's magnitude scale counts as a zero
+_ZERO_RTOL = 1e-12
+
 
 def rho_trace_formula(T: complex) -> float:
     """|T|^4 - 8 Re(T^3) + 18 |T|^2 - 27, for real lambda.
@@ -112,12 +115,11 @@ def sigma3_intervals(
     search_interval: Optional[tuple[float, float]] = None,
     scan_points: int = 2001,
     tol: float = 1e-6,
-    zero_rtol: float = 1e-12,
 ) -> Sigma3Result:
     """Locate {lambda real : rho(lambda) <= 0} inside the search interval.
 
     Sign-scans rho on a uniform grid, classifies roundoff-size values as
-    zeros (threshold zero_rtol times the formula's magnitude scale),
+    zeros (threshold 1e-12 times the formula's magnitude scale),
     refines every sign-change bracket by Brent down to width tol, all
     endpoints in lockstep, and assembles maximal nonpositive runs into
     intervals.  Runs of zeros with positive neighbours on both sides come
@@ -127,8 +129,6 @@ def sigma3_intervals(
     if search_interval is None:
         search_interval = default_search_interval(c)
     a, b = float(search_interval[0]), float(search_interval[1])
-    if scan_points < 2:
-        raise ValueError("scan_points must be at least 2")
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = uniform_grid(a, b, scan_points)
@@ -139,8 +139,8 @@ def sigma3_intervals(
 
     # sign with a roundoff-aware zero band: -1, 0, +1 per grid point
     signs = np.zeros(len(grid), dtype=int)
-    signs[rho > zero_rtol * scale] = 1
-    signs[rho < -zero_rtol * scale] = -1
+    signs[rho > _ZERO_RTOL * scale] = 1
+    signs[rho < -_ZERO_RTOL * scale] = -1
 
     # maximal runs i..j of non-positive signs, with their negative points
     runs: list[tuple[int, int, list[int]]] = []

@@ -28,7 +28,6 @@ import numpy as np
 from ._rootfind import brent_steps, drive, lockstep
 from .coeffs import PeriodicCoefficients
 from .monodromy import traces_at
-from .util import real_cbrt
 
 
 def char_real_function(k: float, T: complex) -> float:
@@ -271,7 +270,7 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
     n_lo = math.floor((-s_radius - k) / (2 * math.pi)) - 1
     n_hi = math.ceil((s_radius - k) / (2 * math.pi)) + 1
     res = eigenvalues_at_k(c, k, (n_lo, n_hi))
-    count = sum(1 for e in res.eigenvalues if abs(real_cbrt(e.lambda_n)) < s_radius)
+    count = sum(1 for e in res.eigenvalues if abs(np.cbrt(e.lambda_n)) < s_radius)
     return DiskCountResult(
         count=count,
         expected=expected,

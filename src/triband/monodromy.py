@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -102,9 +102,10 @@ class MonodromyResult:
     """Period map M(1, lambda) with its trace and self-check residuals.
 
     The residuals are computed from M on access, so evaluations that only
-    need the trace pay nothing for them.  The symplectic residuals need the
-    period map at conj(lambda): it is M itself for real lambda, M_conj when
-    propagate_pair filled it, and None otherwise.  For the series method,
+    need the trace pay nothing for them.  The symplectic residuals and
+    char_poly need the period map at conj(lambda): it is M itself for real
+    lambda, M_conj for complex lambda from propagate_pairs, and missing for
+    a complex lambda of the series route.  For the series method,
     term_norms holds the norms of the computed series terms and tail_bound
     the analytic truncation bound that fixed the number of terms.
 
@@ -159,16 +160,13 @@ class MonodromyResult:
 
 
 def system_matrices(
-    param: SpectralParameter | Sequence[SpectralParameter], p, q, dtype=complex
+    params: Sequence[SpectralParameter], p, q, dtype=complex
 ) -> tuple[np.ndarray, np.ndarray]:
     """System blocks (P, Q) of Y' = (P + Q) Y for the cells with values p, q.
 
-    P is one 3x3 matrix for one SpectralParameter and a stack (L, 3, 3)
-    for a sequence of L of them; Q is 3x3 for scalar p, q and a stack
-    (n, 3, 3) for arrays of n cell values.
+    P is a stack (L, 3, 3) for a sequence of L SpectralParameters; Q is
+    3x3 for scalar p, q and a stack (n, 3, 3) for arrays of n cell values.
     """
-    single = isinstance(param, SpectralParameter)
-    params = [param] if single else param
     P = np.zeros((len(params), 3, 3), dtype=dtype)
     P[:, 0, 1] = 1.0
     P[:, 1, 2] = 1.0
@@ -179,7 +177,7 @@ def system_matrices(
     Q[..., 1, 0] = -p
     Q[..., 2, 0] = 1j * q
     Q[..., 2, 1] = -p
-    return (P[0] if single else P), Q
+    return P, Q
 
 
 def growth_refusal(
@@ -297,56 +295,32 @@ def _framed_runs(c: PeriodicCoefficients, params: Sequence[SpectralParameter], d
     return P, Q, widths, mu[:, np.newaxis, np.newaxis] ** _FRAME_POWERS
 
 
-def propagate_many(
-    c: PeriodicCoefficients, params: Sequence[SpectralParameter], dtype=EXTENDED
-) -> list[MonodromyResult]:
-    """Period maps with their traces at every SpectralParameter in params."""
-    M = period_maps(c, params, dtype)
-    return [
-        MonodromyResult(
-            param=param,
-            M=M_i,
-            trace_T=trace,
-            method=PropagationMethod.EXPONENTIAL_STEPS,
-            steps_or_terms=c.grid_size,
-        )
-        for param, M_i, trace in zip(params, M, _traces(M))
-    ]
-
-
-def propagate(
-    c: PeriodicCoefficients, param: SpectralParameter, dtype=EXTENDED
-) -> MonodromyResult:
-    """Period map by per-run matrix exponentials (exact for the step model)."""
-    return propagate_many(c, [param], dtype)[0]
-
-
 def propagate_pairs(
-    c: PeriodicCoefficients, lams: Iterable[complex], dtype=EXTENDED
+    c: PeriodicCoefficients, lams: Iterable[complex]
 ) -> list[tuple[MonodromyResult, MonodromyResult]]:
-    """Evaluate at each lambda and at its conjugate, each carrying the other's M.
+    """Period maps at each lambda and at its conjugate, each carrying the other's M.
 
-    The symplectic identity couples the two points, so for complex lambda a
-    single evaluation cannot certify it; this helper makes the pairing
-    explicit instead of conjugating silently.  The points and their
-    conjugates go to the core in one call.
+    The one source of MonodromyResults on the exponential-steps route.  The
+    symplectic identity and char_poly couple the two points, so for complex
+    lambda a single evaluation cannot serve them; the pairing is explicit
+    instead of a silent conjugation.  A real lambda is its own pair (m, m).
+    The points and their conjugates go to period_maps in one call.
     """
     params = [SpectralParameter.from_lambda(lam) for lam in lams]
-    conjugates = [param.conjugate() for param in params if not param.is_real]
-    results = propagate_many(c, params + conjugates, dtype)
-    m_bars = iter(results[len(params) :])
-
-    def pair(m: MonodromyResult, m_bar: MonodromyResult):
-        return replace(m, M_conj=m_bar.M), replace(m_bar, M_conj=m.M)
-
-    return [(m, m) if m.param.is_real else pair(m, next(m_bars)) for m in results[: len(params)]]
-
-
-def propagate_pair(
-    c: PeriodicCoefficients, lam: complex, dtype=EXTENDED
-) -> tuple[MonodromyResult, MonodromyResult]:
-    """Evaluate at lambda and conj(lambda): the one-point case of propagate_pairs."""
-    return propagate_pairs(c, [lam], dtype)[0]
+    n = len(params)
+    partner = list(range(n))  # index of the point at conj(lambda)
+    for i in range(n):
+        if not params[i].is_real:
+            partner[i] = len(params)
+            partner.append(i)
+            params.append(params[i].conjugate())
+    M = period_maps(c, params)
+    results = [
+        MonodromyResult(param, M_i, T, PropagationMethod.EXPONENTIAL_STEPS, c.grid_size,
+                        M_conj=None if j == i else M[j])
+        for i, (param, M_i, T, j) in enumerate(zip(params, M, _traces(M), partner))
+    ]
+    return [(results[i], results[partner[i]]) for i in range(n)]
 
 
 def traces_at(c: PeriodicCoefficients, lams: Iterable[complex]) -> list[complex]:
@@ -359,29 +333,23 @@ def trace_at(c: PeriodicCoefficients, lam: complex) -> complex:
     return traces_at(c, [lam])[0]
 
 
-def char_poly(
-    m: MonodromyResult, tau: complex, paired: Optional[MonodromyResult] = None
-) -> complex:
+def char_poly(m: MonodromyResult, tau: complex) -> complex:
     """Characteristic polynomial det(M(1, lambda) - tau) evaluated at tau.
 
-    Equals -tau^3 + tau^2 T(lambda) - tau conj(T(conj(lambda))) + 1.  For
-    real lambda the linear coefficient is conj(trace); for complex lambda
-    the paired evaluation at conj(lambda) must be supplied.
+    Equals -tau^3 + tau^2 T(lambda) - tau conj(T(conj(lambda))) + 1, with
+    T(conj(lambda)) read off the map at conj(lambda) that m carries: M itself
+    for real lambda, M_conj for a complex lambda from propagate_pairs.
     """
-    if paired is not None:
-        t_bar = np.conj(paired.trace_T)
-    elif m.param.is_real:
-        t_bar = np.conj(m.trace_T)
-    else:
-        raise ValueError(
-            "complex lambda: supply the paired evaluation at conj(lambda)"
-        )
+    M_conj = m._paired_map()
+    if M_conj is None:
+        raise ValueError("complex lambda: evaluate with propagate_pairs")
+    t_bar = np.conj(_traces(M_conj[np.newaxis])[0])
     tau = complex(tau)
     return ((-tau + m.trace_T) * tau - t_bar) * tau + 1.0
 
 
 def free_diagonalizer(
-    param: SpectralParameter | Sequence[SpectralParameter],
+    params: Sequence[SpectralParameter],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Similarity (V, V^{-1}, B) with P = V (i z B) V^{-1} for lambda != 0.
 
@@ -391,8 +359,6 @@ def free_diagonalizer(
     large-lambda perturbation bounds sharp.  V and V^{-1} are stacks
     (L, 3, 3) for a sequence of L points; B is the same for all.
     """
-    single = isinstance(param, SpectralParameter)
-    params = [param] if single else param
     if any(prm.lam == 0 for prm in params):
         raise ValueError("diagonalization requires lambda != 0")
     iz = 1j * np.array([prm.z for prm in params], dtype=complex)
@@ -400,17 +366,21 @@ def free_diagonalizer(
     U = np.array([[1, 1, 1], [1, OMEGA, OMEGA**2], [1, OMEGA**2, OMEGA]]) / math.sqrt(3.0)
     V, V_inv = Z[..., np.newaxis] * U, U.conj().T / Z[:, np.newaxis]
     B = np.diag([1.0, OMEGA, OMEGA**2]).astype(complex)
-    return (V[0], V_inv[0], B) if single else (V, V_inv, B)
+    return V, V_inv, B
 
 
 def q_norm_integral(c: PeriodicCoefficients) -> float:
     """Integral over one period of the spectral norm of Q(t)."""
-    _, Q = system_matrices(SpectralParameter.from_lambda(0.0), c.p_samples, c.q_samples)
+    _, Q = system_matrices([], c.p_samples, c.q_samples)
     total = 0.0
     for norm in np.linalg.norm(Q, 2, axis=(-2, -1)):
         total += float(norm)
     return total / c.grid_size
 
+
+# Terms allowed to the series, and its dtype
+_SERIES_MAX_TERMS = 80
+_SERIES_DTYPE = np.dtype(np.complex128)
 
 # Bytes of block columns per chunk of picard_maps, and of block-Toeplitz matrices per
 # product: at 1 MB the peak RSS of a verify-far benchmark run rose by 2 MB, at 64 KB not.
@@ -468,8 +438,7 @@ def _toeplitz_squares(G: np.ndarray) -> np.ndarray:
 
 
 def picard_maps(
-    c: PeriodicCoefficients, params: Sequence[SpectralParameter], tol: float,
-    max_terms: int = 80, dtype=np.complex128,
+    c: PeriodicCoefficients, params: Sequence[SpectralParameter], tol: float
 ) -> list[MonodromyResult]:
     """picard_monodromy at every point of params, from one evaluation.
 
@@ -483,23 +452,23 @@ def picard_maps(
     for param in params:
         _check_growth(c, param)
         prefactor = math.exp(min(param.z0, MAX_GROWTH_EXPONENT)) * math.exp(kq)
-        for K in range(max_terms + 1):
+        for K in range(_SERIES_MAX_TERMS + 1):
             tail = prefactor * kq ** (K + 1) / math.factorial(K + 1)
             if tail < tol:
                 break
         else:
             raise PicardTruncationError(
                 f"series tail bound {tail:.3e} still above tol={tol:.3e} "
-                f"after {max_terms} terms (kq={kq:.3g}, z0={param.z0:.3g})"
+                f"after {_SERIES_MAX_TERMS} terms (kq={kq:.3g}, z0={param.z0:.3g})"
             )
         orders.append((K, tail))
     n = max((K for K, _ in orders), default=0) + 1
-    P, Q, widths, frame = _framed_runs(c, params, dtype)
+    P, Q, widths, frame = _framed_runs(c, params, _SERIES_DTYPE)
     A0, A1 = P * frame, Q * widths
-    column_bytes = 9 * n * np.dtype(dtype).itemsize
+    column_bytes = 9 * n * _SERIES_DTYPE.itemsize
     group = max(1, min(len(params), _SERIES_CHUNK_BYTES // (n * column_bytes)))
     runs = max(1, _SERIES_CHUNK_BYTES // (group * column_bytes))
-    W = np.zeros((len(params), n, 3, 3), dtype=dtype)
+    W = np.zeros((len(params), n, 3, 3), dtype=_SERIES_DTYPE)
     W[:, 0] = np.eye(3)
     for i in range(0, len(params), group):
         W_i = W[i : i + group].reshape(-1, 3 * n, 3)
@@ -521,8 +490,7 @@ def picard_maps(
 
 
 def picard_monodromy(
-    c: PeriodicCoefficients, param: SpectralParameter, tol: float,
-    max_terms: int = 80, dtype=np.complex128,
+    c: PeriodicCoefficients, param: SpectralParameter, tol: float
 ) -> MonodromyResult:
     """Period map as a truncated iterated-integral series (independent route).
 
@@ -550,4 +518,4 @@ def picard_monodromy(
     each block-Toeplitz product one stacked gemm on the 3(K+1) x 3(K+1)
     matrix; picard_maps batches points in chunks of 64 KB.
     """
-    return picard_maps(c, [param], tol, max_terms, dtype)[0]
+    return picard_maps(c, [param], tol)[0]

@@ -27,6 +27,10 @@ from .monodromy import OMEGA, SpectralParameter
 FLAG_NEAR_BRANCH_POINT = "near-branch-point"
 FLAG_AMBIGUOUS_MATCH = "ambiguous-match"
 
+# flag thresholds of continue_branches (see its docstring)
+_BRANCH_POINT_RTOL = 1e-9
+_TIE_RTOL = 1e-3
+
 _PERMUTATIONS_3 = (
     (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)
 )
@@ -257,8 +261,6 @@ def _apply_permutation(ms: MultiplierSet, perm: tuple[int, int, int]) -> Multipl
 def continue_branches(
     lams: Sequence[float],
     sets: Sequence[MultiplierSet],
-    branch_point_rtol: float = 1e-9,
-    tie_rtol: float = 1e-3,
 ) -> list[MultiplierSet]:
     """Assign consistent branch labels along a real-lambda grid.
 
@@ -266,9 +268,9 @@ def continue_branches(
     zero-coefficient multipliers exp(i z w^(j-1)) and swept downward by
     nearest matching between consecutive points.  Points whose discriminant
     (product of squared multiplier differences) is within
-    branch_point_rtol * (1 + |T|)^4 of zero are flagged near-branch-point:
+    1e-9 (1 + |T|)^4 of zero are flagged near-branch-point:
     label continuity through such a point is not asserted.  A matching
-    whose best and runner-up permutations are within tie_rtol of each
+    whose best and runner-up permutations are within 1e-3 relative of each
     other is flagged ambiguous, not rejected.
 
     The result is returned in the input order; the matching itself works on
@@ -289,14 +291,14 @@ def continue_branches(
         perm, best, second = _match_permutation(ms.taus, reference)
         relabeled = _apply_permutation(ms, perm)
         flags = set(relabeled.flags)
-        if second < math.inf and (second - best) <= tie_rtol * (1.0 + best):
+        if second < math.inf and (second - best) <= _TIE_RTOL * (1.0 + best):
             flags.add(FLAG_AMBIGUOUS_MATCH)
         # rho / (1 + |T|)^4, scaled before squaring: rho itself grows like
         # |T|^4 and overflows long before the propagation guard
         t1, t2, t3 = relabeled.taus
         s = 1.0 + abs(relabeled.trace)
         rho_scaled = ((t1 - t2) / s * (t1 - t3) / s * (t2 - t3)) ** 2
-        if abs(rho_scaled) <= branch_point_rtol:
+        if abs(rho_scaled) <= _BRANCH_POINT_RTOL:
             flags.add(FLAG_NEAR_BRANCH_POINT)
         relabeled = replace(relabeled, flags=frozenset(flags))
         out[order[pos]] = relabeled

@@ -1,15 +1,10 @@
-"""Small shared helpers: real cube root, grids, ranges, set distances."""
+"""Small shared helpers: grids, ranges, set distances."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
 import numpy as np
-
-
-def real_cbrt(x: float) -> float:
-    """Sign-preserving real cube root."""
-    return float(np.cbrt(x))
 
 
 def uniform_grid(a: float, b: float, points: int) -> np.ndarray:

@@ -13,20 +13,19 @@ import numpy as np
 
 from triband import (
     PeriodicCoefficients,
-    SpectralParameter,
     eigenvalues_at_k,
     free_eigenvalues,
     free_trace,
     multiplier_set,
     picard_monodromy,
-    propagate,
-    propagate_pair,
+    propagate_pairs,
     rho_at,
     rho_product_formula,
     rho_trace_formula,
     scan_real_axis,
     sigma3_intervals,
     solve_multipliers,
+    traces_at,
     zero_coefficients,
 )
 from triband.multipliers import Classification
@@ -60,12 +59,10 @@ def test_criterion_1_identity_suite(coefficient_sets):
     worst_det = worst_symp = 0.0
     complex_pts = _complex_samples(40)
     for c in coefficient_sets:
-        for lam in _real_grid(200):
-            m = propagate(c, SpectralParameter.from_lambda(float(lam)))
+        for m, _ in propagate_pairs(c, _real_grid(200)):
             worst_det = max(worst_det, m.det_residual)
             worst_symp = max(worst_symp, m.symplectic_residual)
-        for lam in complex_pts:
-            m, m_bar = propagate_pair(c, lam)
+        for m, m_bar in propagate_pairs(c, complex_pts):
             worst_det = max(worst_det, m.det_residual, m_bar.det_residual)
             worst_symp = max(worst_symp, m.symplectic_residual, m_bar.symplectic_residual)
     elapsed = time.perf_counter() - t0
@@ -79,11 +76,9 @@ def test_criterion_1_identity_suite(coefficient_sets):
 
 def test_criterion_2_free_case_oracle(zero_c):
     worst = 0.0
-    for lam in np.linspace(-1e6, 1e6, 200):
-        if lam == 0.0:
-            continue
-        T = propagate(zero_c, SpectralParameter.from_lambda(float(lam))).trace_T
-        T0 = free_trace(float(lam))
+    lams = [float(lam) for lam in np.linspace(-1e6, 1e6, 200) if lam != 0.0]
+    for lam, T in zip(lams, traces_at(zero_c, lams)):
+        T0 = free_trace(lam)
         worst = max(worst, abs(T - T0) / abs(T0))
     ok = worst <= 1e-8
     _report("2", "free-case trace oracle to |lambda| = 1e6", ok, f"rel {worst:.2e}")
@@ -94,8 +89,7 @@ def test_criterion_3_discriminant_identity(coefficient_sets):
     worst_eq = worst_im = 0.0
     lams = _real_grid(500)
     for c in coefficient_sets:
-        for lam in lams:
-            T = propagate(c, SpectralParameter.from_lambda(float(lam))).trace_T
+        for T in traces_at(c, lams):
             rt = rho_trace_formula(T)
             rp = rho_product_formula(solve_multipliers(T, np.conj(T)))
             scale = 1.0 + abs(rt)
@@ -119,10 +113,9 @@ def test_criterion_4_growth_bounds(coefficient_sets):
     worst = 0.0  # worst (LHS - RHS) normalized by the cap scale
     complex_pts = _complex_samples(40)
     for c in coefficient_sets:
-        for lam in list(_real_grid(200)) + complex_pts:
-            lam = complex(lam)
-            param = SpectralParameter.from_lambda(lam)
-            m = propagate(c, param)
+        lams = [complex(lam) for lam in list(_real_grid(200)) + complex_pts]
+        for lam, (m, _) in zip(lams, propagate_pairs(c, lams)):
+            param = m.param
             scale = 3.0 * math.exp(param.z0 + c.kappa)
             worst = max(worst, (abs(m.trace_T) - scale) / scale)
             if abs(lam) >= 1.0:
@@ -146,9 +139,8 @@ def test_criterion_5_picard_equivalence(const_c, small_c):
     certified = True
     for c in (const_c, small_c):  # kappa 1.5 and 0.8, both <= 2
         assert c.kappa <= 2.0
-        for lam in points:
-            param = SpectralParameter.from_lambda(lam)
-            m_exp = propagate(c, param)
+        for m_exp, _ in propagate_pairs(c, points):
+            param = m_exp.param
             m_ser = picard_monodromy(c, param, tol=1e-10)
             certified = certified and m_ser.tail_bound < 1e-10
             diff = np.abs(
@@ -241,9 +233,9 @@ def test_criterion_8_multiplicity_classification(zero_c):
 def test_criterion_9_multiplier_symmetry(coefficient_sets):
     worst_h = 0.0
     structure_ok = True
+    lams = _real_grid(100)
     for c in coefficient_sets:
-        for lam in _real_grid(100):
-            T = propagate(c, SpectralParameter.from_lambda(float(lam))).trace_T
+        for lam, T in zip(lams, traces_at(c, lams)):
             taus = solve_multipliers(T, np.conj(T))
             worst_h = max(
                 worst_h, hausdorff_distance(tuple(taus), tuple(1.0 / np.conj(taus)))

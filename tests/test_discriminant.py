@@ -9,25 +9,21 @@ from triband import (
     Classification,
     OMEGA,
     PeriodicCoefficients,
-    SpectralParameter,
     default_search_interval,
     free_trace,
     multiplier_set,
-    propagate,
     rho_at,
     rho_product_formula,
     rho_trace_formula,
     sigma3_intervals,
     solve_multipliers,
+    trace_at,
+    traces_at,
     zero_coefficients,
 )
 from triband import monodromy
 from triband._rootfind import brent
 from triband.util import uniform_grid
-
-
-def P(lam):
-    return SpectralParameter.from_lambda(lam)
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ def test_rho_trace_free_case_oracle(zero_c):
         * cmath.sinh(s * OMEGA**2 * z) ** 2
     )
     assert abs(oracle.imag) < 1e-12
-    T = propagate(zero_c, P(1.0)).trace_T
+    T = trace_at(zero_c, 1.0)
     assert rho_trace_formula(T) == pytest.approx(oracle.real, abs=1e-8)
 
 
@@ -78,19 +74,17 @@ def test_rho_product_simple_values():
 
 
 def test_rho_positive_in_one_on_circle_case(coefficient_sets):
+    lams = (25.0, -60.0, 333.0)
     for c in coefficient_sets:
-        for lam in (25.0, -60.0, 333.0):
-            ms = multiplier_set(lam, propagate(c, P(lam)).trace_T)
+        for lam, T in zip(lams, traces_at(c, lams)):
+            ms = multiplier_set(lam, T)
             if ms.classification is Classification.ONE_ON_CIRCLE:
                 assert rho_product_formula(ms.taus).real > 0
 
 
 def test_trace_and_product_routes_agree(coefficient_sets):
     for c in coefficient_sets:
-        for lam in np.linspace(-500, 500, 60):
-            if lam == 0:
-                continue
-            T = propagate(c, P(float(lam))).trace_T
+        for T in traces_at(c, [lam for lam in np.linspace(-500, 500, 60) if lam != 0]):
             rt = rho_trace_formula(T)
             rp = rho_product_formula(solve_multipliers(T, np.conj(T)))
             assert abs(rt - rp.real) <= 1e-6 * (1 + abs(rt))
@@ -98,7 +92,7 @@ def test_trace_and_product_routes_agree(coefficient_sets):
 
 
 def test_discriminant_value_record(const_c):
-    T = propagate(const_c, P(10.0)).trace_T
+    T = trace_at(const_c, 10.0)
     dv = DiscriminantValue.from_trace(10.0, T)
     assert dv.residual <= 1e-6 * (1 + abs(dv.rho_trace))
     assert dv.rho_trace == pytest.approx(dv.rho_product.real, rel=1e-6)
@@ -111,12 +105,10 @@ def test_free_rho_positive_off_zero(zero_c):
 
 def test_classification_matches_rho_sign(const_c, sin_c):
     for c in (const_c, sin_c):
-        for lam in np.linspace(-90, 90, 37):
-            if lam == 0:
-                continue
-            T = propagate(c, P(float(lam))).trace_T
+        lams = [float(lam) for lam in np.linspace(-90, 90, 37) if lam != 0]
+        for lam, T in zip(lams, traces_at(c, lams)):
             rho = rho_trace_formula(T)
-            ms = multiplier_set(float(lam), T)
+            ms = multiplier_set(lam, T)
             if abs(rho) <= 1e-9 * (1 + abs(rho)):
                 continue  # boundary band: classification may be degenerate
             if rho > 0:

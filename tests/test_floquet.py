@@ -9,22 +9,17 @@ import pytest
 from triband import (
     OMEGA,
     PeriodicCoefficients,
-    SpectralParameter,
     char_real_function,
     count_in_disk,
     eigenvalues_at_k,
     free_eigenvalues,
     load_coefficients,
     multiplier_set,
-    propagate,
+    propagate_pairs,
+    trace_at,
 )
-from triband.util import real_cbrt
 
 TWO_PI = 2 * math.pi
-
-
-def P(lam):
-    return SpectralParameter.from_lambda(lam)
 
 
 # ------------------------------------------------------ the scalar reduction
@@ -33,9 +28,9 @@ def P(lam):
 def test_reduction_identity_against_determinant(coefficient_sets):
     """Contract check: det(M - e^{ik}) = 2i e^{3ik/2} F(k, lambda), real lambda."""
     for c in coefficient_sets:
+        maps = [m for m, _ in propagate_pairs(c, np.linspace(-180, 180, 13))]
         for k in (0.0, 0.3, 1.0, math.pi, 5.0):
-            for lam in np.linspace(-180, 180, 13):
-                m = propagate(c, P(float(lam)))
+            for m in maps:
                 direct = np.linalg.det(
                     np.asarray(m.M, complex) - cmath.exp(1j * k) * np.eye(3)
                 )
@@ -48,13 +43,13 @@ def test_free_function_at_k_zero(zero_c):
     for lam in (0.5, 8.0, 55.0, 300.0):
         z = lam ** (1 / 3)
         expected = math.sin(z) - 2 * math.cosh(math.sqrt(3) * z / 2) * math.sin(z / 2)
-        T = propagate(zero_c, P(lam)).trace_T
+        T = trace_at(zero_c, lam)
         assert char_real_function(0.0, T) == pytest.approx(
             expected, rel=1e-10, abs=1e-10
         )
     # zeros exactly at z = 2 pi n
     for n in (1, 2):
-        T = propagate(zero_c, P((TWO_PI * n) ** 3)).trace_T
+        T = trace_at(zero_c, (TWO_PI * n) ** 3)
         scale = 1 + abs(T)
         assert abs(char_real_function(0.0, T)) <= 1e-10 * scale
 
@@ -62,7 +57,7 @@ def test_free_function_at_k_zero(zero_c):
 def test_function_vanishes_when_multiplier_matches(zero_c):
     for n, k in ((0, 1.0), (2, 0.7), (-3, 4.0)):
         lam = (TWO_PI * n + k) ** 3
-        T = propagate(zero_c, P(lam)).trace_T
+        T = trace_at(zero_c, lam)
         assert abs(char_real_function(k, T)) <= 1e-9 * (1 + abs(T))
 
 
@@ -115,8 +110,8 @@ def test_roots_are_spectrum_points(small_c):
     k = 0.9
     res = eigenvalues_at_k(small_c, k, (-3, 3), tol=1e-13)
     assert len(res.eigenvalues) == 7
-    for e in res.eigenvalues:
-        m = propagate(small_c, P(e.lambda_n))
+    pairs = propagate_pairs(small_c, [e.lambda_n for e in res.eigenvalues])
+    for e, (m, _) in zip(res.eigenvalues, pairs):
         ms = multiplier_set(e.lambda_n, m.trace_T)
         assert min(abs(abs(t) - 1) for t in ms.taus) <= 1e-6
         assert 2 * abs(char_real_function(k, m.trace_T)) <= 1e-6
@@ -132,10 +127,10 @@ def test_eigenvalue_curves_cover_the_axis(small_c):
     whose eigenvalue list must contain lambda itself.
     """
     for lam in (6.5, 31.0, 77.7):
-        ms = multiplier_set(lam, propagate(small_c, P(lam)).trace_T)
+        ms = multiplier_set(lam, trace_at(small_c, lam))
         j = int(np.argmin([abs(abs(t) - 1) for t in ms.taus]))
         k = ms.quasimomenta[j].real % TWO_PI
-        n_center = round((real_cbrt(lam) - k) / TWO_PI)
+        n_center = round((np.cbrt(lam) - k) / TWO_PI)
         res = eigenvalues_at_k(small_c, k, (n_center - 1, n_center + 1))
         assert min(abs(e.lambda_n - lam) for e in res.eigenvalues) <= 1e-6 * max(
             1.0, abs(lam)

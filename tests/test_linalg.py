@@ -3,7 +3,7 @@
 expm_stack is checked against a 40-digit mpmath exponential on the run
 generators it is built for, and those generators, as period_maps hands
 them over, against the structure the kernel reads; ordered_product
-against the plain left-multiplying loop, the run-collapsed propagate
+against the plain left-multiplying loop, the run-collapsed period map
 against the uncollapsed per-cell product, and the trace of the period map
 against a 60-digit mpmath product of the run exponentials.
 """
@@ -11,7 +11,7 @@ against a 60-digit mpmath product of the run exponentials.
 import numpy as np
 import pytest
 
-from triband import PeriodicCoefficients, SpectralParameter, monodromy, propagate
+from triband import PeriodicCoefficients, SpectralParameter, monodromy, propagate_pairs
 from triband._linalg import EXTENDED, expm_stack, ordered_product
 from triband.monodromy import period_maps, system_matrices
 
@@ -141,12 +141,13 @@ def test_propagate_matches_uncollapsed_cell_product(lam):
     q = np.repeat([0.3, -0.2, 0.5], [12, 30, 22])
     c = PeriodicCoefficients.from_samples(p, q)
     param = SpectralParameter.from_lambda(lam)
-    P, Q = system_matrices(param, p, q, EXTENDED)
+    P, Q = system_matrices([param], p, q, EXTENDED)
     cells = expm_stack((P + Q) / np.asarray(64, dtype=EXTENDED), EXTENDED)
     expected = cells[0]
     for F in cells[1:]:
         expected = F @ expected
-    got = propagate(c, param).M
+    [(m, _)] = propagate_pairs(c, [lam])
+    got = m.M
     err = np.abs(got - expected).max() / np.abs(expected).max()
     assert float(err) <= 1e-15 * max(1.0, abs(lam) / 1e3)
 

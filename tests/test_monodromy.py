@@ -16,12 +16,12 @@ from triband import (
     free_diagonalizer,
     free_trace,
     picard_monodromy,
-    propagate,
-    propagate_pair,
+    propagate_pairs,
     symplectic_residual,
     zero_coefficients,
 )
 from triband import monodromy
+from triband._linalg import det3
 from triband.monodromy import q_norm_integral, system_matrices
 
 
@@ -76,13 +76,13 @@ def test_growth_exponent_on_real_axis():
 
 
 def test_system_matrices_free():
-    Pm, Qm = system_matrices(P(0.0), 0.0, 0.0)
+    [Pm], Qm = system_matrices([P(0.0)], 0.0, 0.0)
     assert np.array_equal(Pm, np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex))
     assert np.count_nonzero(Qm) == 0
 
 
 def test_system_matrices_entries():
-    Pm, Qm = system_matrices(P(1j), 1.0, 2.0)
+    [Pm], Qm = system_matrices([P(1j)], 1.0, 2.0)
     assert Pm[2, 0] == pytest.approx(1.0)  # -i * i
     assert Qm[1, 0] == pytest.approx(-1.0)
     assert Qm[2, 0] == pytest.approx(2j)
@@ -91,20 +91,20 @@ def test_system_matrices_entries():
 
 
 def test_system_matrices_stack_and_q_norm_match_cell_loop(sin_c):
-    _, Q = system_matrices(P(3.0), sin_c.p_samples, sin_c.q_samples)
+    _, Q = system_matrices([P(3.0)], sin_c.p_samples, sin_c.q_samples)
     total = 0.0
     for i in range(sin_c.grid_size):
-        _, Q_i = system_matrices(P(3.0), *sin_c.cell_values(i))
+        _, Q_i = system_matrices([P(3.0)], *sin_c.cell_values(i))
         assert np.array_equal(Q[i], Q_i)
         total += np.linalg.norm(Q_i, 2)
     assert q_norm_integral(sin_c) == total / sin_c.grid_size
 
 
-# ---------------------------------------------------------------- propagate
+# ---------------------------------------------------------- propagate_pairs
 
 
 def test_free_monodromy_at_zero(zero_c):
-    m = propagate(zero_c, P(0.0))
+    [(m, _)] = propagate_pairs(zero_c, [0.0])
     expected = np.array([[1, 1, 0.5], [0, 1, 1], [0, 0, 1]], dtype=complex)
     assert np.allclose(np.asarray(m.M, complex), expected, atol=1e-15)
     assert m.trace_T == pytest.approx(3.0)
@@ -113,7 +113,7 @@ def test_free_monodromy_at_zero(zero_c):
 @pytest.mark.parametrize("lam", [3.0, -17.5, 240.0, 2.0 + 3.0j, -50.0 + 12.0j])
 def test_free_monodromy_eigenvalues(zero_c, lam):
     # eigenvalues of the free period map are exp(i w^(j-1) z)
-    m = propagate(zero_c, P(lam))
+    [(m, _)] = propagate_pairs(zero_c, [lam])
     got = np.sort_complex(np.linalg.eigvals(np.asarray(m.M, complex)))
     want = np.sort_complex(np.array([np.exp(1j * OMEGA**j * P(lam).z) for j in range(3)]))
     assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
@@ -121,8 +121,8 @@ def test_free_monodromy_eigenvalues(zero_c, lam):
 
 def test_grid_size_does_not_matter_for_constant_coefficients():
     lam = 11.0
-    coarse = propagate(PeriodicCoefficients.from_constants(0.7, -0.2, 1), P(lam))
-    fine = propagate(PeriodicCoefficients.from_constants(0.7, -0.2, 64), P(lam))
+    [(coarse, _)] = propagate_pairs(PeriodicCoefficients.from_constants(0.7, -0.2, 1), [lam])
+    [(fine, _)] = propagate_pairs(PeriodicCoefficients.from_constants(0.7, -0.2, 64), [lam])
     assert np.allclose(
         np.asarray(coarse.M, complex), np.asarray(fine.M, complex), atol=1e-13
     )
@@ -132,11 +132,11 @@ def test_plain_double_precision_fallback(sin_c):
     # the dtype knob exists for platforms without an extended long double;
     # at moderate lambda the two paths agree to full double precision
     par = P(35.0)
-    m_ext = propagate(sin_c, par)
-    m_dbl = propagate(sin_c, par, dtype=np.complex128)
-    assert m_dbl.M.dtype == np.complex128
-    assert np.allclose(np.asarray(m_ext.M, complex), m_dbl.M, rtol=1e-12, atol=1e-12)
-    assert m_dbl.det_residual <= 1e-12
+    [M_ext] = monodromy.period_maps(sin_c, [par])
+    [M_dbl] = monodromy.period_maps(sin_c, [par], dtype=np.complex128)
+    assert M_dbl.dtype == np.complex128
+    assert np.allclose(np.asarray(M_ext, complex), M_dbl, rtol=1e-12, atol=1e-12)
+    assert abs(complex(det3(M_dbl)) - 1.0) <= 1e-12
 
 
 def test_substeps_change_nothing(sin_c):
@@ -144,16 +144,15 @@ def test_substeps_change_nothing(sin_c):
     refined = PeriodicCoefficients.from_samples(
         np.repeat(sin_c.p_samples, 3), np.repeat(sin_c.q_samples, 3)
     )
-    m1 = propagate(sin_c, P(25.0))
-    m3 = propagate(refined, P(25.0))
+    [(m1, _)] = propagate_pairs(sin_c, [25.0])
+    [(m3, _)] = propagate_pairs(refined, [25.0])
     assert m3.steps_or_terms == 3 * sin_c.grid_size
     assert np.allclose(np.asarray(m1.M, complex), np.asarray(m3.M, complex), atol=1e-12)
 
 
 def test_determinant_and_symplectic_residuals(coefficient_sets):
     for c in coefficient_sets:
-        for lam in np.linspace(-400, 400, 21):
-            m = propagate(c, P(float(lam)))
+        for m, _ in propagate_pairs(c, np.linspace(-400, 400, 21)):
             assert m.det_residual <= 1e-9
             assert m.symplectic_residual <= 1e-8
 
@@ -170,7 +169,7 @@ def test_scaled_residuals_stay_at_roundoff(const_c, sin_c, lam):
         np.repeat([0.8, -0.3], [40, 24]), np.repeat([-0.5, 0.4], [40, 24])
     )
     for c in (const_c, sin_c, steps):
-        m = propagate(c, P(lam))
+        [(m, _)] = propagate_pairs(c, [lam])
         assert m.det_residual_scaled <= 1e-17
         assert m.symplectic_residual_scaled <= 1e-15
 
@@ -179,7 +178,7 @@ def test_symplectic_identity_complex_pairs(sin_c):
     rng = np.random.default_rng(11)
     for _ in range(8):
         lam = complex(rng.uniform(-300, 300), rng.uniform(-300, 300))
-        m, m_bar = propagate_pair(sin_c, lam)
+        [(m, m_bar)] = propagate_pairs(sin_c, [lam])
         assert m.symplectic_residual <= 1e-8
         assert m_bar.symplectic_residual <= 1e-8
         assert max(m.symplectic_residual_scaled, m_bar.symplectic_residual_scaled) <= 1e-15
@@ -188,18 +187,18 @@ def test_symplectic_identity_complex_pairs(sin_c):
         R = np.asarray(m_bar.M, complex).conj().T @ J @ np.asarray(m.M, complex) - J
         assert np.linalg.norm(R, 2) <= 1e-8
     # unpaired complex lambda: the identity needs M(conj(lambda))
-    assert propagate(sin_c, P(lam)).symplectic_residual_scaled is None
+    assert picard_monodromy(sin_c, P(lam), tol=1e-10).symplectic_residual_scaled is None
 
 
 def test_propagate_pair_real_lambda_is_single_evaluation(sin_c):
-    m, m_bar = propagate_pair(sin_c, 7.0)
+    [(m, m_bar)] = propagate_pairs(sin_c, [7.0])
     assert m is m_bar
     assert m.symplectic_residual is not None
 
 
 def test_overflow_fails_loudly(const_c):
     with pytest.raises(PropagationOverflowError):
-        propagate(const_c, P(1e12))
+        propagate_pairs(const_c, [1e12])
 
 
 # ------------------------------------------------------------------- bounds
@@ -208,31 +207,26 @@ def test_overflow_fails_loudly(const_c):
 def test_trace_bound(coefficient_sets):
     # |T| <= 3 exp(z0 + kappa) everywhere
     for c in coefficient_sets:
-        for lam in list(np.linspace(-500, 500, 41)) + [2.0 + 90.0j, -30.0 - 200.0j]:
-            par = P(complex(lam))
-            m = propagate(c, par)
-            assert abs(m.trace_T) <= 3 * math.exp(par.z0 + c.kappa) * (1 + 1e-9)
+        lams = list(np.linspace(-500, 500, 41)) + [2.0 + 90.0j, -30.0 - 200.0j]
+        for m, _ in propagate_pairs(c, lams):
+            assert abs(m.trace_T) <= 3 * math.exp(m.param.z0 + c.kappa) * (1 + 1e-9)
 
 
 def test_trace_perturbation_bound(const_c, sin_c):
     # |T - T0| <= 3 kappa exp(z0 + kappa)/|z| for |lambda| >= 1
     for c in (const_c, sin_c):
-        for lam in np.linspace(-500, 500, 41):
-            if abs(lam) < 1:
-                continue
-            par = P(float(lam))
-            m = propagate(c, par)
-            cap = 3 * c.kappa * math.exp(par.z0 + c.kappa) / abs(par.z)
-            assert abs(m.trace_T - free_trace(float(lam))) <= cap * (1 + 1e-9)
+        lams = [float(lam) for lam in np.linspace(-500, 500, 41) if abs(lam) >= 1]
+        for lam, (m, _) in zip(lams, propagate_pairs(c, lams)):
+            cap = 3 * c.kappa * math.exp(m.param.z0 + c.kappa) / abs(m.param.z)
+            assert abs(m.trace_T - free_trace(lam)) <= cap * (1 + 1e-9)
 
 
 def test_transformed_frame_bound(const_c, sin_c):
     # || V^-1 M V - exp(izB) || <= (kappa/|z|) exp(z0 + kappa), |lambda| >= 1
     for c in (const_c, sin_c):
-        for lam in (1.0, -2.0, 9.0, -75.0, 300.0, 1e4, -1e5):
-            par = P(lam)
-            m = propagate(c, par)
-            V, V_inv, B = free_diagonalizer(par)
+        for m, _ in propagate_pairs(c, [1.0, -2.0, 9.0, -75.0, 300.0, 1e4, -1e5]):
+            par = m.param
+            [V], [V_inv], B = free_diagonalizer([par])
             frame = V_inv @ np.asarray(m.M, complex) @ V
             free = np.diag(np.exp(1j * par.z * np.diag(B)))
             cap = c.kappa / abs(par.z) * math.exp(par.z0 + c.kappa)
@@ -241,8 +235,8 @@ def test_transformed_frame_bound(const_c, sin_c):
 
 def test_free_diagonalizer_diagonalizes():
     par = P(5.0 - 3.0j)
-    V, V_inv, B = free_diagonalizer(par)
-    Pm, _ = system_matrices(par, 0.0, 0.0)
+    [V], [V_inv], B = free_diagonalizer([par])
+    [Pm], _ = system_matrices([par], 0.0, 0.0)
     assert np.allclose(V @ (1j * par.z * B) @ V_inv, Pm, atol=1e-12)
     assert np.allclose(V @ V_inv, np.eye(3), atol=1e-13)
 
@@ -254,12 +248,12 @@ def test_picard_free_case_terminates_at_zeroth_term(zero_c):
     m = picard_monodromy(zero_c, P(30.0), tol=1e-10)
     assert m.method is PropagationMethod.PICARD_SERIES
     assert m.steps_or_terms == 0
-    direct = propagate(zero_c, P(30.0))
+    [(direct, _)] = propagate_pairs(zero_c, [30.0])
     assert np.allclose(np.asarray(m.M, complex), np.asarray(direct.M, complex), atol=1e-10)
 
 
 def test_picard_agrees_with_exponential_steps(small_c):
-    m_exp = propagate(small_c, P(10.0))
+    [(m_exp, _)] = propagate_pairs(small_c, [10.0])
     m_ser = picard_monodromy(small_c, P(10.0), tol=1e-10)
     diff = np.abs(np.asarray(m_exp.M, complex) - np.asarray(m_ser.M, complex)).max()
     assert diff <= 1e-8
@@ -283,7 +277,7 @@ def test_picard_term_norms_bound(small_c, sin_c):
         for lam in (0.001, 1.0, -20.0, 100.0):
             par = P(lam)
             m = picard_monodromy(c, par, tol=1e-10)
-            Pm, _ = system_matrices(par, 0.0, 0.0)
+            [Pm], _ = system_matrices([par], 0.0, 0.0)
             transient = max(
                 np.linalg.norm(_expm_dense(Pm * t), 2) * math.exp(-par.z0 * t)
                 for t in np.linspace(0.05, 1.0, 20)
@@ -316,7 +310,7 @@ def test_picard_first_terms_against_quadrature_oracle():
     c = PeriodicCoefficients.from_constants(0.5, 0.3, 8)
     lam = 10.0
     par = P(lam)
-    Pm, _ = system_matrices(par, 0.0, 0.0)
+    [Pm], _ = system_matrices([par], 0.0, 0.0)
     h = 1.0 / c.grid_size
     nodes, weights = np.polynomial.legendre.leggauss(12)
 
@@ -369,8 +363,7 @@ def test_picard_first_terms_against_quadrature_oracle():
 def test_symplectic_inverse_formula(sin_c):
     # the identity pins the inverse: M^{-1} = -J M(conj lambda)^* J
     J = SYMPLECTIC_J
-    for lam in (4.0, -35.0, 6.0 + 2.0j):
-        m, m_bar = propagate_pair(sin_c, lam)
+    for m, m_bar in propagate_pairs(sin_c, [4.0, -35.0, 6.0 + 2.0j]):
         M = np.asarray(m.M, complex)
         inv_direct = np.linalg.inv(M)
         inv_symplectic = -J @ np.asarray(m_bar.M, complex).conj().T @ J
@@ -482,15 +475,12 @@ def test_picard_maps_refuses_before_any_work(const_c, monkeypatch, far, error):
 
 def test_char_poly_at_zero_is_one(coefficient_sets):
     for c in coefficient_sets:
-        for lam in (0.0, 4.0, -9.0):
-            m = propagate(c, P(lam))
+        for m, _ in propagate_pairs(c, [0.0, 4.0, -9.0]):
             assert char_poly(m, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_char_poly_vanishes_at_free_multiplier(zero_c):
-    for n in (1, 2, 3):
-        lam = (2 * math.pi * n) ** 3
-        m = propagate(zero_c, P(lam))
+    for m, _ in propagate_pairs(zero_c, [(2 * math.pi * n) ** 3 for n in (1, 2, 3)]):
         scale = 1 + abs(m.trace_T) ** 2
         assert abs(char_poly(m, 1.0)) <= 1e-10 * scale
 
@@ -498,11 +488,8 @@ def test_char_poly_vanishes_at_free_multiplier(zero_c):
 def test_char_poly_free_product_form(zero_c):
     # det(M0 - tau) = -(tau - e^{iz})(tau - e^{iwz})(tau - e^{iw^2 z})
     rng = np.random.default_rng(5)
-    for lam in np.linspace(-300, 300, 13):
-        if lam == 0:
-            continue
-        m = propagate(zero_c, P(float(lam)))
-        z = P(float(lam)).z
+    for m, _ in propagate_pairs(zero_c, [lam for lam in np.linspace(-300, 300, 13) if lam != 0]):
+        z = m.param.z
         roots = [np.exp(1j * OMEGA**j * z) for j in range(3)]
         for _ in range(3):
             tau = complex(rng.normal(), rng.normal())
@@ -515,14 +502,15 @@ def test_char_poly_matches_determinant_for_complex_lambda(sin_c):
     rng = np.random.default_rng(13)
     for _ in range(10):
         lam = complex(rng.uniform(-150, 150), rng.uniform(-150, 150))
-        m, m_bar = propagate_pair(sin_c, lam)
+        [(m, _)] = propagate_pairs(sin_c, [lam])
         tau = complex(rng.normal(), rng.normal())
         direct = np.linalg.det(np.asarray(m.M, complex) - tau * np.eye(3))
-        assert abs(char_poly(m, tau, paired=m_bar) - direct) <= 1e-8 * (1 + abs(direct))
+        assert abs(char_poly(m, tau) - direct) <= 1e-8 * (1 + abs(direct))
 
 
 def test_char_poly_complex_lambda_requires_pair(sin_c):
-    m, _ = propagate_pair(sin_c, 2.0 + 1.0j)
+    # a series result at complex lambda carries no map at conj(lambda)
+    m = picard_monodromy(sin_c, P(2.0 + 1.0j), tol=1e-10)
     with pytest.raises(ValueError):
         char_poly(m, 1.0)
 
@@ -531,15 +519,14 @@ def test_char_poly_complex_lambda_requires_pair(sin_c):
 
 
 def test_standard_conjugate_identity_when_p0_zero(zero_c):
-    m = propagate(zero_c, P(6.0))
+    [(m, _)] = propagate_pairs(zero_c, [6.0])
     assert np.allclose(
         standard_monodromy_conjugate(m, 0.0), np.asarray(m.M, complex), atol=1e-14
     )
 
 
 def test_standard_conjugate_preserves_trace(const_c):
-    for lam in (2.0, -30.0, 100.0):
-        m = propagate(const_c, P(lam))
+    for m, _ in propagate_pairs(const_c, [2.0, -30.0, 100.0]):
         conj = standard_monodromy_conjugate(m, const_c.p_at_zero)
         assert np.trace(conj) == pytest.approx(m.trace_T, rel=1e-12)
 
@@ -570,7 +557,7 @@ def test_standard_conjugate_against_classical_integration():
             y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         M_classical[:, col] = y
 
-    m = propagate(c, P(lam))
+    [(m, _)] = propagate_pairs(c, [lam])
     conj = standard_monodromy_conjugate(m, p0)
     assert np.allclose(conj, M_classical, atol=5e-9)
 
@@ -623,21 +610,24 @@ def test_batched_core_equals_per_lambda_loop(family, n):
     params = [P(lam) for lam in lams]
 
     batched = monodromy.period_maps(c, params)
-    looped = np.stack([propagate(c, par).M for par in params])
-    assert batched.dtype == looped.dtype
-    assert np.array_equal(batched, looped)
-    assert monodromy.traces_at(c, lams) == [propagate(c, par).trace_T for par in params]
+    looped = [propagate_pairs(c, [lam])[0][0] for lam in lams]
+    assert batched.dtype == looped[0].M.dtype
+    assert np.array_equal(batched, np.stack([m.M for m in looped]))
+    pairs = propagate_pairs(c, lams)
+    assert all(np.array_equal(m.M, one.M) for (m, _), one in zip(pairs, looped))
+    assert monodromy.traces_at(c, lams) == [m.trace_T for m in looped]
+    assert [m.trace_T for m, _ in pairs] == [m.trace_T for m in looped]
 
     wide = monodromy.period_maps(c, params, dtype=np.complex128)
     for M, par in zip(wide, params):
-        ref = propagate(c, par, dtype=np.complex128).M
+        [ref] = monodromy.period_maps(c, [par], dtype=np.complex128)
         assert np.abs(M - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_batched_core_refuses_like_the_one_lambda_path(sin_c):
     far = P(-1e12)
     with pytest.raises(PropagationOverflowError) as single:
-        propagate(sin_c, far)
+        propagate_pairs(sin_c, [far.lam])
     with pytest.raises(PropagationOverflowError) as batched:
         monodromy.period_maps(sin_c, [P(1.0), P(3 + 4j), far, P(-5.0)])
     assert str(batched.value) == str(single.value)

@@ -13,9 +13,11 @@ from triband import (
     free_multipliers,
     lyapunov_and_quasimomenta,
     multiplier_set,
-    propagate,
+    propagate_pairs,
     rho_product_formula,
     solve_multipliers,
+    trace_at,
+    traces_at,
 )
 from triband.multipliers import FLAG_NEAR_BRANCH_POINT, MultiplierSet
 from triband.util import hausdorff_distance
@@ -31,7 +33,7 @@ def test_triple_root():
 
 
 def test_free_multipliers_at_lambda_eight(zero_c):
-    T = propagate(zero_c, P(8.0)).trace_T
+    T = trace_at(zero_c, 8.0)
     taus = np.sort_complex(solve_multipliers(T, np.conj(T)))
     expected = np.sort_complex(
         np.array([cmath.exp(2j), cmath.exp(-1j - math.sqrt(3)), cmath.exp(-1j + math.sqrt(3))])
@@ -44,7 +46,7 @@ def test_roots_match_matrix_eigenvalues(sin_c):
     rng = np.random.default_rng(2)
     for _ in range(12):
         lam = float(rng.uniform(-300, 300))
-        m = propagate(sin_c, P(lam))
+        [(m, _)] = propagate_pairs(sin_c, [lam])
         taus = np.sort_complex(solve_multipliers(m.trace_T, np.conj(m.trace_T)))
         eigs = np.sort_complex(np.linalg.eigvals(np.asarray(m.M, complex)))
         assert np.allclose(taus, eigs, atol=1e-7 * (1 + abs(m.trace_T)))
@@ -52,8 +54,7 @@ def test_roots_match_matrix_eigenvalues(sin_c):
 
 def test_product_is_one(coefficient_sets):
     for c in coefficient_sets:
-        for lam in np.linspace(-450, 450, 31):
-            T = propagate(c, P(float(lam))).trace_T
+        for T in traces_at(c, np.linspace(-450, 450, 31)):
             taus = solve_multipliers(T, np.conj(T))
             assert abs(np.prod(taus) - 1) <= 1e-9
 
@@ -61,8 +62,7 @@ def test_product_is_one(coefficient_sets):
 def test_real_axis_symmetry(coefficient_sets):
     # the multiset {tau} equals {1/conj(tau)} on the real axis
     for c in coefficient_sets:
-        for lam in np.linspace(-450, 450, 31):
-            T = propagate(c, P(float(lam))).trace_T
+        for T in traces_at(c, np.linspace(-450, 450, 31)):
             taus = solve_multipliers(T, np.conj(T))
             assert hausdorff_distance(tuple(taus), tuple(1 / np.conj(taus))) <= 1e-8
 
@@ -76,7 +76,7 @@ def test_rejects_nonfinite_coefficients():
 
 
 def test_classify_one_on_circle_free(zero_c):
-    ms = multiplier_set(8.0, propagate(zero_c, P(8.0)).trace_T)
+    ms = multiplier_set(8.0, trace_at(zero_c, 8.0))
     assert ms.classification is Classification.ONE_ON_CIRCLE
     moduli = sorted(abs(t) for t in ms.taus)
     assert moduli[0] == pytest.approx(math.exp(-math.sqrt(3)), rel=1e-8)
@@ -86,16 +86,17 @@ def test_classify_one_on_circle_free(zero_c):
 
 def test_classify_all_on_circle_at_triple_point(zero_c):
     # T(0) = 3: the multiplier is 1 with multiplicity three
-    ms = multiplier_set(0.0, propagate(zero_c, P(0.0)).trace_T)
+    ms = multiplier_set(0.0, trace_at(zero_c, 0.0))
     assert ms.taus == (1.0, 1.0, 1.0)
     assert ms.classification is Classification.ALL_ON_CIRCLE
 
 
 def test_classify_off_circle_pair_structure(coefficient_sets):
     # one-on-circle case: the two off-circle roots satisfy tau_a = 1/conj(tau_b)
+    lams = (30.0, -123.0, 400.0)
     for c in coefficient_sets:
-        for lam in (30.0, -123.0, 400.0):
-            ms = multiplier_set(lam, propagate(c, P(lam)).trace_T)
+        for lam, T in zip(lams, traces_at(c, lams)):
+            ms = multiplier_set(lam, T)
             if ms.classification is not Classification.ONE_ON_CIRCLE:
                 continue
             off = [t for t in ms.taus if abs(abs(t) - 1) > 1e-6]
@@ -120,9 +121,10 @@ def test_lyapunov_of_unit_multiplier():
 
 def test_free_lyapunov_is_cosine_of_cube_root(zero_c):
     # on the positive axis the unimodular branch carries cos(lambda^(1/3))
-    for lam in (8.0, 27.0, 125.0):
+    lams = (8.0, 27.0, 125.0)
+    for lam, T in zip(lams, traces_at(zero_c, lams)):
         z = P(lam).z
-        ms = multiplier_set(lam, propagate(zero_c, P(lam)).trace_T)
+        ms = multiplier_set(lam, T)
         j = int(np.argmin([abs(t - cmath.exp(1j * z)) for t in ms.taus]))
         assert ms.lyapunov[j].real == pytest.approx(math.cos(lam ** (1 / 3)), abs=1e-9)
         assert abs(ms.lyapunov[j].imag) <= 1e-9
@@ -130,9 +132,10 @@ def test_free_lyapunov_is_cosine_of_cube_root(zero_c):
 
 def test_lyapunov_real_exactly_for_unimodular_or_real_multipliers(coefficient_sets):
     # Delta = (tau + 1/tau)/2 is real iff tau is on the unit circle or real
+    lams = (30.0, -123.0, 400.0)
     for c in coefficient_sets:
-        for lam in (30.0, -123.0, 400.0):
-            ms = multiplier_set(lam, propagate(c, P(lam)).trace_T)
+        for lam, T in zip(lams, traces_at(c, lams)):
+            ms = multiplier_set(lam, T)
             for tau, delta in zip(ms.taus, ms.lyapunov):
                 on_circle_or_real = (
                     abs(abs(tau) - 1.0) <= 1e-7 or abs(tau.imag) <= 1e-7 * abs(tau)
@@ -159,10 +162,7 @@ def test_lyapunov_equals_cos_of_quasimomentum():
 
 
 def _sets_on_grid(c, grid):
-    out = []
-    for lam in grid:
-        out.append(multiplier_set(float(lam), propagate(c, P(float(lam))).trace_T))
-    return out
+    return [multiplier_set(float(lam), T) for lam, T in zip(grid, traces_at(c, grid))]
 
 
 def test_free_branch_tracking(zero_c):
