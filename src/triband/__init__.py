@@ -52,7 +52,6 @@ from .multipliers import (
     classify_on_circle,
     continue_branches,
     free_multipliers,
-    lyapunov_and_quasimomenta,
     multiplier_set,
     solve_multipliers,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "free_multipliers",
     "free_trace",
     "load_coefficients",
-    "lyapunov_and_quasimomenta",
     "multiplier_set",
     "parse_coefficients",
     "picard_monodromy",

@@ -49,32 +49,28 @@ class BandPoint:
     error: Optional[str] = None
 
 
-def _assemble(
-    lam: float,
-    ms: mult.MultiplierSet,
-    rho: float,
-    circle_tol: Optional[float],
-) -> BandPoint:
-    tol = mult.circle_tolerance(ms.taus, circle_tol)
-    on_circle = tuple(bool(abs(abs(tau) - 1.0) <= tol) for tau in ms.taus)
+def _assemble(lam: float, ms: mult.MultiplierSet, rho: float) -> BandPoint:
+    on_circle = mult.on_circle(ms.taus)
+    count = sum(on_circle)
+    lyapunov = ms.lyapunov
 
     flags = set(ms.flags)
     if abs(rho) <= _DEGENERACY_RTOL * rho_formula_scale(ms.trace):
         flags.add(FLAG_NEAR_BRANCH_POINT)
-    if ms.classification is mult.Classification.DEGENERATE:
+    if count not in (1, 3):
         flags.add(FLAG_DEGENERATE)
 
     real_branches = tuple(
         float(min(1.0, max(-1.0, delta.real)))
-        for delta, unimod in zip(ms.lyapunov, on_circle)
+        for delta, unimod in zip(lyapunov, on_circle)
         if unimod
     )
     return BandPoint(
         lam=lam,
         rho=rho,
         multiplicity=3 if rho <= 0 else 1,
-        on_circle_count=int(sum(on_circle)),
-        lyapunov_branches=ms.lyapunov,
+        on_circle_count=count,
+        lyapunov_branches=lyapunov,
         branch_on_circle=on_circle,
         lyapunov_real_branches=real_branches,
         flags=frozenset(flags),
@@ -82,7 +78,7 @@ def _assemble(
 
 
 def _evaluate(
-    c: PeriodicCoefficients, lams: list[float], circle_tol: Optional[float]
+    c: PeriodicCoefficients, lams: list[float]
 ) -> list[tuple[Optional[tuple[mult.MultiplierSet, float]], Optional[str]]]:
     """Per lambda ((multiplier set, rho), None), or (None, overflow message).
 
@@ -96,28 +92,25 @@ def _evaluate(
             out.append((None, str(err)))
             continue
         T = next(traces)
-        ms = mult.multiplier_set(lam, T, circle_tol=circle_tol)
+        ms = mult.multiplier_set(lam, T)
         out.append(((ms, rho_trace_formula(T)), None))
     return out
 
 
-def band_point(
-    c: PeriodicCoefficients, lam: float, circle_tol: Optional[float] = None
-) -> BandPoint:
+def band_point(c: PeriodicCoefficients, lam: float) -> BandPoint:
     """Diagnostics at a single point (branch order as solved, not continued)."""
     lam = float(lam)
-    [(ms_rho, err)] = _evaluate(c, [lam], circle_tol)
+    [(ms_rho, err)] = _evaluate(c, [lam])
     if err is not None:
         return BandPoint(lam=lam, error=err)
     ms, rho = ms_rho
-    return _assemble(lam, ms, rho, circle_tol)
+    return _assemble(lam, ms, rho)
 
 
 def scan_real_axis(
     c: PeriodicCoefficients,
     interval: tuple[float, float],
     points: int,
-    circle_tol: Optional[float] = None,
 ) -> list[BandPoint]:
     """Uniform-grid scan: one period-map evaluation per point.
 
@@ -130,7 +123,7 @@ def scan_real_axis(
     """
     grid = uniform_grid(float(interval[0]), float(interval[1]), points)
     lams = [float(lam) for lam in grid]
-    evaluated = [(lam, *result) for lam, result in zip(lams, _evaluate(c, lams, circle_tol))]
+    evaluated = [(lam, *result) for lam, result in zip(lams, _evaluate(c, lams))]
 
     good = [(lam, ms_rho) for lam, ms_rho, err in evaluated if err is None]
     continued = iter(
@@ -139,6 +132,6 @@ def scan_real_axis(
     return [
         BandPoint(lam=lam, error=err)
         if err is not None
-        else _assemble(lam, next(continued), ms_rho[1], circle_tol)
+        else _assemble(lam, next(continued), ms_rho[1])
         for lam, ms_rho, err in evaluated
     ]

@@ -57,8 +57,8 @@ class CheckResult:
         )
 
 
-def _real_grid(lo: float = -500.0, hi: float = 500.0, n: int = 60) -> np.ndarray:
-    grid = np.linspace(lo, hi, n)
+def _real_grid(n: int = 60) -> np.ndarray:
+    grid = np.linspace(-500.0, 500.0, n)
     return grid[grid != 0.0]
 
 

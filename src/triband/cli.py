@@ -77,10 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="A,B", help="real scan window")
     p_scan.add_argument("--points", type=int, default=201,
                         help="grid points in the window (default 201)")
-    p_scan.add_argument(
-        "--tol", type=float, default=None,
-        help="unit-circle tolerance (default 1e-8*(1+|T|))",
-    )
     _add_output_args(p_scan)
 
     p_eigs = sub.add_parser("eigs", help="eigenvalue table at one quasimomentum")
@@ -207,7 +203,7 @@ def _scan_json(points: list[BandPoint]) -> list[dict]:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     c = _coefficients_from(args)
-    points = scan_real_axis(c, args.interval, args.points, circle_tol=args.tol)
+    points = scan_real_axis(c, args.interval, args.points)
     config = _config_echo(args, c)
     if args.format == "csv":
         text = _render_csv(

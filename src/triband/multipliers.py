@@ -9,14 +9,14 @@ tau -> 1/conj(tau).  Exactly one or all three lie on the unit circle at a
 real spectral point; in the one-on-circle case the remaining pair is
 (e^{ik}, e^{i conj(k)}) with nonreal k.  Each multiplier carries a Lyapunov
 value Delta = (tau + 1/tau)/2 = cos(k) and a quasimomentum k with
-Re k normalized to [0, 2pi).
+Re k normalized to [0, 2pi); both are computed from tau on access.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -44,24 +44,44 @@ class Classification(Enum):
 
 @dataclass(frozen=True)
 class MultiplierSet:
-    """Multipliers at one spectral point, with branch bookkeeping.
+    """Multipliers at one spectral point, with continuation flags.
 
-    labels[i] is the branch tag of taus[i]; after continuation the tags
-    follow the asymptotic convention (branch j tends to exp(i z w^(j-1))).
-    classification is meaningful for real lambda only.
+    After continue_branches, taus[j - 1] is branch j of the asymptotic
+    convention (branch j tends to exp(i z w^(j-1))).  The Lyapunov data and
+    the classification are views of taus; classification is None for
+    complex lambda.
     """
 
     lam: complex
     taus: tuple[complex, complex, complex]
-    labels: tuple[int, int, int] = (1, 2, 3)
-    classification: Optional[Classification] = None
-    lyapunov: Optional[tuple[complex, complex, complex]] = None
-    quasimomenta: Optional[tuple[complex, complex, complex]] = None
     flags: frozenset[str] = frozenset()
 
     @property
     def trace(self) -> complex:
         return sum(self.taus)
+
+    @property
+    def lyapunov(self) -> tuple[complex, complex, complex]:
+        """Delta_j = (tau_j + 1/tau_j)/2; tau = 0 contradicts det M = 1."""
+        assert all(tau != 0 for tau in self.taus), "zero multiplier contradicts det M = 1"
+        return tuple((tau + 1.0 / tau) / 2.0 for tau in self.taus)
+
+    @property
+    def quasimomenta(self) -> tuple[complex, complex, complex]:
+        """k_j = -i log tau_j with Re k_j in [0, 2pi); Delta = cos(k) on every branch."""
+        quasi = []
+        for tau in self.taus:
+            k = -1j * cmath.log(tau)
+            if k.real < 0:
+                k += 2 * math.pi
+            quasi.append(k)
+        return tuple(quasi)
+
+    @property
+    def classification(self) -> Optional[Classification]:
+        if complex(self.lam).imag != 0.0:
+            return None
+        return classify_on_circle(self)
 
 
 def _newton_step(tau: complex, a: complex, b: complex) -> Optional[complex]:
@@ -151,21 +171,20 @@ def solve_multipliers(T: complex, T_conj_bar: complex) -> np.ndarray:
     return np.array([tau_big, tau_mid, tau_small])
 
 
-def circle_tolerance(taus: Sequence[complex], tol: Optional[float] = None) -> float:
-    """Default unit-circle tolerance 1e-8 * (1 + |T|), capped.
+def on_circle(taus: Sequence[complex]) -> tuple[bool, ...]:
+    """Per multiplier: whether it lies on the unit circle to 1e-8 (1 + |T|), capped.
 
     The |T| factor absorbs the eigensolver noise of the unimodular root,
-    which scales with the companion-matrix norm.  Beyond |T| ~ 1e6 the
+    which scales with the companion-matrix norm.  Beyond |T| ~ 1e5 the
     scaled solve keeps all roots relatively accurate, so the factor is
     capped there; otherwise the tolerance would swallow the whole circle
     once |T| reaches exponential size.
     """
-    if tol is not None:
-        return tol
-    return 1e-8 * (1.0 + min(abs(sum(taus)), _LARGE_TRACE))
+    tol = 1e-8 * (1.0 + min(abs(sum(taus)), _LARGE_TRACE))
+    return tuple(bool(abs(abs(tau) - 1.0) <= tol) for tau in taus)
 
 
-def classify_on_circle(ms: MultiplierSet, tol: Optional[float] = None) -> Classification:
+def classify_on_circle(ms: MultiplierSet) -> Classification:
     """Count unimodular multipliers at a real spectral point.
 
     DEGENERATE marks a tolerance outcome of zero or two on-circle roots,
@@ -174,51 +193,20 @@ def classify_on_circle(ms: MultiplierSet, tol: Optional[float] = None) -> Classi
     """
     if complex(ms.lam).imag != 0.0:
         raise ValueError("on-circle classification is defined for real lambda only")
-    tol = circle_tolerance(ms.taus, tol)
-    on_circle = sum(1 for tau in ms.taus if abs(abs(tau) - 1.0) <= tol)
-    if on_circle == 3:
+    count = sum(on_circle(ms.taus))
+    if count == 3:
         return Classification.ALL_ON_CIRCLE
-    if on_circle == 1:
+    if count == 1:
         return Classification.ONE_ON_CIRCLE
     return Classification.DEGENERATE
 
 
-def lyapunov_and_quasimomenta(ms: MultiplierSet) -> MultiplierSet:
-    """Fill Delta_j = (tau_j + 1/tau_j)/2 and k_j with Re k_j in [0, 2pi).
-
-    tau = 0 cannot occur (the product of the multipliers is 1), so the
-    reciprocal is safe; Delta = cos(k) holds for every branch of the log.
-    """
-    lyap = []
-    quasi = []
-    for tau in ms.taus:
-        assert tau != 0, "zero multiplier contradicts det M = 1"
-        lyap.append((tau + 1.0 / tau) / 2.0)
-        k = -1j * cmath.log(tau)
-        if k.real < 0:
-            k += 2 * math.pi
-        quasi.append(k)
-    return replace(ms, lyapunov=tuple(lyap), quasimomenta=tuple(quasi))
-
-
-def multiplier_set(
-    lam: complex,
-    T: complex,
-    T_conj_bar: Optional[complex] = None,
-    circle_tol: Optional[float] = None,
-) -> MultiplierSet:
-    """Solve, attach Lyapunov data, and classify (classification: real lam)."""
+def multiplier_set(lam: float, T: complex) -> MultiplierSet:
+    """Multipliers at a real lambda, where conj(T(conj(lambda))) = conj(T)."""
     lam = complex(lam)
-    if T_conj_bar is None:
-        if lam.imag != 0.0:
-            raise ValueError("complex lambda: supply T_conj_bar = conj(T(conj(lambda)))")
-        T_conj_bar = np.conj(T)
-    taus = tuple(solve_multipliers(T, T_conj_bar))
-    ms = MultiplierSet(lam=lam, taus=taus)
-    ms = lyapunov_and_quasimomenta(ms)
-    if lam.imag == 0.0:
-        ms = replace(ms, classification=classify_on_circle(ms, circle_tol))
-    return ms
+    if lam.imag != 0.0:
+        raise ValueError("multiplier_set is defined for real lambda only")
+    return MultiplierSet(lam=lam, taus=tuple(solve_multipliers(T, np.conj(T))))
 
 
 def free_multipliers(param: SpectralParameter) -> tuple[complex, complex, complex]:
@@ -245,17 +233,6 @@ def _match_permutation(
         elif cost < second:
             second = cost
     return best_perm, best_cost, second
-
-
-def _apply_permutation(ms: MultiplierSet, perm: tuple[int, int, int]) -> MultiplierSet:
-    pick = lambda tup: tuple(tup[perm[j]] for j in range(3)) if tup else tup
-    return replace(
-        ms,
-        taus=pick(ms.taus),
-        labels=(1, 2, 3),
-        lyapunov=pick(ms.lyapunov) if ms.lyapunov else None,
-        quasimomenta=pick(ms.quasimomenta) if ms.quasimomenta else None,
-    )
 
 
 def continue_branches(
@@ -289,18 +266,17 @@ def continue_branches(
     for pos in range(len(sorted_sets) - 1, -1, -1):
         ms = sorted_sets[pos]
         perm, best, second = _match_permutation(ms.taus, reference)
-        relabeled = _apply_permutation(ms, perm)
-        flags = set(relabeled.flags)
+        taus = tuple(ms.taus[i] for i in perm)
+        flags = set(ms.flags)
         if second < math.inf and (second - best) <= _TIE_RTOL * (1.0 + best):
             flags.add(FLAG_AMBIGUOUS_MATCH)
         # rho / (1 + |T|)^4, scaled before squaring: rho itself grows like
         # |T|^4 and overflows long before the propagation guard
-        t1, t2, t3 = relabeled.taus
-        s = 1.0 + abs(relabeled.trace)
+        t1, t2, t3 = taus
+        s = 1.0 + abs(sum(taus))
         rho_scaled = ((t1 - t2) / s * (t1 - t3) / s * (t2 - t3)) ** 2
         if abs(rho_scaled) <= _BRANCH_POINT_RTOL:
             flags.add(FLAG_NEAR_BRANCH_POINT)
-        relabeled = replace(relabeled, flags=frozenset(flags))
-        out[order[pos]] = relabeled
-        reference = relabeled.taus
+        out[order[pos]] = MultiplierSet(lam=ms.lam, taus=taus, flags=frozenset(flags))
+        reference = taus
     return out

@@ -26,7 +26,6 @@ from triband import (
     sigma3_intervals,
     solve_multipliers,
     traces_at,
-    zero_coefficients,
 )
 from triband.multipliers import Classification
 from triband.util import hausdorff_distance

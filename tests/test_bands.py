@@ -3,8 +3,18 @@ from typing import Optional
 
 import pytest
 
-from triband import PeriodicCoefficients, band_point, scan_real_axis
-from triband.bands import FLAG_NEAR_BRANCH_POINT, BandPoint
+import numpy as np
+
+from triband import (
+    Classification,
+    MultiplierSet,
+    PeriodicCoefficients,
+    band_point,
+    classify_on_circle,
+    multipliers,
+    scan_real_axis,
+)
+from triband.bands import FLAG_DEGENERATE, FLAG_NEAR_BRANCH_POINT, BandPoint
 
 
 def multiplicity_is_locally_constant(points: list[BandPoint]) -> bool:
@@ -63,6 +73,29 @@ def test_multiplicity_three_inside_strong_perturbation_window():
             continue
         assert len(pt.lyapunov_real_branches) == 3
         assert all(-1 <= d <= 1 for d in pt.lyapunov_real_branches)
+
+
+@pytest.mark.parametrize(
+    "taus, count",
+    [((2.0, 2.0, 0.25), 0), ((1.0, -1.0, 4.0), 2)],
+    ids=["none-on-circle", "two-on-circle"],
+)
+def test_degenerate_flag_follows_on_circle_count(monkeypatch, zero_c, taus, count):
+    # a solver outcome of zero or two unimodular roots is flagged, not classified
+    monkeypatch.setattr(multipliers, "solve_multipliers", lambda T, Tc: np.array(taus, complex))
+    pt = band_point(zero_c, 8.0)
+    assert pt.on_circle_count == count
+    assert FLAG_DEGENERATE in pt.flags
+    assert classify_on_circle(MultiplierSet(lam=8.0, taus=taus)) is Classification.DEGENERATE
+
+
+def test_no_degenerate_flag_with_one_on_circle(monkeypatch, zero_c):
+    taus = (2.0, 1.0, 0.5)
+    monkeypatch.setattr(multipliers, "solve_multipliers", lambda T, Tc: np.array(taus, complex))
+    pt = band_point(zero_c, 8.0)
+    assert pt.on_circle_count == 1
+    assert FLAG_DEGENERATE not in pt.flags
+    assert classify_on_circle(MultiplierSet(lam=8.0, taus=taus)) is Classification.ONE_ON_CIRCLE
 
 
 def test_on_circle_count_is_one_or_three(coefficient_sets):

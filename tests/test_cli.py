@@ -174,6 +174,15 @@ def test_missing_coefficients_rejected():
         main(["scan", "--interval", "0,1", "--points", "2"])
 
 
+def test_scan_has_no_circle_tolerance_option(capsys):
+    # the unit-circle tolerance is a function of |T|, not an input
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--p-const", "0", "--q-const", "0", "--interval", "0,1",
+              "--points", "2", "--tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def test_missing_file_is_reported(capsys):
     code, _, err = run_cli(
         capsys, "scan", "--coeffs", "/nonexistent/x.json",

@@ -10,7 +10,6 @@ from triband import (
     OMEGA,
     PeriodicCoefficients,
     default_search_interval,
-    free_trace,
     multiplier_set,
     rho_at,
     rho_product_formula,

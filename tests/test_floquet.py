@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from triband import (
-    OMEGA,
     PeriodicCoefficients,
     char_real_function,
     count_in_disk,

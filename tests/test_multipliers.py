@@ -11,7 +11,6 @@ from triband import (
     classify_on_circle,
     continue_branches,
     free_multipliers,
-    lyapunov_and_quasimomenta,
     multiplier_set,
     propagate_pairs,
     rho_product_formula,
@@ -108,13 +107,16 @@ def test_classify_requires_real_lambda():
     ms = MultiplierSet(lam=1j, taus=(1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         classify_on_circle(ms)
+    assert ms.classification is None
+    with pytest.raises(ValueError):
+        multiplier_set(1j, 3.0)
 
 
 # ------------------------------------------- Lyapunov and quasimomenta
 
 
 def test_lyapunov_of_unit_multiplier():
-    ms = lyapunov_and_quasimomenta(MultiplierSet(lam=0.0, taus=(1.0, 1.0, 1.0)))
+    ms = MultiplierSet(lam=0.0, taus=(1.0, 1.0, 1.0))
     assert ms.lyapunov == (1.0, 1.0, 1.0)
     assert ms.quasimomenta[0] == pytest.approx(0.0, abs=1e-15)
 
@@ -148,7 +150,7 @@ def test_lyapunov_real_exactly_for_unimodular_or_real_multipliers(coefficient_se
 
 def test_lyapunov_equals_cos_of_quasimomentum():
     taus = (cmath.exp(-1j + math.sqrt(3)), cmath.exp(2j), cmath.exp(-1j - math.sqrt(3)))
-    ms = lyapunov_and_quasimomenta(MultiplierSet(lam=8.0, taus=taus))
+    ms = MultiplierSet(lam=8.0, taus=taus)
     for tau, delta, k in zip(ms.taus, ms.lyapunov, ms.quasimomenta):
         assert cmath.exp(1j * k) == pytest.approx(tau, rel=1e-12)
         assert cmath.cos(k) == pytest.approx(delta, rel=1e-12)
