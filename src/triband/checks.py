@@ -25,7 +25,7 @@ from .monodromy import (
     propagate_pairs,
     traces_at,
 )
-from ._linalg import det3
+from ._linalg import EXTENDED, det3
 from .util import hausdorff_distance
 
 # bound checks allow machine-epsilon slack: several are equalities at
@@ -34,6 +34,9 @@ _BOUND_SLACK = 1e-9
 # requested tail bound of the series route, and the index N of root counting
 _PICARD_TOL = 1e-10
 _ROOT_COUNT_N = 5
+# threshold of the scaled det and symplectic residuals, which stay at
+# roundoff of the period map's dtype at every |lambda|
+_ROUNDOFF = 100.0 * float(np.finfo(EXTENDED).eps)
 
 
 @dataclass(frozen=True)
@@ -68,21 +71,17 @@ def _propagate_grid(c: PeriodicCoefficients, grid) -> list:
 
 
 def check_determinant_identity(c: PeriodicCoefficients) -> CheckResult:
-    worst = 0.0
-    for m in _propagate_grid(c, _real_grid()):
-        worst = max(worst, m.det_residual)
-    return CheckResult("determinant-identity", worst <= 1e-9, worst, 1e-9)
+    worst = max(m.det_residual_scaled for m in _propagate_grid(c, _real_grid()))
+    return CheckResult("determinant-identity", worst <= _ROUNDOFF, worst, _ROUNDOFF)
 
 
 def check_symplectic_identity(c: PeriodicCoefficients) -> CheckResult:
-    worst = 0.0
-    for m in _propagate_grid(c, _real_grid(n=40)):
-        worst = max(worst, m.symplectic_residual)
+    worst = max(m.symplectic_residual_scaled for m in _propagate_grid(c, _real_grid(n=40)))
     rng = np.random.default_rng(20240817)
     lams = [complex(rng.uniform(-350, 350), rng.uniform(-350, 350)) for _ in range(10)]
     for m, m_bar in propagate_pairs(c, lams):
-        worst = max(worst, m.symplectic_residual, m_bar.symplectic_residual)
-    return CheckResult("symplectic-identity", worst <= 1e-8, worst, 1e-8)
+        worst = max(worst, m.symplectic_residual_scaled, m_bar.symplectic_residual_scaled)
+    return CheckResult("symplectic-identity", worst <= _ROUNDOFF, worst, _ROUNDOFF)
 
 
 def check_char_poly_identity(c: PeriodicCoefficients) -> CheckResult:

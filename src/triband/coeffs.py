@@ -71,17 +71,6 @@ class PeriodicCoefficients:
     def from_samples(cls, p_samples: Any, q_samples: Any) -> "PeriodicCoefficients":
         return cls(np.asarray(p_samples, dtype=float), np.asarray(q_samples, dtype=float))
 
-    def cell_values(self, i: int) -> tuple[float, float]:
-        """Constant values (p_i, q_i) on cell [i/N, (i+1)/N)."""
-        if not 0 <= i < self.grid_size:
-            raise IndexError(f"cell index {i} out of range [0, {self.grid_size})")
-        return float(self.p_samples[i]), float(self.q_samples[i])
-
-    @property
-    def p_at_zero(self) -> float:
-        """p(0), the value used when conjugating to the classical period map."""
-        return float(self.p_samples[0])
-
 
 def zero_coefficients(grid_size: int = 4) -> PeriodicCoefficients:
     """The free case p = q = 0 (any grid size is exact here)."""

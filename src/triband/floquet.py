@@ -11,10 +11,11 @@ so the curves are plain real root-finding problems.  (The factorization is
 an algebraic identity of the characteristic cubic with conjugate-symmetric
 coefficients; test_floquet verifies it against the determinant directly.)
 
-Roots are tracked in the real cube-root variable s = cbrt(lambda), where
-they sit near the uniformly spaced seeds s = 2 pi n + k; the zero-
-coefficient curves are exactly lambda = (2 pi n + k)^3 and the general
-ones approach them like O(1/n).
+Roots are tracked in the real cube-root variable s = cbrt(lambda), near
+the seeds s = xi = 2 pi n + k: the zero-coefficient curves are exactly
+lambda = xi^3.  The symbol gives lambda ~ xi^3 - 2<p>xi + <q> with the
+cell means <p>, <q>, exact for constant coefficients; every search
+starts at the cube root of that corrected seed.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class FloquetEigenvalue:
     residual is |F(k, lambda_n)| / (1 + |T(lambda_n)|): the raw |F| scales
     like exp(z0) and is meaningless as an absolute number at large n.
     cube_root_gap = cbrt(lambda_n) - (2 pi n + k) is the deviation from the
-    zero-coefficient seed and decays like O(1/n).
+    bare (zero-coefficient) seed and decays like O(1/n).
     """
 
     n: int
@@ -78,6 +79,9 @@ class FloquetSolveResult:
 
 _GROW = 1.45
 _FINE_SCAN = 48
+# half-width in s of the tight pair; wider or seed-dependent widths end
+# Brent elsewhere in its xtol window, past the golden eigs tolerances
+_TIGHT = 1e-2
 
 # one seed's search: yields lists of probe points s = cbrt(lambda), is sent
 # their (F, T) values, returns (root, None) or (None, missed-root record)
@@ -88,12 +92,14 @@ _Search = Generator[
 ]
 
 
-def _solve_one(k: float, n: int, tol: float) -> _Search:
+def _solve_one(k: float, n: int, tol: float, p_mean: float, q_mean: float) -> _Search:
     """Root search near the seed s = 2 pi n + k in the cube-root variable.
 
-    It asks for its points in lists: the bracket ends [lo, hi], then each
-    9-point subdivision, then the fine scan, then one Brent step at a
-    time.  Points it has been sent values for are never asked for again.
+    It asks for its points in lists: the tight pair s0 -+ _TIGHT around the
+    corrected seed with the bracket ends [lo, hi] (unless the pair reaches
+    past them), then, without a sign change on the pair, each 9-point
+    subdivision and the fine scan, then one Brent step at a time.  Points
+    it has been sent values for are never asked for again.
     """
     cache: dict[float, tuple[float, complex]] = {}
 
@@ -114,7 +120,12 @@ def _solve_one(k: float, n: int, tol: float) -> _Search:
     w_max = math.pi * (1.0 - 1e-9)
     w = 0.35 * math.pi
     bracket = None
-    while True:
+    s0 = float(np.cbrt(seed**3 - 2.0 * p_mean * seed + q_mean))
+    if abs(s0 - seed) + _TIGHT < w:
+        f_a, f_b, _, _ = yield from probe([s0 - _TIGHT, s0 + _TIGHT, seed - w, seed + w])
+        if (f_a > 0) != (f_b > 0):
+            bracket = (s0 - _TIGHT, s0 + _TIGHT)
+    while bracket is None:
         lo, hi = seed - w, seed + w
         f_lo, f_hi = yield from probe([lo, hi])
         if (f_lo > 0) != (f_hi > 0):
@@ -192,15 +203,16 @@ def eigenvalues_at_k(
 ) -> FloquetSolveResult:
     """Roots of F(k, .) near every seed (2 pi n + k)^3 for n in n_range.
 
-    Brackets grow adaptively around each seed, capped at the midpoints to
-    the neighbouring seeds; each sign change is refined by Brent to a
-    relative lambda accuracy of about tol.  Two roots that land within
-    10 * tol of each other (relative) are a degenerate eigenvalue and are
-    both reported with multiplicity 2.  Seeds without any sign change are
-    returned as missed-root diagnostics, which is the expected signature of
-    an even-order touch of F at a double eigenvalue.  The seeds advance in
-    lockstep: each round's probe points go to the period-map core in one
-    call.
+    A tight bracket around the corrected seed (module docstring) comes
+    first; without a sign change there, brackets grow adaptively around the
+    seed, capped at the midpoints to the neighbouring seeds.  Each sign
+    change is refined by Brent to a relative lambda accuracy of about tol.
+    Two roots that land within 10 * tol of each other (relative) are a
+    degenerate eigenvalue and are both reported with multiplicity 2.  Seeds
+    without any sign change are returned as missed-root diagnostics, which
+    is the expected signature of an even-order touch of F at a double
+    eigenvalue.  The seeds advance in lockstep: each round's probe points
+    go to the period-map core in one call.
     """
     k = float(k)
     if not 0.0 <= k < 2.0 * math.pi:
@@ -211,9 +223,9 @@ def eigenvalues_at_k(
     if n_lo > n_hi:
         raise ValueError("empty index range")
 
-    outcomes = lockstep(
-        _f_in_s(c, k), [_solve_one(k, n, tol) for n in range(n_lo, n_hi + 1)]
-    )
+    means = float(np.mean(c.p_samples)), float(np.mean(c.q_samples))
+    searches = [_solve_one(k, n, tol, *means) for n in range(n_lo, n_hi + 1)]
+    outcomes = lockstep(_f_in_s(c, k), searches)
     found = [e for e, _ in outcomes if e is not None]
     missed = tuple(miss for _, miss in outcomes if miss is not None)
 

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import triband.checks as checks
 from triband import free_diagonalizer, free_trace, propagate_pairs
+from triband._linalg import EXTENDED
 from triband.checks import _real_grid, check_trace_bounds
 
 
@@ -33,3 +35,19 @@ def test_growth_bounds_suite_matches_per_point_loop(name, request):
     assert check_trace_bounds(c).worst == pytest.approx(
         _trace_bounds_worst_per_point(c), rel=1e-12
     )
+
+
+def test_identity_suites_read_the_scaled_residuals(const_c, monkeypatch):
+    """The det and symplectic suites hold at roundoff beyond |lambda| ~ 1e3.
+
+    On a grid out to +-2e3 the raw determinant residual of const_c reaches
+    about 7e-7, far past the former threshold 1e-9; the scaled residuals
+    stay below 100 eps of the extended dtype.
+    """
+    monkeypatch.setattr(checks, "_real_grid", lambda n=60: np.linspace(-2e3, 2e3, n))
+    maps = [m for m, _ in propagate_pairs(const_c, checks._real_grid())]
+    assert max(m.det_residual for m in maps) > 1e-9
+    for suite in (checks.check_determinant_identity, checks.check_symplectic_identity):
+        result = suite(const_c)
+        assert result.passed
+        assert result.threshold == 100 * np.finfo(EXTENDED).eps

@@ -40,20 +40,6 @@ def test_from_samples_sin_kappa_quadrature_oracle():
     assert c.kappa == pytest.approx(2 / np.pi, abs=1e-3)
 
 
-def test_cell_values():
-    assert PeriodicCoefficients.from_constants(1, 2, 4).cell_values(3) == (1.0, 2.0)
-    assert PeriodicCoefficients.from_samples([1, -1], [0, 7]).cell_values(1) == (-1.0, 7.0)
-    assert PeriodicCoefficients.from_samples([3], [4]).cell_values(0) == (3.0, 4.0)
-
-
-def test_cell_values_out_of_range():
-    c = PeriodicCoefficients.from_constants(1, 2, 4)
-    with pytest.raises(IndexError):
-        c.cell_values(4)
-    with pytest.raises(IndexError):
-        c.cell_values(-1)
-
-
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         PeriodicCoefficients.from_constants(np.nan, 0, 4)
@@ -90,7 +76,7 @@ def test_refinement_leaves_kappa_and_monodromy_invariant(sin_c):
 def test_parse_coefficients_sample_layout():
     c = parse_coefficients({"grid_size": 3, "p": [1, 2, 3], "q": [0, 0, 1]})
     assert c.grid_size == 3
-    assert c.cell_values(2) == (3.0, 1.0)
+    assert (c.p_samples[2], c.q_samples[2]) == (3.0, 1.0)
 
 
 def test_parse_coefficients_constant_layout():
@@ -115,4 +101,4 @@ def test_load_coefficients_roundtrip(tmp_path):
     path.write_text(json.dumps({"grid_size": 2, "p": [1.0, -1.0], "q": [0.5, 0.5]}))
     c = load_coefficients(path)
     assert c.kappa == pytest.approx(1.5)
-    assert c.p_at_zero == 1.0
+    assert c.p_samples[0] == 1.0

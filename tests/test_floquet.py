@@ -229,16 +229,17 @@ def test_colliding_roots_get_multiplicity_two(zero_c, monkeypatch):
     assert res.eigenvalues[0].lambda_n == pytest.approx(mid**3, rel=1e-9)
 
 
-# Period maps the search made at the commit before the root value was read
-# from Brent's cache, which was one more per root: (k, maps, roots) over
-# n = -4..4 on the strong step set of tests/golden, one seed missed each;
-# the golden case holds the roots.
-_STEPS_MAPS_BEFORE = (("eigs-steps-k2", 2.0, 171, 8), ("eigs-steps-k5", 5.2, 173, 8))
+# Period maps of the search over n = -4..4 on the strong step set of
+# tests/golden, one seed missed each: (k, maps, roots).  The golden case
+# holds the roots.  Reading the root's value from Brent's cache saved one
+# map per root (171 and 173 before, 163 and 165 after); starting at the
+# corrected seed brought them to 140 and 148.
+_STEPS_MAPS = (("eigs-steps-k2", 2.0, 140, 8), ("eigs-steps-k5", 5.2, 148, 8))
 
 
-@pytest.mark.parametrize("case, k, maps_before, roots", _STEPS_MAPS_BEFORE)
-def test_root_value_comes_from_the_brent_cache(case, k, maps_before, roots, monkeypatch):
-    """Each root costs one period map less, and the roots stay bit-identical."""
+@pytest.mark.parametrize("case, k, maps, roots", _STEPS_MAPS)
+def test_root_value_comes_from_the_brent_cache(case, k, maps, roots, monkeypatch):
+    """No point is mapped twice, and each root is a point Brent evaluated."""
     import triband.floquet as fl
 
     golden = Path(__file__).parent / "golden"
@@ -247,17 +248,93 @@ def test_root_value_comes_from_the_brent_cache(case, k, maps_before, roots, monk
     traces_at = fl.traces_at
 
     def counting(c_arg, lams):
-        counted.append(len(lams))
+        counted.extend(lams)
         return traces_at(c_arg, lams)
 
     monkeypatch.setattr(fl, "traces_at", counting)
     res = eigenvalues_at_k(c, k, (-4, 4))
     assert len(res.eigenvalues) == roots and len(res.missed) == 1
-    assert sum(counted) == maps_before - roots
+    assert len(counted) == len(set(counted)) == maps
+    assert all(e.lambda_n in counted for e in res.eigenvalues)
     recorded = json.loads((golden / f"{case}.json").read_text(encoding="utf-8"))
-    assert [e.lambda_n for e in res.eigenvalues] == [
-        e["lambda_n"] for e in recorded["eigenvalues"]
-    ]
+    want = [e["lambda_n"] for e in recorded["eigenvalues"]]
+    assert [e.lambda_n for e in res.eigenvalues] == pytest.approx(want, rel=1e-10)
+
+
+# ------------------------------------------------------- the corrected seed
+
+# constant (p, q): const_c and three seeded draws with p of both signs;
+# the roots are exactly xi^3 - 2 p xi + q at xi = 2 pi n + k
+_CONSTANT_SETS = [(1.0, -0.5)] + [
+    tuple(pq) for pq in np.random.default_rng(5).uniform(-3.0, 3.0, (3, 2))
+]
+_CONSTANT_IDS = ["const_c", "draw0", "draw1", "draw2"]
+
+
+@pytest.mark.parametrize("p, q", _CONSTANT_SETS, ids=_CONSTANT_IDS)
+def test_roots_on_constant_sets_match_the_symbol(p, q):
+    c = PeriodicCoefficients.from_constants(p, q, 8)
+    tol = 1e-10
+    for k in (0.4, 2.5, 5.9):
+        res = eigenvalues_at_k(c, k, (-6, 6), tol=tol)
+        assert not res.missed
+        for e in res.eigenvalues:
+            xi = TWO_PI * e.n + k
+            want = xi**3 - 2.0 * p * xi + q
+            assert abs(e.lambda_n - want) <= tol * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("p, q", _CONSTANT_SETS, ids=_CONSTANT_IDS)
+def test_two_roots_on_a_constant_set_take_few_rounds(p, q, monkeypatch):
+    """The tight pair around the corrected seed holds the root: <= 6 rounds.
+
+    From the bare seed the same call took about 10.
+    """
+    import triband.floquet as fl
+
+    c = PeriodicCoefficients.from_constants(p, q, 8)
+    calls = []
+    traces_at = fl.traces_at
+
+    def counting(c_arg, lams):
+        calls.append(len(lams))
+        return traces_at(c_arg, lams)
+
+    monkeypatch.setattr(fl, "traces_at", counting)
+    res = eigenvalues_at_k(c, 1.7, (3, 4))
+    assert len(res.eigenvalues) == 2 and not res.missed
+    assert len(calls) <= 6
+
+
+def test_root_outside_the_tight_pair_keeps_the_old_rounds(zero_c, monkeypatch):
+    """A root inside seed -+ 0.35 pi but off s0 -+ h is found as before.
+
+    The fake F has its root 0.3 from the seed.  Widening the tight pair
+    past the wide bracket turns it off, which is the search without it;
+    both runs must take the same rounds and return the same root.
+    """
+    import triband.floquet as fl
+
+    k, n = 0.5, 2
+    root = TWO_PI * n + k + 0.3
+
+    def fake_factory(c, k_arg):
+        def g(points):
+            rounds.append(len(points))
+            return [(math.tanh(s - root) + 0.1 * (s - root) ** 3, 1.0 + 0j) for s in points]
+        return g
+
+    monkeypatch.setattr(fl, "_f_in_s", fake_factory)
+    runs = []
+    for tight in (fl._TIGHT, 2.0):
+        monkeypatch.setattr(fl, "_TIGHT", tight)
+        rounds = []
+        res = fl.eigenvalues_at_k(zero_c, k, (n, n))
+        runs.append((rounds, res.eigenvalues[0].lambda_n))
+    (with_pair, lam), (without_pair, lam_before) = runs
+    assert with_pair[0] == 4 and without_pair[0] == 2
+    assert len(with_pair) == len(without_pair)
+    assert lam == lam_before == pytest.approx(root**3, rel=1e-10)
 
 
 # ----------------------------------------------------------------- counting

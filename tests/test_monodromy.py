@@ -94,7 +94,7 @@ def test_system_matrices_stack_and_q_norm_match_cell_loop(sin_c):
     _, Q = system_matrices([P(3.0)], sin_c.p_samples, sin_c.q_samples)
     total = 0.0
     for i in range(sin_c.grid_size):
-        _, Q_i = system_matrices([P(3.0)], *sin_c.cell_values(i))
+        _, Q_i = system_matrices([P(3.0)], sin_c.p_samples[i], sin_c.q_samples[i])
         assert np.array_equal(Q[i], Q_i)
         total += np.linalg.norm(Q_i, 2)
     assert q_norm_integral(sin_c) == total / sin_c.grid_size
@@ -316,7 +316,7 @@ def test_picard_first_terms_against_quadrature_oracle():
 
     def q_at(s):
         i = min(int(s * c.grid_size), c.grid_size - 1)
-        p_i, q_i = c.cell_values(i)
+        p_i, q_i = c.p_samples[i], c.q_samples[i]
         return np.array([[0, 0, 0], [-p_i, 0, 0], [1j * q_i, -p_i, 0]], dtype=complex)
 
     def expP(t):
@@ -527,7 +527,7 @@ def test_standard_conjugate_identity_when_p0_zero(zero_c):
 
 def test_standard_conjugate_preserves_trace(const_c):
     for m, _ in propagate_pairs(const_c, [2.0, -30.0, 100.0]):
-        conj = standard_monodromy_conjugate(m, const_c.p_at_zero)
+        conj = standard_monodromy_conjugate(m, const_c.p_samples[0])
         assert np.trace(conj) == pytest.approx(m.trace_T, rel=1e-12)
 
 

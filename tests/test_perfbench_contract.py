@@ -3,7 +3,9 @@
 perfbench/outputs.py checks every benchmark operation against the library,
 and perfbench/workloads.py locates its sigma3 windows with rho_at.  Loading
 outputs.py by path and calling those functions in the same forms turns a cut
-of one of them into a failure here instead of inside a benchmark run.
+of one of them into a failure here instead of inside a benchmark run.  The
+roots-steps inputs of workloads.py also guard the round count of the
+Floquet search, which sets the cost of its eigs operations.
 """
 
 import importlib.util
@@ -11,21 +13,34 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import triband.floquet as fl
+from triband.coeffs import load_coefficients
 from triband.discriminant import rho_at
 
-OUTPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "outputs.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def outputs():
-    spec = importlib.util.spec_from_file_location("perfbench_outputs", OUTPUTS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    yield module
-    del sys.modules[spec.name]
+    yield _load("perfbench_outputs", PERFBENCH / "outputs.py")
+    del sys.modules["perfbench_outputs"]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    yield _load("perfbench_workloads", PERFBENCH / "workloads.py")
+    del sys.modules["perfbench_workloads"]
 
 
 def test_perfbench_output_checks_call_the_library(outputs, const_c):
@@ -44,3 +59,30 @@ def test_perfbench_output_checks_call_the_library(outputs, const_c):
 
     # sigma3_intervals(c, window, scan_points=, tol=) and trace_at on the D3 set
     assert outputs.known_defect_d3().startswith("D3 ")
+
+
+def test_roots_steps_eigs_ops_take_few_rounds(workloads, tmp_path, monkeypatch):
+    """The far eigs calls of roots-steps at seed 41 take <= 6 core calls each.
+
+    Each search starts with a tight pair around the corrected seed, which
+    holds the root for every seed of these calls; the same calls took 9
+    or 10 core calls from the bare seed.  Calls near n = 0 are left out:
+    there the tight pair can miss or be skipped, and the search then
+    takes the rounds it took without it.
+    """
+    ops = workloads.WORKLOADS["roots-steps"].build(np.random.default_rng(41), str(tmp_path))
+    far = [op for op in ops if op.kind == "eigs" and op.expect["n_range"][0] >= 5]
+    calls = []
+    traces_at = fl.traces_at
+
+    def counting(c, lams):
+        calls.append(len(lams))
+        return traces_at(c, lams)
+
+    monkeypatch.setattr(fl, "traces_at", counting)
+    for op in far[:10]:
+        calls.clear()
+        res = fl.eigenvalues_at_k(load_coefficients(op.coeffs), op.expect["k"],
+                                  op.expect["n_range"])
+        assert not res.missed
+        assert len(calls) <= 6, (op.argv, calls)
