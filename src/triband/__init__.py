@@ -39,6 +39,7 @@ from .monodromy import (
     PropagationOverflowError,
     SpectralParameter,
     char_poly,
+    det_residual,
     free_diagonalizer,
     picard_monodromy,
     propagate_pairs,
@@ -81,6 +82,7 @@ __all__ = [
     "continue_branches",
     "count_in_disk",
     "default_search_interval",
+    "det_residual",
     "eigenvalues_at_k",
     "free_case",
     "free_diagonalizer",

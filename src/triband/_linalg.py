@@ -115,11 +115,6 @@ def det3(M: np.ndarray) -> complex:
     )
 
 
-def spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value (the norm used by all growth estimates)."""
-    return float(np.linalg.norm(np.asarray(M, dtype=np.complex128), 2))
-
-
 def ordered_product(factors: np.ndarray) -> np.ndarray:
     """Product factors[..., N-1, :, :] @ ... @ factors[..., 0, :, :] of stacks.
 

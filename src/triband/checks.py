@@ -19,10 +19,14 @@ from .discriminant import rho_product_formula, rho_trace_formula
 from .floquet import char_real_function, count_in_disk
 from .freecase import free_case, free_trace
 from .monodromy import (
+    SpectralParameter,
     char_poly,
+    det_residual,
     free_diagonalizer,
+    period_maps,
     picard_maps,
     propagate_pairs,
+    symplectic_residual,
     traces_at,
 )
 from ._linalg import EXTENDED, det3
@@ -71,16 +75,21 @@ def _propagate_grid(c: PeriodicCoefficients, grid) -> list:
 
 
 def check_determinant_identity(c: PeriodicCoefficients) -> CheckResult:
-    worst = max(m.det_residual_scaled for m in _propagate_grid(c, _real_grid()))
+    M = period_maps(c, [SpectralParameter.from_lambda(lam) for lam in _real_grid()])
+    worst = det_residual(M).max()
     return CheckResult("determinant-identity", worst <= _ROUNDOFF, worst, _ROUNDOFF)
 
 
 def check_symplectic_identity(c: PeriodicCoefficients) -> CheckResult:
-    worst = max(m.symplectic_residual_scaled for m in _propagate_grid(c, _real_grid(n=40)))
+    """40 real points, each its own pair, then 10 complex points and their conjugates."""
     rng = np.random.default_rng(20240817)
     lams = [complex(rng.uniform(-350, 350), rng.uniform(-350, 350)) for _ in range(10)]
-    for m, m_bar in propagate_pairs(c, lams):
-        worst = max(worst, m.symplectic_residual_scaled, m_bar.symplectic_residual_scaled)
+    grid = [SpectralParameter.from_lambda(lam) for lam in _real_grid(n=40)]
+    pairs = [SpectralParameter.from_lambda(lam) for lam in lams]
+    M = period_maps(c, grid + pairs + [param.conjugate() for param in pairs])
+    n, k = len(grid), len(pairs)
+    partner = np.r_[:n, n + k : n + 2 * k, n : n + k]  # index of the map at conj(lambda)
+    worst = symplectic_residual(M, M[partner]).max()
     return CheckResult("symplectic-identity", worst <= _ROUNDOFF, worst, _ROUNDOFF)
 
 

@@ -268,8 +268,6 @@ class DiskCountResult:
 
 def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
     k = float(k)
-    if not 0.0 <= k < 2.0 * math.pi:
-        raise ValueError("quasimomentum k must lie in [0, 2*pi)")
     if N < 1:
         raise ValueError("N must be at least 1")
     if k < math.pi / 2 or k > 3 * math.pi / 2:

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .monodromy import OMEGA, SpectralParameter
+from .multipliers import free_multipliers
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ def free_case(lam: complex) -> FreeCaseValues:
     """All zero-coefficient closed forms at one spectral point."""
     param = SpectralParameter.from_lambda(lam)
     z = param.z
-    taus0 = tuple(cmath.exp(1j * OMEGA**j * z) for j in range(3))
+    taus0 = free_multipliers(param)
     lyap0 = tuple(cmath.cos(OMEGA**j * z) for j in range(3))
     s = math.sqrt(3.0) / 2.0
     rho0 = (

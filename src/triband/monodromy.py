@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._linalg import EXTENDED, det3, expm_stack, ordered_product, spectral_norm
+from ._linalg import EXTENDED, det3, expm_stack, ordered_product
 from ._linalg import _TAYLOR_DEGREE, scaling_exponents, square_by_level
 from .coeffs import PeriodicCoefficients
 
@@ -99,25 +99,14 @@ class PropagationMethod(Enum):
 
 @dataclass(frozen=True)
 class MonodromyResult:
-    """Period map M(1, lambda) with its trace and self-check residuals.
+    """Period map M(1, lambda) with its trace.
 
-    The residuals are computed from M on access, so evaluations that only
-    need the trace pay nothing for them.  The symplectic residuals and
-    char_poly need the period map at conj(lambda): it is M itself for real
-    lambda, M_conj for complex lambda from propagate_pairs, and missing for
-    a complex lambda of the series route.  For the series method,
-    term_norms holds the norms of the computed series terms and tail_bound
-    the analytic truncation bound that fixed the number of terms.
-
-    The raw residuals grow like ||M||^3 and ||M||^2, so above |lambda| ~ 1e3
-    they no longer tell roundoff from a fault.  The *_scaled variants
-    divide those powers out, one factor of the norm at a time in M's own
-    dtype, so they stay at roundoff and nothing overflows up to the
-    propagation guard.  They measure structure, not the forward error of
-    M: without the balanced frame of period_maps, T on a step set was off
-    by 1.4e-11 relative at lambda = -2e8 while both scaled residuals sat
-    at roundoff.  Against 50- and 60-digit products of the run
-    exponentials, the forward error of T is a few eps times z0 (_linalg).
+    char_poly needs the period map at conj(lambda): it is M itself for
+    real lambda, M_conj for complex lambda from propagate_pairs, and
+    missing for a complex lambda of the series route.  For the series
+    method, term_norms holds the norms of the computed series terms and
+    tail_bound the analytic truncation bound that fixed the number of
+    terms.
     """
 
     param: SpectralParameter
@@ -128,30 +117,6 @@ class MonodromyResult:
     term_norms: Optional[tuple[float, ...]] = None
     tail_bound: Optional[float] = None
     M_conj: Optional[np.ndarray] = None
-
-    @property
-    def det_residual(self) -> float:
-        return abs(complex(det3(self.M)) - 1.0)
-
-    @property
-    def det_residual_scaled(self) -> float:
-        """|det M - 1| / ||M||^3."""
-        norm = _wide_norm(self.M)
-        return float(abs(det3(self.M) - 1) / norm / norm / norm)
-
-    @property
-    def symplectic_residual(self) -> Optional[float]:
-        M_conj = self._paired_map()
-        return None if M_conj is None else symplectic_residual(self.M, M_conj)
-
-    @property
-    def symplectic_residual_scaled(self) -> Optional[float]:
-        """symplectic_residual / (||M(conj(lambda))|| ||M||), i.e. / ||M||^2 for real lambda."""
-        M_conj = self._paired_map()
-        if M_conj is None:
-            return None
-        R = _symplectic_defect(self.M, M_conj)
-        return spectral_norm(R / _wide_norm(M_conj) / _wide_norm(self.M))
 
     def _paired_map(self) -> Optional[np.ndarray]:
         if self.M_conj is not None:
@@ -199,29 +164,44 @@ def _check_growth(c: PeriodicCoefficients, param: SpectralParameter) -> None:
         raise refusal
 
 
-def symplectic_residual(M_at_lam: np.ndarray, M_at_conj: np.ndarray) -> float:
-    """Norm of M(1, conj(lambda))^* J M(1, lambda) - J.
+def det_residual(M: np.ndarray) -> np.ndarray:
+    """|det M - 1| / ||M||^3 for a stack (L, 3, 3) of period maps, as L floats.
 
-    For real lambda pass the same matrix twice.
+    The raw residual grows like ||M||^3, so above |lambda| ~ 1e3 it no
+    longer tells roundoff from a fault; the scaled one stays at roundoff
+    of M's dtype up to the propagation guard.  It measures structure, not
+    the forward error of M: without the balanced frame of period_maps, T
+    on a step set was off by 1.4e-11 relative at lambda = -2e8 while both
+    scaled residuals sat at roundoff.
     """
-    return spectral_norm(_symplectic_defect(M_at_lam, M_at_conj))
+    norm = _norms(M)
+    # det3 reads M[i, j] as the stack of entries (i, j)
+    return (np.abs(det3(np.moveaxis(M, 0, -1)) - 1) / norm / norm / norm).astype(float)
 
 
-def _symplectic_defect(M_at_lam: np.ndarray, M_at_conj: np.ndarray) -> np.ndarray:
-    """M(1, conj(lambda))^* J M(1, lambda) - J in the dtype of M_at_lam."""
-    J = SYMPLECTIC_J.astype(M_at_lam.dtype)
-    return M_at_conj.conj().T @ J @ M_at_lam - J
+def symplectic_residual(M: np.ndarray, M_conj: np.ndarray) -> np.ndarray:
+    """||M(conj(lambda))^* J M(lambda) - J|| / (||M(conj(lambda))|| ||M(lambda)||), as L floats.
+
+    M and M_conj are stacks (L, 3, 3) paired by index; for real lambda
+    pass the same stack twice.  The defect is formed in M's dtype and
+    divided by one norm at a time, so nothing overflows.
+    """
+    J = SYMPLECTIC_J.astype(M.dtype)
+    R = np.swapaxes(M_conj.conj(), -1, -2) @ J @ M - J
+    R = R / _norms(M_conj)[:, np.newaxis, np.newaxis] / _norms(M)[:, np.newaxis, np.newaxis]
+    return np.linalg.norm(R.astype(np.complex128), 2, axis=(-2, -1))
 
 
-def _wide_norm(M: np.ndarray) -> np.floating:
-    """Spectral norm of M as a scalar of M's own real dtype.
+def _norms(M: np.ndarray) -> np.ndarray:
+    """Spectral norms of a stack (L, 3, 3) in M's own real dtype.
 
     Near the propagation guard ||M|| exceeds double range by a factor of
-    up to |lambda|^(2/3), so the complex128 SVD runs on M scaled by its
-    largest entry and the scale is multiplied back in the extended type.
+    up to |lambda|^(2/3), so the complex128 SVD runs on each map scaled by
+    its own largest entry and the scale is multiplied back in M's type.
     """
-    scale = np.abs(M).max()
-    return scale * spectral_norm(M / scale)
+    scale = np.abs(M).max(axis=(-2, -1))
+    unit = (M / scale[:, np.newaxis, np.newaxis]).astype(np.complex128)
+    return scale * np.linalg.norm(unit, 2, axis=(-2, -1))
 
 
 def _traces(M: np.ndarray) -> list[complex]:

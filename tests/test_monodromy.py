@@ -13,6 +13,7 @@ from triband import (
     SpectralParameter,
     SYMPLECTIC_J,
     char_poly,
+    det_residual,
     free_diagonalizer,
     free_trace,
     picard_monodromy,
@@ -21,12 +22,23 @@ from triband import (
     zero_coefficients,
 )
 from triband import monodromy
-from triband._linalg import det3
-from triband.monodromy import q_norm_integral, system_matrices
+from triband._linalg import EXTENDED, det3
+from triband.monodromy import period_maps, q_norm_integral, system_matrices
+
+# a 2-level step set on 64 cells
+STEPS = PeriodicCoefficients.from_samples(
+    np.repeat([0.8, -0.3], [40, 24]), np.repeat([-0.5, 0.4], [40, 24])
+)
 
 
 def P(lam):
     return SpectralParameter.from_lambda(lam)
+
+
+def _raw_residuals(M, M_conj):
+    """|det M - 1| and ||M_conj^* J M - J||, unscaled, for one pair of maps."""
+    R = M_conj.conj().T @ SYMPLECTIC_J @ M - SYMPLECTIC_J
+    return abs(complex(det3(M)) - 1.0), float(np.linalg.norm(R.astype(complex), 2))
 
 
 def standard_monodromy_conjugate(m, p_at_0: float) -> np.ndarray:
@@ -153,8 +165,9 @@ def test_substeps_change_nothing(sin_c):
 def test_determinant_and_symplectic_residuals(coefficient_sets):
     for c in coefficient_sets:
         for m, _ in propagate_pairs(c, np.linspace(-400, 400, 21)):
-            assert m.det_residual <= 1e-9
-            assert m.symplectic_residual <= 1e-8
+            det, symp = _raw_residuals(m.M, m.M)
+            assert det <= 1e-9
+            assert symp <= 1e-8
 
 
 @pytest.mark.parametrize("lam", [1e2, -1e2, 1e4, -1e4, 1e6, -1e6])
@@ -165,13 +178,25 @@ def test_scaled_residuals_stay_at_roundoff(const_c, sin_c, lam):
     from |lambda| ~ 2e3 on; the scaled ones stay at roundoff (below 1e-23
     and 1e-18 on these sets).
     """
-    steps = PeriodicCoefficients.from_samples(
-        np.repeat([0.8, -0.3], [40, 24]), np.repeat([-0.5, 0.4], [40, 24])
-    )
-    for c in (const_c, sin_c, steps):
-        [(m, _)] = propagate_pairs(c, [lam])
-        assert m.det_residual_scaled <= 1e-17
-        assert m.symplectic_residual_scaled <= 1e-15
+    for c in (const_c, sin_c, STEPS):
+        M = period_maps(c, [P(lam)])
+        assert det_residual(M)[0] <= 1e-17
+        assert symplectic_residual(M, M)[0] <= 1e-15
+
+
+def test_scaled_residuals_scale_each_map_by_its_own_entries():
+    """A stack from 1e2 to -2e8 gives the one-map residuals, bit for bit.
+
+    Its largest entries span some 220 decades; one scale for the whole
+    stack moves the residuals of the small maps in their last bits.
+    """
+    M = period_maps(STEPS, [P(lam) for lam in (1e2, -1e4, 1e8, -2e8)])
+    det, symp = det_residual(M), symplectic_residual(M, M)
+    for i in range(len(M)):
+        one = M[i : i + 1]
+        assert det[i] == det_residual(one)[0]
+        assert symp[i] == symplectic_residual(one, one)[0]
+    assert max(det.max(), symp.max()) <= 100 * np.finfo(EXTENDED).eps
 
 
 def test_symplectic_identity_complex_pairs(sin_c):
@@ -179,21 +204,20 @@ def test_symplectic_identity_complex_pairs(sin_c):
     for _ in range(8):
         lam = complex(rng.uniform(-300, 300), rng.uniform(-300, 300))
         [(m, m_bar)] = propagate_pairs(sin_c, [lam])
-        assert m.symplectic_residual <= 1e-8
-        assert m_bar.symplectic_residual <= 1e-8
-        assert max(m.symplectic_residual_scaled, m_bar.symplectic_residual_scaled) <= 1e-15
+        assert _raw_residuals(m.M, m_bar.M)[1] <= 1e-8
+        assert _raw_residuals(m_bar.M, m.M)[1] <= 1e-8
+        M = np.stack((m.M, m_bar.M))
+        assert symplectic_residual(M, M[::-1]).max() <= 1e-15
         # direct form of the identity
         J = SYMPLECTIC_J
         R = np.asarray(m_bar.M, complex).conj().T @ J @ np.asarray(m.M, complex) - J
         assert np.linalg.norm(R, 2) <= 1e-8
-    # unpaired complex lambda: the identity needs M(conj(lambda))
-    assert picard_monodromy(sin_c, P(lam), tol=1e-10).symplectic_residual_scaled is None
 
 
 def test_propagate_pair_real_lambda_is_single_evaluation(sin_c):
     [(m, m_bar)] = propagate_pairs(sin_c, [7.0])
     assert m is m_bar
-    assert m.symplectic_residual is not None
+    assert symplectic_residual(m.M[np.newaxis], m_bar.M[np.newaxis])[0] <= 1e-15
 
 
 def test_overflow_fails_loudly(const_c):
@@ -563,8 +587,8 @@ def test_standard_conjugate_against_classical_integration():
 
 
 def test_symplectic_residual_direct():
-    M = np.eye(3, dtype=complex)
-    assert symplectic_residual(M, M) == pytest.approx(0.0, abs=1e-15)
+    M = np.eye(3, dtype=complex)[np.newaxis]
+    assert symplectic_residual(M, M)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 # ------------------------------------------------------- batched core

@@ -5,7 +5,8 @@ and perfbench/workloads.py locates its sigma3 windows with rho_at.  Loading
 outputs.py by path and calling those functions in the same forms turns a cut
 of one of them into a failure here instead of inside a benchmark run.  The
 roots-steps inputs of workloads.py also guard the round count of the
-Floquet search, which sets the cost of its eigs operations.
+Floquet search, which sets the cost of its eigs operations, and the
+verify-far inputs the number of core calls of the two identity suites.
 """
 
 import importlib.util
@@ -16,7 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import triband.checks as checks
 import triband.floquet as fl
+import triband.monodromy as monodromy
 from triband.coeffs import load_coefficients
 from triband.discriminant import rho_at
 
@@ -86,3 +89,27 @@ def test_roots_steps_eigs_ops_take_few_rounds(workloads, tmp_path, monkeypatch):
                                   op.expect["n_range"])
         assert not res.missed
         assert len(calls) <= 6, (op.argv, calls)
+
+
+def test_verify_far_identity_suites_take_one_core_call(workloads, tmp_path, monkeypatch):
+    """Each identity suite sends all its points to period_maps at once.
+
+    The symplectic suite stacks its real grid, its complex points and
+    their conjugates into one call and pairs the maps by index.
+    """
+    ops = workloads.WORKLOADS["verify-far"].build(np.random.default_rng(41), str(tmp_path))
+    calls = []
+    period_maps = monodromy.period_maps
+
+    def counting(c, params, *args):
+        calls.append(len(params))
+        return period_maps(c, params, *args)
+
+    for module in (monodromy, checks):
+        monkeypatch.setattr(module, "period_maps", counting)
+    for op in [op for op in ops if op.kind == "verify"][:5]:
+        c = load_coefficients(op.coeffs)
+        for suite in (checks.check_determinant_identity, checks.check_symplectic_identity):
+            calls.clear()
+            assert suite(c).passed
+            assert len(calls) == 1, (suite.__name__, calls)
