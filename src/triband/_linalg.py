@@ -9,9 +9,9 @@ lambda in +-[1e2, 2e8] at most 2.3 eps z0 (1.2e-13) in complex128 and
 3.6 eps z0 (4.9e-17) in complex256, with medians 0.6 and 0.4 eps z0.
 
 Both stack kernels take leading batch axes (one per spectral point in the
-period-map core) and do fixed work with no data-dependent stopping test:
-five 3-vector products per matrix plus the squarings for expm_stack,
-ceil(log2 N) batched matmuls for the product of N factors.
+period-map core) and test no term as they go: expm_stack takes up to five
+3-vector products per matrix plus the squarings, ordered_product
+ceil(log2 N) batched matmuls for N factors.
 """
 
 from __future__ import annotations
@@ -22,76 +22,79 @@ import numpy as np
 # without an extended long double (residual tolerances then degrade).
 EXTENDED: np.dtype = np.dtype(getattr(np, "complex256", np.complex128))
 
-_TAYLOR_RADIUS = 0.25
-# Smallest degree m with radius^(m+1)/(m+1)! <= 1e-24 (the Taylor tail at
-# the scaled norm): 0.25^17/17! = 1.6e-25, while 0.25^16/16! = 1.1e-23.
-_TAYLOR_DEGREE = 16
-_ABC = np.array([1, 3, 6])  # flat positions of a, b and c in a run generator
+# The scaling radius, and the degree whose Taylor tail there is <= 1e-24 (below)
+_TAYLOR_RADIUS, _TAYLOR_DEGREE = 0.25, 16
 # 1/k!, k = 1..16, as six blocks (1/(3j)!, 1/(3j+1)!, 1/(3j+2)!), in the
 # widest real type; 1/0! and 1/17! (past the degree) are 0
+_FACTORIALS = np.cumprod(np.arange(1, _TAYLOR_DEGREE + 2, dtype=np.longdouble))  # k!, k = 1..17
 _TAYLOR_BLOCKS = np.zeros((6, 3, 1), dtype=np.longdouble)
-_TAYLOR_BLOCKS.flat[1 : _TAYLOR_DEGREE + 1] = 1 / np.cumprod(
-    np.arange(1, _TAYLOR_DEGREE + 1, dtype=np.longdouble)
-)
+_TAYLOR_BLOCKS.flat[1 : _TAYLOR_DEGREE + 1] = 1 / _FACTORIALS[:-1]
 _TAYLOR_BLOCKS.setflags(write=False)
+# Largest scaled norm x at which blocks 0..j, of degree d = min(3j + 2, 16), hold the tail
+# x^(d+1)/(d+1)! to 1e-24, rounded down: 1.8e-8, 3.0e-4, 8.9e-3, 0.053, 0.16 and 0.28
+_BLOCK_RADII = np.array([(1e-24 * float(_FACTORIALS[d])) ** (1 / (d + 1)) * (1 - 1e-12)
+                         for d in (2, 5, 8, 11, 14, _TAYLOR_DEGREE)])
 
 
-def expm_stack(A: np.ndarray, dtype: np.dtype | type = EXTENDED) -> np.ndarray:
-    """Exponential of a stack (..., m, 3, 3) of run generators via scaling + Taylor + squaring.
+def expm_stack(X: np.ndarray, dtype: np.dtype | type = EXTENDED) -> np.ndarray:
+    """Exponentials (..., m, 3, 3) of run generators from their entries X (..., m, 3).
 
-    Every matrix must be [[0, a, 0], [b, 0, a], [c, b, 0]], as the run
-    generators of monodromy.period_maps are (a and b real there); only
-    a = X[0, 1], b = X[1, 0] and c = X[2, 0] are read.  The m matrices of
-    each stack share one scaling exponent s, the least with
-    ||A||_inf / 2^s <= 0.25 over that stack; leading axes hold independent
-    stacks with their own s, and a (3, 3) matrix is a stack of one.  At
-    that radius the degree-16 Taylor tail is below 1.6e-25, so the degree
-    is fixed and no term is tested.
-
-    X^3 = e1 X + e0 I with e1 = 2ab and e0 = a^2 c (Cayley-Hamilton), so
-    the polynomial is f0 I + f1 X + f2 X^2, and it is sum_j Y^j B_j in the
-    blocks B_j of 1/k! with Y = X^3.  Y acts on coordinates over I, X, X^2
-    as L = [[e0, 0, e0 e1], [e1, e0, e1^2], [0, e1, e0]], so Horner in Y
-    takes five 3-vector products by L; the squarings follow level by level.
+    X[..., k, :] = (a, b, c) stands for [[0, a, 0], [b, 0, a], [c, b, 0]], the run
+    generators of monodromy.period_maps.  The m generators of a stack share the least
+    scaling exponent s with ||A||_inf / 2^s <= 0.25; leading axes hold independent
+    stacks, and a (3,) triple is a stack of one.  X^3 = e1 X + e0 I with e1 = 2ab and
+    e0 = a^2 c (Cayley-Hamilton), so the Taylor polynomial is f0 I + f1 X + f2 X^2,
+    sum_j Y^j B_j in the blocks B_j of 1/k! with Y = X^3.  Y acts on coordinates over
+    I, X, X^2 as L = [[e0, 0, e0 e1], [e1, e0, e1^2], [0, e1, e0]]: Horner in Y takes
+    one 3-vector product by L per block.  Each stack takes the fewest blocks whose tail
+    at its scaled norm is at most 1e-24 (taylor_blocks; Higham 2005).  The call runs
+    its largest count; a stack that needs fewer enters with zero blocks above its own,
+    so it ends bit-identical to its result alone.  The squarings follow by level.
     """
-    A = np.asarray(A, dtype=dtype)
-    m = A.shape[-3] if A.ndim > 2 else 1
-    abc = A.reshape(-1, m, 9).take(_ABC, axis=-1)
+    X = np.asarray(X, dtype=dtype)
+    abc = X.reshape((-1,) + X.shape[-2:]) if X.ndim > 1 else X.reshape(1, 1, 3)
     # the row sums of |X| are |a|, |a| + |b| and |b| + |c|
     mag = np.abs(abc)
-    rows = (mag[..., :2] + mag[..., 1:]).reshape(len(abc), -1)
-    squarings = scaling_exponents(rows.max(axis=1, initial=0.0).astype(np.float64))
-    abc *= np.ldexp(1.0, -squarings)[:, np.newaxis, np.newaxis]  # exact: powers of 2
-    # all but the scaling and the squarings is per matrix: one flat stack
-    a, b, c = abc.reshape(-1, 3).T
+    norms = (mag[..., :2] + mag[..., 1:]).max(axis=(1, 2), initial=0.0).astype(np.float64)
+    squarings = scaling_exponents(norms)
+    scale = np.ldexp(1.0, -squarings)
+    abc = abc * scale[:, np.newaxis, np.newaxis]  # exact: powers of 2
+    blocks = taylor_blocks(norms * scale).reshape(-1, 1, 1, 1)
+    lowest, top = min(blocks.flat), max(blocks.flat)  # few stacks: cheaper than numpy's
+    a, b, c = abc[..., 0], abc[..., 1], abc[..., 2]
     ab, a2 = a * b, a * a
     e1, e0 = ab + ab, a2 * c
-    L = np.zeros((len(a), 3, 3), dtype=dtype)
-    L[:, 0, 0] = L[:, 1, 1] = L[:, 2, 2] = e0
-    L[:, 1, 0] = L[:, 2, 1] = e1
-    L[:, 0, 2], L[:, 1, 2] = e0 * e1, e1 * e1
-    blocks = _TAYLOR_BLOCKS.astype(A.dtype)
-    r = blocks[5]
-    for block in blocks[4::-1]:
+    L = np.zeros(a.shape + (3, 3), dtype=dtype)
+    L[..., 0, 0] = L[..., 1, 1] = L[..., 2, 2] = e0
+    L[..., 1, 0] = L[..., 2, 1] = e1
+    L[..., 0, 2], L[..., 1, 2] = e0 * e1, e1 * e1
+    coeffs = _TAYLOR_BLOCKS.astype(dtype)
+    r = coeffs[top - 1] if lowest == top else coeffs[top - 1] * (blocks == top)
+    for j in range(top - 2, -1, -1):
         r = L @ r
-        r += block
+        r += coeffs[j] if j < lowest else coeffs[j] * (blocks > j)
     # r0 = f0 - 1: each diagonal entry takes the 1 in its own last
     # rounding, so the three do not share one error of f0
-    g0, f1, f2 = r[..., 0].T
-    total = np.empty((len(a), 3, 3), dtype=dtype)
-    total[:, 0, 0] = total[:, 2, 2] = (g0 + f2 * ab) + 1
-    total[:, 1, 1] = (g0 + f2 * e1) + 1
-    total[:, 0, 1] = total[:, 1, 2] = f1 * a
-    total[:, 0, 2] = f2 * a2
-    total[:, 1, 0] = total[:, 2, 1] = f1 * b + f2 * a * c
-    total[:, 2, 0] = f1 * c + f2 * b * b
-    square_by_level(total.reshape(-1, m, 3, 3), squarings, lambda part: part @ part)
-    return total.reshape(A.shape)
+    g0, f1, f2 = r[..., 0, 0], r[..., 1, 0], r[..., 2, 0]
+    total = np.empty(a.shape + (3, 3), dtype=dtype)
+    total[..., 0, 0] = total[..., 2, 2] = (g0 + f2 * ab) + 1
+    total[..., 1, 1] = (g0 + f2 * e1) + 1
+    total[..., 0, 1] = total[..., 1, 2] = f1 * a
+    total[..., 0, 2] = f2 * a2
+    total[..., 1, 0] = total[..., 2, 1] = f1 * b + f2 * a * c
+    total[..., 2, 0] = f1 * c + f2 * b * b
+    square_by_level(total, squarings, lambda part: part @ part)
+    return total.reshape(X.shape[:-1] + (3, 3))
 
 
 def scaling_exponents(norms: np.ndarray) -> np.ndarray:
     """Least s >= 0 with norm / 2^s <= 0.25, the radius of the degree-16 Taylor polynomial."""
     return np.ceil(np.log2(np.maximum(norms, _TAYLOR_RADIUS) / _TAYLOR_RADIUS)).astype(int)
+
+
+def taylor_blocks(norms: np.ndarray) -> np.ndarray:
+    """Fewest blocks of expm_stack whose Taylor tail at each scaled norm (<= 0.25) is <= 1e-24."""
+    return np.searchsorted(_BLOCK_RADII, norms) + 1
 
 
 def square_by_level(stacks: np.ndarray, squarings: np.ndarray, square) -> None:

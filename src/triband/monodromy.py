@@ -124,24 +124,19 @@ class MonodromyResult:
         return self.M if self.param.is_real else None
 
 
-def system_matrices(
-    params: Sequence[SpectralParameter], p, q, dtype=complex
-) -> tuple[np.ndarray, np.ndarray]:
+def system_matrices(params: Sequence[SpectralParameter], p, q) -> tuple[np.ndarray, np.ndarray]:
     """System blocks (P, Q) of Y' = (P + Q) Y for the cells with values p, q.
 
     P is a stack (L, 3, 3) for a sequence of L SpectralParameters; Q is
     3x3 for scalar p, q and a stack (n, 3, 3) for arrays of n cell values.
     """
-    P = np.zeros((len(params), 3, 3), dtype=dtype)
-    P[:, 0, 1] = 1.0
-    P[:, 1, 2] = 1.0
+    P = np.zeros((len(params), 3, 3), dtype=complex)
+    P[:, 0, 1] = P[:, 1, 2] = 1.0
     P[:, 2, 0] = [-1j * prm.lam for prm in params]
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    Q = np.zeros(p.shape + (3, 3), dtype=dtype)
-    Q[..., 1, 0] = -p
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    Q = np.zeros(p.shape + (3, 3), dtype=complex)
+    Q[..., 1, 0] = Q[..., 2, 1] = -p
     Q[..., 2, 0] = 1j * q
-    Q[..., 2, 1] = -p
     return P, Q
 
 
@@ -158,10 +153,10 @@ def growth_refusal(
     )
 
 
-def _check_growth(c: PeriodicCoefficients, param: SpectralParameter) -> None:
-    refusal = growth_refusal(c, param)
-    if refusal is not None:
-        raise refusal
+def _check_growth(c: PeriodicCoefficients, params: Sequence[SpectralParameter]) -> None:
+    for param in params:
+        if (refusal := growth_refusal(c, param)) is not None:
+            raise refusal
 
 
 def det_residual(M: np.ndarray) -> np.ndarray:
@@ -216,6 +211,7 @@ _STACK_MATRICES = 128
 
 # j - i at entry (i, j): the exponents of mu in the balanced frame
 _FRAME_POWERS = np.arange(3) - np.arange(3)[:, np.newaxis]
+_ABC = np.array([1, 3, 6])  # flat positions of a, b and c in a run generator
 
 
 def period_maps(
@@ -234,7 +230,7 @@ def period_maps(
     mu = max(|lambda|^(1/3), 1) and D = diag(1, 1/mu, 1/mu^2), each run
     generator becomes D A_i D^-1 = [[0, a, 0], [b, 0, a], [c, b, 0]] with
     a = w mu, b = -w p/mu and c = i w (q - lambda)/mu^2 for the run width
-    w = n/N, the three entries expm_stack reads.  Its norm is of size
+    w = n/N, the three entries expm_stack takes.  Its norm is of size
     |lambda|^(1/3) w, the size of the growth, instead of |lambda| w; the
     squarings scale with the former, and the forward error of T stays at
     a few eps times z0 out to the guard.  The product of the run
@@ -243,36 +239,40 @@ def period_maps(
     and the trace is not touched at all.
 
     The points are evaluated in stacks of about 128 run exponentials, each
-    point with its own frame and scaling exponent, so every M is
-    bit-identical to the one-point evaluation.  Raises
+    point with its own frame, scaling exponent and Taylor degree, so every
+    M is bit-identical to the one-point evaluation.  Raises
     PropagationOverflowError, before any work, if the guard refuses any of
     the points.
     """
-    for param in params:
-        _check_growth(c, param)
-    P, Q, widths, frame = _framed_runs(c, params, dtype)
-    per_stack = max(1, _STACK_MATRICES // len(Q))
+    _check_growth(c, params)
+    runs, widths, lams, powers, frame = _framed_runs(c, params, dtype)
+    step = max(1, _STACK_MATRICES // len(runs))  # points per stack
     M = np.empty((len(params), 3, 3), dtype=dtype)
-    for i in range(0, len(params), per_stack):
-        D = frame[i : i + per_stack]
-        A = P[i : i + per_stack, np.newaxis] + Q
-        A *= widths * D[:, np.newaxis]
-        M[i : i + per_stack] = ordered_product(expm_stack(A, dtype)) / D
+    for i in range(0, len(params), step):
+        X = (runs + lams[i : i + step, np.newaxis]) * (widths * powers[i : i + step, np.newaxis])
+        M[i : i + step] = ordered_product(expm_stack(X, dtype)) / frame[i : i + step]
     return M
 
 
 def _framed_runs(c: PeriodicCoefficients, params: Sequence[SpectralParameter], dtype):
-    """P (L, 3, 3); Q and widths n/N of the R runs of equal cells; frames mu^(j - i) (L, 3, 3)."""
+    """Entries at (0, 1), (1, 0), (2, 0) of the system over R runs of equal cells and L points.
+
+    Per run (1, -p, i q) (R, 3) and the width n/N (R, 1); per point (0, 0, -i lambda) (L, 3),
+    the frame there (mu, 1/mu, 1/mu^2) (L, 3) and the whole frame mu^(j - i) (L, 3, 3).
+    (runs + lams) * (widths * powers) is (P + Q) * widths * frame there, bit for bit.
+    """
     p, q = c.p_samples, c.q_samples
     starts = np.flatnonzero(
         np.concatenate(([True], (p[1:] != p[:-1]) | (q[1:] != q[:-1])))
     )
     run_lengths = np.diff(starts, append=c.grid_size)
-    widths = (run_lengths.astype(np.finfo(dtype).dtype) / c.grid_size)[:, np.newaxis, np.newaxis]
-    P, Q = system_matrices(params, p[starts], q[starts], dtype)
-    # |lambda| is read off P's entry -i lambda
-    mu = np.maximum(np.cbrt(np.abs(P[:, 2, 0])), 1)
-    return P, Q, widths, mu[:, np.newaxis, np.newaxis] ** _FRAME_POWERS
+    widths = (run_lengths.astype(np.finfo(dtype).dtype) / c.grid_size)[:, np.newaxis]
+    runs = np.zeros((len(starts), 3), dtype=dtype)
+    runs[:, 0], runs[:, 1], runs[:, 2] = 1.0, -p[starts], 1j * q[starts]
+    lams = np.zeros((len(params), 3), dtype=dtype)
+    lams[:, 2] = [-1j * prm.lam for prm in params]
+    frame = np.maximum(np.cbrt(np.abs(lams[:, 2])), 1)[:, np.newaxis, np.newaxis] ** _FRAME_POWERS
+    return runs, widths, lams, frame.reshape(-1, 9).take(_ABC, axis=1), frame
 
 
 def propagate_pairs(
@@ -352,10 +352,7 @@ def free_diagonalizer(
 def q_norm_integral(c: PeriodicCoefficients) -> float:
     """Integral over one period of the spectral norm of Q(t)."""
     _, Q = system_matrices([], c.p_samples, c.q_samples)
-    total = 0.0
-    for norm in np.linalg.norm(Q, 2, axis=(-2, -1)):
-        total += float(norm)
-    return total / c.grid_size
+    return sum(np.linalg.norm(Q, 2, axis=(-2, -1)).tolist()) / c.grid_size
 
 
 # Terms allowed to the series, and its dtype
@@ -379,18 +376,17 @@ def _block_toeplitz(G: np.ndarray) -> np.ndarray:
     return padded.take(rows, axis=-2).reshape(G.shape[:-3] + (3 * n, 3 * n))
 
 
-def _series_exponentials(A0: np.ndarray, A1: np.ndarray, n: int) -> np.ndarray:
+def _series_exponentials(a, c0, b, c1, n: int) -> np.ndarray:
     """First block columns (B, n, 3, 3) of exp of the block-bidiagonal generators (A0, A1).
 
-    Reads a = A0[0, 1] = A0[1, 2], c0 = A0[2, 0], b = A1[1, 0] = A1[2, 1], c1 = A1[2, 0];
-    scales by 2^-s with ||A0||_inf + ||A1||_inf <= 0.25, takes the degree-16 Taylor
-    polynomial row by row (term k reaches block k at most) and s squarings by level.
+    A0 = [[0, a, 0], [0, 0, a], [c0, 0, 0]] and A1 = [[0, 0, 0], [b, 0, 0], [c1, b, 0]]; scales
+    by 2^-s to ||A0||_inf + ||A1||_inf <= 0.25, takes the degree-16 Taylor polynomial row by
+    row (term k reaches block k at most) and s squarings by level.
     """
-    a, c0, b, c1 = A0[:, 0, 1], A0[:, 2, 0], A1[:, 1, 0], A1[:, 2, 0]
     squarings = scaling_exponents(np.maximum(abs(a), abs(c0)) + abs(b) + abs(c1))
     a, c0, b, c1 = (x * np.ldexp(1.0, -squarings) for x in (a, c0, b, c1))  # exact: powers of 2
     # pairs on the last axis: each row operation is one long inner loop
-    G = np.zeros((n, 3, 3, len(a)), dtype=A0.dtype)
+    G = np.zeros((n, 3, 3, len(a)), dtype=c0.dtype)
     G[0, [0, 1, 2], [0, 1, 2]] = 1
     term = G[:1]
     for k in range(1, _TAYLOR_DEGREE + 1):
@@ -428,9 +424,9 @@ def picard_maps(
     if tol <= 0:
         raise ValueError("tol must be positive")
     kq = q_norm_integral(c)
+    _check_growth(c, params)
     orders = []  # (K, tail bound) per point
     for param in params:
-        _check_growth(c, param)
         prefactor = math.exp(min(param.z0, MAX_GROWTH_EXPONENT)) * math.exp(kq)
         for K in range(_SERIES_MAX_TERMS + 1):
             tail = prefactor * kq ** (K + 1) / math.factorial(K + 1)
@@ -443,19 +439,20 @@ def picard_maps(
             )
         orders.append((K, tail))
     n = max((K for K, _ in orders), default=0) + 1
-    P, Q, widths, frame = _framed_runs(c, params, _SERIES_DTYPE)
-    A0, A1 = P * frame, Q * widths
+    runs, widths, lams, powers, frame = _framed_runs(c, params, _SERIES_DTYPE)
+    # a and c0 of P * frame per unit width, b and c1 of Q * widths per unit frame
+    A0, A1 = np.stack((powers[:, 0], lams[:, 2] * powers[:, 2]), axis=-1), runs[:, 1:] * widths
     column_bytes = 9 * n * _SERIES_DTYPE.itemsize
     group = max(1, min(len(params), _SERIES_CHUNK_BYTES // (n * column_bytes)))
-    runs = max(1, _SERIES_CHUNK_BYTES // (group * column_bytes))
+    per_chunk = max(1, _SERIES_CHUNK_BYTES // (group * column_bytes))
     W = np.zeros((len(params), n, 3, 3), dtype=_SERIES_DTYPE)
     W[:, 0] = np.eye(3)
     for i in range(0, len(params), group):
         W_i = W[i : i + group].reshape(-1, 3 * n, 3)
-        for j in range(0, len(Q), runs):
-            a0 = A0[i : i + group, np.newaxis] * widths[j : j + runs]
-            a1 = A1[j : j + runs] * frame[i : i + group, np.newaxis]
-            G = _series_exponentials(a0.reshape(-1, 3, 3), a1.reshape(-1, 3, 3), n)
+        for j in range(0, len(runs), per_chunk):
+            a0 = A0[i : i + group, np.newaxis] * widths[j : j + per_chunk]
+            a1 = A1[j : j + per_chunk] * powers[i : i + group, np.newaxis, 1:]
+            G = _series_exponentials(*a0.reshape(-1, 2).T, *a1.reshape(-1, 2).T, n)
             for G_k in G.reshape(a1.shape[:2] + G.shape[1:]).swapaxes(0, 1):
                 W_i = _block_toeplitz(G_k) @ W_i
         W[i : i + group] = W_i.reshape(-1, n, 3, 3)
@@ -494,8 +491,8 @@ def picard_monodromy(
     w D P D^-1 and A1 = w D Q D^-1 for a run of width w, so the scaling
     follows |lambda|^(1/3), not |lambda|; the similarity is undone once on
     the final stack, before term_norms are taken.  Each exponential is the
-    fixed degree-16 Taylor polynomial of expm_stack with its own scaling,
-    each block-Toeplitz product one stacked gemm on the 3(K+1) x 3(K+1)
-    matrix; picard_maps batches points in chunks of 64 KB.
+    degree-16 Taylor polynomial, term by term, scaled to the radius of
+    expm_stack, each block-Toeplitz product one stacked gemm on the
+    3(K+1) x 3(K+1) matrix; picard_maps batches points in chunks of 64 KB.
     """
     return picard_maps(c, [param], tol)[0]

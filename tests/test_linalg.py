@@ -1,8 +1,9 @@
 """The stack kernels of _linalg against independent references.
 
-expm_stack is checked against a 40-digit mpmath exponential on the run
-generators it is built for, and those generators, as period_maps hands
-them over, against the structure the kernel reads; ordered_product
+expm_stack is checked against a 40-digit mpmath exponential of the run
+generators whose entries it takes, its Taylor degrees against their tail
+bound, and the entries, as period_maps hands them over, against the
+structure of the generators; ordered_product
 against the plain left-multiplying loop, the run-collapsed period map
 against the uncollapsed per-cell product, and the trace of the period map
 against a 60-digit mpmath product of the run exponentials.
@@ -12,13 +13,16 @@ import numpy as np
 import pytest
 
 from triband import PeriodicCoefficients, SpectralParameter, monodromy, propagate_pairs
-from triband._linalg import EXTENDED, expm_stack, ordered_product
+from triband import _linalg
+from triband._linalg import EXTENDED, expm_stack, ordered_product, taylor_blocks
 from triband.monodromy import period_maps, system_matrices
 
 EPS = float(np.finfo(EXTENDED).eps)
 # three runs of a step set at N = 64: cells, and the levels of p and q
 _RUN_CELLS, _RUN_P, _RUN_Q = (20, 25, 19), (0.6, -0.4, 0.2), (0.3, -0.2, 0.5)
 _RUN_P_WITH_ZERO = (0.6, 0.0, 0.2)
+# rows and columns of the entries a, b and c of a run generator
+_ROWS, _COLS = [0, 1, 2], [1, 0, 0]
 
 
 def _run_generators(rng, size, norm):
@@ -36,6 +40,11 @@ def _run_generators(rng, size, norm):
     A[:, 1, 0] = A[:, 2, 1] = b
     A[:, 2, 0] = c
     return A * (norm / np.abs(A).sum(axis=-1).max(axis=-1))[:, None, None]
+
+
+def _entries(A):
+    """The entries (a, b, c) of run generators (..., 3, 3), in the extended dtype."""
+    return A[..., _ROWS, _COLS].astype(EXTENDED)
 
 
 def _assert_matches_mpmath(A, E):
@@ -64,51 +73,77 @@ def test_expm_stack_matches_mpmath(norm):
     """
     rng = np.random.default_rng(int(np.log10(norm)) + 100)
     A = _run_generators(rng, 4, norm)
-    _assert_matches_mpmath(A, expm_stack(A.astype(EXTENDED), EXTENDED))
+    _assert_matches_mpmath(A, expm_stack(_entries(A), EXTENDED))
 
 
 def test_expm_stack_scales_each_stack_on_its_own():
-    """Two stacks of a (2, m, 3, 3) input take 0 and 14 squarings.
+    """Four stacks of a (4, m, 3) input take 3, 4, 6 and 5 Taylor blocks.
 
-    Each matches mpmath, and each equals the result of its stack alone,
-    bit for bit: the squarings of one stack never touch the other.
+    The first three take no squaring, the last 14.  Each matches mpmath,
+    and each equals the result of its stack alone, bit for bit: neither
+    the squarings nor the Taylor blocks of one stack touch another.
     """
     rng = np.random.default_rng(7)
-    A = np.stack([_run_generators(rng, 3, 0.2), _run_generators(rng, 3, 3e3)])
-    E = expm_stack(A.astype(EXTENDED), EXTENDED)
-    assert E.shape == (2, 3, 3, 3)
+    norms = (1e-3, 0.05, 0.2, 2.5e3)
+    A = np.stack([_run_generators(rng, 3, norm) for norm in norms])
+    assert taylor_blocks(np.array([1e-3, 0.05, 0.2, 2.5e3 / 2**14])).tolist() == [3, 4, 6, 5]
+    E = expm_stack(_entries(A), EXTENDED)
+    assert E.shape == (4, 3, 3, 3)
     for stack, result in zip(A, E):
         _assert_matches_mpmath(stack, result)
-        assert np.array_equal(result, expm_stack(stack.astype(EXTENDED), EXTENDED))
+        assert np.array_equal(result, expm_stack(_entries(stack), EXTENDED))
+
+
+def test_taylor_blocks_meet_the_tail_at_their_radii():
+    """Blocks 0..j, of degree d = min(3j + 2, 16), hold x^(d+1)/(d+1)! to 1e-24 up to radius j.
+
+    Each radius meets the bound in 40 digits and misses it 1e-9 above, so
+    no fewer blocks would do; a norm just above a radius takes the next
+    count.  At scaled norms 0.05, 0.16 and 0.25 (4, 5 and 6 blocks, the
+    last the scaling radius) expm_stack matches mpmath.
+    """
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    radii = _linalg._BLOCK_RADII
+    assert len(radii) == 6 and radii[-1] >= 0.25
+    for j, radius in enumerate(radii.tolist()):
+        d = min(3 * j + 2, 16)
+        tail = mp.mpf(radius) ** (d + 1) / mp.factorial(d + 1)
+        assert tail <= mp.mpf("1e-24") < tail * (1 + mp.mpf("1e-9")) ** (d + 1)
+        assert taylor_blocks(np.array([radius])).tolist() == [j + 1]
+        if j < 5:
+            assert taylor_blocks(np.array([np.nextafter(radius, 1.0)])).tolist() == [j + 2]
+    assert taylor_blocks(np.array([0.05, 0.16, 0.25])).tolist() == [4, 5, 6]
+    rng = np.random.default_rng(11)
+    for norm in (0.05, 0.16, 0.25):
+        A = _run_generators(rng, 4, norm)
+        _assert_matches_mpmath(A, expm_stack(_entries(A), EXTENDED))
 
 
 @pytest.mark.parametrize("lams", [[0.0], [1e3], [-1e3], [1e7], [300 + 200j, 300 - 200j]])
 def test_period_maps_hands_expm_stack_its_structure(monkeypatch, lams):
-    """The frame-scaled generators that period_maps builds from system_matrices.
+    """The frame-scaled entries (a, b, c) that period_maps hands to expm_stack.
 
-    expm_stack reads only a = X[0, 1], b = X[1, 0] and c = X[2, 0]: every
-    generator it receives must be [[0, a, 0], [b, 0, a], [c, b, 0]]
-    exactly, with real a and b (three runs of a step set, p = 0 on one of
-    them).
+    On three runs of a step set, p = 0 on the middle one: a = w mu is real
+    and positive, b = -w p / mu is real, exactly 0 on the middle run and
+    nonzero on the others.
     """
     seen = []
 
-    def spy(A, dtype):
-        seen.append(A.copy())
-        return expm_stack(A, dtype)
+    def spy(X, dtype):
+        seen.append(X.copy())
+        return expm_stack(X, dtype)
 
     monkeypatch.setattr(monodromy, "expm_stack", spy)
     c = PeriodicCoefficients.from_samples(
         np.repeat(_RUN_P_WITH_ZERO, _RUN_CELLS), np.repeat(_RUN_Q, _RUN_CELLS)
     )
     period_maps(c, [SpectralParameter.from_lambda(lam) for lam in lams])
-    X = np.concatenate([A.reshape(-1, 3, 3) for A in seen])
-    assert len(X) == 3 * len(lams)
-    a, b = X[:, 0, 1], X[:, 1, 0]
-    assert np.all(X[:, [0, 1, 2, 0], [0, 1, 2, 2]] == 0)
-    assert np.array_equal(X[:, 1, 2], a) and np.array_equal(X[:, 2, 1], b)
-    assert np.all(a.imag == 0) and np.all(b.imag == 0)
-    assert np.all(a.real > 0) and np.any(b == 0) and np.any(b != 0)
+    X = np.concatenate([entries.reshape(-1, 3, 3) for entries in seen])
+    assert X.shape == (len(lams), 3, 3)
+    a, b = X[..., 0], X[..., 1]
+    assert np.all(a.imag == 0) and np.all(b.imag == 0) and np.all(a.real > 0)
+    assert np.all(b[:, 1] == 0) and np.all(b[:, [0, 2]] != 0)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 7, 64, 1025])
@@ -141,8 +176,9 @@ def test_propagate_matches_uncollapsed_cell_product(lam):
     q = np.repeat([0.3, -0.2, 0.5], [12, 30, 22])
     c = PeriodicCoefficients.from_samples(p, q)
     param = SpectralParameter.from_lambda(lam)
-    P, Q = system_matrices([param], p, q, EXTENDED)
-    cells = expm_stack((P + Q) / np.asarray(64, dtype=EXTENDED), EXTENDED)
+    P, Q = system_matrices([param], p, q)
+    A = (P.astype(EXTENDED) + Q.astype(EXTENDED)) / np.asarray(64, dtype=EXTENDED)
+    cells = expm_stack(A[..., _ROWS, _COLS], EXTENDED)
     expected = cells[0]
     for F in cells[1:]:
         expected = F @ expected

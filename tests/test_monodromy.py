@@ -657,3 +657,60 @@ def test_batched_core_refuses_like_the_one_lambda_path(sin_c):
     assert str(batched.value) == str(single.value)
     with pytest.raises(PropagationOverflowError):
         monodromy.traces_at(sin_c, [1.0, -1e12])
+
+
+def _same_bits(x, y):
+    """Equal values and equal signs of zero, in the real and the imaginary parts."""
+    return all(np.array_equal(f(x), f(y)) and np.array_equal(np.signbit(f(x)), np.signbit(f(y)))
+               for f in (np.real, np.imag))
+
+
+# the rows and columns of the entries a, b and c of a run generator
+_ROWS, _COLS = [0, 1, 2], [1, 0, 0]
+
+
+@pytest.mark.parametrize("family", ["zero", "const", "sin", "steps3"])
+def test_run_entries_are_those_of_the_system_matrices(monkeypatch, family):
+    """Both routes read the entries of (P + Q) * widths * frame, bit for bit.
+
+    P and Q come from system_matrices, widths and frames from _framed_runs.
+    period_maps hands expm_stack the entries (a, b, c) at (0, 1), (1, 0)
+    and (2, 0), in both dtypes; picard_maps hands its kernel a and c0 of
+    (P * frame) * w and b and c1 of (Q * w) * frame.  Real and complex
+    lambda from 0 to 1e6 (to 2e3 on the series route), signs of zeros
+    included.
+    """
+    c = _coefficient_family(family, 64)
+    p, q = c.p_samples, c.q_samples
+    starts = np.flatnonzero(np.r_[True, (np.diff(p) != 0) | (np.diff(q) != 0)])
+    params = [P(lam) for lam in _MIXED_LAMBDAS]
+    Pm, Qm = system_matrices(params, p[starts], q[starts])
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return kernels[len(args)](*args)
+
+    kernels = {2: monodromy.expm_stack, 5: monodromy._series_exponentials}
+    monkeypatch.setattr(monodromy, "expm_stack", spy)
+    monkeypatch.setattr(monodromy, "_series_exponentials", spy)
+    for dtype in (EXTENDED, np.dtype(np.complex128)):
+        _, widths, _, _, frame = monodromy._framed_runs(c, params, dtype)
+        A = Pm.astype(dtype)[:, np.newaxis] + Qm.astype(dtype)
+        A *= widths[..., np.newaxis] * frame[:, np.newaxis]
+        seen.clear()
+        period_maps(c, params, dtype=dtype)
+        X = np.concatenate([X for X, _ in seen])
+        assert X.dtype == dtype and _same_bits(X, A[..., _ROWS, _COLS])
+
+    _, widths, _, _, frame = monodromy._framed_runs(c, params, np.complex128)
+    A0 = (Pm * frame)[:, np.newaxis] * widths[..., np.newaxis]
+    A1 = (Qm * widths[..., np.newaxis]) * frame[:, np.newaxis]
+    for i, param in enumerate(params):
+        if abs(param.lam) > 2e3:
+            continue
+        seen.clear()
+        monodromy.picard_maps(c, [param], 1e-12)
+        a, c0, b, c1 = (np.concatenate(x) for x in zip(*(args[:4] for args in seen)))
+        assert _same_bits(a, A0[i, :, 0, 1]) and _same_bits(c0, A0[i, :, 2, 0])
+        assert _same_bits(b, A1[i, :, 1, 0]) and _same_bits(c1, A1[i, :, 2, 0])
