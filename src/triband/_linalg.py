@@ -98,10 +98,11 @@ def taylor_blocks(norms: np.ndarray) -> np.ndarray:
 
 
 def square_by_level(stacks: np.ndarray, squarings: np.ndarray, square) -> None:
-    """Apply square squarings[i] times to stacks[i], in place, one batched call per level."""
-    done = 0
-    for level in sorted(set(squarings.tolist()) - {0}):
-        todo = squarings >= level
+    """Apply square squarings[i] times to stacks[i], in place, one batched call per level;
+    a level that every stack reaches squares a view of stacks, with no gather or scatter."""
+    done, levels = 0, set(squarings.tolist())
+    for level in sorted(levels - {0}):
+        todo = slice(None) if level <= min(levels) else squarings >= level
         part = stacks[todo]
         for _ in range(level - done):
             part = square(part)

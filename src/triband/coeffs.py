@@ -30,19 +30,30 @@ def _validated_samples(values: Any, name: str) -> np.ndarray:
     return arr
 
 
+def _equal_cell_runs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Read-only rows (n, p, q), one per run of n equal cells, in cell order."""
+    starts = np.flatnonzero(np.concatenate(([True], (p[1:] != p[:-1]) | (q[1:] != q[:-1]))))
+    runs = np.stack((np.diff(starts, append=p.size), p[starts], q[starts]), axis=-1)
+    runs.setflags(write=False)
+    return runs
+
+
 @dataclass(frozen=True)
 class PeriodicCoefficients:
     """Real 1-periodic p, q stored as per-cell constants.
 
     kappa is the L1 norm of |p| + |q| over one period, evaluated exactly
     for the step-function model: (1/N) * sum_i (|p_i| + |q_i|).  It is the
-    single scalar that enters every perturbation bound.
+    single scalar that enters every perturbation bound.  runs is the run
+    table, found once here for every period map: one read-only row (n, p, q)
+    per run of n equal cells, in cell order.
     """
 
     p_samples: np.ndarray
     q_samples: np.ndarray
     grid_size: int = field(init=False)
     kappa: float = field(init=False)
+    runs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = _validated_samples(self.p_samples, "p_samples")
@@ -55,6 +66,7 @@ class PeriodicCoefficients:
         object.__setattr__(self, "q_samples", q)
         object.__setattr__(self, "grid_size", int(p.size))
         object.__setattr__(self, "kappa", float(np.mean(np.abs(p) + np.abs(q))))
+        object.__setattr__(self, "runs", _equal_cell_runs(p, q))
 
     @classmethod
     def from_constants(cls, p0: float, q0: float, grid_size: int) -> "PeriodicCoefficients":

@@ -257,18 +257,14 @@ def period_maps(
 def _framed_runs(c: PeriodicCoefficients, params: Sequence[SpectralParameter], dtype):
     """Entries at (0, 1), (1, 0), (2, 0) of the system over R runs of equal cells and L points.
 
-    Per run (1, -p, i q) (R, 3) and the width n/N (R, 1); per point (0, 0, -i lambda) (L, 3),
-    the frame there (mu, 1/mu, 1/mu^2) (L, 3) and the whole frame mu^(j - i) (L, 3, 3).
+    Per run (1, -p, i q) (R, 3) and the width n/N (R, 1), from c.runs; per point (0, 0, -i lambda)
+    (L, 3), the frame there (mu, 1/mu, 1/mu^2) (L, 3) and the whole frame mu^(j - i) (L, 3, 3).
     (runs + lams) * (widths * powers) is (P + Q) * widths * frame there, bit for bit.
     """
-    p, q = c.p_samples, c.q_samples
-    starts = np.flatnonzero(
-        np.concatenate(([True], (p[1:] != p[:-1]) | (q[1:] != q[:-1])))
-    )
-    run_lengths = np.diff(starts, append=c.grid_size)
-    widths = (run_lengths.astype(np.finfo(dtype).dtype) / c.grid_size)[:, np.newaxis]
-    runs = np.zeros((len(starts), 3), dtype=dtype)
-    runs[:, 0], runs[:, 1], runs[:, 2] = 1.0, -p[starts], 1j * q[starts]
+    cells, p, q = c.runs.T
+    widths = (cells.astype(np.finfo(dtype).dtype) / c.grid_size)[:, np.newaxis]
+    runs = np.zeros((len(cells), 3), dtype=dtype)
+    runs[:, 0], runs[:, 1], runs[:, 2] = 1.0, -p, 1j * q
     lams = np.zeros((len(params), 3), dtype=dtype)
     lams[:, 2] = [-1j * prm.lam for prm in params]
     frame = np.maximum(np.cbrt(np.abs(lams[:, 2])), 1)[:, np.newaxis, np.newaxis] ** _FRAME_POWERS

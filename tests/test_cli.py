@@ -2,10 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from triband.cli import main
+from triband.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -257,3 +263,41 @@ def test_refusals_are_clean_errors(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    """main parses with one parser per process; a failed parse and the
+    options of one command leave nothing behind for the next call."""
+    assert build_parser() is build_parser()
+    consts = ["--p-const", "1", "--q-const", "-0.5", "--grid", "8", "--format", "json"]
+    with pytest.raises(SystemExit) as exc:
+        main(["eigs", *consts, "--k", "1.0", "--tol", "1e-8"])  # no --n-range
+    assert exc.value.code == 2
+    capsys.readouterr()
+    eigs = ["eigs", *consts, "--k", "1.0", "--n-range", "0..0"]
+    sigma3 = ["sigma3", *consts, "--points", "9"]
+    cases = [
+        (eigs + ["--tol", "1e-8"], {"tol": 1e-8, "interval": None}),
+        (eigs, {"tol": 1e-10, "interval": None}),
+        (sigma3 + ["--interval", "-1,10"], {"tol": 1e-6, "interval": [-1.0, 10.0]}),
+        (sigma3, {"tol": 1e-6, "interval": None}),
+    ]
+    for order in (cases, cases[::-1]):
+        for argv, want in order:
+            code, out, _ = run_cli(capsys, *argv)
+            config = json.loads(out)["config"]
+            assert code == 0
+            assert {key: config.get(key) for key in want} == want, argv
+            assert ("search_interval_note" in config) == (argv == sigma3), argv
+
+
+def test_in_process_output_matches_a_fresh_interpreter(capsys):
+    """The eigs-const_c golden case prints the same bytes through the shared
+    parser as from a new process that builds its own."""
+    argv = ["eigs", "--p-const", "1", "--q-const", "-0.5", "--grid", "64",
+            "--k", "1.0", "--n-range", "-2..2"]
+    outs = [run_cli(capsys, *argv)[1] for _ in range(2)]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    fresh = subprocess.run([sys.executable, "-m", "triband.cli", *argv], capture_output=True,
+                           check=True, env={**os.environ, "PYTHONPATH": path})
+    assert outs[0].encode() == outs[1].encode() == fresh.stdout

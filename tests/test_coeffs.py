@@ -61,6 +61,27 @@ def test_samples_are_immutable():
         c.p_samples[0] = 9.0
 
 
+@pytest.mark.parametrize(
+    "p, q, rows",
+    [
+        (np.full(64, 1.0), np.full(64, -0.5), [[64, 1.0, -0.5]]),
+        (np.repeat([0.6, -0.4, 0.6], [20, 25, 19]), np.repeat([0.3, 0.3, 0.5], [20, 25, 19]),
+         [[20, 0.6, 0.3], [25, -0.4, 0.3], [19, 0.6, 0.5]]),
+        (np.zeros(64), np.arange(64.0), [[1, 0.0, x] for x in range(64)]),
+        (np.arange(8.0), np.ones(8), [[1, x, 1.0] for x in range(8)]),
+    ],
+    ids=["constant", "steps", "q-distinct", "p-distinct"],
+)
+def test_run_table_merges_equal_neighbours_only(p, q, rows):
+    c = PeriodicCoefficients.from_samples(p, q)
+    assert c.runs.tolist() == rows
+    cells = c.runs[:, 0].astype(int)
+    assert np.array_equal(np.repeat(c.runs[:, 1], cells), p)
+    assert np.array_equal(np.repeat(c.runs[:, 2], cells), q)
+    with pytest.raises(ValueError):
+        c.runs[0, 1] = 9.0
+
+
 def test_refinement_leaves_kappa_and_monodromy_invariant(sin_c):
     refined = PeriodicCoefficients.from_samples(
         np.repeat(sin_c.p_samples, 2), np.repeat(sin_c.q_samples, 2)

@@ -160,6 +160,76 @@ def test_ordered_product_matches_sequential_loop(length):
     assert float(np.abs(got - expected).max()) <= 1e-16
 
 
+def _same_bits(x, y):
+    """Equal values and equal signs of zero, in the real and the imaginary parts."""
+    return all(np.array_equal(f(x), f(y)) and np.array_equal(np.signbit(f(x)), np.signbit(f(y)))
+               for f in (np.real, np.imag))
+
+
+def _square_by_gather(stacks, squarings, square):
+    """Reference for square_by_level: every level gathers its stacks through a
+    boolean mask and scatters them back, the levels every stack reaches too."""
+    done = 0
+    for level in sorted(set(squarings.tolist()) - {0}):
+        todo = squarings >= level
+        part = stacks[todo]
+        for _ in range(level - done):
+            part = square(part)
+        stacks[todo] = part
+        done = level
+
+
+@pytest.mark.parametrize("squarings", [(3, 3, 3), (0, 2, 5), (1, 4, 2), (0, 0, 0)],
+                         ids=["one-level", "mixed-with-zero", "mixed", "none"])
+@pytest.mark.parametrize("in_place", [False, True], ids=["matmul", "toeplitz-in-place"])
+def test_square_by_level_matches_gather_and_scatter(squarings, in_place):
+    """Bit for bit, with squarings that return new arrays and with the series
+    route's, which squares its argument in place."""
+    rng = np.random.default_rng(len(squarings) + sum(squarings))
+    shape = (3, 4, 3, 3)
+    stacks = (0.4 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))).astype(EXTENDED)
+    square = monodromy._toeplitz_squares if in_place else (lambda part: part @ part)
+    want, got = stacks.copy(), stacks.copy()
+    _square_by_gather(want, np.array(squarings), square)
+    _linalg.square_by_level(got, np.array(squarings), square)
+    assert _same_bits(got, want)
+    assert _same_bits(got, stacks) == (max(squarings) == 0)
+
+
+@pytest.mark.parametrize(
+    "levels, p, q, lams",
+    [
+        ("one-level", np.full(64, 1.0), np.full(64, -0.5), [-37.5]),
+        ("mixed", np.repeat(_RUN_P, _RUN_CELLS), np.repeat(_RUN_Q, _RUN_CELLS),
+         [0.0, 1.0, -5e2, 2e3, 3 + 4j, 3 - 4j]),
+        ("none", np.sin(np.arange(64) / 10), np.cos(np.arange(64) / 10), [0.0, 0.5, -0.5]),
+    ],
+    ids=["one-level", "mixed", "none"],
+)
+def test_core_routes_square_as_the_gather_form(monkeypatch, levels, p, q, lams):
+    """period_maps and picard_maps (in-place block-Toeplitz squarings) are
+    unchanged bit for bit when every level gathers and scatters."""
+    c = PeriodicCoefficients.from_samples(p, q)
+    params = [SpectralParameter.from_lambda(lam) for lam in lams]
+    kinds = set()
+    by_level = _linalg.square_by_level
+
+    def recording(stacks, squarings, square):
+        s = set(squarings.tolist())
+        kinds.add("none" if s == {0} else "one-level" if len(s) == 1 else "mixed")
+        by_level(stacks, squarings, square)
+
+    for module in (_linalg, monodromy):
+        monkeypatch.setattr(module, "square_by_level", recording)
+    maps, series = period_maps(c, params), monodromy.picard_maps(c, params, 1e-12)
+    assert levels in kinds and (levels == "mixed" or kinds == {levels})
+    for module in (_linalg, monodromy):
+        monkeypatch.setattr(module, "square_by_level", _square_by_gather)
+    assert _same_bits(period_maps(c, params), maps)
+    for got, want in zip(monodromy.picard_maps(c, params, 1e-12), series):
+        assert _same_bits(got.M, want.M) and got.term_norms == want.term_norms
+
+
 @pytest.mark.parametrize(
     "lam", [0.0, 10.0, -10.0, 250.0, 1e3, -1e3, 3e3, -1e4, 300 + 200j, -1e3 - 1e3j]
 )

@@ -648,6 +648,28 @@ def test_batched_core_equals_per_lambda_loop(family, n):
         assert np.abs(M - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
+def test_calls_sharing_a_run_table_match_a_fresh_object():
+    """Repeated core calls on one coefficient object, in both dtypes and on
+    the series route, give what a fresh object gives on its first call."""
+    c = _coefficient_family("steps3", 64)
+    params = [P(lam) for lam in _MIXED_LAMBDAS]
+    series = [prm for prm in params if abs(prm.lam) <= 2e3]
+
+    def fresh():
+        return PeriodicCoefficients.from_samples(c.p_samples, c.q_samples)
+
+    want = {dtype: period_maps(fresh(), params, dtype=dtype)
+            for dtype in (EXTENDED, np.dtype(np.complex128))}
+    want_series = monodromy.picard_maps(fresh(), series, 1e-12)
+    for route in (EXTENDED, np.complex128, "series", EXTENDED, "series", np.complex128):
+        if isinstance(route, str):
+            got = monodromy.picard_maps(c, series, 1e-12)
+            assert all(_same_bits(m.M, w.M) and m.term_norms == w.term_norms
+                       for m, w in zip(got, want_series))
+        else:
+            assert _same_bits(period_maps(c, params, dtype=route), want[np.dtype(route)])
+
+
 def test_batched_core_refuses_like_the_one_lambda_path(sin_c):
     far = P(-1e12)
     with pytest.raises(PropagationOverflowError) as single:

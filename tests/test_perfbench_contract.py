@@ -6,9 +6,11 @@ outputs.py by path and calling those functions in the same forms turns a cut
 of one of them into a failure here instead of inside a benchmark run.  The
 roots-steps inputs of workloads.py also guard the round count of the
 Floquet search, which sets the cost of its eigs operations, and the
-verify-far inputs the number of core calls of the two identity suites.
+per-call setup that the CLI and the core build once; the verify-far inputs
+guard the number of core calls of the two identity suites.
 """
 
+import argparse
 import importlib.util
 import math
 import sys
@@ -18,6 +20,8 @@ import numpy as np
 import pytest
 
 import triband.checks as checks
+import triband.cli as cli
+import triband.coeffs as coeffs
 import triband.floquet as fl
 import triband.monodromy as monodromy
 from triband.coeffs import load_coefficients
@@ -113,3 +117,40 @@ def test_verify_far_identity_suites_take_one_core_call(workloads, tmp_path, monk
             calls.clear()
             assert suite(c).passed
             assert len(calls) == 1, (suite.__name__, calls)
+
+
+def test_roots_steps_ops_build_one_parser_and_one_run_table_per_set(
+        workloads, tmp_path, monkeypatch, capsys):
+    """Through cli.main, roots-steps builds its 5 parsers (root and 4 commands)
+    once in all, and each coefficient object finds its runs once however many
+    core calls it serves, in whatever dtype.
+    """
+    ops = workloads.WORKLOADS["roots-steps"].build(np.random.default_rng(41), str(tmp_path))
+    picked = [op for op in ops if op.kind == "eigs"][:4]
+    picked += [op for op in ops if op.kind == "sigma3"][:4]
+    parsers, tables, served = [], [], []
+    init, find = argparse.ArgumentParser.__init__, coeffs._equal_cell_runs
+    framed = monodromy._framed_runs
+
+    def counting_init(self, *args, **kwargs):
+        parsers.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def counting_find(p, q):
+        tables.append(len(p))
+        return find(p, q)
+
+    def recording(c, params, dtype):
+        served.append((c, np.dtype(dtype)))  # holds c, so no id is reused
+        return framed(c, params, dtype)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(coeffs, "_equal_cell_runs", counting_find)
+    monkeypatch.setattr(monodromy, "_framed_runs", recording)
+    cli.build_parser.cache_clear()
+    for op in picked:
+        assert cli.main(list(op.argv)) == 0, op.argv
+    capsys.readouterr()
+    assert 1 <= len(parsers) <= 5, parsers
+    assert len(tables) <= len({(id(c), dtype) for c, dtype in served}) == len(picked)
+    assert len(served) >= 3 * len(picked)
