@@ -15,17 +15,20 @@ def brent_steps(
     xtol: float,
     fa: Optional[float] = None,
     fb: Optional[float] = None,
-) -> Generator[float, float, tuple[float, float]]:
-    """Brent's iteration on the sign-change bracket [a, b], as a generator.
+) -> Generator[list[float], list[float], tuple[float, float]]:
+    """Brent's iteration on the sign-change bracket [a, b], as a lockstep search.
 
-    It yields each point x at which it needs f and is sent f(x) back
-    (``fb = yield b``), so a caller can evaluate the points of many
-    iterations together.  It returns (x, f(x)) with x within about
-    2*eps*|x| + xtol of a zero; x is always a point whose f it was given.
-    Inverse-quadratic / secant steps guarded by bisection, after Brent.
+    It yields the one-point list [x] for each point x at which it needs f
+    and is sent [f(x)] back (``[fb] = yield [b]``), so lockstep can evaluate
+    the points of many searches in one call.  It returns (x, f(x)) with x
+    within about 2*eps*|x| + xtol of a zero; x is always a point whose f it
+    was given.  Inverse-quadratic / secant steps guarded by bisection, after
+    Brent.
     """
-    fa = (yield a) if fa is None else fa
-    fb = (yield b) if fb is None else fb
+    if fa is None:
+        [fa] = yield [a]
+    if fb is None:
+        [fb] = yield [b]
     if fa == 0.0:
         return a, fa
     if fb == 0.0:
@@ -69,26 +72,8 @@ def brent_steps(
                 d = e = mid
         a, fa = b, fb
         b += d if abs(d) > tol else (tol if mid > 0 else -tol)
-        fb = yield b
+        [fb] = yield [b]
     return b, fb
-
-
-def drive(
-    steps: Generator[float, float, tuple[float, float]],
-    probe: Callable[[float], Generator[Any, Any, float]],
-) -> Generator[Any, Any, tuple[float, float]]:
-    """Run brent_steps to its result, taking each f(x) as ``yield from probe(x)``.
-
-    probe is a generator function, so a caller that runs drive with
-    ``yield from`` can hand every point on to its own caller, as the
-    lockstep searches of floquet and discriminant do.
-    """
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send((yield from probe(x)))
-    except StopIteration as done:
-        return done.value
 
 
 def lockstep(
@@ -97,10 +82,12 @@ def lockstep(
 ) -> list:
     """Run searches together; the points of each round go to one evaluate call.
 
-    Each search yields a list of points, is sent their values as a list,
-    and returns its outcome; a search may return before its first yield.
-    evaluate maps a list of points to the list of their values.  Returns
-    the outcomes in the order of searches.
+    Each search is a generator that yields a list of points, is sent their
+    values as a list, and returns its outcome; a search may return before
+    its first yield.  brent_steps is one such search, and so is any
+    generator that hands its points on to it.  evaluate maps a list of
+    points to the list of their values.  Returns the outcomes in the order
+    of searches.
     """
     outcomes: list = [None] * len(searches)
     replies: dict[int, Optional[list]] = dict.fromkeys(range(len(searches)))
@@ -132,8 +119,8 @@ def brent(
     """
     steps = brent_steps(a, b, xtol, fa, fb)
     try:
-        x = next(steps)
+        [x] = next(steps)
         while True:
-            x = steps.send(f(x))
+            [x] = steps.send([f(x)])
     except StopIteration as done:
         return done.value

@@ -69,11 +69,6 @@ def _real_grid(n: int = 60) -> np.ndarray:
     return grid[grid != 0.0]
 
 
-def _propagate_grid(c: PeriodicCoefficients, grid) -> list:
-    """Period maps at the real points of grid, from one core call."""
-    return [m for m, _ in propagate_pairs(c, grid)]
-
-
 def check_determinant_identity(c: PeriodicCoefficients) -> CheckResult:
     M = period_maps(c, [SpectralParameter.from_lambda(lam) for lam in _real_grid()])
     worst = det_residual(M).max()
@@ -140,7 +135,7 @@ def check_trace_bounds(c: PeriodicCoefficients) -> CheckResult:
     full matrix deviation from the diagonal free propagator.
     """
     kappa = c.kappa
-    maps = _propagate_grid(c, _real_grid(n=50))
+    maps = [m for m, _ in propagate_pairs(c, _real_grid(n=50))]
     T = np.array([m.trace_T for m in maps])
     z0 = np.array([m.param.z0 for m in maps])
     worst = float(np.max(np.abs(T) / (3.0 * np.exp(z0 + kappa))))
@@ -162,7 +157,7 @@ def check_trace_bounds(c: PeriodicCoefficients) -> CheckResult:
 
 
 def check_picard_agreement(c: PeriodicCoefficients) -> CheckResult:
-    maps = _propagate_grid(c, np.linspace(-100.0, 100.0, 9))
+    maps = [m for m, _ in propagate_pairs(c, np.linspace(-100.0, 100.0, 9))]
     series = picard_maps(c, [m.param for m in maps], tol=_PICARD_TOL)
     worst = max(float(np.abs(m.M.astype(complex) - s.M).max()) for m, s in zip(maps, series))
     threshold = max(1e-8, 10.0 * _PICARD_TOL)
@@ -195,7 +190,7 @@ def check_multiplier_symmetry(c: PeriodicCoefficients) -> CheckResult:
 def check_reduction_identity(c: PeriodicCoefficients) -> CheckResult:
     """det(M - e^{ik}) == 2i e^{3ik/2} F(k, lambda) on the real axis."""
     worst = 0.0
-    maps = _propagate_grid(c, np.linspace(-150.0, 150.0, 16))
+    maps = [m for m, _ in propagate_pairs(c, np.linspace(-150.0, 150.0, 16))]
     for k in (0.0, 0.3, 1.0, math.pi, 5.0):
         for m in maps:
             direct = complex(

@@ -19,7 +19,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, astuple
 from typing import Optional, Sequence
 
 from . import __version__
@@ -124,10 +123,9 @@ def _config_echo(args: argparse.Namespace, c: PeriodicCoefficients) -> dict:
     echo = {"command": args.command, "version": __version__}
     for key in ("coeffs", "p_const", "q_const", "interval", "points", "k",
                 "n_range", "tol", "format"):
-        if hasattr(args, key):
-            value = getattr(args, key)
-            if value is not None:
-                echo[key] = list(value) if isinstance(value, tuple) else value
+        value = getattr(args, key, None)
+        if value is not None:
+            echo[key] = list(value) if isinstance(value, tuple) else value
     echo["grid_size"] = c.grid_size
     echo["kappa"] = c.kappa
     return echo
@@ -141,174 +139,127 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _render_csv(config: dict, header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    buf = io.StringIO()
-    for key, value in config.items():
-        buf.write(f"# {key} = {value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
-    return buf.getvalue()
+def _render(args: argparse.Namespace, config: dict, header: Sequence[str],
+            rows: Sequence[Sequence], payload: dict) -> None:
+    """Write one result to --out or stdout in the format args asks for.
+
+    CSV is the config as '# key = value' lines, then header and rows, with
+    None as an empty cell; JSON is one object of the config and payload.
+    Every command but verify's text report writes through here.
+    """
+    if args.format == "json":
+        text = json.dumps({"config": config, **payload}, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        for key, value in config.items():
+            buf.write(f"# {key} = {value}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if v is None else v for v in row])
+        text = buf.getvalue()
+    _emit(text, args.out)
 
 
-def _render_json(config: dict, payload: dict) -> str:
-    return json.dumps({"config": config, **payload}, indent=2) + "\n"
-
-
-def _finite_or_none(x: Optional[float]) -> Optional[float]:
-    """Strict-JSON stand-in: the discriminant saturates to inf near the
-    propagation range limit, which json.dumps would emit as bare Infinity."""
-    if x is None or math.isfinite(x):
-        return x
-    return None
-
-
-def _branch_deltas(pt: BandPoint) -> list[Optional[float]]:
-    """Per-branch Lyapunov values; None for branches off the unit circle."""
+def _scan_point(pt: BandPoint) -> tuple[list, dict]:
+    """The CSV row and the JSON object of one scan point; None for a branch off the circle."""
     deltas: list[Optional[float]] = [None, None, None]
     if pt.lyapunov_branches is not None:
-        for j in range(3):
-            if pt.branch_on_circle[j]:
-                deltas[j] = float(pt.lyapunov_branches[j].real)
-    return deltas
+        deltas = [float(d.real) if on else None
+                  for d, on in zip(pt.lyapunov_branches, pt.branch_on_circle)]
+    flags = sorted(pt.flags)
+    cell = "error:" + pt.error.split(";")[0] if pt.error is not None else ";".join(flags) or None
+    row = [pt.lam, pt.rho, pt.multiplicity, *deltas, cell]
+    obj = {
+        "lambda": pt.lam,
+        # strict JSON: rho saturates to inf near the propagation range limit,
+        # which json.dumps would emit as bare Infinity
+        "rho": pt.rho if pt.rho is None or math.isfinite(pt.rho) else None,
+        "multiplicity": pt.multiplicity,
+        "on_circle_count": pt.on_circle_count,
+        "delta1": deltas[0],
+        "delta2": deltas[1],
+        "delta3": deltas[2],
+        "lyapunov_real_branches": list(pt.lyapunov_real_branches),
+        "flags": flags,
+        "error": pt.error,
+    }
+    return row, obj
 
 
-def _scan_rows(points: list[BandPoint]) -> list[list]:
-    rows = []
-    for pt in points:
-        deltas = _branch_deltas(pt)
-        flags = ";".join(sorted(pt.flags)) if pt.flags else None
-        if pt.error is not None:
-            flags = "error:" + pt.error.split(";")[0]
-        rows.append([pt.lam, pt.rho, pt.multiplicity, *deltas, flags])
-    return rows
-
-
-def _scan_json(points: list[BandPoint]) -> list[dict]:
-    out = []
-    for pt in points:
-        deltas = _branch_deltas(pt)
-        out.append(
-            {
-                "lambda": pt.lam,
-                "rho": _finite_or_none(pt.rho),
-                "multiplicity": pt.multiplicity,
-                "on_circle_count": pt.on_circle_count,
-                "delta1": deltas[0],
-                "delta2": deltas[1],
-                "delta3": deltas[2],
-                "lyapunov_real_branches": list(pt.lyapunov_real_branches),
-                "flags": sorted(pt.flags),
-                "error": pt.error,
-            }
-        )
-    return out
-
-
-def _cmd_scan(args: argparse.Namespace) -> int:
-    c = _coefficients_from(args)
+def _cmd_scan(args: argparse.Namespace, c: PeriodicCoefficients, config: dict) -> int:
     points = scan_real_axis(c, args.interval, args.points)
-    config = _config_echo(args, c)
-    if args.format == "csv":
-        text = _render_csv(
-            config,
-            ["lambda", "rho", "multiplicity", "delta1", "delta2", "delta3", "flags"],
-            _scan_rows(points),
-        )
-    else:
-        text = _render_json(config, {"points": _scan_json(points)})
-    _emit(text, args.out)
+    table = [_scan_point(pt) for pt in points]
+    _render(
+        args, config,
+        ["lambda", "rho", "multiplicity", "delta1", "delta2", "delta3", "flags"],
+        [row for row, _ in table],
+        {"points": [obj for _, obj in table]},
+    )
     n_err = sum(1 for pt in points if pt.error is not None)
     if n_err:
         print(f"warning: {n_err} grid points failed to propagate", file=sys.stderr)
     return 0
 
 
-def _cmd_eigs(args: argparse.Namespace) -> int:
-    c = _coefficients_from(args)
+def _cmd_eigs(args: argparse.Namespace, c: PeriodicCoefficients, config: dict) -> int:
     res = eigenvalues_at_k(c, args.k, args.n_range, tol=args.tol)
-    config = _config_echo(args, c)
-    if args.format == "csv":
-        text = _render_csv(
-            config,
-            ["n", "k", "lambda_n", "residual", "cube_root_gap", "multiplicity"],
-            [astuple(e) for e in res.eigenvalues],
-        )
-    else:
-        payload = {
-            "eigenvalues": [asdict(e) for e in res.eigenvalues],
-            "missed": [
-                {
-                    "n": miss.n,
-                    "seed_lambda": miss.seed_lambda,
-                    "min_abs_f": miss.min_abs_f,
-                    "at_lambda": miss.at_lambda,
-                    "note": miss.note,
-                }
-                for miss in res.missed
-            ],
-        }
-        text = _render_json(config, payload)
-    _emit(text, args.out)
+    records = [vars(e) for e in res.eigenvalues]
+    _render(
+        args, config,
+        ["n", "k", "lambda_n", "residual", "cube_root_gap", "multiplicity"],
+        [list(e.values()) for e in records],
+        {
+            "eigenvalues": records,
+            "missed": [{key: v for key, v in vars(miss).items() if key != "k"}
+                       for miss in res.missed],
+        },
+    )
     if res.missed:
         print(f"warning: {len(res.missed)} seeds produced no bracketed root",
               file=sys.stderr)
     return 0
 
 
-def _cmd_sigma3(args: argparse.Namespace) -> int:
-    c = _coefficients_from(args)
+def _cmd_sigma3(args: argparse.Namespace, c: PeriodicCoefficients, config: dict) -> int:
     res = sigma3_intervals(
         c, search_interval=args.interval, scan_points=args.points, tol=args.tol
     )
-    config = _config_echo(args, c)
     config["search_interval"] = list(res.search_interval)
     if res.interval_was_default:
         # no rigorous radius exists for this set; make the guess visible
         config["search_interval_note"] = (
             "heuristic window (10+10*kappa)^3 derived from the coefficient norm"
         )
-    if args.format == "csv":
-        rows: list[list] = [
-            ["interval", *astuple(iv)[:4], int(iv.lo_clipped), int(iv.hi_clipped)]
-            for iv in res.intervals
-        ]
-        rows += [["touch", x, x, None, None, 0, 0] for x in res.touch_points]
-        text = _render_csv(
-            config,
-            ["kind", "lo", "hi", "rho_lo", "rho_hi", "lo_clipped", "hi_clipped"],
-            rows,
-        )
-    else:
-        payload = {
-            "intervals": [asdict(iv) for iv in res.intervals],
-            "touch_points": list(res.touch_points),
-        }
-        text = _render_json(config, payload)
-    _emit(text, args.out)
+    rows: list[list] = [
+        ["interval", iv.lo, iv.hi, iv.rho_lo, iv.rho_hi, int(iv.lo_clipped), int(iv.hi_clipped)]
+        for iv in res.intervals
+    ]
+    rows += [["touch", x, x, None, None, 0, 0] for x in res.touch_points]
+    _render(
+        args, config,
+        ["kind", "lo", "hi", "rho_lo", "rho_hi", "lo_clipped", "hi_clipped"],
+        rows,
+        {"intervals": [vars(iv) for iv in res.intervals],
+         "touch_points": list(res.touch_points)},
+    )
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    c = _coefficients_from(args)
+def _cmd_verify(args: argparse.Namespace, c: PeriodicCoefficients, config: dict) -> int:
     results = run_verify(c)
-    config = _config_echo(args, c)
+    n_fail = sum(1 for r in results if not r.passed)
     if args.format == "json":
-        payload = {
-            "checks": [asdict(r) for r in results],
-            "all_passed": all(r.passed for r in results),
-        }
-        _emit(_render_json(config, payload), args.out)
+        payload = {"checks": [vars(r) for r in results], "all_passed": not n_fail}
+        _render(args, config, (), (), payload)
     else:
         lines = [r.line() for r in results]
-        n_fail = sum(1 for r in results if not r.passed)
         lines.append(
             f"{len(results) - n_fail}/{len(results)} suites passed"
             + (f", {n_fail} FAILED" if n_fail else "")
         )
         _emit("\n".join(lines) + "\n", args.out)
-    return 0 if all(r.passed for r in results) else 1
+    return 1 if n_fail else 0
 
 
 def _merge_value_flags(argv: Sequence[str]) -> list[str]:
@@ -336,7 +287,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(_merge_value_flags(argv))
     command = {"scan": _cmd_scan, "eigs": _cmd_eigs, "sigma3": _cmd_sigma3, "verify": _cmd_verify}
     try:
-        return command[args.command](args)
+        c = _coefficients_from(args)
+        return command[args.command](args, c, _config_echo(args, c))
     except (OSError, ValueError, PropagationOverflowError, PicardTruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._rootfind import brent_steps, drive, lockstep
+from ._rootfind import brent_steps, lockstep
 from .coeffs import PeriodicCoefficients
 from .monodromy import trace_at, traces_at
 from .util import uniform_grid
@@ -61,12 +61,6 @@ def rho_formula_scale(T: complex) -> float:
 def rho_at(c: PeriodicCoefficients, lam: float) -> float:
     """One-point evaluation of the discriminant via the trace route."""
     return rho_trace_formula(trace_at(c, float(lam)))
-
-
-def _ask_one(lam: float):
-    """A drive probe that hands lam on to the lockstep round and takes rho back."""
-    [rho] = yield [lam]
-    return rho
 
 
 @dataclass(frozen=True)
@@ -165,9 +159,8 @@ def sigma3_intervals(
 
     def refine(i: int, j: int):
         """Search for (root, rho there) between grid points i < j of opposite strict signs."""
-        steps = brent_steps(float(grid[i]), float(grid[j]), xtol=tol,
-                            fa=float(rho[i]), fb=float(rho[j]))
-        return drive(steps, _ask_one)
+        return brent_steps(float(grid[i]), float(grid[j]), xtol=tol,
+                           fa=float(rho[i]), fb=float(rho[j]))
 
     def rho_of(lams: list[float]) -> list[float]:
         return [rho_trace_formula(T) for T in traces_at(c, lams)]

@@ -26,7 +26,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from ._rootfind import brent_steps, drive, lockstep
+from ._rootfind import brent_steps, lockstep
 from .coeffs import PeriodicCoefficients
 from .monodromy import traces_at
 
@@ -110,10 +110,6 @@ def _solve_one(k: float, n: int, tol: float, p_mean: float, q_mean: float) -> _S
             cache.update(zip(missing, (yield missing)))
         return [cache[s][0] for s in points]
 
-    def probe_one(s: float):
-        [f_s] = yield from probe([s])
-        return f_s
-
     seed = 2.0 * math.pi * n + k
     # bracket stays inside the midpoints to the neighbouring seeds so a
     # root cannot be captured from the wrong index
@@ -166,7 +162,13 @@ def _solve_one(k: float, n: int, tol: float, p_mean: float, q_mean: float) -> _S
     xtol_s = max(tol * max(1.0, abs(seed)) / 3.0, 6e-16 * max(1.0, abs(seed)))
     steps = brent_steps(bracket[0], bracket[1], xtol=xtol_s,
                         fa=cache[bracket[0]][0], fb=cache[bracket[1]][0])
-    s_root, _ = yield from drive(steps, probe_one)
+    # Brent's points go through probe, which keeps the trace beside each F
+    try:
+        points = next(steps)
+        while True:
+            points = steps.send((yield from probe(points)))
+    except StopIteration as done:
+        s_root, _ = done.value
     # Brent returns a point it has evaluated, so its trace is cached
     f_val, trace = cache[s_root]
     lam = s_root**3

@@ -346,9 +346,15 @@ def free_diagonalizer(
 
 
 def q_norm_integral(c: PeriodicCoefficients) -> float:
-    """Integral over one period of the spectral norm of Q(t)."""
-    _, Q = system_matrices([], c.p_samples, c.q_samples)
-    return sum(np.linalg.norm(Q, 2, axis=(-2, -1)).tolist()) / c.grid_size
+    """Integral over one period of the spectral norm of Q(t).
+
+    One norm per run of equal cells, repeated by the run's cell count and
+    summed in cell order: the sum of the per-cell norms, bit for bit.
+    """
+    cells, p, q = c.runs.T
+    _, Q = system_matrices([], p, q)
+    norms = np.linalg.norm(Q, 2, axis=(-2, -1))
+    return sum(np.repeat(norms, cells.astype(int)).tolist()) / c.grid_size
 
 
 # Terms allowed to the series, and its dtype

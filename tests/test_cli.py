@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from triband import cli
+from triband.checks import CheckResult
 from triband.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -101,6 +103,19 @@ def test_eigs_json(capsys):
     assert data["missed"] == []
 
 
+def test_eigs_reports_missed_seeds(capsys):
+    """The n = 0 seed of the golden step set at k = 2 has no sign change."""
+    steps = Path(__file__).resolve().parent / "golden" / "steps.json"
+    argv = ["eigs", "--coeffs", str(steps), "--k", "2.0", "--n-range", "-4..4"]
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert err == "warning: 1 seeds produced no bracketed root\n"
+    [miss] = json.loads(out)["missed"]
+    assert list(miss) == ["n", "seed_lambda", "min_abs_f", "at_lambda", "note"]
+    assert miss["n"] == 0
+
+
 def test_sigma3_reports_heuristic_window(capsys):
     code, out, _ = run_cli(
         capsys, "sigma3", "--p-const", "0", "--q-const", "0", "--grid", "2",
@@ -154,6 +169,26 @@ def test_verify_json_structure(capsys):
         "free-case-trace",
         "root-counting",
     }
+
+
+def test_verify_reports_a_failed_suite(capsys, monkeypatch):
+    results = [
+        CheckResult("first", True, 1e-20, 1e-16),
+        CheckResult("second", False, 0.5, 1e-8, detail="(broken)"),
+        CheckResult("third", True, 0.0, 1e-8),
+    ]
+    monkeypatch.setattr(cli, "run_verify", lambda c: results)
+    consts = ["verify", "--p-const", "0", "--q-const", "0", "--grid", "4"]
+    code, out, _ = run_cli(capsys, *consts)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1] == "FAIL  second: worst 5.000e-01 (threshold 1.000e-08) (broken)"
+    assert lines[-1] == "2/3 suites passed, 1 FAILED"
+    code, out, _ = run_cli(capsys, *consts, "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["all_passed"] is False
+    assert [c["passed"] for c in data["checks"]] == [True, False, True]
 
 
 def test_coefficient_file_source(capsys, tmp_path):
@@ -241,6 +276,34 @@ def test_scan_up_to_the_propagation_guard(capfd):
             assert r[6].startswith("error:")
         else:
             assert r[2] == "1" and not r[6].startswith("error:")
+    n_err = sum(r[6].startswith("error:") for r in rows)
+    assert n_err > 0
+    assert captured.err == f"warning: {n_err} grid points failed to propagate\n"
+
+
+def test_scan_csv_and_json_agree_on_every_row(capsys):
+    """Past 4.7e8 rho saturates to inf (null in JSON); past 5.28e8 the rows are errors."""
+    argv = ["scan", "--p-const", "0.5", "--q-const", "0.3", "--grid", "16",
+            "--interval=4e8,6e8", "--points", "4"]
+    _, out_csv, err_csv = run_cli(capsys, *argv)
+    _, out_json, err_json = run_cli(capsys, *argv, "--format", "json")
+    comments, _, rows = parse_csv(out_csv)
+    data = json.loads(out_json)
+    assert err_csv == err_json == "warning: 2 grid points failed to propagate\n"
+    assert len(comments) == len(data["config"])
+    assert len(rows) == len(data["points"]) == 4
+    for row, pt in zip(rows, data["points"]):
+        assert float(row[0]) == pt["lambda"]
+        if pt["error"] is None:
+            assert float(row[1]) == math.inf and pt["rho"] is None
+            assert int(row[2]) == pt["multiplicity"] == pt["on_circle_count"]
+            assert row[6] == ";".join(pt["flags"])
+        else:
+            assert row[1] == row[2] == "" and pt["rho"] is None and pt["multiplicity"] is None
+            assert row[6] == "error:" + pt["error"].split(";")[0]
+        deltas = [pt[f"delta{j}"] for j in (1, 2, 3)]
+        assert [float(x) if x else None for x in row[3:6]] == deltas
+    assert [pt["error"] is not None for pt in data["points"]] == [False, False, True, True]
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,24 @@
-"""Every imported name in the package and the tests is used.
+"""Every imported name in the package and the tests is used, and so is
+every private name the package defines.
 
-An AST scan: a name bound by an import statement must occur as a name
+AST scans: a name bound by an import statement must occur as a name
 somewhere else in the module.  Names re-exported through ``__all__`` and
-``from __future__`` imports are exempt.  No linter runs with the suite, so
-this is what keeps orphaned imports out.
+``from __future__`` imports are exempt.  A private (``_``-prefixed)
+module-level function, class or constant of the package must be read
+somewhere in the package or the tests outside its own definition.  No
+linter runs with the suite, so this is what keeps orphaned imports and
+orphaned helpers out.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(ROOT.glob("src/triband/*.py")) + sorted(ROOT.glob("tests/*.py"))
+PACKAGE = sorted(ROOT.glob("src/triband/*.py"))
+MODULES = PACKAGE + sorted(ROOT.glob("tests/*.py"))
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -50,3 +56,64 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _read_names(tree: ast.AST):
+    """Every name the tree reads: loaded names, attributes, imported names
+    and string constants (monkeypatch.setattr takes the name as a string)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level private functions, classes and constants, by name."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        defined.update((name, node) for name in names
+                       if name.startswith("_") and not name.startswith("__"))
+    return defined
+
+
+def dead_private_names(package: dict[str, str], others: list[str]) -> list[str]:
+    """'module:name' for each private definition of the package modules
+    (name -> source) that no source reads outside the definition itself."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    reads = Counter(n for tree in trees.values() for n in _read_names(tree))
+    reads.update(n for source in others for n in _read_names(ast.parse(source)))
+    return [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree).items()
+        if reads[name] == sum(n == name for n in _read_names(node))
+    ]
+
+
+def test_scanner_flags_a_dead_private_name():
+    package = {
+        "a": "_LIMIT = 3\n_OK = 1\ndef _loop(n):\n    return _loop(n - 1)\n"
+             "class _Used:\n    pass\ndef api():\n    return _Used()\n",
+        "b": "from .a import _OK\n",
+    }
+    others = ["def test(monkeypatch):\n    monkeypatch.setattr(a, '_LIMIT', 4)\n"]
+    assert dead_private_names(package, others) == ["a:_loop"]
+
+
+def test_no_dead_private_names():
+    package = {path.stem: path.read_text() for path in PACKAGE}
+    tests = [path.read_text() for path in sorted(ROOT.glob("tests/*.py"))]
+    assert dead_private_names(package, tests) == []
