@@ -45,6 +45,8 @@ CASES = {
                      "--interval", "-2,2", "--points", "41"],
     # constant coefficients do not depend on the grid; 4 cells keep it fast
     "verify-const": ["verify", "--p-const", "1", "--q-const", "-0.5", "--grid", "4"],
+    # 64 distinct cells: the suites read their rows out of one shared core call
+    "verify-sin_c": ["verify", "--coeffs", str(SIN_C)],
 }
 FORMATS = ("csv", "json")
 
