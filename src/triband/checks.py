@@ -8,6 +8,7 @@ user-supplied coefficients, where no precomputed expected values exist.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,12 +21,11 @@ from .floquet import char_real_function, count_in_disk
 from .freecase import free_case, free_trace
 from .monodromy import (
     SpectralParameter,
-    char_poly,
+    _traces,
     det_residual,
     free_diagonalizer,
     period_maps,
     picard_maps,
-    propagate_pairs,
     symplectic_residual,
     traces_at,
 )
@@ -69,41 +69,73 @@ def _real_grid(n: int = 60) -> np.ndarray:
     return grid[grid != 0.0]
 
 
-def check_determinant_identity(c: PeriodicCoefficients) -> CheckResult:
-    M = period_maps(c, [SpectralParameter.from_lambda(lam) for lam in _real_grid()])
-    worst = det_residual(M).max()
+@dataclass(frozen=True)
+class SuiteMaps:
+    """One suite's points with their period maps and traces, in the suite's order."""
+
+    c: PeriodicCoefficients
+    params: list[SpectralParameter]
+    M: np.ndarray
+    T: list[complex]
+
+
+@functools.cache
+def _fixed_grids() -> tuple[list[SpectralParameter], dict[str, np.ndarray], list[complex]]:
+    """Each suite's fixed points as rows of their union without repeats, and the char-poly taus."""
+    rng = np.random.default_rng(20240817)
+    pairs = [complex(rng.uniform(-350, 350), rng.uniform(-350, 350)) for _ in range(10)]
+    rng = np.random.default_rng(7)
+    lams, taus = zip(*[(complex(rng.uniform(-200, 200), rng.uniform(-200, 200)),
+                        complex(rng.normal(), rng.normal())) for _ in range(20)])
+    # conjugates follow complex points, suites run_verify's order: the guard refuses as before
+    grids = {
+        "determinant-identity": _real_grid(),
+        "symplectic-identity": [*_real_grid(n=40), *pairs, *np.conj(pairs)],
+        "characteristic-polynomial": [*lams, *np.conj(lams)],
+        "discriminant-consistency": _real_grid(n=80),
+        "growth-bounds": _real_grid(n=50),
+        "series-vs-steps": np.linspace(-100.0, 100.0, 9),
+        "multiplier-symmetry": _real_grid(n=60),
+        "determinant-reduction": np.linspace(-150.0, 150.0, 16),
+    }
+    index: dict[complex, int] = {}  # row of each lambda
+    rows = {name: np.array([index.setdefault(complex(lam), len(index)) for lam in grid])
+            for name, grid in grids.items()}
+    return [SpectralParameter.from_lambda(lam) for lam in index], rows, list(taus)
+
+
+def suite_maps(c: PeriodicCoefficients) -> dict[str, SuiteMaps]:
+    """SuiteMaps of every fixed-grid suite, by name, from one period_maps call."""
+    params, rows, _ = _fixed_grids()
+    M = period_maps(c, params)
+    T = _traces(M)
+    return {name: SuiteMaps(c, [params[i] for i in r], M[r], [T[i] for i in r])
+            for name, r in rows.items()}
+
+
+def check_determinant_identity(maps: SuiteMaps) -> CheckResult:
+    worst = det_residual(maps.M).max()
     return CheckResult("determinant-identity", worst <= _ROUNDOFF, worst, _ROUNDOFF)
 
 
-def check_symplectic_identity(c: PeriodicCoefficients) -> CheckResult:
+def check_symplectic_identity(maps: SuiteMaps) -> CheckResult:
     """40 real points, each its own pair, then 10 complex points and their conjugates."""
-    rng = np.random.default_rng(20240817)
-    lams = [complex(rng.uniform(-350, 350), rng.uniform(-350, 350)) for _ in range(10)]
-    grid = [SpectralParameter.from_lambda(lam) for lam in _real_grid(n=40)]
-    pairs = [SpectralParameter.from_lambda(lam) for lam in lams]
-    M = period_maps(c, grid + pairs + [param.conjugate() for param in pairs])
-    n, k = len(grid), len(pairs)
-    partner = np.r_[:n, n + k : n + 2 * k, n : n + k]  # index of the map at conj(lambda)
-    worst = symplectic_residual(M, M[partner]).max()
+    partner = np.r_[:40, 50:60, 40:50]  # index of the map at conj(lambda)
+    worst = symplectic_residual(maps.M, maps.M[partner]).max()
     return CheckResult("symplectic-identity", worst <= _ROUNDOFF, worst, _ROUNDOFF)
 
 
-def check_char_poly_identity(c: PeriodicCoefficients) -> CheckResult:
+def check_char_poly_identity(maps: SuiteMaps) -> CheckResult:
     """det(M - tau) against the trace form of the cubic, complex lambda included."""
-    rng = np.random.default_rng(7)
-    draws = [
-        (complex(rng.uniform(-200, 200), rng.uniform(-200, 200)),
-         complex(rng.normal(), rng.normal()))
-        for _ in range(20)
-    ]
-    worst = 0.0
-    for (m, _), (_, tau) in zip(propagate_pairs(c, [lam for lam, _ in draws]), draws):
-        direct = complex(det3(np.asarray(m.M, dtype=complex) - tau * np.eye(3)))
-        poly = char_poly(m, tau)
+    worst = 0.0  # the points come first, then their conjugates
+    for M, T, T_conj, tau in zip(maps.M, maps.T, maps.T[len(maps.T) // 2 :], _fixed_grids()[2]):
+        direct = complex(det3(np.asarray(M, dtype=complex) - tau * np.eye(3)))
+        poly = ((-tau + T) * tau - np.conj(T_conj)) * tau + 1.0
         worst = max(worst, abs(direct - poly) / (1.0 + abs(direct)))
     return CheckResult("characteristic-polynomial", worst <= 1e-8, worst, 1e-8)
 
 
+@functools.cache
 def check_free_trace() -> CheckResult:
     """Propagated trace against the closed form, zero coefficients, |lam| <= 1e6."""
     c = zero_coefficients()
@@ -115,11 +147,11 @@ def check_free_trace() -> CheckResult:
     return CheckResult("free-case-trace", worst <= 1e-10, worst, 1e-10)
 
 
-def check_discriminant_consistency(c: PeriodicCoefficients) -> CheckResult:
+def check_discriminant_consistency(maps: SuiteMaps) -> CheckResult:
     worst = 0.0
-    for T in traces_at(c, _real_grid(n=80)):
+    for T, taus in zip(maps.T, mult.solve_multipliers(maps.T, np.conj(maps.T))):
         rt = rho_trace_formula(T)
-        rp = rho_product_formula(mult.solve_multipliers(T, np.conj(T)))
+        rp = rho_product_formula(taus)
         scale = 1.0 + abs(rt)
         worst = max(worst, abs(rt - rp.real) / scale, abs(rp.imag) / scale * 1e2)
     # the 1e2 factor folds the tighter imaginary-part threshold (1e-8
@@ -127,43 +159,40 @@ def check_discriminant_consistency(c: PeriodicCoefficients) -> CheckResult:
     return CheckResult("discriminant-consistency", worst <= 1e-6, worst, 1e-6)
 
 
-def check_trace_bounds(c: PeriodicCoefficients) -> CheckResult:
+def check_trace_bounds(maps: SuiteMaps) -> CheckResult:
     """|T| <= 3 e^{z0+kappa} everywhere; perturbation bounds for |lambda| >= 1.
 
     The perturbation bounds are |T - T0| <= 3 kappa e^{z0+kappa} / |z| and,
     in the frame that diagonalizes the free system, a matching bound on the
     full matrix deviation from the diagonal free propagator.
     """
-    kappa = c.kappa
-    maps = [m for m, _ in propagate_pairs(c, _real_grid(n=50))]
-    T = np.array([m.trace_T for m in maps])
-    z0 = np.array([m.param.z0 for m in maps])
+    kappa = maps.c.kappa
+    params, M, T = maps.params, maps.M, np.array(maps.T)
+    z0 = np.array([prm.z0 for prm in params])
     worst = float(np.max(np.abs(T) / (3.0 * np.exp(z0 + kappa))))
-    far = [i for i, m in enumerate(maps) if abs(m.param.lam) >= 1.0]
+    far = [i for i, prm in enumerate(params) if abs(prm.lam) >= 1.0]
     if kappa > 0 and far:
-        z = np.array([maps[i].param.z for i in far])
+        z = np.array([params[i].z for i in far])
         matrix_cap = kappa * np.exp(z0[far] + kappa) / np.abs(z)
-        T0 = np.array([free_trace(maps[i].param.lam) for i in far])
+        T0 = np.array([free_trace(params[i].lam) for i in far])
         worst = max(worst, float(np.max(np.abs(T[far] - T0) / (3.0 * matrix_cap))))
-        V, V_inv, B = free_diagonalizer([maps[i].param for i in far])
-        frame = V_inv @ np.array([maps[i].M for i in far], dtype=complex) @ V
+        V, V_inv, B = free_diagonalizer([params[i] for i in far])
+        frame = V_inv @ M[far].astype(complex) @ V
         diag_free = np.exp(1j * z[:, np.newaxis] * np.diag(B))[:, np.newaxis] * np.eye(3)
         deviation = np.linalg.norm(frame - diag_free, 2, axis=(-2, -1))
         worst = max(worst, float(np.max(deviation / matrix_cap)))
-    return CheckResult(
-        "growth-bounds", worst <= 1.0 + _BOUND_SLACK, worst, 1.0,
-        detail="(ratios to the proved caps)",
-    )
+    return CheckResult("growth-bounds", worst <= 1.0 + _BOUND_SLACK, worst, 1.0,
+                       detail="(ratios to the proved caps)")
 
 
-def check_picard_agreement(c: PeriodicCoefficients) -> CheckResult:
-    maps = [m for m, _ in propagate_pairs(c, np.linspace(-100.0, 100.0, 9))]
-    series = picard_maps(c, [m.param for m in maps], tol=_PICARD_TOL)
-    worst = max(float(np.abs(m.M.astype(complex) - s.M).max()) for m, s in zip(maps, series))
+def check_picard_agreement(maps: SuiteMaps) -> CheckResult:
+    series = picard_maps(maps.c, maps.params, tol=_PICARD_TOL)
+    worst = max(float(np.abs(M.astype(complex) - s.M).max()) for M, s in zip(maps.M, series))
     threshold = max(1e-8, 10.0 * _PICARD_TOL)
     return CheckResult("series-vs-steps", worst <= threshold, worst, threshold)
 
 
+@functools.cache
 def check_free_closed_forms() -> CheckResult:
     """Solved multipliers and both discriminant routes against the closed forms."""
     c = zero_coefficients()
@@ -178,25 +207,21 @@ def check_free_closed_forms() -> CheckResult:
     return CheckResult("free-case-closed-forms", worst <= 1e-8, worst, 1e-8)
 
 
-def check_multiplier_symmetry(c: PeriodicCoefficients) -> CheckResult:
+def check_multiplier_symmetry(maps: SuiteMaps) -> CheckResult:
     """Invariance of the multiplier set under tau -> 1/conj(tau), real lambda."""
     worst = 0.0
-    for T in traces_at(c, _real_grid(n=60)):
-        taus = mult.solve_multipliers(T, np.conj(T))
+    for taus in mult.solve_multipliers(maps.T, np.conj(maps.T)):
         worst = max(worst, hausdorff_distance(tuple(taus), tuple(1.0 / np.conj(taus))))
     return CheckResult("multiplier-symmetry", worst <= 1e-8, worst, 1e-8)
 
 
-def check_reduction_identity(c: PeriodicCoefficients) -> CheckResult:
+def check_reduction_identity(maps: SuiteMaps) -> CheckResult:
     """det(M - e^{ik}) == 2i e^{3ik/2} F(k, lambda) on the real axis."""
     worst = 0.0
-    maps = [m for m, _ in propagate_pairs(c, np.linspace(-150.0, 150.0, 16))]
     for k in (0.0, 0.3, 1.0, math.pi, 5.0):
-        for m in maps:
-            direct = complex(
-                det3(np.asarray(m.M, dtype=complex) - np.exp(1j * k) * np.eye(3))
-            )
-            reduced = 2j * np.exp(1.5j * k) * char_real_function(k, m.trace_T)
+        for M, T in zip(maps.M, maps.T):
+            direct = complex(det3(np.asarray(M, dtype=complex) - np.exp(1j * k) * np.eye(3)))
+            reduced = 2j * np.exp(1.5j * k) * char_real_function(k, T)
             worst = max(worst, abs(direct - reduced) / (1.0 + abs(direct)))
     return CheckResult("determinant-reduction", worst <= 1e-8, worst, 1e-8)
 
@@ -222,16 +247,17 @@ def check_root_counts(c: PeriodicCoefficients) -> CheckResult:
 
 
 def run_verify(c: PeriodicCoefficients) -> list[CheckResult]:
+    maps = suite_maps(c)
     return [
-        check_determinant_identity(c),
-        check_symplectic_identity(c),
-        check_char_poly_identity(c),
+        check_determinant_identity(maps["determinant-identity"]),
+        check_symplectic_identity(maps["symplectic-identity"]),
+        check_char_poly_identity(maps["characteristic-polynomial"]),
         check_free_trace(),
-        check_discriminant_consistency(c),
-        check_trace_bounds(c),
-        check_picard_agreement(c),
+        check_discriminant_consistency(maps["discriminant-consistency"]),
+        check_trace_bounds(maps["growth-bounds"]),
+        check_picard_agreement(maps["series-vs-steps"]),
         check_free_closed_forms(),
-        check_multiplier_symmetry(c),
-        check_reduction_identity(c),
+        check_multiplier_symmetry(maps["multiplier-symmetry"]),
+        check_reduction_identity(maps["determinant-reduction"]),
         check_root_counts(c),
     ]

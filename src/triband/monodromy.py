@@ -361,8 +361,9 @@ def q_norm_integral(c: PeriodicCoefficients) -> float:
 _SERIES_MAX_TERMS = 80
 _SERIES_DTYPE = np.dtype(np.complex128)
 
-# Bytes of block columns per chunk of picard_maps, and of block-Toeplitz matrices per
-# product: at 1 MB the peak RSS of a verify-far benchmark run rose by 2 MB, at 64 KB not.
+# Bytes of block columns per chunk of runs (all points of a picard_maps call) and of
+# block-Toeplitz matrices per product (a group of points): at 1 MB the peak RSS of a
+# verify-far benchmark run rose by 2 MB, at 64 KB not.
 _SERIES_CHUNK_BYTES = 1 << 16
 
 
@@ -445,20 +446,19 @@ def picard_maps(
     # a and c0 of P * frame per unit width, b and c1 of Q * widths per unit frame
     A0, A1 = np.stack((powers[:, 0], lams[:, 2] * powers[:, 2]), axis=-1), runs[:, 1:] * widths
     column_bytes = 9 * n * _SERIES_DTYPE.itemsize
-    group = max(1, min(len(params), _SERIES_CHUNK_BYTES // (n * column_bytes)))
-    per_chunk = max(1, _SERIES_CHUNK_BYTES // (group * column_bytes))
-    W = np.zeros((len(params), n, 3, 3), dtype=_SERIES_DTYPE)
-    W[:, 0] = np.eye(3)
-    for i in range(0, len(params), group):
-        W_i = W[i : i + group].reshape(-1, 3 * n, 3)
-        for j in range(0, len(runs), per_chunk):
-            a0 = A0[i : i + group, np.newaxis] * widths[j : j + per_chunk]
-            a1 = A1[j : j + per_chunk] * powers[i : i + group, np.newaxis, 1:]
-            G = _series_exponentials(*a0.reshape(-1, 2).T, *a1.reshape(-1, 2).T, n)
-            for G_k in G.reshape(a1.shape[:2] + G.shape[1:]).swapaxes(0, 1):
-                W_i = _block_toeplitz(G_k) @ W_i
-        W[i : i + group] = W_i.reshape(-1, n, 3, 3)
-    W /= frame[:, np.newaxis]
+    group = max(1, _SERIES_CHUNK_BYTES // (n * column_bytes))
+    per_chunk = max(1, _SERIES_CHUNK_BYTES // (len(params) * column_bytes))
+    W = np.zeros((len(params), 3 * n, 3), dtype=_SERIES_DTYPE)
+    W[:, :3] = np.eye(3)
+    for j in range(0, len(runs), per_chunk):
+        a0 = A0[:, np.newaxis] * widths[j : j + per_chunk]
+        a1 = A1[j : j + per_chunk] * powers[:, np.newaxis, 1:]
+        G = _series_exponentials(*a0.reshape(-1, 2).T, *a1.reshape(-1, 2).T, n)
+        G = G.reshape(a1.shape[:2] + G.shape[1:])
+        for i in range(0, len(params), group):
+            for G_k in G[i : i + group].swapaxes(0, 1):
+                W[i : i + group] = _block_toeplitz(G_k) @ W[i : i + group]
+    W = W.reshape(-1, n, 3, 3) / frame[:, np.newaxis]
     norms = np.linalg.norm(W.astype(np.complex128), 2, axis=(-2, -1)).tolist()
     kept = np.arange(n) <= np.array([K for K, _ in orders], dtype=int)[:, np.newaxis]
     M = (W * kept[..., np.newaxis, np.newaxis]).sum(axis=1)

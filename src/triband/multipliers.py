@@ -87,31 +87,15 @@ class MultiplierSet:
 def _newton_step(tau: complex, a: complex, b: complex) -> Optional[complex]:
     """Newton step at tau for tau^3 - a tau^2 + b tau - 1, or None.
 
-    None when the slope is zero, or when the value or the slope is not
-    finite: tau^3 overflows once |T| exceeds ~1e102, and such a step could
-    never pass the callers' size test anyway.
+    None when the slope is zero, or when the value or the slope is not finite
+    (solve_multipliers ignores overflow): tau^3 overflows once |T| exceeds
+    ~1e102, and such a step could never pass the callers' size test anyway.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = ((tau - a) * tau + b) * tau - 1.0
-        slope = (3.0 * tau - 2.0 * a) * tau + b
+    value = ((tau - a) * tau + b) * tau - 1.0
+    slope = (3.0 * tau - 2.0 * a) * tau + b
     if slope == 0 or not (cmath.isfinite(value) and cmath.isfinite(slope)):
         return None
     return value / slope
-
-
-def _companion_roots(a: complex, b: complex) -> np.ndarray:
-    """Eigenvalue roots of tau^3 - a tau^2 + b tau - 1 with Newton polish."""
-    companion = np.array(
-        [[0.0, 0.0, 1.0], [1.0, 0.0, -b], [0.0, 1.0, a]], dtype=complex
-    )
-    taus = np.linalg.eigvals(companion)
-    for i, tau in enumerate(taus):
-        step = _newton_step(tau, a, b)
-        # a polish step larger than the root itself means the slope is
-        # noise (multiple root); leave the eigenvalue alone
-        if step is not None and abs(step) <= 0.5 * (1.0 + abs(tau)):
-            taus[i] = tau - step
-    return taus
 
 
 # Above this coefficient size the companion eigensolver's absolute error
@@ -119,10 +103,12 @@ def _companion_roots(a: complex, b: complex) -> np.ndarray:
 _LARGE_TRACE = 1e5
 
 
-def solve_multipliers(T: complex, T_conj_bar: complex) -> np.ndarray:
-    """Roots of -tau^3 + T tau^2 - T_conj_bar tau + 1.
+@np.errstate(over="ignore", invalid="ignore")
+def solve_multipliers(T, T_conj_bar) -> np.ndarray:
+    """Roots (..., 3) of -tau^3 + T tau^2 - T_conj_bar tau + 1 for T, T_conj_bar of shape (...).
 
-    Companion-matrix eigenvalues plus one Newton step per root.  The
+    Companion-matrix eigenvalues plus one Newton step per root; a stack takes one eigensolve,
+    and each row is the one-cubic result bit for bit (the polish stays scalar).  The
     companion route stays stable near triple roots where the closed-form
     cubic formulas cancel catastrophically; the polish restores the last
     couple of digits lost by the eigensolver.
@@ -140,35 +126,39 @@ def solve_multipliers(T: complex, T_conj_bar: complex) -> np.ndarray:
       carry absolute errors ~eps*|T|, so without this the small and
       unimodular multipliers lose all relative accuracy at large lambda.
     """
-    T = complex(T)
-    T_conj_bar = complex(T_conj_bar)
-    if not (cmath.isfinite(T) and cmath.isfinite(T_conj_bar)):
+    T, T_conj_bar = np.asarray(T, dtype=complex), np.asarray(T_conj_bar, dtype=complex)
+    cubics = list(zip(T.ravel().tolist(), T_conj_bar.ravel().tolist(), strict=True))
+    if not all(cmath.isfinite(a) and cmath.isfinite(b) for a, b in cubics):
         raise ValueError("polynomial coefficients must be finite")
-    center = T / 3.0
-    # distance to the perfect cube (tau - T/3)^3, relative to (1 + |T|)^2
-    # and (1 + |T|)^3; scaled first so that no power can overflow
-    s = 1.0 + abs(T)
-    u = center / s
-    cube_defect = max(
-        abs(T_conj_bar / s / s - 3.0 * u**2),
-        abs(u**3 - (1.0 / s) ** 3),
-    )
-    if cube_defect <= 1e-10:
-        return np.array([center, center, center])
-
-    taus = _companion_roots(T, T_conj_bar)
-    if max(abs(T), abs(T_conj_bar)) <= _LARGE_TRACE:
-        return taus
-
-    tau_big = taus[int(np.argmax(np.abs(taus)))]
-    # roots of the reversed cubic are the reciprocals of the original ones
-    sigma = _companion_roots(T_conj_bar, T)
-    tau_small = 1.0 / sigma[int(np.argmax(np.abs(sigma)))]
-    tau_mid = 1.0 / (tau_big * tau_small)
-    step = _newton_step(tau_mid, T, T_conj_bar)
-    if step is not None and abs(step) <= 0.1 * (1.0 + abs(tau_mid)):
-        tau_mid = tau_mid - step
-    return np.array([tau_big, tau_mid, tau_small])
+    large = [i for i, (a, b) in enumerate(cubics) if max(abs(a), abs(b)) > _LARGE_TRACE]
+    # the reversed cubics of the large rows, with reciprocal roots, join the eigensolve
+    stack = cubics + [cubics[i][::-1] for i in large]
+    companion = np.array([(0, 0, 1, 1, 0, -b, 0, 1, a) for a, b in stack], dtype=complex)
+    roots = np.linalg.eigvals(companion.reshape(-1, 3, 3))
+    for row, (a, b) in zip(roots, stack):
+        for j, tau in enumerate(row):
+            step = _newton_step(tau, a, b)
+            # a polish step larger than the root itself means the slope is
+            # noise (multiple root); leave the eigenvalue alone
+            if step is not None and abs(step) <= 0.5 * (1.0 + abs(tau)):
+                row[j] = tau - step
+    taus = roots[: len(cubics)]
+    for i, sigma in zip(large, roots[len(cubics) :]):
+        tau_big = taus[i, int(np.argmax(np.abs(taus[i])))]
+        tau_small = 1.0 / sigma[int(np.argmax(np.abs(sigma)))]
+        tau_mid = 1.0 / (tau_big * tau_small)
+        step = _newton_step(tau_mid, *cubics[i])
+        if step is not None and abs(step) <= 0.1 * (1.0 + abs(tau_mid)):
+            tau_mid = tau_mid - step
+        taus[i] = tau_big, tau_mid, tau_small
+    for i, (a, b) in enumerate(cubics):
+        # distance to the perfect cube (tau - a/3)^3, relative to (1 + |a|)^2
+        # and (1 + |a|)^3; scaled first so that no power can overflow
+        s = 1.0 + abs(a)
+        u = a / 3.0 / s
+        if max(abs(b / s / s - 3.0 * u**2), abs(u**3 - (1.0 / s) ** 3)) <= 1e-10:
+            taus[i] = a / 3.0
+    return taus.reshape(T.shape + (3,))
 
 
 def on_circle(taus: Sequence[complex]) -> tuple[bool, ...]:

@@ -1,7 +1,22 @@
 import numpy as np
 import pytest
 
-from triband import PeriodicCoefficients, zero_coefficients
+from triband import PeriodicCoefficients, checks, zero_coefficients
+
+
+@pytest.fixture(autouse=True)
+def _fresh_verify_caches(request):
+    """verify builds its fixed grids and its two coefficient-free suites once
+    per process.  A test that patches the library starts and ends with them
+    cleared, so it neither reads a result built without its patch nor leaves
+    one built with it."""
+    caches = (checks._fixed_grids, checks.check_free_trace, checks.check_free_closed_forms)
+    patching = "monkeypatch" in request.fixturenames
+    for cached in caches if patching else ():
+        cached.cache_clear()
+    yield
+    for cached in caches if patching else ():
+        cached.cache_clear()
 
 
 @pytest.fixture(scope="session")

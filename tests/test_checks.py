@@ -32,7 +32,7 @@ def _trace_bounds_worst_per_point(c):
 def test_growth_bounds_suite_matches_per_point_loop(name, request):
     """The stacked growth-bounds suite reads the per-point worst ratio to 1e-12."""
     c = request.getfixturevalue(name)
-    assert check_trace_bounds(c).worst == pytest.approx(
+    assert check_trace_bounds(checks.suite_maps(c)["growth-bounds"]).worst == pytest.approx(
         _trace_bounds_worst_per_point(c), rel=1e-12
     )
 
@@ -47,7 +47,10 @@ def test_identity_suites_read_the_scaled_residuals(const_c, monkeypatch):
     monkeypatch.setattr(checks, "_real_grid", lambda n=60: np.linspace(-2e3, 2e3, n))
     maps = [m for m, _ in propagate_pairs(const_c, checks._real_grid())]
     assert max(abs(complex(det3(m.M)) - 1.0) for m in maps) > 1e-9
-    for suite in (checks.check_determinant_identity, checks.check_symplectic_identity):
-        result = suite(const_c)
+    suites = checks.suite_maps(const_c)  # the fixed grids are rebuilt under the patch
+    assert max(abs(prm.lam) for prm in suites["determinant-identity"].params) == 2e3
+    for suite, name in ((checks.check_determinant_identity, "determinant-identity"),
+                        (checks.check_symplectic_identity, "symplectic-identity")):
+        result = suite(suites[name])
         assert result.passed
         assert result.threshold == 100 * np.finfo(EXTENDED).eps

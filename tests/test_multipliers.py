@@ -71,6 +71,60 @@ def test_rejects_nonfinite_coefficients():
         solve_multipliers(np.nan, 1.0)
 
 
+def _assert_rows_are_scalar_calls(T, T_conj_bar):
+    stacked = solve_multipliers(T, T_conj_bar)
+    assert stacked.shape == (len(T), 3)
+    for a, b, row in zip(T, T_conj_bar, stacked):
+        one = solve_multipliers(a, b)
+        assert one.shape == (3,)
+        assert one.tobytes() == row.tobytes(), (a, b)
+
+
+def test_stacked_solve_equals_scalar_calls_over_the_range():
+    """|T| log-spaced over 1e-2..1e300 with random phases: the polished,
+    the large-|T| (reversed cubic) and the overflowing-polish rows."""
+    rng = np.random.default_rng(16)
+    T = 10.0 ** np.linspace(-2, 300, 400) * np.exp(1j * rng.uniform(0, 2 * np.pi, 400))
+    _assert_rows_are_scalar_calls(T, np.conj(T))
+
+
+def test_stacked_solve_equals_scalar_calls_at_perfect_cubes():
+    """T = 3 w^j collapse to the triple root w^j, also within 1e-10 of a cube;
+    a defect of 1e-9 is solved, and the rows keep their own branch."""
+    cubes = 3.0 * OMEGA ** np.arange(3)
+    near = np.concatenate([cubes, cubes * (1 + 1e-11), cubes + 3e-11j, cubes * (1 + 1e-9)])
+    T, T_conj_bar = np.concatenate([near, [2.5 + 0.1j]]), np.conj(np.concatenate([near, [2.5]]))
+    _assert_rows_are_scalar_calls(T, T_conj_bar)
+    taus = solve_multipliers(T, T_conj_bar)
+    assert (taus[:9] == np.array([[complex(a) / 3.0] for a in T[:9]])).all()
+    assert not (taus[9:12] == taus[9:12, :1]).all()
+
+
+def test_stacked_solve_equals_scalar_calls_on_unpaired_traces(sin_c):
+    """Complex lambda: T(lambda) and conj(T(conj(lambda))) are two numbers."""
+    lams = [complex(re, im) for re in (-300.0, -20.0, 5.0, 400.0) for im in (-80.0, 3.0, 150.0)]
+    pairs = propagate_pairs(sin_c, lams)
+    T = np.array([m.trace_T for m, _ in pairs])
+    T_conj_bar = np.conj([m_bar.trace_T for _, m_bar in pairs])
+    assert (abs(T - np.conj(T_conj_bar)) > 1e-6 * abs(T)).all()
+    _assert_rows_are_scalar_calls(T, T_conj_bar)
+
+
+def test_stacked_solve_shapes_and_nonfinite_rows():
+    assert solve_multipliers(np.array(2.0 + 1j), 2.0 - 1j).shape == (3,)
+    assert solve_multipliers(np.zeros((2, 4)), np.zeros((2, 4))).shape == (2, 4, 3)
+    assert solve_multipliers([], []).shape == (0, 3)
+    T = np.linspace(1.0, 50.0, 7) + 0j
+    for bad in (np.nan, np.inf, complex(1.0, -np.inf)):
+        for i in (0, 3, 6):
+            T_bad = T.copy()
+            T_bad[i] = bad
+            with pytest.raises(ValueError):
+                solve_multipliers(T_bad, np.conj(T))
+            with pytest.raises(ValueError):
+                solve_multipliers(T, np.conj(T_bad))
+
+
 # ------------------------------------------------------- classification
 
 

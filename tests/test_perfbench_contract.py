@@ -7,12 +7,14 @@ of one of them into a failure here instead of inside a benchmark run.  The
 roots-steps inputs of workloads.py also guard the round count of the
 Floquet search, which sets the cost of its eigs operations, and the
 per-call setup that the CLI and the core build once; the verify-far inputs
-guard the number of core calls of the two identity suites.
+guard the one core call that the fixed-grid suites of verify share.
 """
 
 import argparse
 import importlib.util
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -96,27 +98,53 @@ def test_roots_steps_eigs_ops_take_few_rounds(workloads, tmp_path, monkeypatch):
 
 
 def test_verify_far_identity_suites_take_one_core_call(workloads, tmp_path, monkeypatch):
-    """Each identity suite sends all its points to period_maps at once.
-
-    The symplectic suite stacks its real grid, its complex points and
-    their conjugates into one call and pairs the maps by index.
+    """Outside root counting, run_verify on a verify-far set sends its fixed
+    grids to period_maps once, 307 distinct points; the coefficient-free
+    suites reach the core in the first call of the process only.
     """
     ops = workloads.WORKLOADS["verify-far"].build(np.random.default_rng(41), str(tmp_path))
     calls = []
-    period_maps = monodromy.period_maps
+    counting_roots = [False]
+    period_maps, count_in_disk = monodromy.period_maps, checks.count_in_disk
 
     def counting(c, params, *args):
-        calls.append(len(params))
+        calls.append((c, len(params), counting_roots[0]))
         return period_maps(c, params, *args)
+
+    def root_counts(*args):
+        counting_roots[0] = True
+        try:
+            return count_in_disk(*args)
+        finally:
+            counting_roots[0] = False
 
     for module in (monodromy, checks):
         monkeypatch.setattr(module, "period_maps", counting)
-    for op in [op for op in ops if op.kind == "verify"][:5]:
+    monkeypatch.setattr(checks, "count_in_disk", root_counts)
+    for i, op in enumerate([op for op in ops if op.kind == "verify"][:5]):
         c = load_coefficients(op.coeffs)
-        for suite in (checks.check_determinant_identity, checks.check_symplectic_identity):
-            calls.clear()
-            assert suite(c).passed
-            assert len(calls) == 1, (suite.__name__, calls)
+        calls.clear()
+        assert all(r.passed for r in checks.run_verify(c))
+        assert [n for c_i, n, roots in calls if c_i is c and not roots] == [307]
+        assert all(c_i is c for c_i, _, _ in calls) == (i > 0), calls
+        assert any(roots for c_i, _, roots in calls if c_i is c)
+
+
+def test_importing_checks_takes_no_core_call():
+    """The fixed grids are built on first use, not at import (setup_s times
+    `import triband.cli`)."""
+    code = (
+        "import triband.monodromy as m\n"
+        "calls = []\n"
+        "def counting(*args, **kwargs):\n"
+        "    calls.append(args)\n"
+        "m.period_maps = m.SpectralParameter.from_lambda = counting\n"
+        "import triband.checks, triband.cli\n"
+        "assert not calls, calls\n"
+        "assert triband.checks._fixed_grids.cache_info().currsize == 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PERFBENCH.parent / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_roots_steps_ops_build_one_parser_and_one_run_table_per_set(
