@@ -87,7 +87,7 @@ def _fixed_grids() -> tuple[list[SpectralParameter], dict[str, np.ndarray], list
     rng = np.random.default_rng(7)
     lams, taus = zip(*[(complex(rng.uniform(-200, 200), rng.uniform(-200, 200)),
                         complex(rng.normal(), rng.normal())) for _ in range(20)])
-    # conjugates follow complex points, suites run_verify's order: the guard refuses as before
+    # suites in run_verify's order: the growth guard refuses the point a suite alone would
     grids = {
         "determinant-identity": _real_grid(),
         "symplectic-identity": [*_real_grid(n=40), *pairs, *np.conj(pairs)],
@@ -247,17 +247,17 @@ def check_root_counts(c: PeriodicCoefficients) -> CheckResult:
 
 
 def run_verify(c: PeriodicCoefficients) -> list[CheckResult]:
-    maps = suite_maps(c)
+    maps = suite_maps(c)  # popped, so each suite's maps are freed once it has run
     return [
-        check_determinant_identity(maps["determinant-identity"]),
-        check_symplectic_identity(maps["symplectic-identity"]),
-        check_char_poly_identity(maps["characteristic-polynomial"]),
+        check_determinant_identity(maps.pop("determinant-identity")),
+        check_symplectic_identity(maps.pop("symplectic-identity")),
+        check_char_poly_identity(maps.pop("characteristic-polynomial")),
         check_free_trace(),
-        check_discriminant_consistency(maps["discriminant-consistency"]),
-        check_trace_bounds(maps["growth-bounds"]),
-        check_picard_agreement(maps["series-vs-steps"]),
+        check_discriminant_consistency(maps.pop("discriminant-consistency")),
+        check_trace_bounds(maps.pop("growth-bounds")),
+        check_picard_agreement(maps.pop("series-vs-steps")),
         check_free_closed_forms(),
-        check_multiplier_symmetry(maps["multiplier-symmetry"]),
-        check_reduction_identity(maps["determinant-reduction"]),
+        check_multiplier_symmetry(maps.pop("multiplier-symmetry")),
+        check_reduction_identity(maps.pop("determinant-reduction")),
         check_root_counts(c),
     ]
