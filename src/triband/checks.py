@@ -218,9 +218,11 @@ def check_multiplier_symmetry(maps: SuiteMaps) -> CheckResult:
 def check_reduction_identity(maps: SuiteMaps) -> CheckResult:
     """det(M - e^{ik}) == 2i e^{3ik/2} F(k, lambda) on the real axis."""
     worst = 0.0
+    maps_c = maps.M.astype(complex)
     for k in (0.0, 0.3, 1.0, math.pi, 5.0):
-        for M, T in zip(maps.M, maps.T):
-            direct = complex(det3(np.asarray(M, dtype=complex) - np.exp(1j * k) * np.eye(3)))
+        shift = np.exp(1j * k) * np.eye(3)
+        for M, T in zip(maps_c, maps.T):
+            direct = complex(det3(M - shift))
             reduced = 2j * np.exp(1.5j * k) * char_real_function(k, T)
             worst = max(worst, abs(direct - reduced) / (1.0 + abs(direct)))
     return CheckResult("determinant-reduction", worst <= 1e-8, worst, 1e-8)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Generator, Optional
+from typing import Generator
 
 import numpy as np
 
@@ -82,106 +82,93 @@ _FINE_SCAN = 48
 # half-width in s of the tight pair; wider or seed-dependent widths end
 # Brent elsewhere in its xtol window, past the golden eigs tolerances
 _TIGHT = 1e-2
+_TOL = 1e-10  # relative lambda accuracy of the Brent stage, unless a caller asks otherwise
 
-# one seed's search: yields lists of probe points s = cbrt(lambda), is sent
-# their (F, T) values, returns (root, None) or (None, missed-root record)
-_Search = Generator[
-    list[float],
-    list[tuple[float, complex]],
-    tuple[Optional[FloquetEigenvalue], Optional[MissedRoot]],
-]
+# a search stage yields lists of probe points s = cbrt(lambda) and is sent
+# their (F, T) values; every point it has values for sits in its cache
+_Stage = Generator[list[float], list[tuple[float, complex]], object]
 
 
-def _solve_one(k: float, n: int, tol: float, p_mean: float, q_mean: float) -> _Search:
-    """Root search near the seed s = 2 pi n + k in the cube-root variable.
+def _probe(cache: dict[float, tuple[float, complex]], points: list[float]):
+    """F at the points, asking only for the ones not yet in the cache."""
+    missing = [s for s in points if s not in cache]
+    if missing:
+        cache.update(zip(missing, (yield missing)))
+    return [cache[s][0] for s in points]
+
+
+def _bracket(k: float, n: int, p_mean: float, q_mean: float, cache: dict) -> _Stage:
+    """Sign-change bracket (a, b) of F near the seed s = 2 pi n + k, or a MissedRoot.
 
     It asks for its points in lists: the tight pair s0 -+ _TIGHT around the
     corrected seed with the bracket ends [lo, hi] (unless the pair reaches
     past them), then, without a sign change on the pair, each 9-point
-    subdivision and the fine scan, then one Brent step at a time.  Points
-    it has been sent values for are never asked for again.
+    subdivision and the fine scan.  Both ends of the bracket are in cache.
     """
-    cache: dict[float, tuple[float, complex]] = {}
-
-    def probe(points: list[float]):
-        """F at the points, asking only for the ones not yet evaluated."""
-        missing = [s for s in points if s not in cache]
-        if missing:
-            cache.update(zip(missing, (yield missing)))
-        return [cache[s][0] for s in points]
-
     seed = 2.0 * math.pi * n + k
     # bracket stays inside the midpoints to the neighbouring seeds so a
     # root cannot be captured from the wrong index
     w_max = math.pi * (1.0 - 1e-9)
     w = 0.35 * math.pi
-    bracket = None
     s0 = float(np.cbrt(seed**3 - 2.0 * p_mean * seed + q_mean))
     if abs(s0 - seed) + _TIGHT < w:
-        f_a, f_b, _, _ = yield from probe([s0 - _TIGHT, s0 + _TIGHT, seed - w, seed + w])
+        f_a, f_b, _, _ = yield from _probe(cache, [s0 - _TIGHT, s0 + _TIGHT, seed - w, seed + w])
         if (f_a > 0) != (f_b > 0):
-            bracket = (s0 - _TIGHT, s0 + _TIGHT)
-    while bracket is None:
+            return s0 - _TIGHT, s0 + _TIGHT
+    while True:
         lo, hi = seed - w, seed + w
-        f_lo, f_hi = yield from probe([lo, hi])
+        f_lo, f_hi = yield from _probe(cache, [lo, hi])
         if (f_lo > 0) != (f_hi > 0):
-            bracket = (lo, hi)
-            break
+            return lo, hi
         # same sign at the edges: an interior pair of roots would still
         # show up on a subdivision
         pts = np.linspace(lo, hi, 9)
-        vals = yield from probe([float(s) for s in pts])
+        vals = yield from _probe(cache, [float(s) for s in pts])
         for a, b, fa, fb in zip(pts, pts[1:], vals, vals[1:]):
             if (fa > 0) != (fb > 0):
-                bracket = (float(a), float(b))
-                break
-        if bracket is not None or w >= w_max:
+                return float(a), float(b)
+        if w >= w_max:
             break
         w = min(w * _GROW, w_max)
 
-    if bracket is None:
-        # last resort: fine scan, mostly to diagnose an even-order touch
-        pts = np.linspace(seed - w_max, seed + w_max, _FINE_SCAN + 1)
-        vals = yield from probe([float(s) for s in pts])
-        for a, b, fa, fb in zip(pts, pts[1:], vals, vals[1:]):
-            if (fa > 0) != (fb > 0):
-                bracket = (float(a), float(b))
-                break
-        if bracket is None:
-            i_min = int(np.argmin(np.abs(vals)))
-            return None, MissedRoot(
-                n=n,
-                k=k,
-                seed_lambda=seed**3,
-                min_abs_f=float(abs(vals[i_min])),
-                at_lambda=float(pts[i_min]) ** 3,
-                note="no sign change in the allowed bracket "
-                "(possible even-multiplicity touch)",
-            )
+    # last resort: fine scan, mostly to diagnose an even-order touch
+    pts = np.linspace(seed - w_max, seed + w_max, _FINE_SCAN + 1)
+    vals = yield from _probe(cache, [float(s) for s in pts])
+    for a, b, fa, fb in zip(pts, pts[1:], vals, vals[1:]):
+        if (fa > 0) != (fb > 0):
+            return float(a), float(b)
+    i_min = int(np.argmin(np.abs(vals)))
+    return MissedRoot(n=n, k=k, seed_lambda=seed**3, min_abs_f=float(abs(vals[i_min])),
+                      at_lambda=float(pts[i_min]) ** 3, note="no sign change in the allowed "
+                      "bracket (possible even-multiplicity touch)")
 
+
+def _refine(k: float, n: int, tol: float, bracket: tuple[float, float], cache: dict) -> _Stage:
+    """Brent's root in a bracket from _bracket, one step at a time, as a FloquetEigenvalue."""
+    seed = 2.0 * math.pi * n + k
     xtol_s = max(tol * max(1.0, abs(seed)) / 3.0, 6e-16 * max(1.0, abs(seed)))
     steps = brent_steps(bracket[0], bracket[1], xtol=xtol_s,
                         fa=cache[bracket[0]][0], fb=cache[bracket[1]][0])
-    # Brent's points go through probe, which keeps the trace beside each F
+    # Brent's points go through _probe, which keeps the trace beside each F
     try:
         points = next(steps)
         while True:
-            points = steps.send((yield from probe(points)))
+            points = steps.send((yield from _probe(cache, points)))
     except StopIteration as done:
         s_root, _ = done.value
     # Brent returns a point it has evaluated, so its trace is cached
     f_val, trace = cache[s_root]
-    lam = s_root**3
-    return (
-        FloquetEigenvalue(
-            n=n,
-            k=k,
-            lambda_n=lam,
-            residual=abs(f_val) / (1.0 + abs(trace)),
-            cube_root_gap=s_root - seed,
-        ),
-        None,
-    )
+    return FloquetEigenvalue(n=n, k=k, lambda_n=s_root**3, residual=abs(f_val) / (1.0 + abs(trace)),
+                             cube_root_gap=s_root - seed)
+
+
+def _solve_one(k: float, n: int, tol: float, p_mean: float, q_mean: float) -> _Stage:
+    """_bracket, then _refine, on one cache: (root, None) or (None, MissedRoot)."""
+    cache: dict[float, tuple[float, complex]] = {}
+    bracket = yield from _bracket(k, n, p_mean, q_mean, cache)
+    if isinstance(bracket, MissedRoot):
+        return None, bracket
+    return (yield from _refine(k, n, tol, bracket, cache)), None
 
 
 def _f_in_s(c: PeriodicCoefficients, k: float):
@@ -201,7 +188,7 @@ def eigenvalues_at_k(
     c: PeriodicCoefficients,
     k: float,
     n_range: tuple[int, int],
-    tol: float = 1e-10,
+    tol: float = _TOL,
 ) -> FloquetSolveResult:
     """Roots of F(k, .) near every seed (2 pi n + k)^3 for n in n_range.
 
@@ -257,21 +244,33 @@ class DiskCountResult:
     expected is the theoretical count for the disk radius tied to N:
     2N+1 on (pi(2N+1))^3 for k in [0, pi/2) or (3pi/2, 2pi), 2N on
     (2 pi N)^3 for k in [pi/2, 3pi/2].  The theory guarantees the count
-    only above an unquantified index threshold, so N is caller input and
-    reliable goes False whenever the underlying solver reported misses.
+    only above an unquantified index threshold, so N is caller input;
+    missed holds the seeds whose search found no sign change, and
+    reliable goes False whenever there are any.
     """
 
     count: int
     expected: int
     radius: float
     reliable: bool
-    result: FloquetSolveResult
+    missed: tuple[MissedRoot, ...]
 
 
 def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
+    """The roots of eigenvalues_at_k with |cbrt(lambda)| below the disk radius.
+
+    The count is decided by brackets: each seed's search stops at its
+    sign-change bracket, which counts 1 if both ends lie inside the radius
+    and 0 if both lie outside (a bracket is narrower than the disk).  Brent
+    runs only on a bracket that crosses the radius, with the arithmetic of
+    eigenvalues_at_k; its root lies in the bracket, so every count is the
+    one of the refined roots.  The seeds advance in lockstep.
+    """
     k = float(k)
     if N < 1:
         raise ValueError("N must be at least 1")
+    if not 0.0 <= k < 2.0 * math.pi:
+        raise ValueError("quasimomentum k must lie in [0, 2*pi)")
     if k < math.pi / 2 or k > 3 * math.pi / 2:
         s_radius = math.pi * (2 * N + 1)
         expected = 2 * N + 1
@@ -281,12 +280,20 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
     # seeds within the disk sit at |2 pi n + k| < s_radius; pad by one index
     n_lo = math.floor((-s_radius - k) / (2 * math.pi)) - 1
     n_hi = math.ceil((s_radius - k) / (2 * math.pi)) + 1
-    res = eigenvalues_at_k(c, k, (n_lo, n_hi))
-    count = sum(1 for e in res.eigenvalues if abs(np.cbrt(e.lambda_n)) < s_radius)
-    return DiskCountResult(
-        count=count,
-        expected=expected,
-        radius=s_radius**3,
-        reliable=not res.missed,
-        result=res,
-    )
+    seeds = [(n, {}) for n in range(n_lo, n_hi + 1)]  # index and probe cache
+    means = float(np.mean(c.p_samples)), float(np.mean(c.q_samples))
+    brackets = lockstep(_f_in_s(c, k), [_bracket(k, n, *means, cache) for n, cache in seeds])
+    missed = tuple(b for b in brackets if isinstance(b, MissedRoot))
+    count, crossing = 0, []
+    for (n, cache), bracket in zip(seeds, brackets):
+        if isinstance(bracket, MissedRoot):
+            continue
+        a_in, b_in = (bool(abs(np.cbrt(s**3)) < s_radius) for s in bracket)
+        if a_in == b_in:
+            count += a_in
+        else:
+            crossing.append(_refine(k, n, _TOL, bracket, cache))
+    roots = lockstep(_f_in_s(c, k), crossing)
+    count += sum(1 for e in roots if abs(np.cbrt(e.lambda_n)) < s_radius)
+    return DiskCountResult(count=count, expected=expected, radius=s_radius**3,
+                           reliable=not missed, missed=missed)

@@ -370,8 +370,50 @@ def test_count_flags_strong_coupling_regime():
     c = PeriodicCoefficients.from_constants(5.0, 0.0, 32)
     res = count_in_disk(c, 2.0, 5)
     assert not res.reliable
-    assert res.result.missed
+    assert res.missed
     assert res.count < res.expected
+
+
+def test_count_by_brackets_matches_the_refined_roots(monkeypatch):
+    """count_in_disk counts the eigenvalues_at_k roots inside the disk.
+
+    It refines only the brackets that cross the radius.  On the p = -150
+    constant set one bracket does, so the test needs the Brent path.
+    """
+    import triband.floquet as fl
+
+    sets = []
+    for n, cuts in ((8, [3, 3, 2]), (64, [20, 25, 19])):
+        t = (np.arange(n) + 0.5) / n
+        for a in (2.0, 10.0):
+            sets.append(PeriodicCoefficients.from_samples(
+                a * np.cos(TWO_PI * t) + 0.5 * a * np.sin(2 * TWO_PI * t), a * np.sin(TWO_PI * t)))
+            sets.append(PeriodicCoefficients.from_samples(
+                np.repeat([0.8 * a, -0.4 * a, 0.6 * a], cuts), np.repeat([0.3 * a, a, -0.2 * a], cuts)))
+    strong = PeriodicCoefficients.from_constants(-150.0, 0.0, 4)
+    brent = fl.brent_steps
+    refined = []
+
+    def spying(*args, **kwargs):
+        refined.append(args[:2])
+        return brent(*args, **kwargs)
+
+    monkeypatch.setattr(fl, "brent_steps", spying)
+    counting_refines = {}
+    for i, c in enumerate([*sets, strong]):
+        for k, s_radius, expected in ((0.3, 11 * math.pi, 11), (2.0, 10 * math.pi, 10)):
+            refined.clear()
+            res = count_in_disk(c, k, 5)
+            counting_refines[i, k] = len(refined)
+            n_range = (math.floor((-s_radius - k) / TWO_PI) - 1,
+                       math.ceil((s_radius - k) / TWO_PI) + 1)
+            ref = eigenvalues_at_k(c, k, n_range)
+            count = sum(1 for e in ref.eigenvalues if abs(np.cbrt(e.lambda_n)) < s_radius)
+            assert (res.count, res.expected, res.reliable) == (count, expected, not ref.missed)
+            assert res.missed == ref.missed and isinstance(res.count, int)
+            assert counting_refines[i, k] <= len(ref.eigenvalues)
+    assert counting_refines[len(sets), 0.3] >= 1
+    assert sum(counting_refines.values()) < 2 * len(counting_refines)
 
 
 def test_count_input_validation(zero_c):

@@ -7,7 +7,8 @@ of one of them into a failure here instead of inside a benchmark run.  The
 roots-steps inputs of workloads.py also guard the round count of the
 Floquet search, which sets the cost of its eigs operations, and the
 per-call setup that the CLI and the core build once; the verify-far inputs
-guard the one core call that the fixed-grid suites of verify share.
+guard the one core call that the fixed-grid suites of verify share, and the
+one core call per disk of its root counting.
 """
 
 import argparse
@@ -128,6 +129,26 @@ def test_verify_far_identity_suites_take_one_core_call(workloads, tmp_path, monk
         assert [n for c_i, n, roots in calls if c_i is c and not roots] == [307]
         assert all(c_i is c for c_i, _, _ in calls) == (i > 0), calls
         assert any(roots for c_i, _, roots in calls if c_i is c)
+
+
+def test_verify_far_root_counts_take_one_core_call_per_disk(workloads, tmp_path, monkeypatch):
+    """Root counting in run_verify on the seed-41 verify-far sets makes at
+    most one core call per disk: every bracket lies on one side of the
+    radius, so no Brent step runs (13.2 calls when each root was refined).
+    """
+    ops = workloads.WORKLOADS["verify-far"].build(np.random.default_rng(41), str(tmp_path))
+    calls = []
+    traces_at = fl.traces_at
+
+    def counting(c, lams):
+        calls.append(len(lams))
+        return traces_at(c, lams)
+
+    monkeypatch.setattr(fl, "traces_at", counting)
+    for op in [op for op in ops if op.kind == "verify"]:
+        calls.clear()
+        assert all(r.passed for r in checks.run_verify(load_coefficients(op.coeffs)))
+        assert 1 <= len(calls) <= 2, (op.argv, calls)
 
 
 def test_importing_checks_takes_no_core_call():
