@@ -35,7 +35,6 @@ from .monodromy import (
     SYMPLECTIC_J,
     MonodromyResult,
     PicardTruncationError,
-    PropagationMethod,
     PropagationOverflowError,
     SpectralParameter,
     char_poly,
@@ -69,7 +68,6 @@ __all__ = [
     "OMEGA",
     "PeriodicCoefficients",
     "PicardTruncationError",
-    "PropagationMethod",
     "PropagationOverflowError",
     "Sigma3Interval",
     "Sigma3Result",

@@ -14,7 +14,7 @@ from typing import Optional
 from . import multipliers as mult
 from .coeffs import PeriodicCoefficients
 from .discriminant import rho_formula_scale, rho_trace_formula
-from .monodromy import SpectralParameter, growth_refusal, traces_at
+from .monodromy import growth_refusal, traces_at
 from .util import uniform_grid
 
 FLAG_NEAR_BRANCH_POINT = mult.FLAG_NEAR_BRANCH_POINT
@@ -84,7 +84,7 @@ def _evaluate(
 
     The lambdas that propagation accepts go to the core in one call.
     """
-    refusals = [growth_refusal(c, SpectralParameter.from_lambda(lam)) for lam in lams]
+    refusals = [growth_refusal(c, lam) for lam in lams]
     traces = iter(traces_at(c, [lam for lam, err in zip(lams, refusals) if err is None]))
     out = []
     for lam, err in zip(lams, refusals):

@@ -22,6 +22,7 @@ from .freecase import free_case, free_trace
 from .monodromy import (
     SpectralParameter,
     _traces,
+    char_poly,
     det_residual,
     free_diagonalizer,
     period_maps,
@@ -74,13 +75,13 @@ class SuiteMaps:
     """One suite's points with their period maps and traces, in the suite's order."""
 
     c: PeriodicCoefficients
-    params: list[SpectralParameter]
+    lams: list[complex]
     M: np.ndarray
     T: list[complex]
 
 
 @functools.cache
-def _fixed_grids() -> tuple[list[SpectralParameter], dict[str, np.ndarray], list[complex]]:
+def _fixed_grids() -> tuple[list[complex], dict[str, np.ndarray], list[complex]]:
     """Each suite's fixed points as rows of their union without repeats, and the char-poly taus."""
     rng = np.random.default_rng(20240817)
     pairs = [complex(rng.uniform(-350, 350), rng.uniform(-350, 350)) for _ in range(10)]
@@ -101,15 +102,15 @@ def _fixed_grids() -> tuple[list[SpectralParameter], dict[str, np.ndarray], list
     index: dict[complex, int] = {}  # row of each lambda
     rows = {name: np.array([index.setdefault(complex(lam), len(index)) for lam in grid])
             for name, grid in grids.items()}
-    return [SpectralParameter.from_lambda(lam) for lam in index], rows, list(taus)
+    return list(index), rows, list(taus)
 
 
 def suite_maps(c: PeriodicCoefficients) -> dict[str, SuiteMaps]:
     """SuiteMaps of every fixed-grid suite, by name, from one period_maps call."""
-    params, rows, _ = _fixed_grids()
-    M = period_maps(c, params)
+    lams, rows, _ = _fixed_grids()
+    M = period_maps(c, lams)
     T = _traces(M)
-    return {name: SuiteMaps(c, [params[i] for i in r], M[r], [T[i] for i in r])
+    return {name: SuiteMaps(c, [lams[i] for i in r], M[r], [T[i] for i in r])
             for name, r in rows.items()}
 
 
@@ -130,8 +131,7 @@ def check_char_poly_identity(maps: SuiteMaps) -> CheckResult:
     worst = 0.0  # the points come first, then their conjugates
     for M, T, T_conj, tau in zip(maps.M, maps.T, maps.T[len(maps.T) // 2 :], _fixed_grids()[2]):
         direct = complex(det3(np.asarray(M, dtype=complex) - tau * np.eye(3)))
-        poly = ((-tau + T) * tau - np.conj(T_conj)) * tau + 1.0
-        worst = max(worst, abs(direct - poly) / (1.0 + abs(direct)))
+        worst = max(worst, abs(direct - char_poly(T, T_conj, tau)) / (1.0 + abs(direct)))
     return CheckResult("characteristic-polynomial", worst <= 1e-8, worst, 1e-8)
 
 
@@ -167,7 +167,8 @@ def check_trace_bounds(maps: SuiteMaps) -> CheckResult:
     full matrix deviation from the diagonal free propagator.
     """
     kappa = maps.c.kappa
-    params, M, T = maps.params, maps.M, np.array(maps.T)
+    params = [SpectralParameter.from_lambda(lam) for lam in maps.lams]
+    M, T = maps.M, np.array(maps.T)
     z0 = np.array([prm.z0 for prm in params])
     worst = float(np.max(np.abs(T) / (3.0 * np.exp(z0 + kappa))))
     far = [i for i, prm in enumerate(params) if abs(prm.lam) >= 1.0]
@@ -186,7 +187,7 @@ def check_trace_bounds(maps: SuiteMaps) -> CheckResult:
 
 
 def check_picard_agreement(maps: SuiteMaps) -> CheckResult:
-    series = picard_maps(maps.c, maps.params, tol=_PICARD_TOL)
+    series = picard_maps(maps.c, maps.lams, tol=_PICARD_TOL)
     worst = max(float(np.abs(M.astype(complex) - s.M).max()) for M, s in zip(maps.M, series))
     threshold = max(1e-8, 10.0 * _PICARD_TOL)
     return CheckResult("series-vs-steps", worst <= threshold, worst, threshold)

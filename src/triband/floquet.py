@@ -264,7 +264,9 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
     and 0 if both lie outside (a bracket is narrower than the disk).  Brent
     runs only on a bracket that crosses the radius, with the arithmetic of
     eigenvalues_at_k; its root lies in the bracket, so every count is the
-    one of the refined roots.  The seeds advance in lockstep.
+    one of the refined roots.  The seeds advance in lockstep.  A bracket
+    stays within pi of its seed, so the search takes every seed within pi
+    of the disk, and reliable covers the seeds whose brackets can reach it.
     """
     k = float(k)
     if N < 1:
@@ -277,9 +279,9 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
     else:
         s_radius = 2.0 * math.pi * N
         expected = 2 * N
-    # seeds within the disk sit at |2 pi n + k| < s_radius; pad by one index
-    n_lo = math.floor((-s_radius - k) / (2 * math.pi)) - 1
-    n_hi = math.ceil((s_radius - k) / (2 * math.pi)) + 1
+    # from the last seed at or below -s_radius to the first at or above it
+    n_lo = math.floor((-s_radius - k) / (2 * math.pi))
+    n_hi = math.ceil((s_radius - k) / (2 * math.pi))
     seeds = [(n, {}) for n in range(n_lo, n_hi + 1)]  # index and probe cache
     means = float(np.mean(c.p_samples)), float(np.mean(c.q_samples))
     brackets = lockstep(_f_in_s(c, k), [_bracket(k, n, *means, cache) for n, cache in seeds])

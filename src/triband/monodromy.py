@@ -27,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -84,55 +83,32 @@ class SpectralParameter:
         z0 = (z.imag + math.sqrt(3.0) * z.real) / 2.0  # Re(i z w^2)
         return cls(lam, z, z0)
 
-    @property
-    def is_real(self) -> bool:
-        return self.lam.imag == 0.0
-
-    def conjugate(self) -> "SpectralParameter":
-        return SpectralParameter.from_lambda(self.lam.conjugate())
-
-
-class PropagationMethod(Enum):
-    EXPONENTIAL_STEPS = "exponential-steps"
-    PICARD_SERIES = "picard-series"
-
 
 @dataclass(frozen=True)
 class MonodromyResult:
-    """Period map M(1, lambda) with its trace.
+    """Period map M(1, lambda) of the series route, with its trace.
 
-    char_poly needs the period map at conj(lambda): it is M itself for
-    real lambda, M_conj for complex lambda from propagate_pairs, and
-    missing for a complex lambda of the series route.  For the series
-    method, term_norms holds the norms of the computed series terms and
-    tail_bound the analytic truncation bound that fixed the number of
-    terms.
+    order is the truncation order K, term_norms the norms of its K + 1
+    terms and tail_bound the analytic bound that fixed K.
     """
 
     param: SpectralParameter
     M: np.ndarray
     trace_T: complex
-    method: PropagationMethod
-    steps_or_terms: int
-    term_norms: Optional[tuple[float, ...]] = None
-    tail_bound: Optional[float] = None
-    M_conj: Optional[np.ndarray] = None
-
-    def _paired_map(self) -> Optional[np.ndarray]:
-        if self.M_conj is not None:
-            return self.M_conj
-        return self.M if self.param.is_real else None
+    order: int
+    term_norms: tuple[float, ...]
+    tail_bound: float
 
 
-def system_matrices(params: Sequence[SpectralParameter], p, q) -> tuple[np.ndarray, np.ndarray]:
+def system_matrices(lams: Sequence[complex], p, q) -> tuple[np.ndarray, np.ndarray]:
     """System blocks (P, Q) of Y' = (P + Q) Y for the cells with values p, q.
 
-    P is a stack (L, 3, 3) for a sequence of L SpectralParameters; Q is
+    P is a stack (L, 3, 3) for a sequence of L values of lambda; Q is
     3x3 for scalar p, q and a stack (n, 3, 3) for arrays of n cell values.
     """
-    P = np.zeros((len(params), 3, 3), dtype=complex)
+    P = np.zeros((len(lams), 3, 3), dtype=complex)
     P[:, 0, 1] = P[:, 1, 2] = 1.0
-    P[:, 2, 0] = [-1j * prm.lam for prm in params]
+    P[:, 2, 0] = [-1j * complex(lam) for lam in lams]
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     Q = np.zeros(p.shape + (3, 3), dtype=complex)
     Q[..., 1, 0] = Q[..., 2, 1] = -p
@@ -140,22 +116,24 @@ def system_matrices(params: Sequence[SpectralParameter], p, q) -> tuple[np.ndarr
     return P, Q
 
 
-def growth_refusal(
-    c: PeriodicCoefficients, param: SpectralParameter
-) -> Optional[PropagationOverflowError]:
-    """The PropagationOverflowError for param past the growth guard, else None."""
-    if param.z0 + c.kappa <= MAX_GROWTH_EXPONENT:
+def growth_refusal(c: PeriodicCoefficients, lam: complex) -> Optional[PropagationOverflowError]:
+    """The PropagationOverflowError for lambda past the growth guard, else None."""
+    # the guard reads z0 <= |lambda|^(1/3): only a point past that bound needs it
+    if abs(lam) ** (1.0 / 3.0) * (1 + 1e-9) + c.kappa <= MAX_GROWTH_EXPONENT:
+        return None
+    z0 = SpectralParameter.from_lambda(lam).z0
+    if z0 + c.kappa <= MAX_GROWTH_EXPONENT:
         return None
     return PropagationOverflowError(
-        f"growth exponent z0 + kappa = {param.z0 + c.kappa:.1f} exceeds "
+        f"growth exponent z0 + kappa = {z0 + c.kappa:.1f} exceeds "
         f"{MAX_GROWTH_EXPONENT:.0f}; entries of the period map would "
         "overflow double precision"
     )
 
 
-def _check_growth(c: PeriodicCoefficients, params: Sequence[SpectralParameter]) -> None:
-    for param in params:
-        if (refusal := growth_refusal(c, param)) is not None:
+def _check_growth(c: PeriodicCoefficients, lams: Sequence[complex]) -> None:
+    for lam in lams:
+        if (refusal := growth_refusal(c, lam)) is not None:
             raise refusal
 
 
@@ -214,10 +192,8 @@ _FRAME_POWERS = np.arange(3) - np.arange(3)[:, np.newaxis]
 _ABC = np.array([1, 3, 6])  # flat positions of a, b and c in a run generator
 
 
-def period_maps(
-    c: PeriodicCoefficients, params: Sequence[SpectralParameter], dtype=EXTENDED
-) -> np.ndarray:
-    """M(1, lambda) at every SpectralParameter in params, as an (L, 3, 3) array.
+def period_maps(c: PeriodicCoefficients, lams: Sequence[complex], dtype=EXTENDED) -> np.ndarray:
+    """M(1, lambda) at every lambda in lams, as an (L, 3, 3) array.
 
     The one evaluation core: every period map of the exponential-steps
     route comes from here.  A run of n equal cells starting at cell i
@@ -244,64 +220,55 @@ def period_maps(
     PropagationOverflowError, before any work, if the guard refuses any of
     the points.
     """
-    _check_growth(c, params)
-    runs, widths, lams, powers, frame = _framed_runs(c, params, dtype)
+    _check_growth(c, lams)
+    runs, widths, points, powers, frame = _framed_runs(c, lams, dtype)
     step = max(1, _STACK_MATRICES // len(runs))  # points per stack
-    M = np.empty((len(params), 3, 3), dtype=dtype)
-    for i in range(0, len(params), step):
-        X = (runs + lams[i : i + step, np.newaxis]) * (widths * powers[i : i + step, np.newaxis])
+    M = np.empty((len(lams), 3, 3), dtype=dtype)
+    for i in range(0, len(lams), step):
+        X = (runs + points[i : i + step, np.newaxis]) * (widths * powers[i : i + step, np.newaxis])
         M[i : i + step] = ordered_product(expm_stack(X, dtype)) / frame[i : i + step]
     return M
 
 
-def _framed_runs(c: PeriodicCoefficients, params: Sequence[SpectralParameter], dtype):
+def _framed_runs(c: PeriodicCoefficients, lams: Sequence[complex], dtype):
     """Entries at (0, 1), (1, 0), (2, 0) of the system over R runs of equal cells and L points.
 
     Per run (1, -p, i q) (R, 3) and the width n/N (R, 1), from c.runs; per point (0, 0, -i lambda)
     (L, 3), the frame there (mu, 1/mu, 1/mu^2) (L, 3) and the whole frame mu^(j - i) (L, 3, 3).
-    (runs + lams) * (widths * powers) is (P + Q) * widths * frame there, bit for bit.
+    (runs + points) * (widths * powers) is (P + Q) * widths * frame there, bit for bit.
     """
     cells, p, q = c.runs.T
     widths = (cells.astype(np.finfo(dtype).dtype) / c.grid_size)[:, np.newaxis]
     runs = np.zeros((len(cells), 3), dtype=dtype)
     runs[:, 0], runs[:, 1], runs[:, 2] = 1.0, -p, 1j * q
-    lams = np.zeros((len(params), 3), dtype=dtype)
-    lams[:, 2] = [-1j * prm.lam for prm in params]
-    frame = np.maximum(np.cbrt(np.abs(lams[:, 2])), 1)[:, np.newaxis, np.newaxis] ** _FRAME_POWERS
-    return runs, widths, lams, frame.reshape(-1, 9).take(_ABC, axis=1), frame
+    points = np.zeros((len(lams), 3), dtype=dtype)
+    points[:, 2] = [-1j * complex(lam) for lam in lams]
+    frame = np.maximum(np.cbrt(np.abs(points[:, 2])), 1)[:, np.newaxis, np.newaxis] ** _FRAME_POWERS
+    return runs, widths, points, frame.reshape(-1, 9).take(_ABC, axis=1), frame
 
 
 def propagate_pairs(
     c: PeriodicCoefficients, lams: Iterable[complex]
-) -> list[tuple[MonodromyResult, MonodromyResult]]:
-    """Period maps at each lambda and at its conjugate, each carrying the other's M.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Period maps at each lambda and at its conjugate, as stacks (M, M_conj) paired by row.
 
-    The one source of MonodromyResults on the exponential-steps route.  The
-    symplectic identity and char_poly couple the two points, so for complex
-    lambda a single evaluation cannot serve them; the pairing is explicit
-    instead of a silent conjugation.  A real lambda is its own pair (m, m).
-    The points and their conjugates go to period_maps in one call.
+    The symplectic identity and char_poly couple the two points, so for
+    complex lambda a single evaluation cannot serve them; the pairing is
+    explicit instead of a silent conjugation.  A real lambda's row appears
+    in both stacks.  The points and the conjugates of the complex ones go
+    to period_maps in one call.
     """
-    params = [SpectralParameter.from_lambda(lam) for lam in lams]
-    n = len(params)
-    partner = list(range(n))  # index of the point at conj(lambda)
-    for i in range(n):
-        if not params[i].is_real:
-            partner[i] = len(params)
-            partner.append(i)
-            params.append(params[i].conjugate())
-    M = period_maps(c, params)
-    results = [
-        MonodromyResult(param, M_i, T, PropagationMethod.EXPONENTIAL_STEPS, c.grid_size,
-                        M_conj=None if j == i else M[j])
-        for i, (param, M_i, T, j) in enumerate(zip(params, M, _traces(M), partner))
-    ]
-    return [(results[i], results[partner[i]]) for i in range(n)]
+    lams = [complex(lam) for lam in lams]
+    paired = [i for i, lam in enumerate(lams) if lam.imag != 0.0]
+    M = period_maps(c, lams + [lams[i].conjugate() for i in paired])
+    partner = np.arange(len(lams))  # row of the map at conj(lambda)
+    partner[paired] = np.arange(len(lams), len(M))
+    return M[: len(lams)], M[partner]
 
 
 def traces_at(c: PeriodicCoefficients, lams: Iterable[complex]) -> list[complex]:
     """T(lambda) = tr M(1, lambda) at every lambda, from one core call."""
-    return _traces(period_maps(c, [SpectralParameter.from_lambda(lam) for lam in lams]))
+    return _traces(period_maps(c, list(lams)))
 
 
 def trace_at(c: PeriodicCoefficients, lam: complex) -> complex:
@@ -309,19 +276,15 @@ def trace_at(c: PeriodicCoefficients, lam: complex) -> complex:
     return traces_at(c, [lam])[0]
 
 
-def char_poly(m: MonodromyResult, tau: complex) -> complex:
+def char_poly(T: complex, T_conj: complex, tau: complex) -> complex:
     """Characteristic polynomial det(M(1, lambda) - tau) evaluated at tau.
 
-    Equals -tau^3 + tau^2 T(lambda) - tau conj(T(conj(lambda))) + 1, with
-    T(conj(lambda)) read off the map at conj(lambda) that m carries: M itself
-    for real lambda, M_conj for a complex lambda from propagate_pairs.
+    Equals -tau^3 + tau^2 T(lambda) - tau conj(T(conj(lambda))) + 1, from
+    the traces T at lambda and T_conj at conj(lambda); for real lambda both
+    are T.
     """
-    M_conj = m._paired_map()
-    if M_conj is None:
-        raise ValueError("complex lambda: evaluate with propagate_pairs")
-    t_bar = np.conj(_traces(M_conj[np.newaxis])[0])
     tau = complex(tau)
-    return ((-tau + m.trace_T) * tau - t_bar) * tau + 1.0
+    return ((-tau + T) * tau - np.conj(T_conj)) * tau + 1.0
 
 
 def free_diagonalizer(
@@ -417,9 +380,9 @@ def _toeplitz_squares(G: np.ndarray) -> np.ndarray:
 
 
 def picard_maps(
-    c: PeriodicCoefficients, params: Sequence[SpectralParameter], tol: float
+    c: PeriodicCoefficients, lams: Sequence[complex], tol: float
 ) -> list[MonodromyResult]:
-    """picard_monodromy at every point of params, from one evaluation.
+    """picard_monodromy at every lambda in lams, from one evaluation.
 
     The points share the largest order K of the call: block j of a lower
     block-Toeplitz product depends on blocks 0..j only.
@@ -427,7 +390,8 @@ def picard_maps(
     if tol <= 0:
         raise ValueError("tol must be positive")
     kq = q_norm_integral(c)
-    _check_growth(c, params)
+    _check_growth(c, lams)
+    params = [SpectralParameter.from_lambda(lam) for lam in lams]
     orders = []  # (K, tail bound) per point
     for param in params:
         prefactor = math.exp(min(param.z0, MAX_GROWTH_EXPONENT)) * math.exp(kq)
@@ -442,9 +406,9 @@ def picard_maps(
             )
         orders.append((K, tail))
     n = max((K for K, _ in orders), default=0) + 1
-    runs, widths, lams, powers, frame = _framed_runs(c, params, _SERIES_DTYPE)
+    runs, widths, points, powers, frame = _framed_runs(c, lams, _SERIES_DTYPE)
     # a and c0 of P * frame per unit width, b and c1 of Q * widths per unit frame
-    A0, A1 = np.stack((powers[:, 0], lams[:, 2] * powers[:, 2]), axis=-1), runs[:, 1:] * widths
+    A0, A1 = np.stack((powers[:, 0], points[:, 2] * powers[:, 2]), axis=-1), runs[:, 1:] * widths
     column_bytes = 9 * n * _SERIES_DTYPE.itemsize
     group = max(1, _SERIES_CHUNK_BYTES // (n * column_bytes))
     per_chunk = max(1, _SERIES_CHUNK_BYTES // (len(params) * column_bytes))
@@ -463,7 +427,7 @@ def picard_maps(
     kept = np.arange(n) <= np.array([K for K, _ in orders], dtype=int)[:, np.newaxis]
     M = (W * kept[..., np.newaxis, np.newaxis]).sum(axis=1)
     return [
-        MonodromyResult(param, M_i, T, PropagationMethod.PICARD_SERIES, K, tuple(ns[: K + 1]), tail)
+        MonodromyResult(param, M_i, T, K, tuple(ns[: K + 1]), tail)
         for param, M_i, T, ns, (K, tail) in zip(params, M, _traces(M), norms, orders)
     ]
 
@@ -497,4 +461,4 @@ def picard_monodromy(
     expm_stack, each block-Toeplitz product one stacked gemm on the
     3(K+1) x 3(K+1) matrix; picard_maps batches points in chunks of 64 KB.
     """
-    return picard_maps(c, [param], tol)[0]
+    return picard_maps(c, [param.lam], tol)[0]

@@ -14,6 +14,7 @@ import numpy as np
 from triband import (
     SYMPLECTIC_J,
     PeriodicCoefficients,
+    SpectralParameter,
     eigenvalues_at_k,
     free_eigenvalues,
     free_trace,
@@ -66,11 +67,12 @@ def test_criterion_1_identity_suite(coefficient_sets):
     worst_det = worst_symp = 0.0
     complex_pts = _complex_samples(40)
     for c in coefficient_sets:
-        pairs = [(m, m) for m, _ in propagate_pairs(c, _real_grid(200))]
-        for m, m_bar in propagate_pairs(c, complex_pts):
+        M, _ = propagate_pairs(c, _real_grid(200))
+        pairs = [(m, m) for m in M]
+        for m, m_bar in zip(*propagate_pairs(c, complex_pts)):
             pairs += [(m, m_bar), (m_bar, m)]
         for m, m_bar in pairs:
-            det, symp = _raw_residuals(m.M, m_bar.M)
+            det, symp = _raw_residuals(m, m_bar)
             worst_det = max(worst_det, det)
             worst_symp = max(worst_symp, symp)
     elapsed = time.perf_counter() - t0
@@ -122,13 +124,13 @@ def test_criterion_4_growth_bounds(coefficient_sets):
     complex_pts = _complex_samples(40)
     for c in coefficient_sets:
         lams = [complex(lam) for lam in list(_real_grid(200)) + complex_pts]
-        for lam, (m, _) in zip(lams, propagate_pairs(c, lams)):
-            param = m.param
+        for lam, T in zip(lams, traces_at(c, lams)):
+            param = SpectralParameter.from_lambda(lam)
             scale = 3.0 * math.exp(param.z0 + c.kappa)
-            worst = max(worst, (abs(m.trace_T) - scale) / scale)
+            worst = max(worst, (abs(T) - scale) / scale)
             if abs(lam) >= 1.0:
                 cap = 3.0 * c.kappa * math.exp(param.z0 + c.kappa) / abs(param.z)
-                dev = abs(m.trace_T - free_trace(lam))
+                dev = abs(T - free_trace(lam))
                 worst = max(worst, (dev - cap) / scale)
     ok = worst <= 1e-12
     _report("4", "trace growth and perturbation bounds", ok, f"excess {worst:.2e}")
@@ -147,13 +149,11 @@ def test_criterion_5_picard_equivalence(const_c, small_c):
     certified = True
     for c in (const_c, small_c):  # kappa 1.5 and 0.8, both <= 2
         assert c.kappa <= 2.0
-        for m_exp, _ in propagate_pairs(c, points):
-            param = m_exp.param
-            m_ser = picard_monodromy(c, param, tol=1e-10)
+        M, _ = propagate_pairs(c, points)
+        for lam, M_exp in zip(points, M):
+            m_ser = picard_monodromy(c, SpectralParameter.from_lambda(lam), tol=1e-10)
             certified = certified and m_ser.tail_bound < 1e-10
-            diff = np.abs(
-                np.asarray(m_exp.M, complex) - np.asarray(m_ser.M, complex)
-            ).max()
+            diff = np.abs(np.asarray(M_exp, complex) - np.asarray(m_ser.M, complex)).max()
             worst = max(worst, float(diff))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and certified and elapsed <= 30.0

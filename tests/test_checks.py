@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import triband.checks as checks
-from triband import free_diagonalizer, free_trace, propagate_pairs
+from triband import SpectralParameter, free_diagonalizer, free_trace, propagate_pairs, trace_at
+from triband.monodromy import period_maps
 from triband._linalg import EXTENDED, det3
 from triband.checks import _real_grid, check_trace_bounds
 
@@ -14,14 +15,14 @@ def _trace_bounds_worst_per_point(c):
     worst = 0.0
     kappa = c.kappa
     for lam in _real_grid(n=50):
-        [(m, _)] = propagate_pairs(c, [lam])
-        param = m.param
-        worst = max(worst, abs(m.trace_T) / (3.0 * math.exp(param.z0 + kappa)))
+        [M], T = period_maps(c, [lam]), trace_at(c, lam)
+        param = SpectralParameter.from_lambda(lam)
+        worst = max(worst, abs(T) / (3.0 * math.exp(param.z0 + kappa)))
         if abs(param.lam) >= 1.0 and kappa > 0:
             dev_cap = 3.0 * kappa * math.exp(param.z0 + kappa) / abs(param.z)
-            worst = max(worst, abs(m.trace_T - free_trace(param.lam)) / dev_cap)
+            worst = max(worst, abs(T - free_trace(param.lam)) / dev_cap)
             [V], [V_inv], B = free_diagonalizer([param])
-            frame = V_inv @ np.asarray(m.M, dtype=complex) @ V
+            frame = V_inv @ np.asarray(M, dtype=complex) @ V
             diag_free = np.diag(np.exp(1j * param.z * np.diag(B)))
             matrix_cap = kappa * math.exp(param.z0 + kappa) / abs(param.z)
             worst = max(worst, np.linalg.norm(frame - diag_free, 2) / matrix_cap)
@@ -45,10 +46,10 @@ def test_identity_suites_read_the_scaled_residuals(const_c, monkeypatch):
     stay below 100 eps of the extended dtype.
     """
     monkeypatch.setattr(checks, "_real_grid", lambda n=60: np.linspace(-2e3, 2e3, n))
-    maps = [m for m, _ in propagate_pairs(const_c, checks._real_grid())]
-    assert max(abs(complex(det3(m.M)) - 1.0) for m in maps) > 1e-9
+    maps, _ = propagate_pairs(const_c, checks._real_grid())
+    assert max(abs(complex(det3(M)) - 1.0) for M in maps) > 1e-9
     suites = checks.suite_maps(const_c)  # the fixed grids are rebuilt under the patch
-    assert max(abs(prm.lam) for prm in suites["determinant-identity"].params) == 2e3
+    assert max(abs(lam) for lam in suites["determinant-identity"].lams) == 2e3
     for suite, name in ((checks.check_determinant_identity, "determinant-identity"),
                         (checks.check_symplectic_identity, "symplectic-identity")):
         result = suite(suites[name])

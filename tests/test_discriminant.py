@@ -153,9 +153,9 @@ def test_sigma3_endpoints_refine_in_lockstep(monkeypatch):
     calls = []
     period_maps = monodromy.period_maps
 
-    def counting(c_arg, params, *args, **kwargs):
-        calls.append(len(params))
-        return period_maps(c_arg, params, *args, **kwargs)
+    def counting(c_arg, lams, *args, **kwargs):
+        calls.append(len(lams))
+        return period_maps(c_arg, lams, *args, **kwargs)
 
     monkeypatch.setattr(monodromy, "period_maps", counting)
     [iv] = sigma3_intervals(c, window, points, tol).intervals

@@ -16,6 +16,7 @@ from triband import (
     multiplier_set,
     propagate_pairs,
     trace_at,
+    traces_at,
 )
 
 TWO_PI = 2 * math.pi
@@ -27,13 +28,12 @@ TWO_PI = 2 * math.pi
 def test_reduction_identity_against_determinant(coefficient_sets):
     """Contract check: det(M - e^{ik}) = 2i e^{3ik/2} F(k, lambda), real lambda."""
     for c in coefficient_sets:
-        maps = [m for m, _ in propagate_pairs(c, np.linspace(-180, 180, 13))]
+        lams = np.linspace(-180, 180, 13)
+        maps = list(zip(propagate_pairs(c, lams)[0], traces_at(c, lams)))
         for k in (0.0, 0.3, 1.0, math.pi, 5.0):
-            for m in maps:
-                direct = np.linalg.det(
-                    np.asarray(m.M, complex) - cmath.exp(1j * k) * np.eye(3)
-                )
-                reduced = 2j * cmath.exp(1.5j * k) * char_real_function(k, m.trace_T)
+            for M, T in maps:
+                direct = np.linalg.det(np.asarray(M, complex) - cmath.exp(1j * k) * np.eye(3))
+                reduced = 2j * cmath.exp(1.5j * k) * char_real_function(k, T)
                 assert abs(direct - reduced) <= 1e-8 * (1 + abs(direct))
 
 
@@ -109,13 +109,14 @@ def test_roots_are_spectrum_points(small_c):
     k = 0.9
     res = eigenvalues_at_k(small_c, k, (-3, 3), tol=1e-13)
     assert len(res.eigenvalues) == 7
-    pairs = propagate_pairs(small_c, [e.lambda_n for e in res.eigenvalues])
-    for e, (m, _) in zip(res.eigenvalues, pairs):
-        ms = multiplier_set(e.lambda_n, m.trace_T)
+    lams = [e.lambda_n for e in res.eigenvalues]
+    maps, traces = propagate_pairs(small_c, lams)[0], traces_at(small_c, lams)
+    for e, M, T in zip(res.eigenvalues, maps, traces):
+        ms = multiplier_set(e.lambda_n, T)
         assert min(abs(abs(t) - 1) for t in ms.taus) <= 1e-6
-        assert 2 * abs(char_real_function(k, m.trace_T)) <= 1e-6
+        assert 2 * abs(char_real_function(k, T)) <= 1e-6
         if abs(e.n) <= 1:
-            det = complex(det3(m.M - cmath.exp(1j * k) * np.eye(3, dtype=m.M.dtype)))
+            det = complex(det3(M - cmath.exp(1j * k) * np.eye(3, dtype=M.dtype)))
             assert abs(det) <= 1e-6
 
 

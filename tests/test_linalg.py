@@ -12,7 +12,7 @@ against a 60-digit mpmath product of the run exponentials.
 import numpy as np
 import pytest
 
-from triband import PeriodicCoefficients, SpectralParameter, monodromy, propagate_pairs
+from triband import PeriodicCoefficients, monodromy, propagate_pairs
 from triband import _linalg
 from triband._linalg import EXTENDED, expm_stack, ordered_product, taylor_blocks
 from triband.monodromy import period_maps, system_matrices
@@ -138,7 +138,7 @@ def test_period_maps_hands_expm_stack_its_structure(monkeypatch, lams):
     c = PeriodicCoefficients.from_samples(
         np.repeat(_RUN_P_WITH_ZERO, _RUN_CELLS), np.repeat(_RUN_Q, _RUN_CELLS)
     )
-    period_maps(c, [SpectralParameter.from_lambda(lam) for lam in lams])
+    period_maps(c, lams)
     X = np.concatenate([entries.reshape(-1, 3, 3) for entries in seen])
     assert X.shape == (len(lams), 3, 3)
     a, b = X[..., 0], X[..., 1]
@@ -210,7 +210,6 @@ def test_core_routes_square_as_the_gather_form(monkeypatch, levels, p, q, lams):
     """period_maps and picard_maps (in-place block-Toeplitz squarings) are
     unchanged bit for bit when every level gathers and scatters."""
     c = PeriodicCoefficients.from_samples(p, q)
-    params = [SpectralParameter.from_lambda(lam) for lam in lams]
     kinds = set()
     by_level = _linalg.square_by_level
 
@@ -221,12 +220,12 @@ def test_core_routes_square_as_the_gather_form(monkeypatch, levels, p, q, lams):
 
     for module in (_linalg, monodromy):
         monkeypatch.setattr(module, "square_by_level", recording)
-    maps, series = period_maps(c, params), monodromy.picard_maps(c, params, 1e-12)
+    maps, series = period_maps(c, lams), monodromy.picard_maps(c, lams, 1e-12)
     assert levels in kinds and (levels == "mixed" or kinds == {levels})
     for module in (_linalg, monodromy):
         monkeypatch.setattr(module, "square_by_level", _square_by_gather)
-    assert _same_bits(period_maps(c, params), maps)
-    for got, want in zip(monodromy.picard_maps(c, params, 1e-12), series):
+    assert _same_bits(period_maps(c, lams), maps)
+    for got, want in zip(monodromy.picard_maps(c, lams, 1e-12), series):
         assert _same_bits(got.M, want.M) and got.term_norms == want.term_norms
 
 
@@ -245,15 +244,13 @@ def test_propagate_matches_uncollapsed_cell_product(lam):
     p = np.repeat([0.6, -0.4, 0.2], [20, 25, 19])
     q = np.repeat([0.3, -0.2, 0.5], [12, 30, 22])
     c = PeriodicCoefficients.from_samples(p, q)
-    param = SpectralParameter.from_lambda(lam)
-    P, Q = system_matrices([param], p, q)
+    P, Q = system_matrices([lam], p, q)
     A = (P.astype(EXTENDED) + Q.astype(EXTENDED)) / np.asarray(64, dtype=EXTENDED)
     cells = expm_stack(A[..., _ROWS, _COLS], EXTENDED)
     expected = cells[0]
     for F in cells[1:]:
         expected = F @ expected
-    [(m, _)] = propagate_pairs(c, [lam])
-    got = m.M
+    [got], _ = propagate_pairs(c, [lam])
     err = np.abs(got - expected).max() / np.abs(expected).max()
     assert float(err) <= 1e-15 * max(1.0, abs(lam) / 1e3)
 
@@ -283,11 +280,10 @@ def test_trace_matches_60_digit_oracle_out_to_the_guard(lam):
     c = PeriodicCoefficients.from_samples(
         np.repeat(_RUN_P, _RUN_CELLS), np.repeat(_RUN_Q, _RUN_CELLS)
     )
-    param = SpectralParameter.from_lambda(lam)
     # where EXTENDED falls back to complex128 only the complex128 bound applies
     bounds = {EXTENDED: 1e-15, np.dtype(np.complex128): 1e-13}
     for dtype, bound in bounds.items():
-        M = period_maps(c, [param], dtype=dtype)[0]
+        M = period_maps(c, [lam], dtype=dtype)[0]
         T = M[0, 0] + M[1, 1] + M[2, 2]
         got = mp.mpc(mp.mpf(str(T.real)), mp.mpf(str(T.imag)))
         assert float(abs(got - T_ref) / abs(T_ref)) <= bound, dtype

@@ -8,7 +8,6 @@ from triband import (
     OMEGA,
     PeriodicCoefficients,
     PicardTruncationError,
-    PropagationMethod,
     PropagationOverflowError,
     SpectralParameter,
     SYMPLECTIC_J,
@@ -19,6 +18,8 @@ from triband import (
     picard_monodromy,
     propagate_pairs,
     symplectic_residual,
+    trace_at,
+    traces_at,
     zero_coefficients,
 )
 from triband import monodromy
@@ -41,7 +42,7 @@ def _raw_residuals(M, M_conj):
     return abs(complex(det3(M)) - 1.0), float(np.linalg.norm(R.astype(complex), 2))
 
 
-def standard_monodromy_conjugate(m, p_at_0: float) -> np.ndarray:
+def standard_monodromy_conjugate(M, p_at_0: float) -> np.ndarray:
     """Conjugate to the classical period map in the (y, y', y'') variables.
 
     Returns S M S^{-1} with S = [[1,0,0],[0,1,0],[-p(0),0,1]].  Meaningful
@@ -52,7 +53,7 @@ def standard_monodromy_conjugate(m, p_at_0: float) -> np.ndarray:
     S[2, 0] = -p_at_0
     S_inv = np.eye(3, dtype=complex)
     S_inv[2, 0] = p_at_0
-    return S @ np.asarray(m.M, dtype=complex) @ S_inv
+    return S @ np.asarray(M, dtype=complex) @ S_inv
 
 
 # ---------------------------------------------------------------- parameter
@@ -88,13 +89,13 @@ def test_growth_exponent_on_real_axis():
 
 
 def test_system_matrices_free():
-    [Pm], Qm = system_matrices([P(0.0)], 0.0, 0.0)
+    [Pm], Qm = system_matrices([0.0], 0.0, 0.0)
     assert np.array_equal(Pm, np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex))
     assert np.count_nonzero(Qm) == 0
 
 
 def test_system_matrices_entries():
-    [Pm], Qm = system_matrices([P(1j)], 1.0, 2.0)
+    [Pm], Qm = system_matrices([1j], 1.0, 2.0)
     assert Pm[2, 0] == pytest.approx(1.0)  # -i * i
     assert Qm[1, 0] == pytest.approx(-1.0)
     assert Qm[2, 0] == pytest.approx(2j)
@@ -103,49 +104,46 @@ def test_system_matrices_entries():
 
 
 def test_system_matrices_stack_and_q_norm_match_cell_loop(sin_c):
-    _, Q = system_matrices([P(3.0)], sin_c.p_samples, sin_c.q_samples)
+    _, Q = system_matrices([3.0], sin_c.p_samples, sin_c.q_samples)
     total = 0.0
     for i in range(sin_c.grid_size):
-        _, Q_i = system_matrices([P(3.0)], sin_c.p_samples[i], sin_c.q_samples[i])
+        _, Q_i = system_matrices([3.0], sin_c.p_samples[i], sin_c.q_samples[i])
         assert np.array_equal(Q[i], Q_i)
         total += np.linalg.norm(Q_i, 2)
     assert q_norm_integral(sin_c) == total / sin_c.grid_size
 
 
-# ---------------------------------------------------------- propagate_pairs
+# -------------------------------------------------- period maps and pairs
 
 
 def test_free_monodromy_at_zero(zero_c):
-    [(m, _)] = propagate_pairs(zero_c, [0.0])
+    [M] = period_maps(zero_c, [0.0])
     expected = np.array([[1, 1, 0.5], [0, 1, 1], [0, 0, 1]], dtype=complex)
-    assert np.allclose(np.asarray(m.M, complex), expected, atol=1e-15)
-    assert m.trace_T == pytest.approx(3.0)
+    assert np.allclose(np.asarray(M, complex), expected, atol=1e-15)
+    assert trace_at(zero_c, 0.0) == pytest.approx(3.0)
 
 
 @pytest.mark.parametrize("lam", [3.0, -17.5, 240.0, 2.0 + 3.0j, -50.0 + 12.0j])
 def test_free_monodromy_eigenvalues(zero_c, lam):
     # eigenvalues of the free period map are exp(i w^(j-1) z)
-    [(m, _)] = propagate_pairs(zero_c, [lam])
-    got = np.sort_complex(np.linalg.eigvals(np.asarray(m.M, complex)))
+    [M] = period_maps(zero_c, [lam])
+    got = np.sort_complex(np.linalg.eigvals(np.asarray(M, complex)))
     want = np.sort_complex(np.array([np.exp(1j * OMEGA**j * P(lam).z) for j in range(3)]))
     assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 def test_grid_size_does_not_matter_for_constant_coefficients():
     lam = 11.0
-    [(coarse, _)] = propagate_pairs(PeriodicCoefficients.from_constants(0.7, -0.2, 1), [lam])
-    [(fine, _)] = propagate_pairs(PeriodicCoefficients.from_constants(0.7, -0.2, 64), [lam])
-    assert np.allclose(
-        np.asarray(coarse.M, complex), np.asarray(fine.M, complex), atol=1e-13
-    )
+    [coarse] = period_maps(PeriodicCoefficients.from_constants(0.7, -0.2, 1), [lam])
+    [fine] = period_maps(PeriodicCoefficients.from_constants(0.7, -0.2, 64), [lam])
+    assert np.allclose(np.asarray(coarse, complex), np.asarray(fine, complex), atol=1e-13)
 
 
 def test_plain_double_precision_fallback(sin_c):
     # the dtype knob exists for platforms without an extended long double;
     # at moderate lambda the two paths agree to full double precision
-    par = P(35.0)
-    [M_ext] = monodromy.period_maps(sin_c, [par])
-    [M_dbl] = monodromy.period_maps(sin_c, [par], dtype=np.complex128)
+    [M_ext] = monodromy.period_maps(sin_c, [35.0])
+    [M_dbl] = monodromy.period_maps(sin_c, [35.0], dtype=np.complex128)
     assert M_dbl.dtype == np.complex128
     assert np.allclose(np.asarray(M_ext, complex), M_dbl, rtol=1e-12, atol=1e-12)
     assert abs(complex(det3(M_dbl)) - 1.0) <= 1e-12
@@ -156,16 +154,15 @@ def test_substeps_change_nothing(sin_c):
     refined = PeriodicCoefficients.from_samples(
         np.repeat(sin_c.p_samples, 3), np.repeat(sin_c.q_samples, 3)
     )
-    [(m1, _)] = propagate_pairs(sin_c, [25.0])
-    [(m3, _)] = propagate_pairs(refined, [25.0])
-    assert m3.steps_or_terms == 3 * sin_c.grid_size
-    assert np.allclose(np.asarray(m1.M, complex), np.asarray(m3.M, complex), atol=1e-12)
+    [M1] = period_maps(sin_c, [25.0])
+    [M3] = period_maps(refined, [25.0])
+    assert np.allclose(np.asarray(M1, complex), np.asarray(M3, complex), atol=1e-12)
 
 
 def test_determinant_and_symplectic_residuals(coefficient_sets):
     for c in coefficient_sets:
-        for m, _ in propagate_pairs(c, np.linspace(-400, 400, 21)):
-            det, symp = _raw_residuals(m.M, m.M)
+        for M in period_maps(c, np.linspace(-400, 400, 21)):
+            det, symp = _raw_residuals(M, M)
             assert det <= 1e-9
             assert symp <= 1e-8
 
@@ -179,7 +176,7 @@ def test_scaled_residuals_stay_at_roundoff(const_c, sin_c, lam):
     and 1e-18 on these sets).
     """
     for c in (const_c, sin_c, STEPS):
-        M = period_maps(c, [P(lam)])
+        M = period_maps(c, [lam])
         assert det_residual(M)[0] <= 1e-17
         assert symplectic_residual(M, M)[0] <= 1e-15
 
@@ -190,7 +187,7 @@ def test_scaled_residuals_scale_each_map_by_its_own_entries():
     Its largest entries span some 220 decades; one scale for the whole
     stack moves the residuals of the small maps in their last bits.
     """
-    M = period_maps(STEPS, [P(lam) for lam in (1e2, -1e4, 1e8, -2e8)])
+    M = period_maps(STEPS, [1e2, -1e4, 1e8, -2e8])
     det, symp = det_residual(M), symplectic_residual(M, M)
     for i in range(len(M)):
         one = M[i : i + 1]
@@ -203,26 +200,107 @@ def test_symplectic_identity_complex_pairs(sin_c):
     rng = np.random.default_rng(11)
     for _ in range(8):
         lam = complex(rng.uniform(-300, 300), rng.uniform(-300, 300))
-        [(m, m_bar)] = propagate_pairs(sin_c, [lam])
-        assert _raw_residuals(m.M, m_bar.M)[1] <= 1e-8
-        assert _raw_residuals(m_bar.M, m.M)[1] <= 1e-8
-        M = np.stack((m.M, m_bar.M))
-        assert symplectic_residual(M, M[::-1]).max() <= 1e-15
+        [M], [M_bar] = propagate_pairs(sin_c, [lam])
+        assert _raw_residuals(M, M_bar)[1] <= 1e-8
+        assert _raw_residuals(M_bar, M)[1] <= 1e-8
+        pair = np.stack((M, M_bar))
+        assert symplectic_residual(pair, pair[::-1]).max() <= 1e-15
         # direct form of the identity
         J = SYMPLECTIC_J
-        R = np.asarray(m_bar.M, complex).conj().T @ J @ np.asarray(m.M, complex) - J
+        R = np.asarray(M_bar, complex).conj().T @ J @ np.asarray(M, complex) - J
         assert np.linalg.norm(R, 2) <= 1e-8
 
 
-def test_propagate_pair_real_lambda_is_single_evaluation(sin_c):
-    [(m, m_bar)] = propagate_pairs(sin_c, [7.0])
-    assert m is m_bar
-    assert symplectic_residual(m.M[np.newaxis], m_bar.M[np.newaxis])[0] <= 1e-15
+_PAIR_LAMBDAS = (7.0, 2.0 + 3.0j, -40.0, -50.0 - 12.0j, 0.0, 3e4 + 1e-3j)
+
+
+def test_propagate_pairs_is_one_core_call(sin_c, monkeypatch):
+    """L points, of which C complex, take one core call of L + C points:
+    a real lambda is its own partner, evaluated once."""
+    core, calls = monodromy.period_maps, []
+
+    def counting(c, lams, *args, **kwargs):
+        calls.append(len(lams))
+        return core(c, lams, *args, **kwargs)
+
+    monkeypatch.setattr(monodromy, "period_maps", counting)
+    M, M_conj = propagate_pairs(sin_c, _PAIR_LAMBDAS)
+    assert calls == [len(_PAIR_LAMBDAS) + 3]
+    assert M.shape == M_conj.shape == (len(_PAIR_LAMBDAS), 3, 3)
+    propagate_pairs(sin_c, [7.0, -1.0])
+    assert calls[1:] == [2]
+    assert symplectic_residual(M, M_conj).max() <= 1e-15
+
+
+def test_pair_rows_are_the_maps_at_conj_lambda(sin_c):
+    """The M_conj row of a complex lambda is the core's map at conj(lambda),
+    bit for bit; a real lambda's M_conj row is its M row."""
+    M, M_conj = propagate_pairs(sin_c, _PAIR_LAMBDAS)
+    assert _same_bits(M, period_maps(sin_c, _PAIR_LAMBDAS))
+    for lam, row, conj_row in zip(_PAIR_LAMBDAS, M, M_conj):
+        if complex(lam).imag == 0.0:
+            assert _same_bits(conj_row, row)
+        else:
+            assert _same_bits(conj_row, period_maps(sin_c, [complex(lam).conjugate()])[0])
 
 
 def test_overflow_fails_loudly(const_c):
     with pytest.raises(PropagationOverflowError):
         propagate_pairs(const_c, [1e12])
+
+
+def _across_the_guard(c, direction):
+    """lambda = direction * s^3 for s from 1e-6 below to 1e-6 above the z0 edge,
+    and the 20 floats on each side of it: z0 = s on the positive imaginary
+    axis, sqrt(3) s / 2 on the real axis."""
+    edge = monodromy.MAX_GROWTH_EXPONENT - c.kappa
+    if direction.real != 0.0:
+        edge /= math.sqrt(3.0) / 2.0
+    near = [edge**3]
+    for toward in (0.0, np.inf):
+        x = edge**3
+        for _ in range(20):
+            x = float(np.nextafter(x, toward))
+            near.append(x)
+    far = [(edge * (1 + d)) ** 3 for d in (-1e-6, -1e-9, -1e-12, 1e-12, 1e-9, 1e-6)]
+    return [complex(0.0, x) if direction == 1j else direction.real * x for x in near + far]
+
+
+@pytest.mark.parametrize("direction", [1j, 1.0, -1.0], ids=["imag", "pos", "neg"])
+def test_guard_refuses_exactly_where_z0_says(direction):
+    """growth_refusal refuses where z0 + kappa of SpectralParameter.from_lambda
+    exceeds the guard, with the message built from that z0, on both sides."""
+    refused = []
+    for lam in _across_the_guard(STEPS, direction):
+        z0 = P(lam).z0
+        refusal = monodromy.growth_refusal(STEPS, lam)
+        assert (refusal is not None) == (z0 + STEPS.kappa > monodromy.MAX_GROWTH_EXPONENT), lam
+        if refusal is not None:
+            assert str(refusal).startswith(f"growth exponent z0 + kappa = {z0 + STEPS.kappa:.1f} ")
+        refused.append(refusal is not None)
+    assert any(refused) and not all(refused)
+
+
+def test_guard_reads_z0_only_past_its_bound(monkeypatch):
+    """z0 <= |lambda|^(1/3): inside that bound the guard, and a core call,
+    compute no SpectralParameter; past it, the guard computes one."""
+    made = []
+    from_lambda = SpectralParameter.from_lambda
+
+    def spying(cls, lam):
+        made.append(lam)
+        return from_lambda(lam)
+
+    monkeypatch.setattr(SpectralParameter, "from_lambda", classmethod(spying))
+    edge = monodromy.MAX_GROWTH_EXPONENT - STEPS.kappa
+    inside = [0.0, 1e3, -1e6, 3 + 4j, 1j * (edge / (1 + 2e-9)) ** 3, -(edge / (1 + 2e-9)) ** 3]
+    assert [monodromy.growth_refusal(STEPS, lam) for lam in inside] == [None] * len(inside)
+    monodromy.traces_at(STEPS, inside[:4])
+    assert made == []
+    accepted = -((edge / (1 + 1e-10)) ** 3)  # past the bound, z0 = 0.866 of it
+    assert monodromy.growth_refusal(STEPS, accepted) is None and made == [accepted]
+    assert monodromy.growth_refusal(STEPS, 1j * (edge * (1 + 1e-9)) ** 3) is not None
+    assert len(made) == 2
 
 
 # ------------------------------------------------------------------- bounds
@@ -232,26 +310,27 @@ def test_trace_bound(coefficient_sets):
     # |T| <= 3 exp(z0 + kappa) everywhere
     for c in coefficient_sets:
         lams = list(np.linspace(-500, 500, 41)) + [2.0 + 90.0j, -30.0 - 200.0j]
-        for m, _ in propagate_pairs(c, lams):
-            assert abs(m.trace_T) <= 3 * math.exp(m.param.z0 + c.kappa) * (1 + 1e-9)
+        for lam, T in zip(lams, traces_at(c, lams)):
+            assert abs(T) <= 3 * math.exp(P(lam).z0 + c.kappa) * (1 + 1e-9)
 
 
 def test_trace_perturbation_bound(const_c, sin_c):
     # |T - T0| <= 3 kappa exp(z0 + kappa)/|z| for |lambda| >= 1
     for c in (const_c, sin_c):
         lams = [float(lam) for lam in np.linspace(-500, 500, 41) if abs(lam) >= 1]
-        for lam, (m, _) in zip(lams, propagate_pairs(c, lams)):
-            cap = 3 * c.kappa * math.exp(m.param.z0 + c.kappa) / abs(m.param.z)
-            assert abs(m.trace_T - free_trace(lam)) <= cap * (1 + 1e-9)
+        for lam, T in zip(lams, traces_at(c, lams)):
+            cap = 3 * c.kappa * math.exp(P(lam).z0 + c.kappa) / abs(P(lam).z)
+            assert abs(T - free_trace(lam)) <= cap * (1 + 1e-9)
 
 
 def test_transformed_frame_bound(const_c, sin_c):
     # || V^-1 M V - exp(izB) || <= (kappa/|z|) exp(z0 + kappa), |lambda| >= 1
     for c in (const_c, sin_c):
-        for m, _ in propagate_pairs(c, [1.0, -2.0, 9.0, -75.0, 300.0, 1e4, -1e5]):
-            par = m.param
+        lams = [1.0, -2.0, 9.0, -75.0, 300.0, 1e4, -1e5]
+        for lam, M in zip(lams, period_maps(c, lams)):
+            par = P(lam)
             [V], [V_inv], B = free_diagonalizer([par])
-            frame = V_inv @ np.asarray(m.M, complex) @ V
+            frame = V_inv @ np.asarray(M, complex) @ V
             free = np.diag(np.exp(1j * par.z * np.diag(B)))
             cap = c.kappa / abs(par.z) * math.exp(par.z0 + c.kappa)
             assert np.linalg.norm(frame - free, 2) <= cap * (1 + 1e-9)
@@ -260,7 +339,7 @@ def test_transformed_frame_bound(const_c, sin_c):
 def test_free_diagonalizer_diagonalizes():
     par = P(5.0 - 3.0j)
     [V], [V_inv], B = free_diagonalizer([par])
-    [Pm], _ = system_matrices([par], 0.0, 0.0)
+    [Pm], _ = system_matrices([par.lam], 0.0, 0.0)
     assert np.allclose(V @ (1j * par.z * B) @ V_inv, Pm, atol=1e-12)
     assert np.allclose(V @ V_inv, np.eye(3), atol=1e-13)
 
@@ -270,16 +349,15 @@ def test_free_diagonalizer_diagonalizes():
 
 def test_picard_free_case_terminates_at_zeroth_term(zero_c):
     m = picard_monodromy(zero_c, P(30.0), tol=1e-10)
-    assert m.method is PropagationMethod.PICARD_SERIES
-    assert m.steps_or_terms == 0
-    [(direct, _)] = propagate_pairs(zero_c, [30.0])
-    assert np.allclose(np.asarray(m.M, complex), np.asarray(direct.M, complex), atol=1e-10)
+    assert m.order == 0 and len(m.term_norms) == 1
+    [direct] = period_maps(zero_c, [30.0])
+    assert np.allclose(np.asarray(m.M, complex), np.asarray(direct, complex), atol=1e-10)
 
 
 def test_picard_agrees_with_exponential_steps(small_c):
-    [(m_exp, _)] = propagate_pairs(small_c, [10.0])
+    [M_exp] = period_maps(small_c, [10.0])
     m_ser = picard_monodromy(small_c, P(10.0), tol=1e-10)
-    diff = np.abs(np.asarray(m_exp.M, complex) - np.asarray(m_ser.M, complex)).max()
+    diff = np.abs(np.asarray(M_exp, complex) - np.asarray(m_ser.M, complex)).max()
     assert diff <= 1e-8
     assert m_ser.tail_bound < 1e-10
 
@@ -301,7 +379,7 @@ def test_picard_term_norms_bound(small_c, sin_c):
         for lam in (0.001, 1.0, -20.0, 100.0):
             par = P(lam)
             m = picard_monodromy(c, par, tol=1e-10)
-            [Pm], _ = system_matrices([par], 0.0, 0.0)
+            [Pm], _ = system_matrices([lam], 0.0, 0.0)
             transient = max(
                 np.linalg.norm(_expm_dense(Pm * t), 2) * math.exp(-par.z0 * t)
                 for t in np.linspace(0.05, 1.0, 20)
@@ -334,7 +412,7 @@ def test_picard_first_terms_against_quadrature_oracle():
     c = PeriodicCoefficients.from_constants(0.5, 0.3, 8)
     lam = 10.0
     par = P(lam)
-    [Pm], _ = system_matrices([par], 0.0, 0.0)
+    [Pm], _ = system_matrices([lam], 0.0, 0.0)
     h = 1.0 / c.grid_size
     nodes, weights = np.polynomial.legendre.leggauss(12)
 
@@ -387,10 +465,10 @@ def test_picard_first_terms_against_quadrature_oracle():
 def test_symplectic_inverse_formula(sin_c):
     # the identity pins the inverse: M^{-1} = -J M(conj lambda)^* J
     J = SYMPLECTIC_J
-    for m, m_bar in propagate_pairs(sin_c, [4.0, -35.0, 6.0 + 2.0j]):
-        M = np.asarray(m.M, complex)
+    for M, M_bar in zip(*propagate_pairs(sin_c, [4.0, -35.0, 6.0 + 2.0j])):
+        M = np.asarray(M, complex)
         inv_direct = np.linalg.inv(M)
-        inv_symplectic = -J @ np.asarray(m_bar.M, complex).conj().T @ J
+        inv_symplectic = -J @ np.asarray(M_bar, complex).conj().T @ J
         assert np.allclose(inv_direct, inv_symplectic, atol=1e-10 * np.linalg.cond(M))
 
 
@@ -435,7 +513,7 @@ def test_picard_matches_50_digit_cell_product(make):
     mp = pytest.importorskip("mpmath")
     c = make()
     lams = [-100.0, -25.0, 50.0, 100.0, 37.3 + 12j]
-    results = monodromy.picard_maps(c, [P(lam) for lam in lams], tol=1e-10)
+    results = monodromy.picard_maps(c, lams, tol=1e-10)
     with mp.workdps(50):
         for lam, m in zip(lams, results):
             ref = mp.eye(3)
@@ -458,22 +536,22 @@ def test_picard_maps_equals_one_point_calls(family):
     far above roundoff: a point that summed the padded terms would fail.
     """
     c = zero_coefficients(4) if family == "zero" else _harmonic_set(3, 8)
-    params = [P(lam) for lam in (0.0, -100.0, 100.0, 1e3, 20 + 30j, 20 - 30j)]
-    batched = monodromy.picard_maps(c, params, tol=1e-4)
-    orders = {m.steps_or_terms for m in batched}
+    lams = [0.0, -100.0, 100.0, 1e3, 20 + 30j, 20 - 30j]
+    batched = monodromy.picard_maps(c, lams, tol=1e-4)
+    orders = {m.order for m in batched}
     if family == "zero":
         assert orders == {0}
     else:
         assert len(orders) >= 3
     eps = np.finfo(np.complex128).eps
-    for par, m in zip(params, batched):
-        one = picard_monodromy(c, par, tol=1e-4)
-        assert m.param == par
-        assert m.steps_or_terms == one.steps_or_terms
+    for lam, m in zip(lams, batched):
+        one = picard_monodromy(c, P(lam), tol=1e-4)
+        assert m.param == P(lam)
+        assert m.order == one.order
         assert m.tail_bound == one.tail_bound
         assert np.abs(m.M - one.M).max() <= 4 * eps * np.linalg.norm(one.M, 2)
         assert m.trace_T == pytest.approx(one.trace_T, rel=4 * eps, abs=0)
-        assert len(m.term_norms) == m.steps_or_terms + 1
+        assert len(m.term_norms) == m.order + 1
         assert m.term_norms == pytest.approx(one.term_norms, rel=1e-12)
 
 
@@ -490,7 +568,7 @@ def test_picard_maps_refuses_before_any_work(const_c, monkeypatch, far, error):
         picard_monodromy(const_c, P(far), tol=1e-10)
     monkeypatch.setattr(monodromy, "_series_exponentials", no_work)
     with pytest.raises(error) as batched:
-        monodromy.picard_maps(const_c, [P(1.0), P(3 + 4j), P(far), P(-5.0)], tol=1e-10)
+        monodromy.picard_maps(const_c, [1.0, 3 + 4j, far, -5.0], tol=1e-10)
     assert str(batched.value) == str(single.value)
 
 
@@ -499,26 +577,27 @@ def test_picard_maps_refuses_before_any_work(const_c, monkeypatch, far, error):
 
 def test_char_poly_at_zero_is_one(coefficient_sets):
     for c in coefficient_sets:
-        for m, _ in propagate_pairs(c, [0.0, 4.0, -9.0]):
-            assert char_poly(m, 0.0) == pytest.approx(1.0, abs=1e-12)
+        for T in traces_at(c, [0.0, 4.0, -9.0]):
+            assert char_poly(T, T, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_char_poly_vanishes_at_free_multiplier(zero_c):
-    for m, _ in propagate_pairs(zero_c, [(2 * math.pi * n) ** 3 for n in (1, 2, 3)]):
-        scale = 1 + abs(m.trace_T) ** 2
-        assert abs(char_poly(m, 1.0)) <= 1e-10 * scale
+    for T in traces_at(zero_c, [(2 * math.pi * n) ** 3 for n in (1, 2, 3)]):
+        scale = 1 + abs(T) ** 2
+        assert abs(char_poly(T, T, 1.0)) <= 1e-10 * scale
 
 
 def test_char_poly_free_product_form(zero_c):
     # det(M0 - tau) = -(tau - e^{iz})(tau - e^{iwz})(tau - e^{iw^2 z})
     rng = np.random.default_rng(5)
-    for m, _ in propagate_pairs(zero_c, [lam for lam in np.linspace(-300, 300, 13) if lam != 0]):
-        z = m.param.z
+    lams = [lam for lam in np.linspace(-300, 300, 13) if lam != 0]
+    for lam, T in zip(lams, traces_at(zero_c, lams)):
+        z = P(lam).z
         roots = [np.exp(1j * OMEGA**j * z) for j in range(3)]
         for _ in range(3):
             tau = complex(rng.normal(), rng.normal())
             product = -np.prod([tau - r for r in roots])
-            val = char_poly(m, tau)
+            val = char_poly(T, T, tau)
             assert abs(val - product) <= 1e-8 * (1 + abs(product))
 
 
@@ -526,33 +605,26 @@ def test_char_poly_matches_determinant_for_complex_lambda(sin_c):
     rng = np.random.default_rng(13)
     for _ in range(10):
         lam = complex(rng.uniform(-150, 150), rng.uniform(-150, 150))
-        [(m, _)] = propagate_pairs(sin_c, [lam])
+        [M], [M_conj] = propagate_pairs(sin_c, [lam])
+        T, T_conj = (complex(np.trace(m)) for m in (M, M_conj))
         tau = complex(rng.normal(), rng.normal())
-        direct = np.linalg.det(np.asarray(m.M, complex) - tau * np.eye(3))
-        assert abs(char_poly(m, tau) - direct) <= 1e-8 * (1 + abs(direct))
-
-
-def test_char_poly_complex_lambda_requires_pair(sin_c):
-    # a series result at complex lambda carries no map at conj(lambda)
-    m = picard_monodromy(sin_c, P(2.0 + 1.0j), tol=1e-10)
-    with pytest.raises(ValueError):
-        char_poly(m, 1.0)
+        direct = complex(det3(np.asarray(M, complex) - tau * np.eye(3)))
+        assert abs(char_poly(T, T_conj, tau) - direct) <= 1e-8 * (1 + abs(direct))
 
 
 # ------------------------------------------- standard-variables conjugate
 
 
 def test_standard_conjugate_identity_when_p0_zero(zero_c):
-    [(m, _)] = propagate_pairs(zero_c, [6.0])
-    assert np.allclose(
-        standard_monodromy_conjugate(m, 0.0), np.asarray(m.M, complex), atol=1e-14
-    )
+    [M] = period_maps(zero_c, [6.0])
+    assert np.allclose(standard_monodromy_conjugate(M, 0.0), np.asarray(M, complex), atol=1e-14)
 
 
 def test_standard_conjugate_preserves_trace(const_c):
-    for m, _ in propagate_pairs(const_c, [2.0, -30.0, 100.0]):
-        conj = standard_monodromy_conjugate(m, const_c.p_samples[0])
-        assert np.trace(conj) == pytest.approx(m.trace_T, rel=1e-12)
+    lams = [2.0, -30.0, 100.0]
+    for M, T in zip(period_maps(const_c, lams), traces_at(const_c, lams)):
+        conj = standard_monodromy_conjugate(M, const_c.p_samples[0])
+        assert np.trace(conj) == pytest.approx(T, rel=1e-12)
 
 
 def test_standard_conjugate_against_classical_integration():
@@ -581,8 +653,8 @@ def test_standard_conjugate_against_classical_integration():
             y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         M_classical[:, col] = y
 
-    [(m, _)] = propagate_pairs(c, [lam])
-    conj = standard_monodromy_conjugate(m, p0)
+    [M] = period_maps(c, [lam])
+    conj = standard_monodromy_conjugate(M, p0)
     assert np.allclose(conj, M_classical, atol=5e-9)
 
 
@@ -631,20 +703,18 @@ def test_batched_core_equals_per_lambda_loop(family, n):
     length = max(len(_MIXED_LAMBDAS), monodromy._STACK_MATRICES // runs + 3)
     lams = [lam * (1 + i // len(_MIXED_LAMBDAS) / 1000)
             for i, lam in zip(range(length), itertools.cycle(_MIXED_LAMBDAS))]
-    params = [P(lam) for lam in lams]
 
-    batched = monodromy.period_maps(c, params)
-    looped = [propagate_pairs(c, [lam])[0][0] for lam in lams]
-    assert batched.dtype == looped[0].M.dtype
-    assert np.array_equal(batched, np.stack([m.M for m in looped]))
-    pairs = propagate_pairs(c, lams)
-    assert all(np.array_equal(m.M, one.M) for (m, _), one in zip(pairs, looped))
-    assert monodromy.traces_at(c, lams) == [m.trace_T for m in looped]
-    assert [m.trace_T for m, _ in pairs] == [m.trace_T for m in looped]
+    batched = monodromy.period_maps(c, lams)
+    looped = np.stack([propagate_pairs(c, [lam])[0][0] for lam in lams])
+    assert batched.dtype == looped.dtype
+    assert np.array_equal(batched, looped)
+    M, _ = propagate_pairs(c, lams)
+    assert np.array_equal(M, looped)
+    assert monodromy.traces_at(c, lams) == [monodromy.trace_at(c, lam) for lam in lams]
 
-    wide = monodromy.period_maps(c, params, dtype=np.complex128)
-    for M, par in zip(wide, params):
-        [ref] = monodromy.period_maps(c, [par], dtype=np.complex128)
+    wide = monodromy.period_maps(c, lams, dtype=np.complex128)
+    for M, lam in zip(wide, lams):
+        [ref] = monodromy.period_maps(c, [lam], dtype=np.complex128)
         assert np.abs(M - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
@@ -652,13 +722,13 @@ def test_calls_sharing_a_run_table_match_a_fresh_object():
     """Repeated core calls on one coefficient object, in both dtypes and on
     the series route, give what a fresh object gives on its first call."""
     c = _coefficient_family("steps3", 64)
-    params = [P(lam) for lam in _MIXED_LAMBDAS]
-    series = [prm for prm in params if abs(prm.lam) <= 2e3]
+    lams = list(_MIXED_LAMBDAS)
+    series = [lam for lam in lams if abs(lam) <= 2e3]
 
     def fresh():
         return PeriodicCoefficients.from_samples(c.p_samples, c.q_samples)
 
-    want = {dtype: period_maps(fresh(), params, dtype=dtype)
+    want = {dtype: period_maps(fresh(), lams, dtype=dtype)
             for dtype in (EXTENDED, np.dtype(np.complex128))}
     want_series = monodromy.picard_maps(fresh(), series, 1e-12)
     for route in (EXTENDED, np.complex128, "series", EXTENDED, "series", np.complex128):
@@ -667,15 +737,15 @@ def test_calls_sharing_a_run_table_match_a_fresh_object():
             assert all(_same_bits(m.M, w.M) and m.term_norms == w.term_norms
                        for m, w in zip(got, want_series))
         else:
-            assert _same_bits(period_maps(c, params, dtype=route), want[np.dtype(route)])
+            assert _same_bits(period_maps(c, lams, dtype=route), want[np.dtype(route)])
 
 
 def test_batched_core_refuses_like_the_one_lambda_path(sin_c):
-    far = P(-1e12)
+    far = -1e12
     with pytest.raises(PropagationOverflowError) as single:
-        propagate_pairs(sin_c, [far.lam])
+        propagate_pairs(sin_c, [far])
     with pytest.raises(PropagationOverflowError) as batched:
-        monodromy.period_maps(sin_c, [P(1.0), P(3 + 4j), far, P(-5.0)])
+        monodromy.period_maps(sin_c, [1.0, 3 + 4j, far, -5.0])
     assert str(batched.value) == str(single.value)
     with pytest.raises(PropagationOverflowError):
         monodromy.traces_at(sin_c, [1.0, -1e12])
@@ -705,8 +775,8 @@ def test_run_entries_are_those_of_the_system_matrices(monkeypatch, family):
     c = _coefficient_family(family, 64)
     p, q = c.p_samples, c.q_samples
     starts = np.flatnonzero(np.r_[True, (np.diff(p) != 0) | (np.diff(q) != 0)])
-    params = [P(lam) for lam in _MIXED_LAMBDAS]
-    Pm, Qm = system_matrices(params, p[starts], q[starts])
+    lams = list(_MIXED_LAMBDAS)
+    Pm, Qm = system_matrices(lams, p[starts], q[starts])
     seen = []
 
     def spy(*args):
@@ -717,22 +787,22 @@ def test_run_entries_are_those_of_the_system_matrices(monkeypatch, family):
     monkeypatch.setattr(monodromy, "expm_stack", spy)
     monkeypatch.setattr(monodromy, "_series_exponentials", spy)
     for dtype in (EXTENDED, np.dtype(np.complex128)):
-        _, widths, _, _, frame = monodromy._framed_runs(c, params, dtype)
+        _, widths, _, _, frame = monodromy._framed_runs(c, lams, dtype)
         A = Pm.astype(dtype)[:, np.newaxis] + Qm.astype(dtype)
         A *= widths[..., np.newaxis] * frame[:, np.newaxis]
         seen.clear()
-        period_maps(c, params, dtype=dtype)
+        period_maps(c, lams, dtype=dtype)
         X = np.concatenate([X for X, _ in seen])
         assert X.dtype == dtype and _same_bits(X, A[..., _ROWS, _COLS])
 
-    _, widths, _, _, frame = monodromy._framed_runs(c, params, np.complex128)
+    _, widths, _, _, frame = monodromy._framed_runs(c, lams, np.complex128)
     A0 = (Pm * frame)[:, np.newaxis] * widths[..., np.newaxis]
     A1 = (Qm * widths[..., np.newaxis]) * frame[:, np.newaxis]
-    for i, param in enumerate(params):
-        if abs(param.lam) > 2e3:
+    for i, lam in enumerate(lams):
+        if abs(lam) > 2e3:
             continue
         seen.clear()
-        monodromy.picard_maps(c, [param], 1e-12)
+        monodromy.picard_maps(c, [lam], 1e-12)
         a, c0, b, c1 = (np.concatenate(x) for x in zip(*(args[:4] for args in seen)))
         assert _same_bits(a, A0[i, :, 0, 1]) and _same_bits(c0, A0[i, :, 2, 0])
         assert _same_bits(b, A1[i, :, 1, 0]) and _same_bits(c1, A1[i, :, 2, 0])

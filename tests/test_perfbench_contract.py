@@ -12,6 +12,8 @@ one core call per disk of its root counting.
 """
 
 import argparse
+import ast
+import importlib
 import importlib.util
 import math
 import os
@@ -51,6 +53,33 @@ def outputs():
 def workloads():
     yield _load("perfbench_workloads", PERFBENCH / "workloads.py")
     del sys.modules["perfbench_workloads"]
+
+
+def _triband_imports(source: str) -> list[tuple[str, str]]:
+    """(module, name) of every `from triband... import name` in the source,
+    nested ones and those in code strings (a child's setup code) included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "triband":
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Constant) and "from triband" in str(node.value):
+            found += _triband_imports(node.value)
+    return found
+
+
+def test_every_name_perfbench_imports_from_triband_resolves():
+    """A library name that run.py, workloads.py or outputs.py imports is
+    an attribute or a submodule of its module, so deleting one fails here
+    and not in the middle of a benchmark run."""
+    names = set()
+    for file in ("outputs.py", "workloads.py", "run.py"):
+        for module, name in _triband_imports((PERFBENCH / file).read_text()):
+            names.add(name)
+            mod = importlib.import_module(module)
+            submodule = hasattr(mod, "__path__") and importlib.util.find_spec(f"{module}.{name}")
+            assert hasattr(mod, name) or submodule, (file, module, name)
+    assert {"SpectralParameter", "picard_monodromy", "trace_at", "rho_at", "load_coefficients",
+            "band_point", "cli", "_linalg"} <= names
 
 
 def test_perfbench_output_checks_call_the_library(outputs, const_c):
