@@ -104,23 +104,3 @@ def lockstep(
         replies = {i: list(islice(values, len(points))) for i, points in asks.items()}
     return outcomes
 
-
-def brent(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    xtol: float,
-    fa: Optional[float] = None,
-    fb: Optional[float] = None,
-) -> tuple[float, float]:
-    """Root of f in the sign-change bracket [a, b]: brent_steps driven by f.
-
-    Returns (x, f(x)) with x within about 2*eps*|x| + xtol of a zero.
-    """
-    steps = brent_steps(a, b, xtol, fa, fb)
-    try:
-        [x] = next(steps)
-        while True:
-            [x] = steps.send([f(x)])
-    except StopIteration as done:
-        return done.value

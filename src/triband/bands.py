@@ -14,7 +14,7 @@ from typing import Optional
 from . import multipliers as mult
 from .coeffs import PeriodicCoefficients
 from .discriminant import rho_formula_scale, rho_trace_formula
-from .monodromy import growth_refusal, traces_at
+from .monodromy import growth_refusal, trace_at, traces_at
 from .util import uniform_grid
 
 FLAG_NEAR_BRANCH_POINT = mult.FLAG_NEAR_BRANCH_POINT
@@ -77,34 +77,13 @@ def _assemble(lam: float, ms: mult.MultiplierSet, rho: float) -> BandPoint:
     )
 
 
-def _evaluate(
-    c: PeriodicCoefficients, lams: list[float]
-) -> list[tuple[Optional[tuple[mult.MultiplierSet, float]], Optional[str]]]:
-    """Per lambda ((multiplier set, rho), None), or (None, overflow message).
-
-    The lambdas that propagation accepts go to the core in one call.
-    """
-    refusals = [growth_refusal(c, lam) for lam in lams]
-    traces = iter(traces_at(c, [lam for lam, err in zip(lams, refusals) if err is None]))
-    out = []
-    for lam, err in zip(lams, refusals):
-        if err is not None:
-            out.append((None, str(err)))
-            continue
-        T = next(traces)
-        ms = mult.multiplier_set(lam, T)
-        out.append(((ms, rho_trace_formula(T)), None))
-    return out
-
-
 def band_point(c: PeriodicCoefficients, lam: float) -> BandPoint:
     """Diagnostics at a single point (branch order as solved, not continued)."""
     lam = float(lam)
-    [(ms_rho, err)] = _evaluate(c, [lam])
-    if err is not None:
-        return BandPoint(lam=lam, error=err)
-    ms, rho = ms_rho
-    return _assemble(lam, ms, rho)
+    if (err := growth_refusal(c, lam)) is not None:
+        return BandPoint(lam=lam, error=str(err))
+    T = trace_at(c, lam)
+    return _assemble(lam, mult.multiplier_set(lam, T), rho_trace_formula(T))
 
 
 def scan_real_axis(
@@ -123,15 +102,10 @@ def scan_real_axis(
     """
     grid = uniform_grid(float(interval[0]), float(interval[1]), points)
     lams = [float(lam) for lam in grid]
-    evaluated = [(lam, *result) for lam, result in zip(lams, _evaluate(c, lams))]
-
-    good = [(lam, ms_rho) for lam, ms_rho, err in evaluated if err is None]
-    continued = iter(
-        mult.continue_branches([lam for lam, _ in good], [ms for _, (ms, _) in good])
-    )
-    return [
-        BandPoint(lam=lam, error=err)
-        if err is not None
-        else _assemble(lam, next(continued), ms_rho[1])
-        for lam, ms_rho, err in evaluated
-    ]
+    refusals = [growth_refusal(c, lam) for lam in lams]
+    good = [lam for lam, err in zip(lams, refusals) if err is None]
+    traces = traces_at(c, good)
+    sets = mult.continue_branches(good, [mult.multiplier_set(x, T) for x, T in zip(good, traces)])
+    rows = iter([_assemble(x, ms, rho_trace_formula(T)) for x, ms, T in zip(good, sets, traces)])
+    return [BandPoint(lam=lam, error=str(err)) if err is not None else next(rows)
+            for lam, err in zip(lams, refusals)]

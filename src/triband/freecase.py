@@ -53,7 +53,7 @@ def free_case(lam: complex) -> FreeCaseValues:
 
 
 def free_trace(lam: complex) -> complex:
-    return free_case(lam).T0
+    return sum(free_multipliers(SpectralParameter.from_lambda(lam)))
 
 
 def free_eigenvalues(k: float, n_range: tuple[int, int]) -> list[float]:

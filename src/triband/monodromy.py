@@ -379,22 +379,23 @@ def _toeplitz_squares(G: np.ndarray) -> np.ndarray:
     return G
 
 
-def picard_maps(
+def _series_terms(
     c: PeriodicCoefficients, lams: Sequence[complex], tol: float
-) -> list[MonodromyResult]:
-    """picard_monodromy at every lambda in lams, from one evaluation.
+) -> tuple[np.ndarray, list[tuple[int, float]]]:
+    """Series terms (L, n, 3, 3) at every lambda in lams, zero past each point's
+    order K, and (K, tail bound) per point, from one evaluation.
 
-    The points share the largest order K of the call: block j of a lower
-    block-Toeplitz product depends on blocks 0..j only.
+    The points share the largest order of the call, n = max K + 1: block j
+    of a lower block-Toeplitz product depends on blocks 0..j only.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     kq = q_norm_integral(c)
     _check_growth(c, lams)
-    params = [SpectralParameter.from_lambda(lam) for lam in lams]
     orders = []  # (K, tail bound) per point
-    for param in params:
-        prefactor = math.exp(min(param.z0, MAX_GROWTH_EXPONENT)) * math.exp(kq)
+    for lam in lams:
+        z0 = SpectralParameter.from_lambda(lam).z0
+        prefactor = math.exp(min(z0, MAX_GROWTH_EXPONENT)) * math.exp(kq)
         for K in range(_SERIES_MAX_TERMS + 1):
             tail = prefactor * kq ** (K + 1) / math.factorial(K + 1)
             if tail < tol:
@@ -402,7 +403,7 @@ def picard_maps(
         else:
             raise PicardTruncationError(
                 f"series tail bound {tail:.3e} still above tol={tol:.3e} "
-                f"after {_SERIES_MAX_TERMS} terms (kq={kq:.3g}, z0={param.z0:.3g})"
+                f"after {_SERIES_MAX_TERMS} terms (kq={kq:.3g}, z0={z0:.3g})"
             )
         orders.append((K, tail))
     n = max((K for K, _ in orders), default=0) + 1
@@ -411,25 +412,25 @@ def picard_maps(
     A0, A1 = np.stack((powers[:, 0], points[:, 2] * powers[:, 2]), axis=-1), runs[:, 1:] * widths
     column_bytes = 9 * n * _SERIES_DTYPE.itemsize
     group = max(1, _SERIES_CHUNK_BYTES // (n * column_bytes))
-    per_chunk = max(1, _SERIES_CHUNK_BYTES // (len(params) * column_bytes))
-    W = np.zeros((len(params), 3 * n, 3), dtype=_SERIES_DTYPE)
+    per_chunk = max(1, _SERIES_CHUNK_BYTES // (len(lams) * column_bytes))
+    W = np.zeros((len(lams), 3 * n, 3), dtype=_SERIES_DTYPE)
     W[:, :3] = np.eye(3)
     for j in range(0, len(runs), per_chunk):
         a0 = A0[:, np.newaxis] * widths[j : j + per_chunk]
         a1 = A1[j : j + per_chunk] * powers[:, np.newaxis, 1:]
         G = _series_exponentials(*a0.reshape(-1, 2).T, *a1.reshape(-1, 2).T, n)
         G = G.reshape(a1.shape[:2] + G.shape[1:])
-        for i in range(0, len(params), group):
+        for i in range(0, len(lams), group):
             for G_k in G[i : i + group].swapaxes(0, 1):
                 W[i : i + group] = _block_toeplitz(G_k) @ W[i : i + group]
     W = W.reshape(-1, n, 3, 3) / frame[:, np.newaxis]
-    norms = np.linalg.norm(W.astype(np.complex128), 2, axis=(-2, -1)).tolist()
     kept = np.arange(n) <= np.array([K for K, _ in orders], dtype=int)[:, np.newaxis]
-    M = (W * kept[..., np.newaxis, np.newaxis]).sum(axis=1)
-    return [
-        MonodromyResult(param, M_i, T, K, tuple(ns[: K + 1]), tail)
-        for param, M_i, T, ns, (K, tail) in zip(params, M, _traces(M), norms, orders)
-    ]
+    return W * kept[..., np.newaxis, np.newaxis], orders
+
+
+def picard_maps(c: PeriodicCoefficients, lams: Sequence[complex], tol: float) -> np.ndarray:
+    """M(1, lambda) of the series route at every lambda in lams, as an (L, 3, 3) array."""
+    return _series_terms(c, lams, tol)[0].sum(axis=1)
 
 
 def picard_monodromy(
@@ -461,4 +462,7 @@ def picard_monodromy(
     expm_stack, each block-Toeplitz product one stacked gemm on the
     3(K+1) x 3(K+1) matrix; picard_maps batches points in chunks of 64 KB.
     """
-    return picard_maps(c, [param.lam], tol)[0]
+    W, [(K, tail)] = _series_terms(c, [param.lam], tol)
+    M = W.sum(axis=1)
+    norms = np.linalg.norm(W[0, : K + 1], 2, axis=(-2, -1)).tolist()
+    return MonodromyResult(param, M[0], _traces(M)[0], K, tuple(norms), tail)

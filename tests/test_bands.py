@@ -10,6 +10,7 @@ from triband import (
     MultiplierSet,
     PeriodicCoefficients,
     band_point,
+    bands,
     classify_on_circle,
     multipliers,
     scan_real_axis,
@@ -142,6 +143,28 @@ def test_overflow_rows_are_reported_not_raised(const_c):
     points = scan_real_axis(const_c, (1e11, 2e12), 5)
     assert all(pt.error is not None for pt in points)
     assert all(pt.multiplicity is None for pt in points)
+
+
+def test_scan_across_the_growth_guard_keeps_grid_order(const_c, monkeypatch):
+    """Refused points keep their grid rows and band_point's messages; the
+    accepted ones go to the core in one call."""
+    calls = []
+    traces_at = bands.traces_at
+
+    def counting(c, lams):
+        calls.append(list(lams))
+        return traces_at(c, lams)
+
+    monkeypatch.setattr(bands, "traces_at", counting)
+    points = scan_real_axis(const_c, (1e8, 1e9), 5)
+    monkeypatch.undo()
+    assert [pt.lam for pt in points] == np.linspace(1e8, 1e9, 5).tolist()
+    assert calls == [[1e8, 3.25e8]]
+    for pt in points[:2]:
+        assert pt.error is None and pt.rho == band_point(const_c, pt.lam).rho
+    for pt, exponent in zip(points[2:], ["711.1", "797.0", "867.5"]):
+        assert f"z0 + kappa = {exponent} exceeds 700" in pt.error
+        assert pt == band_point(const_c, pt.lam)
 
 
 def test_branch_columns_follow_continuation(zero_c):

@@ -21,7 +21,7 @@ from triband import (
     zero_coefficients,
 )
 from triband import monodromy
-from triband._rootfind import brent
+from triband._rootfind import brent_steps, lockstep
 from triband.util import uniform_grid
 
 
@@ -168,15 +168,16 @@ def test_sigma3_endpoints_refine_in_lockstep(monkeypatch):
     evaluations = []
     for end in (iv.lo, iv.hi):
         k = int(np.searchsorted(grid, end))
-        count = [0]
+        asked = []
 
-        def rho(lam, count=count):
-            count[0] += 1
-            return rho_at(c, lam)
+        def rho(lams):
+            asked.extend(lams)
+            return [rho_at(c, lam) for lam in lams]
 
         a, b = float(grid[k - 1]), float(grid[k])
-        assert brent(rho, a, b, tol, rho_at(c, a), rho_at(c, b))[0] == end
-        evaluations.append(count[0])
+        [(x, _)] = lockstep(rho, [brent_steps(a, b, tol, rho_at(c, a), rho_at(c, b))])
+        assert x == end
+        evaluations.append(len(asked))
     assert evaluations == [5, 4]
     assert len(core_calls) == 1 + max(evaluations)
 

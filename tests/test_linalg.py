@@ -207,8 +207,8 @@ def test_square_by_level_matches_gather_and_scatter(squarings, in_place):
     ids=["one-level", "mixed", "none"],
 )
 def test_core_routes_square_as_the_gather_form(monkeypatch, levels, p, q, lams):
-    """period_maps and picard_maps (in-place block-Toeplitz squarings) are
-    unchanged bit for bit when every level gathers and scatters."""
+    """period_maps and the series terms (in-place block-Toeplitz squarings)
+    are unchanged bit for bit when every level gathers and scatters."""
     c = PeriodicCoefficients.from_samples(p, q)
     kinds = set()
     by_level = _linalg.square_by_level
@@ -220,13 +220,13 @@ def test_core_routes_square_as_the_gather_form(monkeypatch, levels, p, q, lams):
 
     for module in (_linalg, monodromy):
         monkeypatch.setattr(module, "square_by_level", recording)
-    maps, series = period_maps(c, lams), monodromy.picard_maps(c, lams, 1e-12)
+    maps, series = period_maps(c, lams), monodromy._series_terms(c, lams, 1e-12)
     assert levels in kinds and (levels == "mixed" or kinds == {levels})
     for module in (_linalg, monodromy):
         monkeypatch.setattr(module, "square_by_level", _square_by_gather)
     assert _same_bits(period_maps(c, lams), maps)
-    for got, want in zip(monodromy.picard_maps(c, lams, 1e-12), series):
-        assert _same_bits(got.M, want.M) and got.term_norms == want.term_norms
+    terms, orders = monodromy._series_terms(c, lams, 1e-12)
+    assert _same_bits(terms, series[0]) and orders == series[1]
 
 
 @pytest.mark.parametrize(

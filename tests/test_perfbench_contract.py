@@ -3,7 +3,8 @@
 perfbench/outputs.py checks every benchmark operation against the library,
 and perfbench/workloads.py locates its sigma3 windows with rho_at.  Loading
 outputs.py by path and calling those functions in the same forms turns a cut
-of one of them into a failure here instead of inside a benchmark run.  The
+of one of them into a failure here instead of inside a benchmark run, and
+so does the loss of a function that perfbench/spans.py hooks.  The
 roots-steps inputs of workloads.py also guard the round count of the
 Floquet search, which sets the cost of its eigs operations, and the
 per-call setup that the CLI and the core build once; the verify-far inputs
@@ -80,6 +81,21 @@ def test_every_name_perfbench_imports_from_triband_resolves():
             assert hasattr(mod, name) or submodule, (file, module, name)
     assert {"SpectralParameter", "picard_monodromy", "trace_at", "rho_at", "load_coefficients",
             "band_point", "cli", "_linalg"} <= names
+
+
+def test_span_targets_absent_from_triband_are_the_known_three():
+    """perfbench/spans.py hooks its Target(module, func, ...) entries by name
+    and reads 0 for a missing one; these three are gone from the library, so
+    any further loss of a per-layer hook fails here."""
+    targets = [
+        [arg.value for arg in node.args[:2]]
+        for node in ast.walk(ast.parse((PERFBENCH / "spans.py").read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Target"
+    ]
+    assert len(targets) > 10
+    absent = {f"{module.removeprefix('triband.')}.{func}" for module, func in targets
+              if not hasattr(importlib.import_module(module), func)}
+    assert absent == {"monodromy.propagate", "monodromy.propagate_pair", "_rootfind.brent"}
 
 
 def test_perfbench_output_checks_call_the_library(outputs, const_c):
