@@ -79,6 +79,7 @@ class FloquetSolveResult:
 
 _GROW = 1.45
 _FINE_SCAN = 48
+_WIDE = 0.35 * math.pi  # half-width in s of the first bracket around the bare seed
 # half-width in s of the tight pair; wider or seed-dependent widths end
 # Brent elsewhere in its xtol window, past the golden eigs tolerances
 _TIGHT = 1e-2
@@ -97,24 +98,32 @@ def _probe(cache: dict[float, tuple[float, complex]], points: list[float]):
     return [cache[s][0] for s in points]
 
 
+def _opening(k: float, n: int, p_mean: float, q_mean: float) -> tuple[list[float], list[float]]:
+    """The tight pair s0 -+ _TIGHT around the corrected seed s0 (empty when it
+    reaches past the first bracket) and that bracket, seed -+ _WIDE."""
+    seed = 2.0 * math.pi * n + k
+    s0 = float(np.cbrt(seed**3 - 2.0 * p_mean * seed + q_mean))
+    tight = [s0 - _TIGHT, s0 + _TIGHT] if abs(s0 - seed) + _TIGHT < _WIDE else []
+    return tight, [seed - _WIDE, seed + _WIDE]
+
+
 def _bracket(k: float, n: int, p_mean: float, q_mean: float, cache: dict) -> _Stage:
     """Sign-change bracket (a, b) of F near the seed s = 2 pi n + k, or a MissedRoot.
 
-    It asks for its points in lists: the tight pair s0 -+ _TIGHT around the
-    corrected seed with the bracket ends [lo, hi] (unless the pair reaches
-    past them), then, without a sign change on the pair, each 9-point
+    It asks for its points in lists: the tight pair of _opening alone, then,
+    without a sign change on it, the bracket ends [lo, hi], each 9-point
     subdivision and the fine scan.  Both ends of the bracket are in cache.
     """
     seed = 2.0 * math.pi * n + k
     # bracket stays inside the midpoints to the neighbouring seeds so a
     # root cannot be captured from the wrong index
     w_max = math.pi * (1.0 - 1e-9)
-    w = 0.35 * math.pi
-    s0 = float(np.cbrt(seed**3 - 2.0 * p_mean * seed + q_mean))
-    if abs(s0 - seed) + _TIGHT < w:
-        f_a, f_b, _, _ = yield from _probe(cache, [s0 - _TIGHT, s0 + _TIGHT, seed - w, seed + w])
+    w = _WIDE
+    tight, _ = _opening(k, n, p_mean, q_mean)
+    if tight:
+        f_a, f_b = yield from _probe(cache, tight)
         if (f_a > 0) != (f_b > 0):
-            return s0 - _TIGHT, s0 + _TIGHT
+            return tight[0], tight[1]
     while True:
         lo, hi = seed - w, seed + w
         f_lo, f_hi = yield from _probe(cache, [lo, hi])
@@ -165,6 +174,11 @@ def _refine(k: float, n: int, tol: float, bracket: tuple[float, float], cache: d
 def _solve_one(k: float, n: int, tol: float, p_mean: float, q_mean: float) -> _Stage:
     """_bracket, then _refine, on one cache: (root, None) or (None, MissedRoot)."""
     cache: dict[float, tuple[float, complex]] = {}
+    # the first round also asks for the first bracket: eigs calls are small
+    # and cost about the same for 4 points as for 2, so a tight miss takes
+    # no extra round here
+    tight, wide = _opening(k, n, p_mean, q_mean)
+    yield from _probe(cache, tight + wide)
     bracket = yield from _bracket(k, n, p_mean, q_mean, cache)
     if isinstance(bracket, MissedRoot):
         return None, bracket
@@ -264,9 +278,12 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
     and 0 if both lie outside (a bracket is narrower than the disk).  Brent
     runs only on a bracket that crosses the radius, with the arithmetic of
     eigenvalues_at_k; its root lies in the bracket, so every count is the
-    one of the refined roots.  The seeds advance in lockstep.  A bracket
-    stays within pi of its seed, so the search takes every seed within pi
-    of the disk, and reliable covers the seeds whose brackets can reach it.
+    one of the refined roots.  The seeds advance in lockstep, and the first
+    round asks for the tight pairs alone, 2 points per seed: a seed asks
+    for its wide bracket only when its tight pair shows no sign change.  A
+    bracket stays within pi of its seed, so the search takes every seed
+    within pi of the disk, and reliable covers the seeds whose brackets can
+    reach it.
     """
     k = float(k)
     if N < 1:

@@ -324,9 +324,12 @@ def q_norm_integral(c: PeriodicCoefficients) -> float:
 _SERIES_MAX_TERMS = 80
 _SERIES_DTYPE = np.dtype(np.complex128)
 
-# Bytes of block columns per chunk of runs (all points of a picard_maps call) and of
-# block-Toeplitz matrices per product (a group of points): at 1 MB the peak RSS of a
-# verify-far benchmark run rose by 2 MB, at 64 KB not.
+# Bytes of block columns per chunk of runs (all points of a picard_maps call): the
+# Taylor stage's arrays set the series route's allocation peak.  At 1 MB the peak RSS
+# of a verify-far benchmark run rose by 2 MB, at 256 KB by 0.6 MB, at 64 KB not.  The
+# block-Toeplitz products are short-lived and take more per product, which makes
+# fewer of them: twice this per squaring (6 pairs at K = 11), four times this per
+# accumulation (the 9 points of a verify call up to K = 13, one product per run).
 _SERIES_CHUNK_BYTES = 1 << 16
 
 
@@ -372,7 +375,7 @@ def _series_exponentials(a, c0, b, c1, n: int) -> np.ndarray:
 
 def _toeplitz_squares(G: np.ndarray) -> np.ndarray:
     """Replace each G[i] by the first block column of T(G[i])^2, a chunk at a time."""
-    step = max(1, _SERIES_CHUNK_BYTES // (G[0].nbytes * G.shape[1]))
+    step = max(1, 2 * _SERIES_CHUNK_BYTES // (G[0].nbytes * G.shape[1]))
     for i in range(0, len(G), step):
         X = G[i : i + step]
         X[...] = (_block_toeplitz(X) @ X.reshape(len(X), -1, 3)).reshape(X.shape)
@@ -411,8 +414,8 @@ def _series_terms(
     # a and c0 of P * frame per unit width, b and c1 of Q * widths per unit frame
     A0, A1 = np.stack((powers[:, 0], points[:, 2] * powers[:, 2]), axis=-1), runs[:, 1:] * widths
     column_bytes = 9 * n * _SERIES_DTYPE.itemsize
-    group = max(1, _SERIES_CHUNK_BYTES // (n * column_bytes))
-    per_chunk = max(1, _SERIES_CHUNK_BYTES // (len(lams) * column_bytes))
+    group = max(1, 4 * _SERIES_CHUNK_BYTES // (n * column_bytes))
+    per_chunk = max(1, _SERIES_CHUNK_BYTES // (max(1, len(lams)) * column_bytes))
     W = np.zeros((len(lams), 3 * n, 3), dtype=_SERIES_DTYPE)
     W[:, :3] = np.eye(3)
     for j in range(0, len(runs), per_chunk):
@@ -460,7 +463,11 @@ def picard_monodromy(
     the final stack, before term_norms are taken.  Each exponential is the
     degree-16 Taylor polynomial, term by term, scaled to the radius of
     expm_stack, each block-Toeplitz product one stacked gemm on the
-    3(K+1) x 3(K+1) matrix; picard_maps batches points in chunks of 64 KB.
+    3(K+1) x 3(K+1) matrix.  picard_maps takes the Taylor stage of all its
+    points in chunks of runs of 64 KB of block columns, and its products in
+    stacks of up to 128 KB (squaring) and 256 KB (accumulation): one
+    accumulation product per run holds the 9 points of a verify call up to
+    K = 13.
     """
     W, [(K, tail)] = _series_terms(c, [param.lam], tol)
     M = W.sum(axis=1)

@@ -556,6 +556,16 @@ def test_picard_maps_equals_one_point_calls(family):
         assert norms == pytest.approx(one.term_norms, rel=1e-12)
 
 
+def test_cores_take_an_empty_list(zero_c, sin_c):
+    """Both cores map no points to an empty (0, 3, 3) stack; the series terms
+    of no points are an empty stack with no orders."""
+    for c in (zero_c, sin_c):
+        assert period_maps(c, []).shape == (0, 3, 3)
+        assert monodromy.picard_maps(c, [], tol=1e-10).shape == (0, 3, 3)
+        terms, orders = monodromy._series_terms(c, [], tol=1e-10)
+        assert terms.shape[0] == 0 and orders == []
+
+
 @pytest.mark.parametrize(
     "far, error", [(1.1e8, PicardTruncationError), (-1e12, PropagationOverflowError)]
 )

@@ -6,10 +6,11 @@ outputs.py by path and calling those functions in the same forms turns a cut
 of one of them into a failure here instead of inside a benchmark run, and
 so does the loss of a function that perfbench/spans.py hooks.  The
 roots-steps inputs of workloads.py also guard the round count of the
-Floquet search, which sets the cost of its eigs operations, and the
-per-call setup that the CLI and the core build once; the verify-far inputs
-guard the one core call that the fixed-grid suites of verify share, and the
-one core call per disk of its root counting.
+Floquet search, which sets the cost of its eigs operations, its core calls
+and period maps, and the per-call setup that the CLI and the core build
+once; the verify-far inputs guard the one core call that the fixed-grid
+suites of verify share, the points and core calls of its root counting, and
+the products and allocation peak of its series call.
 """
 
 import argparse
@@ -20,6 +21,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -176,12 +178,45 @@ def test_verify_far_identity_suites_take_one_core_call(workloads, tmp_path, monk
         assert any(roots for c_i, _, roots in calls if c_i is c)
 
 
-def test_verify_far_root_counts_take_one_core_call_per_disk(workloads, tmp_path, monkeypatch):
-    """Root counting in run_verify on the seed-41 verify-far sets makes at
-    most one core call per disk: every bracket lies on one side of the
-    radius, so no Brent step runs (13.2 calls when each root was refined).
+def test_verify_far_root_counts_ask_the_tight_pairs_first(workloads, tmp_path, monkeypatch):
+    """Root counting in run_verify on the seed-41 verify-far sets opens each
+    disk with the tight pairs alone, 2 points per seed (13 seeds at k = 0.3,
+    12 at k = 2.0), and asks for a wide pair only where a tight pair misses:
+    at most 52 points and 3 core calls per verify call, 1010 points over the
+    20 calls.
     """
     ops = workloads.WORKLOADS["verify-far"].build(np.random.default_rng(41), str(tmp_path))
+    disks = []
+    traces_at, count_in_disk = fl.traces_at, checks.count_in_disk
+
+    def counting(c, lams):
+        disks[-1].append(len(lams))
+        return traces_at(c, lams)
+
+    def per_disk(*args):
+        disks.append([])
+        return count_in_disk(*args)
+
+    monkeypatch.setattr(fl, "traces_at", counting)
+    monkeypatch.setattr(checks, "count_in_disk", per_disk)
+    points = 0
+    for op in [op for op in ops if op.kind == "verify"]:
+        disks.clear()
+        assert all(r.passed for r in checks.run_verify(load_coefficients(op.coeffs)))
+        assert [calls[0] for calls in disks] == [26, 24], (op.argv, disks)
+        assert sum(map(sum, disks)) <= 52 and sum(map(len, disks)) <= 3, (op.argv, disks)
+        points += sum(map(sum, disks))
+    assert points == 1010
+
+
+def test_roots_steps_eigs_ops_keep_their_core_calls(workloads, tmp_path, monkeypatch):
+    """The 70 eigs operations of roots-steps at seed 41 make 392 core calls
+    for 1699 period maps: the Floquet search asks for the wide pair in its
+    first round with the tight pair, so a tight miss takes no extra round
+    (asking for the tight pair alone took 2 more calls per pass).
+    """
+    ops = workloads.WORKLOADS["roots-steps"].build(np.random.default_rng(41), str(tmp_path))
+    eigs = [op for op in ops if op.kind == "eigs"]
     calls = []
     traces_at = fl.traces_at
 
@@ -190,10 +225,52 @@ def test_verify_far_root_counts_take_one_core_call_per_disk(workloads, tmp_path,
         return traces_at(c, lams)
 
     monkeypatch.setattr(fl, "traces_at", counting)
+    for op in eigs:
+        fl.eigenvalues_at_k(load_coefficients(op.coeffs), op.expect["k"], op.expect["n_range"])
+    assert (len(eigs), len(calls), sum(calls)) == (70, 392, 1699)
+
+
+def test_verify_far_series_calls_take_one_product_per_run(workloads, tmp_path, monkeypatch):
+    """The 9-point picard_maps call of verify on the seed-41 verify-far sets
+    (N = 8, 8 runs each) multiplies all its points in one accumulation
+    product per run, 8 in all, up to order K = 13; set 12 reaches K = 16 and
+    takes 2 products per run.  Its tracemalloc peak, which the Taylor stage
+    sets, stays at or below 470 KB on every set (459 KB at most measured).
+    """
+    ops = workloads.WORKLOADS["verify-far"].build(np.random.default_rng(41), str(tmp_path))
+    lams = list(np.linspace(-100.0, 100.0, 9))
+    block_toeplitz, squares = monodromy._block_toeplitz, monodromy._toeplitz_squares
+    products, squaring = [], [False]
+
+    def counting(G):
+        products.append(squaring[0])
+        return block_toeplitz(G)
+
+    def flagged(G):
+        squaring[0] = True
+        try:
+            return squares(G)
+        finally:
+            squaring[0] = False
+
+    accumulations = []
     for op in [op for op in ops if op.kind == "verify"]:
-        calls.clear()
-        assert all(r.passed for r in checks.run_verify(load_coefficients(op.coeffs)))
-        assert 1 <= len(calls) <= 2, (op.argv, calls)
+        c = load_coefficients(op.coeffs)
+        assert len(c.runs) == 8
+        with monkeypatch.context() as patch:
+            patch.setattr(monodromy, "_block_toeplitz", counting)
+            patch.setattr(monodromy, "_toeplitz_squares", flagged)
+            products.clear()
+            monodromy.picard_maps(c, lams, tol=1e-10)
+        accumulations.append(products.count(False))
+        tracemalloc.start()
+        try:
+            monodromy.picard_maps(c, lams, tol=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 470 * 1024, (op.argv, peak)
+    assert accumulations == [8] * 12 + [16] + [8] * 7
 
 
 def test_importing_checks_takes_no_core_call():
