@@ -79,7 +79,6 @@ class FloquetSolveResult:
 
 _GROW = 1.45
 _FINE_SCAN = 48
-_WIDE = 0.35 * math.pi  # half-width in s of the first bracket around the bare seed
 # half-width in s of the tight pair; wider or seed-dependent widths end
 # Brent elsewhere in its xtol window, past the golden eigs tolerances
 _TIGHT = 1e-2
@@ -98,32 +97,28 @@ def _probe(cache: dict[float, tuple[float, complex]], points: list[float]):
     return [cache[s][0] for s in points]
 
 
-def _opening(k: float, n: int, p_mean: float, q_mean: float) -> tuple[list[float], list[float]]:
-    """The tight pair s0 -+ _TIGHT around the corrected seed s0 (empty when it
-    reaches past the first bracket) and that bracket, seed -+ _WIDE."""
-    seed = 2.0 * math.pi * n + k
-    s0 = float(np.cbrt(seed**3 - 2.0 * p_mean * seed + q_mean))
-    tight = [s0 - _TIGHT, s0 + _TIGHT] if abs(s0 - seed) + _TIGHT < _WIDE else []
-    return tight, [seed - _WIDE, seed + _WIDE]
-
-
-def _bracket(k: float, n: int, p_mean: float, q_mean: float, cache: dict) -> _Stage:
+def _bracket(k: float, n: int, p_mean: float, q_mean: float, cache: dict,
+             wide_first: bool) -> _Stage:
     """Sign-change bracket (a, b) of F near the seed s = 2 pi n + k, or a MissedRoot.
 
-    It asks for its points in lists: the tight pair of _opening alone, then,
-    without a sign change on it, the bracket ends [lo, hi], each 9-point
-    subdivision and the fine scan.  Both ends of the bracket are in cache.
+    It asks for its points in lists: the tight pair s0 -+ _TIGHT around the
+    corrected seed (unless the pair reaches past the bracket ends [lo, hi]),
+    with [lo, hi] in the same list if wide_first, then, without a sign
+    change on the pair, [lo, hi], each 9-point subdivision and the fine
+    scan.  With wide_first a tight miss takes no extra round; without it a
+    tight hit asks for half the points.  Both ends of the bracket are in cache.
     """
     seed = 2.0 * math.pi * n + k
     # bracket stays inside the midpoints to the neighbouring seeds so a
     # root cannot be captured from the wrong index
     w_max = math.pi * (1.0 - 1e-9)
-    w = _WIDE
-    tight, _ = _opening(k, n, p_mean, q_mean)
-    if tight:
-        f_a, f_b = yield from _probe(cache, tight)
+    w = 0.35 * math.pi
+    s0 = float(np.cbrt(seed**3 - 2.0 * p_mean * seed + q_mean))
+    if abs(s0 - seed) + _TIGHT < w:
+        wide = [seed - w, seed + w] if wide_first else []
+        f_a, f_b, *_ = yield from _probe(cache, [s0 - _TIGHT, s0 + _TIGHT] + wide)
         if (f_a > 0) != (f_b > 0):
-            return tight[0], tight[1]
+            return s0 - _TIGHT, s0 + _TIGHT
     while True:
         lo, hi = seed - w, seed + w
         f_lo, f_hi = yield from _probe(cache, [lo, hi])
@@ -174,12 +169,7 @@ def _refine(k: float, n: int, tol: float, bracket: tuple[float, float], cache: d
 def _solve_one(k: float, n: int, tol: float, p_mean: float, q_mean: float) -> _Stage:
     """_bracket, then _refine, on one cache: (root, None) or (None, MissedRoot)."""
     cache: dict[float, tuple[float, complex]] = {}
-    # the first round also asks for the first bracket: eigs calls are small
-    # and cost about the same for 4 points as for 2, so a tight miss takes
-    # no extra round here
-    tight, wide = _opening(k, n, p_mean, q_mean)
-    yield from _probe(cache, tight + wide)
-    bracket = yield from _bracket(k, n, p_mean, q_mean, cache)
+    bracket = yield from _bracket(k, n, p_mean, q_mean, cache, wide_first=True)
     if isinstance(bracket, MissedRoot):
         return None, bracket
     return (yield from _refine(k, n, tol, bracket, cache)), None
@@ -301,7 +291,8 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
     n_hi = math.ceil((s_radius - k) / (2 * math.pi))
     seeds = [(n, {}) for n in range(n_lo, n_hi + 1)]  # index and probe cache
     means = float(np.mean(c.p_samples)), float(np.mean(c.q_samples))
-    brackets = lockstep(_f_in_s(c, k), [_bracket(k, n, *means, cache) for n, cache in seeds])
+    brackets = lockstep(_f_in_s(c, k), [_bracket(k, n, *means, cache, wide_first=False)
+                                             for n, cache in seeds])
     missed = tuple(b for b in brackets if isinstance(b, MissedRoot))
     count, crossing = 0, []
     for (n, cache), bracket in zip(seeds, brackets):

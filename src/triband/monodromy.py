@@ -327,9 +327,8 @@ _SERIES_DTYPE = np.dtype(np.complex128)
 # Bytes of block columns per chunk of runs (all points of a picard_maps call): the
 # Taylor stage's arrays set the series route's allocation peak.  At 1 MB the peak RSS
 # of a verify-far benchmark run rose by 2 MB, at 256 KB by 0.6 MB, at 64 KB not.  The
-# block-Toeplitz products are short-lived and take more per product, which makes
-# fewer of them: twice this per squaring (6 pairs at K = 11), four times this per
-# accumulation (the 9 points of a verify call up to K = 13, one product per run).
+# block-Toeplitz products are short-lived, so they take twice this per squaring and
+# four times this per accumulation, which makes fewer of them without a higher peak.
 _SERIES_CHUNK_BYTES = 1 << 16
 
 
@@ -463,11 +462,7 @@ def picard_monodromy(
     the final stack, before term_norms are taken.  Each exponential is the
     degree-16 Taylor polynomial, term by term, scaled to the radius of
     expm_stack, each block-Toeplitz product one stacked gemm on the
-    3(K+1) x 3(K+1) matrix.  picard_maps takes the Taylor stage of all its
-    points in chunks of runs of 64 KB of block columns, and its products in
-    stacks of up to 128 KB (squaring) and 256 KB (accumulation): one
-    accumulation product per run holds the 9 points of a verify call up to
-    K = 13.
+    3(K+1) x 3(K+1) matrix; picard_maps batches points under _SERIES_CHUNK_BYTES.
     """
     W, [(K, tail)] = _series_terms(c, [param.lam], tol)
     M = W.sum(axis=1)

@@ -10,7 +10,7 @@ Floquet search, which sets the cost of its eigs operations, its core calls
 and period maps, and the per-call setup that the CLI and the core build
 once; the verify-far inputs guard the one core call that the fixed-grid
 suites of verify share, the points and core calls of its root counting, and
-the products and allocation peak of its series call.
+the products and Taylor chunks of its series call.
 """
 
 import argparse
@@ -21,7 +21,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -233,14 +232,15 @@ def test_roots_steps_eigs_ops_keep_their_core_calls(workloads, tmp_path, monkeyp
 def test_verify_far_series_calls_take_one_product_per_run(workloads, tmp_path, monkeypatch):
     """The 9-point picard_maps call of verify on the seed-41 verify-far sets
     (N = 8, 8 runs each) multiplies all its points in one accumulation
-    product per run, 8 in all, up to order K = 13; set 12 reaches K = 16 and
-    takes 2 products per run.  Its tracemalloc peak, which the Taylor stage
-    sets, stays at or below 470 KB on every set (459 KB at most measured).
+    product per run, 8 in all; set 12 has the largest order and takes 2
+    per run.  The Taylor stage, which sets the call's allocation peak,
+    holds at most 64 KB of block columns at a time.
     """
     ops = workloads.WORKLOADS["verify-far"].build(np.random.default_rng(41), str(tmp_path))
     lams = list(np.linspace(-100.0, 100.0, 9))
     block_toeplitz, squares = monodromy._block_toeplitz, monodromy._toeplitz_squares
-    products, squaring = [], [False]
+    exponentials = monodromy._series_exponentials
+    products, squaring, taylor_bytes = [], [False], []
 
     def counting(G):
         products.append(squaring[0])
@@ -253,24 +253,22 @@ def test_verify_far_series_calls_take_one_product_per_run(workloads, tmp_path, m
         finally:
             squaring[0] = False
 
+    def sized(a, c0, b, c1, n):
+        taylor_bytes.append(len(a) * n * 9 * np.dtype(np.complex128).itemsize)
+        return exponentials(a, c0, b, c1, n)
+
     accumulations = []
+    monkeypatch.setattr(monodromy, "_block_toeplitz", counting)
+    monkeypatch.setattr(monodromy, "_toeplitz_squares", flagged)
+    monkeypatch.setattr(monodromy, "_series_exponentials", sized)
     for op in [op for op in ops if op.kind == "verify"]:
         c = load_coefficients(op.coeffs)
         assert len(c.runs) == 8
-        with monkeypatch.context() as patch:
-            patch.setattr(monodromy, "_block_toeplitz", counting)
-            patch.setattr(monodromy, "_toeplitz_squares", flagged)
-            products.clear()
-            monodromy.picard_maps(c, lams, tol=1e-10)
+        products.clear()
+        monodromy.picard_maps(c, lams, tol=1e-10)
         accumulations.append(products.count(False))
-        tracemalloc.start()
-        try:
-            monodromy.picard_maps(c, lams, tol=1e-10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 470 * 1024, (op.argv, peak)
     assert accumulations == [8] * 12 + [16] + [8] * 7
+    assert 0 < max(taylor_bytes) <= 64 * 1024
 
 
 def test_importing_checks_takes_no_core_call():
