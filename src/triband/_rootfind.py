@@ -13,22 +13,19 @@ def brent_steps(
     a: float,
     b: float,
     xtol: float,
-    fa: Optional[float] = None,
-    fb: Optional[float] = None,
+    fa: float,
+    fb: float,
 ) -> Generator[list[float], list[float], tuple[float, float]]:
     """Brent's iteration on the sign-change bracket [a, b], as a lockstep search.
 
-    It yields the one-point list [x] for each point x at which it needs f
-    and is sent [f(x)] back (``[fb] = yield [b]``), so lockstep can evaluate
-    the points of many searches in one call.  It returns (x, f(x)) with x
-    within about 2*eps*|x| + xtol of a zero; x is always a point whose f it
-    was given.  Inverse-quadratic / secant steps guarded by bisection, after
+    It starts from the caller's values fa = f(a) and fb = f(b).  It yields
+    the one-point list [x] for each further point x at which it needs f and
+    is sent [f(x)] back (``[fb] = yield [b]``), so lockstep can evaluate the
+    points of many searches in one call.  It returns (x, f(x)) with x within
+    about 2*eps*|x| + xtol of a zero; x is always a point whose f it was
+    given.  Inverse-quadratic / secant steps guarded by bisection, after
     Brent.
     """
-    if fa is None:
-        [fa] = yield [a]
-    if fb is None:
-        [fb] = yield [b]
     if fa == 0.0:
         return a, fa
     if fb == 0.0:

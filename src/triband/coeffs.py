@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -89,27 +89,33 @@ def zero_coefficients(grid_size: int = 4) -> PeriodicCoefficients:
     return PeriodicCoefficients.from_constants(0.0, 0.0, grid_size)
 
 
+def _field(obj: dict, key: str, convert: Callable[[Any], Any]) -> Any:
+    """convert(obj[key]), or a ValueError that names the missing or malformed field."""
+    if key not in obj:
+        raise ValueError(f"coefficient object is missing {key!r}")
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from None
+
+
 def parse_coefficients(obj: dict) -> PeriodicCoefficients:
     """Build coefficients from a decoded JSON object.
 
     Two layouts are accepted (field names are fixed):
       {"grid_size": N, "p": [...], "q": [...]}
       {"p_const": x, "q_const": y, "grid_size": N}
+    A missing field or one of the wrong type is a ValueError.
     """
     if not isinstance(obj, dict):
         raise ValueError("coefficient file must hold a JSON object")
+    grid_size = _field(obj, "grid_size", int)
     if "p_const" in obj or "q_const" in obj:
-        for key in ("p_const", "q_const", "grid_size"):
-            if key not in obj:
-                raise ValueError(f"constant-coefficient object is missing {key!r}")
         return PeriodicCoefficients.from_constants(
-            obj["p_const"], obj["q_const"], int(obj["grid_size"])
-        )
-    for key in ("grid_size", "p", "q"):
-        if key not in obj:
-            raise ValueError(f"coefficient object is missing {key!r}")
-    c = PeriodicCoefficients.from_samples(obj["p"], obj["q"])
-    if c.grid_size != int(obj["grid_size"]):
+            _field(obj, "p_const", float), _field(obj, "q_const", float), grid_size)
+    p, q = (_field(obj, key, lambda v: np.asarray(v, dtype=float)) for key in ("p", "q"))
+    c = PeriodicCoefficients.from_samples(p, q)
+    if c.grid_size != grid_size:
         raise ValueError(
             f"grid_size {obj['grid_size']} does not match sample length {c.grid_size}"
         )

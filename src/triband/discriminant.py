@@ -123,8 +123,8 @@ def sigma3_intervals(
     if search_interval is None:
         search_interval = default_search_interval(c)
     a, b = float(search_interval[0]), float(search_interval[1])
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     grid = uniform_grid(a, b, scan_points)
 
     traces = traces_at(c, grid)

@@ -97,16 +97,14 @@ def _probe(cache: dict[float, tuple[float, complex]], points: list[float]):
     return [cache[s][0] for s in points]
 
 
-def _bracket(k: float, n: int, p_mean: float, q_mean: float, cache: dict,
-             wide_first: bool) -> _Stage:
+def _bracket(k: float, n: int, p_mean: float, q_mean: float, cache: dict) -> _Stage:
     """Sign-change bracket (a, b) of F near the seed s = 2 pi n + k, or a MissedRoot.
 
     It asks for its points in lists: the tight pair s0 -+ _TIGHT around the
-    corrected seed (unless the pair reaches past the bracket ends [lo, hi]),
-    with [lo, hi] in the same list if wide_first, then, without a sign
-    change on the pair, [lo, hi], each 9-point subdivision and the fine
-    scan.  With wide_first a tight miss takes no extra round; without it a
-    tight hit asks for half the points.  Both ends of the bracket are in cache.
+    corrected seed alone (unless the pair reaches past the bracket ends
+    [lo, hi]), then, without a sign change on the pair, [lo, hi], each
+    9-point subdivision and the fine scan.  Both ends of the bracket are
+    in cache.
     """
     seed = 2.0 * math.pi * n + k
     # bracket stays inside the midpoints to the neighbouring seeds so a
@@ -115,8 +113,7 @@ def _bracket(k: float, n: int, p_mean: float, q_mean: float, cache: dict,
     w = 0.35 * math.pi
     s0 = float(np.cbrt(seed**3 - 2.0 * p_mean * seed + q_mean))
     if abs(s0 - seed) + _TIGHT < w:
-        wide = [seed - w, seed + w] if wide_first else []
-        f_a, f_b, *_ = yield from _probe(cache, [s0 - _TIGHT, s0 + _TIGHT] + wide)
+        f_a, f_b = yield from _probe(cache, [s0 - _TIGHT, s0 + _TIGHT])
         if (f_a > 0) != (f_b > 0):
             return s0 - _TIGHT, s0 + _TIGHT
     while True:
@@ -169,7 +166,7 @@ def _refine(k: float, n: int, tol: float, bracket: tuple[float, float], cache: d
 def _solve_one(k: float, n: int, tol: float, p_mean: float, q_mean: float) -> _Stage:
     """_bracket, then _refine, on one cache: (root, None) or (None, MissedRoot)."""
     cache: dict[float, tuple[float, complex]] = {}
-    bracket = yield from _bracket(k, n, p_mean, q_mean, cache, wide_first=True)
+    bracket = yield from _bracket(k, n, p_mean, q_mean, cache)
     if isinstance(bracket, MissedRoot):
         return None, bracket
     return (yield from _refine(k, n, tol, bracket, cache)), None
@@ -197,9 +194,10 @@ def eigenvalues_at_k(
     """Roots of F(k, .) near every seed (2 pi n + k)^3 for n in n_range.
 
     A tight bracket around the corrected seed (module docstring) comes
-    first; without a sign change there, brackets grow adaptively around the
-    seed, capped at the midpoints to the neighbouring seeds.  Each sign
-    change is refined by Brent to a relative lambda accuracy of about tol.
+    first, alone, 2 points per seed; without a sign change there, brackets
+    grow adaptively around the seed, capped at the midpoints to the
+    neighbouring seeds.  Each sign change is refined by Brent to a
+    relative lambda accuracy of about tol.
     Two roots that land within 10 * tol of each other (relative) are a
     degenerate eigenvalue and are both reported with multiplicity 2.  Seeds
     without any sign change are returned as missed-root diagnostics, which
@@ -210,8 +208,8 @@ def eigenvalues_at_k(
     k = float(k)
     if not 0.0 <= k < 2.0 * math.pi:
         raise ValueError("quasimomentum k must lie in [0, 2*pi)")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if n_lo > n_hi:
         raise ValueError("empty index range")
@@ -263,17 +261,14 @@ class DiskCountResult:
 def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
     """The roots of eigenvalues_at_k with |cbrt(lambda)| below the disk radius.
 
-    The count is decided by brackets: each seed's search stops at its
-    sign-change bracket, which counts 1 if both ends lie inside the radius
-    and 0 if both lie outside (a bracket is narrower than the disk).  Brent
-    runs only on a bracket that crosses the radius, with the arithmetic of
-    eigenvalues_at_k; its root lies in the bracket, so every count is the
-    one of the refined roots.  The seeds advance in lockstep, and the first
-    round asks for the tight pairs alone, 2 points per seed: a seed asks
-    for its wide bracket only when its tight pair shows no sign change.  A
-    bracket stays within pi of its seed, so the search takes every seed
-    within pi of the disk, and reliable covers the seeds whose brackets can
-    reach it.
+    The count is decided by brackets: each seed's search of
+    eigenvalues_at_k stops at its sign-change bracket, which counts 1 if
+    both ends lie inside the radius and 0 if both lie outside (a bracket is
+    narrower than the disk).  Brent runs only on a bracket that crosses the
+    radius, with the arithmetic of eigenvalues_at_k; its root lies in the
+    bracket, so every count is the one of the refined roots.  A bracket
+    stays within pi of its seed, so the search takes every seed within pi
+    of the disk, and reliable covers the seeds whose brackets can reach it.
     """
     k = float(k)
     if N < 1:
@@ -291,8 +286,7 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
     n_hi = math.ceil((s_radius - k) / (2 * math.pi))
     seeds = [(n, {}) for n in range(n_lo, n_hi + 1)]  # index and probe cache
     means = float(np.mean(c.p_samples)), float(np.mean(c.q_samples))
-    brackets = lockstep(_f_in_s(c, k), [_bracket(k, n, *means, cache, wide_first=False)
-                                             for n, cache in seeds])
+    brackets = lockstep(_f_in_s(c, k), [_bracket(k, n, *means, cache) for n, cache in seeds])
     missed = tuple(b for b in brackets if isinstance(b, MissedRoot))
     count, crossing = 0, []
     for (n, cache), bracket in zip(seeds, brackets):

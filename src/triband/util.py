@@ -8,6 +8,8 @@ import numpy as np
 
 
 def uniform_grid(a: float, b: float, points: int) -> np.ndarray:
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError(f"interval ends must be finite, got [{a}, {b}]")
     if not (a < b):
         raise ValueError(f"interval must satisfy a < b, got [{a}, {b}]")
     if points < 2:

@@ -328,6 +328,49 @@ def test_refusals_are_clean_errors(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"grid_size": 1, "p": {}, "q": [0]}, "p"),
+        ({"p_const": [1], "q_const": 0, "grid_size": 4}, "p_const"),
+        ({"grid_size": None, "p": [1], "q": [0]}, "grid_size"),
+        ({"p_const": 1, "q_const": 0, "grid_size": None}, "grid_size"),
+    ],
+    ids=["p-object", "p_const-list", "grid_size-null", "const-grid_size-null"],
+)
+def test_malformed_coefficient_files_are_clean_errors(capsys, tmp_path, doc, field):
+    """A field of the wrong type ends in 'error: ...' naming it, exit 1."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--coeffs", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: field {field!r}: ")
+
+
+_CONSTS = ["--p-const", "0", "--q-const", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eigs", *_CONSTS, "--k", "1", "--n-range", "0..1", "--tol", "inf"], "tol must be finite"),
+        (["eigs", *_CONSTS, "--k", "1", "--n-range", "0..1", "--tol", "nan"], "tol must be finite"),
+        (["sigma3", *_CONSTS, "--interval", "0,1", "--tol", "nan"], "tol must be finite"),
+        (["scan", *_CONSTS, "--interval", "-inf,0"], "interval ends must be finite"),
+        (["sigma3", *_CONSTS, "--interval", "0,inf"], "interval ends must be finite"),
+    ],
+    ids=["eigs-tol-inf", "eigs-tol-nan", "sigma3-tol-nan", "scan-interval", "sigma3-interval"],
+)
+def test_non_finite_tol_and_windows_are_clean_errors(capsys, argv, message):
+    """Non-finite tolerances and window ends are refused before any work:
+    no output, no numpy warning (pytest raises it), and a message naming them."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_shared_parser_keeps_no_state_between_calls(capsys):
     """main parses with one parser per process; a failed parse and the
     options of one command leave nothing behind for the next call."""

@@ -209,10 +209,10 @@ def test_verify_far_root_counts_ask_the_tight_pairs_first(workloads, tmp_path, m
 
 
 def test_roots_steps_eigs_ops_keep_their_core_calls(workloads, tmp_path, monkeypatch):
-    """The 70 eigs operations of roots-steps at seed 41 make 392 core calls
-    for 1699 period maps: the Floquet search asks for the wide pair in its
-    first round with the tight pair, so a tight miss takes no extra round
-    (asking for the tight pair alone took 2 more calls per pass).
+    """The 70 eigs operations of roots-steps at seed 41 make 394 core calls
+    for 1311 period maps.  Each operation's first core call asks for 2
+    points per seed: the tight pair alone, or the wide pair where the tight
+    pair does not fit.
     """
     ops = workloads.WORKLOADS["roots-steps"].build(np.random.default_rng(41), str(tmp_path))
     eigs = [op for op in ops if op.kind == "eigs"]
@@ -225,8 +225,11 @@ def test_roots_steps_eigs_ops_keep_their_core_calls(workloads, tmp_path, monkeyp
 
     monkeypatch.setattr(fl, "traces_at", counting)
     for op in eigs:
+        first = len(calls)
+        n_lo, n_hi = op.expect["n_range"]
         fl.eigenvalues_at_k(load_coefficients(op.coeffs), op.expect["k"], op.expect["n_range"])
-    assert (len(eigs), len(calls), sum(calls)) == (70, 392, 1699)
+        assert calls[first] == 2 * (n_hi - n_lo + 1), op.argv
+    assert (len(eigs), len(calls), sum(calls)) == (70, 394, 1311)
 
 
 def test_verify_far_series_calls_take_one_product_per_run(workloads, tmp_path, monkeypatch):
