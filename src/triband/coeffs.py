@@ -99,17 +99,25 @@ def _field(obj: dict, key: str, convert: Callable[[Any], Any]) -> Any:
         raise ValueError(f"field {key!r}: {exc}") from None
 
 
+def _json_int(value: Any) -> int:
+    """value itself if it is a JSON integer: no float, no bool."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def parse_coefficients(obj: dict) -> PeriodicCoefficients:
     """Build coefficients from a decoded JSON object.
 
     Two layouts are accepted (field names are fixed):
       {"grid_size": N, "p": [...], "q": [...]}
       {"p_const": x, "q_const": y, "grid_size": N}
-    A missing field or one of the wrong type is a ValueError.
+    A missing field or one of the wrong type is a ValueError; grid_size
+    must be a JSON integer.
     """
     if not isinstance(obj, dict):
         raise ValueError("coefficient file must hold a JSON object")
-    grid_size = _field(obj, "grid_size", int)
+    grid_size = _field(obj, "grid_size", _json_int)
     if "p_const" in obj or "q_const" in obj:
         return PeriodicCoefficients.from_constants(
             _field(obj, "p_const", float), _field(obj, "q_const", float), grid_size)

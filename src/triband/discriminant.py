@@ -136,26 +136,21 @@ def sigma3_intervals(
     signs[rho > _ZERO_RTOL * scale] = 1
     signs[rho < -_ZERO_RTOL * scale] = -1
 
-    # maximal runs i..j of non-positive signs, with their negative points
-    runs: list[tuple[int, int, list[int]]] = []
+    # maximal runs i..j of non-positive signs, with their first and last
+    # negative points
+    runs: list[tuple[int, int, int, int]] = []
     touches: list[float] = []
     n = len(grid)
-    i = 0
-    while i < n:
-        if signs[i] == 1:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and signs[j + 1] != 1:
-            j += 1
-        negative = [k for k in range(i, j + 1) if signs[k] == -1]
-        if negative:
-            runs.append((i, j, negative))
+    # a run starts and ends where the padded non-positive mask changes
+    changes = np.flatnonzero(np.diff(np.concatenate(([False], signs != 1, [False]))))
+    for i, end in changes.reshape(-1, 2).tolist():
+        j = end - 1
+        negative = np.flatnonzero(signs[i : j + 1] == -1)
+        if negative.size:
+            runs.append((i, j, i + int(negative[0]), i + int(negative[-1])))
         else:
             # zeros only: rho touches 0 without crossing
-            k = i + int(np.argmin(np.abs(rho[i : j + 1])))
-            touches.append(float(grid[k]))
-        i = j + 1
+            touches.append(float(grid[i + int(np.argmin(np.abs(rho[i : j + 1])))]))
 
     def refine(i: int, j: int):
         """Search for (root, rho there) between grid points i < j of opposite strict signs."""
@@ -168,14 +163,14 @@ def sigma3_intervals(
     # every endpoint inside the scan refines in lockstep, one core call per
     # round; ends clipped at the scan edge keep the grid point and its rho
     searches = []
-    for i, j, negative in runs:
+    for i, j, first, last in runs:
         if i > 0:
-            searches.append(refine(i - 1, negative[0]))
+            searches.append(refine(i - 1, first))
         if j + 1 < n:
-            searches.append(refine(negative[-1], j + 1))
+            searches.append(refine(last, j + 1))
     refined = iter(lockstep(rho_of, searches))
     intervals = []
-    for i, j, _ in runs:
+    for i, j, _, _ in runs:
         lo, rho_lo = next(refined) if i > 0 else (float(grid[0]), float(rho[0]))
         hi, rho_hi = next(refined) if j + 1 < n else (float(grid[-1]), float(rho[-1]))
         intervals.append(Sigma3Interval(lo, hi, rho_lo, rho_hi, i == 0, j + 1 == n))

@@ -84,103 +84,87 @@ _FINE_SCAN = 48
 _TIGHT = 1e-2
 _TOL = 1e-10  # relative lambda accuracy of the Brent stage, unless a caller asks otherwise
 
-# a search stage yields lists of probe points s = cbrt(lambda) and is sent
-# their (F, T) values; every point it has values for sits in its cache
-_Stage = Generator[list[float], list[tuple[float, complex]], object]
+# a search stage yields lists of points s = cbrt(lambda) and is sent their F
+# values; the traces behind them sit in the trace table of the call
+_Stage = Generator[list[float], list[float], object]
 
 
-def _probe(cache: dict[float, tuple[float, complex]], points: list[float]):
-    """F at the points, asking only for the ones not yet in the cache."""
-    missing = [s for s in points if s not in cache]
-    if missing:
-        cache.update(zip(missing, (yield missing)))
-    return [cache[s][0] for s in points]
+def _scans(seed: float, s0: float):
+    """The point lists of one bracket search around seed, in order.
 
-
-def _bracket(k: float, n: int, p_mean: float, q_mean: float, cache: dict) -> _Stage:
-    """Sign-change bracket (a, b) of F near the seed s = 2 pi n + k, or a MissedRoot.
-
-    It asks for its points in lists: the tight pair s0 -+ _TIGHT around the
-    corrected seed alone (unless the pair reaches past the bracket ends
-    [lo, hi]), then, without a sign change on the pair, [lo, hi], each
-    9-point subdivision and the fine scan.  Both ends of the bracket are
-    in cache.
+    The tight pair s0 -+ _TIGHT around the corrected seed s0 alone (unless
+    the pair reaches past the bracket ends [lo, hi]), then [lo, hi] and its
+    9-point subdivision for each width, then the fine scan.  A subdivision
+    repeats its ends, which the trace table already holds.
     """
-    seed = 2.0 * math.pi * n + k
     # bracket stays inside the midpoints to the neighbouring seeds so a
     # root cannot be captured from the wrong index
     w_max = math.pi * (1.0 - 1e-9)
     w = 0.35 * math.pi
-    s0 = float(np.cbrt(seed**3 - 2.0 * p_mean * seed + q_mean))
     if abs(s0 - seed) + _TIGHT < w:
-        f_a, f_b = yield from _probe(cache, [s0 - _TIGHT, s0 + _TIGHT])
-        if (f_a > 0) != (f_b > 0):
-            return s0 - _TIGHT, s0 + _TIGHT
+        yield [s0 - _TIGHT, s0 + _TIGHT]
     while True:
-        lo, hi = seed - w, seed + w
-        f_lo, f_hi = yield from _probe(cache, [lo, hi])
-        if (f_lo > 0) != (f_hi > 0):
-            return lo, hi
+        yield [seed - w, seed + w]
         # same sign at the edges: an interior pair of roots would still
-        # show up on a subdivision
-        pts = np.linspace(lo, hi, 9)
-        vals = yield from _probe(cache, [float(s) for s in pts])
-        for a, b, fa, fb in zip(pts, pts[1:], vals, vals[1:]):
-            if (fa > 0) != (fb > 0):
-                return float(a), float(b)
+        # show up on the subdivision
+        yield np.linspace(seed - w, seed + w, 9).tolist()
         if w >= w_max:
             break
         w = min(w * _GROW, w_max)
-
     # last resort: fine scan, mostly to diagnose an even-order touch
-    pts = np.linspace(seed - w_max, seed + w_max, _FINE_SCAN + 1)
-    vals = yield from _probe(cache, [float(s) for s in pts])
-    for a, b, fa, fb in zip(pts, pts[1:], vals, vals[1:]):
-        if (fa > 0) != (fb > 0):
-            return float(a), float(b)
+    yield np.linspace(seed - w_max, seed + w_max, _FINE_SCAN + 1).tolist()
+
+
+def _bracket(k: float, n: int, p_mean: float, q_mean: float) -> _Stage:
+    """Sign-change bracket (a, b, f(a), f(b)) of F near the seed s = 2 pi n + k, or a MissedRoot.
+
+    It yields the point lists of _scans in turn, up to the first with a sign change.
+    """
+    seed = 2.0 * math.pi * n + k
+    s0 = float(np.cbrt(seed**3 - 2.0 * p_mean * seed + q_mean))
+    for pts in _scans(seed, s0):
+        vals = yield pts
+        for a, b, fa, fb in zip(pts, pts[1:], vals, vals[1:]):
+            if (fa > 0) != (fb > 0):
+                return a, b, fa, fb
     i_min = int(np.argmin(np.abs(vals)))
     return MissedRoot(n=n, k=k, seed_lambda=seed**3, min_abs_f=float(abs(vals[i_min])),
-                      at_lambda=float(pts[i_min]) ** 3, note="no sign change in the allowed "
+                      at_lambda=pts[i_min] ** 3, note="no sign change in the allowed "
                       "bracket (possible even-multiplicity touch)")
 
 
-def _refine(k: float, n: int, tol: float, bracket: tuple[float, float], cache: dict) -> _Stage:
-    """Brent's root in a bracket from _bracket, one step at a time, as a FloquetEigenvalue."""
+def _refine(k: float, n: int, tol: float, bracket: tuple, traces: dict) -> _Stage:
+    """Brent's root in a bracket (a, b, f(a), f(b)) from _bracket, as a FloquetEigenvalue.
+
+    Brent returns a point it was sent F at, whose trace the table holds.
+    """
     seed = 2.0 * math.pi * n + k
     xtol_s = max(tol * max(1.0, abs(seed)) / 3.0, 6e-16 * max(1.0, abs(seed)))
-    steps = brent_steps(bracket[0], bracket[1], xtol=xtol_s,
-                        fa=cache[bracket[0]][0], fb=cache[bracket[1]][0])
-    # Brent's points go through _probe, which keeps the trace beside each F
-    try:
-        points = next(steps)
-        while True:
-            points = steps.send((yield from _probe(cache, points)))
-    except StopIteration as done:
-        s_root, _ = done.value
-    # Brent returns a point it has evaluated, so its trace is cached
-    f_val, trace = cache[s_root]
-    return FloquetEigenvalue(n=n, k=k, lambda_n=s_root**3, residual=abs(f_val) / (1.0 + abs(trace)),
-                             cube_root_gap=s_root - seed)
+    a, b, fa, fb = bracket
+    s_root, f_val = yield from brent_steps(a, b, xtol=xtol_s, fa=fa, fb=fb)
+    return FloquetEigenvalue(n=n, k=k, lambda_n=s_root**3, cube_root_gap=s_root - seed,
+                             residual=abs(f_val) / (1.0 + abs(traces[s_root])))
 
 
-def _solve_one(k: float, n: int, tol: float, p_mean: float, q_mean: float) -> _Stage:
-    """_bracket, then _refine, on one cache: (root, None) or (None, MissedRoot)."""
-    cache: dict[float, tuple[float, complex]] = {}
-    bracket = yield from _bracket(k, n, p_mean, q_mean, cache)
+def _solve_one(k: float, n: int, tol: float, means: tuple, traces: dict) -> _Stage:
+    """_bracket, then _refine: the root, or the MissedRoot of the bracket search."""
+    bracket = yield from _bracket(k, n, *means)
     if isinstance(bracket, MissedRoot):
-        return None, bracket
-    return (yield from _refine(k, n, tol, bracket, cache)), None
+        return bracket
+    return (yield from _refine(k, n, tol, bracket, traces))
 
 
-def _f_in_s(c: PeriodicCoefficients, k: float):
-    """F(k, .) with the trace alongside, at a list of points s = cbrt(lambda).
+def _f_in_s(c: PeriodicCoefficients, k: float, traces: dict[float, complex]):
+    """F(k, .) at a list of points s = cbrt(lambda), on the trace table traces.
 
-    The points go to the period-map core in one call.
+    The points missing from the table go to the period-map core in one
+    call and their traces into the table; with none missing, no call.
     """
-
-    def g(points: list[float]) -> list[tuple[float, complex]]:
-        traces = traces_at(c, [s**3 for s in points])
-        return [(char_real_function(k, T), T) for T in traces]
+    def g(points: list[float]) -> list[float]:
+        missing = list(dict.fromkeys(s for s in points if s not in traces))
+        if missing:
+            traces.update(zip(missing, traces_at(c, [s**3 for s in missing])))
+        return [char_real_function(k, traces[s]) for s in points]
 
     return g
 
@@ -202,8 +186,9 @@ def eigenvalues_at_k(
     degenerate eigenvalue and are both reported with multiplicity 2.  Seeds
     without any sign change are returned as missed-root diagnostics, which
     is the expected signature of an even-order touch of F at a double
-    eigenvalue.  The seeds advance in lockstep: each round's probe points
-    go to the period-map core in one call.
+    eigenvalue.  The seeds advance in lockstep on one trace table: each
+    round's points that the call has not mapped yet go to the period-map
+    core together, in one call.
     """
     k = float(k)
     if not 0.0 <= k < 2.0 * math.pi:
@@ -215,27 +200,20 @@ def eigenvalues_at_k(
         raise ValueError("empty index range")
 
     means = float(np.mean(c.p_samples)), float(np.mean(c.q_samples))
-    searches = [_solve_one(k, n, tol, *means) for n in range(n_lo, n_hi + 1)]
-    outcomes = lockstep(_f_in_s(c, k), searches)
-    found = [e for e, _ in outcomes if e is not None]
-    missed = tuple(miss for _, miss in outcomes if miss is not None)
+    traces: dict[float, complex] = {}
+    searches = [_solve_one(k, n, tol, means, traces) for n in range(n_lo, n_hi + 1)]
+    outcomes = lockstep(_f_in_s(c, k, traces), searches)
+    found = [o for o in outcomes if isinstance(o, FloquetEigenvalue)]
+    missed = tuple(o for o in outcomes if isinstance(o, MissedRoot))
 
-    found.sort(key=lambda e: e.lambda_n)
-    merged: list[FloquetEigenvalue] = []
-    i = 0
-    while i < len(found):
-        j = i
-        while (
-            j + 1 < len(found)
-            and abs(found[j + 1].lambda_n - found[i].lambda_n)
-            <= 10.0 * tol * max(1.0, abs(found[i].lambda_n))
-        ):
-            j += 1
-        group = found[i : j + 1]
-        if len(group) > 1:
-            group = [replace(e, multiplicity=len(group)) for e in group]
-        merged.extend(group)
-        i = j + 1
+    groups: list[list[FloquetEigenvalue]] = []  # roots within 10 tol of the group's first
+    for e in sorted(found, key=lambda e: e.lambda_n):
+        first = groups[-1][0].lambda_n if groups else None
+        if first is not None and abs(e.lambda_n - first) <= 10.0 * tol * max(1.0, abs(first)):
+            groups[-1].append(e)
+        else:
+            groups.append([e])
+    merged = [replace(e, multiplicity=len(group)) for group in groups for e in group]
     return FloquetSolveResult(eigenvalues=tuple(merged), missed=missed)
 
 
@@ -266,7 +244,9 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
     both ends lie inside the radius and 0 if both lie outside (a bracket is
     narrower than the disk).  Brent runs only on a bracket that crosses the
     radius, with the arithmetic of eigenvalues_at_k; its root lies in the
-    bracket, so every count is the one of the refined roots.  A bracket
+    bracket, so every count is the one of the refined roots.  Each seed's
+    stage, its bracket and then that Brent run, goes in one lockstep on one
+    trace table, as in eigenvalues_at_k.  A bracket
     stays within pi of its seed, so the search takes every seed within pi
     of the disk, and reliable covers the seeds whose brackets can reach it.
     """
@@ -284,20 +264,22 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
     # from the last seed at or below -s_radius to the first at or above it
     n_lo = math.floor((-s_radius - k) / (2 * math.pi))
     n_hi = math.ceil((s_radius - k) / (2 * math.pi))
-    seeds = [(n, {}) for n in range(n_lo, n_hi + 1)]  # index and probe cache
     means = float(np.mean(c.p_samples)), float(np.mean(c.q_samples))
-    brackets = lockstep(_f_in_s(c, k), [_bracket(k, n, *means, cache) for n, cache in seeds])
-    missed = tuple(b for b in brackets if isinstance(b, MissedRoot))
-    count, crossing = 0, []
-    for (n, cache), bracket in zip(seeds, brackets):
+    traces: dict[float, complex] = {}
+
+    def count_one(n: int) -> _Stage:
+        """1 or 0 for the root of seed n, or its MissedRoot."""
+        bracket = yield from _bracket(k, n, *means)
         if isinstance(bracket, MissedRoot):
-            continue
-        a_in, b_in = (bool(abs(np.cbrt(s**3)) < s_radius) for s in bracket)
+            return bracket
+        a_in, b_in = (bool(abs(np.cbrt(s**3)) < s_radius) for s in bracket[:2])
         if a_in == b_in:
-            count += a_in
-        else:
-            crossing.append(_refine(k, n, _TOL, bracket, cache))
-    roots = lockstep(_f_in_s(c, k), crossing)
-    count += sum(1 for e in roots if abs(np.cbrt(e.lambda_n)) < s_radius)
+            return int(a_in)
+        root = yield from _refine(k, n, _TOL, bracket, traces)
+        return int(abs(np.cbrt(root.lambda_n)) < s_radius)
+
+    outcomes = lockstep(_f_in_s(c, k, traces), [count_one(n) for n in range(n_lo, n_hi + 1)])
+    missed = tuple(o for o in outcomes if isinstance(o, MissedRoot))
+    count = sum(o for o in outcomes if not isinstance(o, MissedRoot))
     return DiskCountResult(count=count, expected=expected, radius=s_radius**3,
                            reliable=not missed, missed=missed)

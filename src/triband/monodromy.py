@@ -390,8 +390,8 @@ def _series_terms(
     The points share the largest order of the call, n = max K + 1: block j
     of a lower block-Toeplitz product depends on blocks 0..j only.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     kq = q_norm_integral(c)
     _check_growth(c, lams)
     orders = []  # (K, tail bound) per point

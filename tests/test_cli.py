@@ -335,8 +335,14 @@ def test_refusals_are_clean_errors(capsys, argv):
         ({"p_const": [1], "q_const": 0, "grid_size": 4}, "p_const"),
         ({"grid_size": None, "p": [1], "q": [0]}, "grid_size"),
         ({"p_const": 1, "q_const": 0, "grid_size": None}, "grid_size"),
+        # int() once ran these on 4 cells and on 1
+        ({"grid_size": 4.7, "p": [1] * 4, "q": [0] * 4}, "grid_size"),
+        ({"p_const": 1, "q_const": 0, "grid_size": 4.7}, "grid_size"),
+        ({"grid_size": True, "p": [1], "q": [0]}, "grid_size"),
+        ({"p_const": 1, "q_const": 0, "grid_size": True}, "grid_size"),
     ],
-    ids=["p-object", "p_const-list", "grid_size-null", "const-grid_size-null"],
+    ids=["p-object", "p_const-list", "grid_size-null", "const-grid_size-null",
+         "grid_size-float", "const-grid_size-float", "grid_size-bool", "const-grid_size-bool"],
 )
 def test_malformed_coefficient_files_are_clean_errors(capsys, tmp_path, doc, field):
     """A field of the wrong type ends in 'error: ...' naming it, exit 1."""

@@ -195,9 +195,10 @@ def test_even_order_touch_is_reported_missed(zero_c, monkeypatch):
 
     touch = 2 * math.pi * 1 + 0.5 + 0.2345  # off every sampling lattice
 
-    def fake_factory(c, k):
+    def fake_factory(c, k, traces):
         def g(points):
-            return [((s - touch) ** 2, 1.0 + 0j) for s in points]
+            traces.update((s, 1.0 + 0j) for s in points)
+            return [(s - touch) ** 2 for s in points]
         return g
 
     monkeypatch.setattr(fl, "_f_in_s", fake_factory)
@@ -218,9 +219,10 @@ def test_colliding_roots_get_multiplicity_two(zero_c, monkeypatch):
     mid = 2 * math.pi * 1.5 + k  # halfway between the n=1 and n=2 seeds
     delta = 1e-8  # wide enough that both brackets can reach their root
 
-    def fake_factory(c, k_arg):
+    def fake_factory(c, k_arg, traces):
         def g(points):
-            return [((s - (mid - delta)) * (s - (mid + delta)), 1.0 + 0j) for s in points]
+            traces.update((s, 1.0 + 0j) for s in points)
+            return [(s - (mid - delta)) * (s - (mid + delta)) for s in points]
         return g
 
     monkeypatch.setattr(fl, "_f_in_s", fake_factory)
@@ -318,10 +320,11 @@ def test_root_outside_the_tight_pair_costs_one_round(zero_c, monkeypatch):
     k, n = 0.5, 2
     root = TWO_PI * n + k + 0.3
 
-    def fake_factory(c, k_arg):
+    def fake_factory(c, k_arg, traces):
         def g(points):
             rounds.append(len(points))
-            return [(math.tanh(s - root) + 0.1 * (s - root) ** 3, 1.0 + 0j) for s in points]
+            traces.update((s, 1.0 + 0j) for s in points)
+            return [math.tanh(s - root) + 0.1 * (s - root) ** 3 for s in points]
         return g
 
     monkeypatch.setattr(fl, "_f_in_s", fake_factory)

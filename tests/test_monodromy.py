@@ -479,8 +479,12 @@ def test_picard_truncation_failure_is_loud(const_c):
 
 
 def test_picard_rejects_bad_tol(const_c):
-    with pytest.raises(ValueError):
-        picard_monodromy(const_c, P(1.0), tol=0.0)
+    """Only a finite, positive tol reaches the series: inf once gave order 0."""
+    for tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            picard_monodromy(const_c, P(1.0), tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            monodromy.picard_maps(const_c, [1.0], tol=tol)
 
 
 def _harmonic_set(seed, n):

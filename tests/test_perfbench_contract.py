@@ -182,18 +182,20 @@ def test_verify_far_root_counts_ask_the_tight_pairs_first(workloads, tmp_path, m
     disk with the tight pairs alone, 2 points per seed (13 seeds at k = 0.3,
     12 at k = 2.0), and asks for a wide pair only where a tight pair misses:
     at most 52 points and 3 core calls per verify call, 1010 points over the
-    20 calls.
+    20 calls.  No lambda reaches the core twice within one count_in_disk call.
     """
     ops = workloads.WORKLOADS["verify-far"].build(np.random.default_rng(41), str(tmp_path))
-    disks = []
+    disks, mapped = [], []
     traces_at, count_in_disk = fl.traces_at, checks.count_in_disk
 
     def counting(c, lams):
         disks[-1].append(len(lams))
+        mapped[-1].extend(lams)
         return traces_at(c, lams)
 
     def per_disk(*args):
         disks.append([])
+        mapped.append([])
         return count_in_disk(*args)
 
     monkeypatch.setattr(fl, "traces_at", counting)
@@ -201,7 +203,9 @@ def test_verify_far_root_counts_ask_the_tight_pairs_first(workloads, tmp_path, m
     points = 0
     for op in [op for op in ops if op.kind == "verify"]:
         disks.clear()
+        mapped.clear()
         assert all(r.passed for r in checks.run_verify(load_coefficients(op.coeffs)))
+        assert all(len(set(lams)) == len(lams) for lams in mapped), op.argv
         assert [calls[0] for calls in disks] == [26, 24], (op.argv, disks)
         assert sum(map(sum, disks)) <= 52 and sum(map(len, disks)) <= 3, (op.argv, disks)
         points += sum(map(sum, disks))
@@ -212,23 +216,26 @@ def test_roots_steps_eigs_ops_keep_their_core_calls(workloads, tmp_path, monkeyp
     """The 70 eigs operations of roots-steps at seed 41 make 394 core calls
     for 1311 period maps.  Each operation's first core call asks for 2
     points per seed: the tight pair alone, or the wide pair where the tight
-    pair does not fit.
+    pair does not fit.  No lambda reaches the core twice within one call.
     """
     ops = workloads.WORKLOADS["roots-steps"].build(np.random.default_rng(41), str(tmp_path))
     eigs = [op for op in ops if op.kind == "eigs"]
-    calls = []
+    calls, mapped = [], []
     traces_at = fl.traces_at
 
     def counting(c, lams):
         calls.append(len(lams))
+        mapped.extend(lams)
         return traces_at(c, lams)
 
     monkeypatch.setattr(fl, "traces_at", counting)
     for op in eigs:
         first = len(calls)
+        mapped.clear()
         n_lo, n_hi = op.expect["n_range"]
         fl.eigenvalues_at_k(load_coefficients(op.coeffs), op.expect["k"], op.expect["n_range"])
         assert calls[first] == 2 * (n_hi - n_lo + 1), op.argv
+        assert len(set(mapped)) == len(mapped), op.argv
     assert (len(eigs), len(calls), sum(calls)) == (70, 394, 1311)
 
 
