@@ -11,17 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import multipliers as mult
 from .coeffs import PeriodicCoefficients
 from .discriminant import rho_formula_scale, rho_trace_formula
 from .monodromy import growth_refusal, trace_at, traces_at
 from .util import uniform_grid
 
-FLAG_NEAR_BRANCH_POINT = mult.FLAG_NEAR_BRANCH_POINT
+FLAG_NEAR_BRANCH_POINT = "near-branch-point"
 FLAG_AMBIGUOUS_MATCH = mult.FLAG_AMBIGUOUS_MATCH
 FLAG_DEGENERATE = "degenerate"
 
-# |rho| within this share of the formula's scale flags a point near-branch-point
+# |rho| within this share of the formula's scale flags a point near-branch-point;
+# on the real axis this also covers |rho| <= 1e-9 (1 + |T|)^4, as the scale is larger
 _DEGENERACY_RTOL = 1e-9
 
 
@@ -33,7 +36,8 @@ class BandPoint:
     within the degeneracy tolerance of zero are flagged near-branch-point
     (both classifications are unreliable there by construction, so the
     consistency invariant multiplicity == on_circle_count holds off the
-    flagged set).  lyapunov_branches lists all three Lyapunov values in
+    flagged set).  That flag is decided here alone, for band_point and
+    scan alike; continuation adds only ambiguous-match.  lyapunov_branches lists all three Lyapunov values in
     branch-label order with branch_on_circle marking the unimodular ones;
     lyapunov_real_branches keeps just those values, clipped into [-1, 1].
     """
@@ -49,13 +53,15 @@ class BandPoint:
     error: Optional[str] = None
 
 
-def _assemble(lam: float, ms: mult.MultiplierSet, rho: float) -> BandPoint:
+def _assemble(lam: float, ms: mult.MultiplierSet, T: complex) -> BandPoint:
+    """The row at lam from its multipliers and the trace T they solve."""
     on_circle = mult.on_circle(ms.taus)
     count = sum(on_circle)
     lyapunov = ms.lyapunov
+    rho = rho_trace_formula(T)
 
     flags = set(ms.flags)
-    if abs(rho) <= _DEGENERACY_RTOL * rho_formula_scale(ms.trace):
+    if abs(rho) <= _DEGENERACY_RTOL * rho_formula_scale(T):
         flags.add(FLAG_NEAR_BRANCH_POINT)
     if count not in (1, 3):
         flags.add(FLAG_DEGENERATE)
@@ -83,7 +89,7 @@ def band_point(c: PeriodicCoefficients, lam: float) -> BandPoint:
     if (err := growth_refusal(c, lam)) is not None:
         return BandPoint(lam=lam, error=str(err))
     T = trace_at(c, lam)
-    return _assemble(lam, mult.multiplier_set(lam, T), rho_trace_formula(T))
+    return _assemble(lam, mult.multiplier_set(lam, T), T)
 
 
 def scan_real_axis(
@@ -93,11 +99,12 @@ def scan_real_axis(
 ) -> list[BandPoint]:
     """Uniform-grid scan: one period-map evaluation per point.
 
-    Branch labels are continued along the grid (anchored at the largest
-    lambda by the free-case asymptotics), so column j of the Lyapunov data
-    follows one branch.  The grid is deliberately not adaptive; refinement
-    around sign changes of rho belongs to the interval finder in the
-    discriminant module.  Propagation overflow at extreme lambda is
+    The accepted points go to the core in one call and their cubics to one
+    stacked solve_multipliers call.  Branch labels are continued along the
+    grid (anchored at the largest lambda by the free-case asymptotics), so
+    column j of the Lyapunov data follows one branch.  The grid is
+    deliberately not adaptive; refinement around sign changes of rho
+    belongs to the interval finder in the discriminant module.  Propagation overflow at extreme lambda is
     recorded on the affected row and the scan continues.
     """
     grid = uniform_grid(float(interval[0]), float(interval[1]), points)
@@ -105,7 +112,7 @@ def scan_real_axis(
     refusals = [growth_refusal(c, lam) for lam in lams]
     good = [lam for lam, err in zip(lams, refusals) if err is None]
     traces = traces_at(c, good)
-    sets = mult.continue_branches(good, [mult.multiplier_set(x, T) for x, T in zip(good, traces)])
-    rows = iter([_assemble(x, ms, rho_trace_formula(T)) for x, ms, T in zip(good, sets, traces)])
+    sets = mult.continue_branches(good, mult.solve_multipliers(traces, np.conj(traces)))
+    rows = iter([_assemble(x, ms, T) for x, ms, T in zip(good, sets, traces)])
     return [BandPoint(lam=lam, error=str(err)) if err is not None else next(rows)
             for lam, err in zip(lams, refusals)]

@@ -201,7 +201,7 @@ def check_free_closed_forms() -> CheckResult:
     for lam, T in zip(grid, traces_at(c, grid)):
         ref = free_case(lam)
         taus = mult.solve_multipliers(T, np.conj(T))
-        worst = max(worst, hausdorff_distance(tuple(taus), ref.taus0))
+        worst = max(worst, hausdorff_distance(taus, ref.taus0))
         rt = rho_trace_formula(ref.T0)
         worst = max(worst, abs(rt - ref.rho0.real) / (1.0 + abs(rt)))
     return CheckResult("free-case-closed-forms", worst <= 1e-8, worst, 1e-8)
@@ -209,9 +209,8 @@ def check_free_closed_forms() -> CheckResult:
 
 def check_multiplier_symmetry(maps: SuiteMaps) -> CheckResult:
     """Invariance of the multiplier set under tau -> 1/conj(tau), real lambda."""
-    worst = 0.0
-    for taus in mult.solve_multipliers(maps.T, np.conj(maps.T)):
-        worst = max(worst, hausdorff_distance(tuple(taus), tuple(1.0 / np.conj(taus))))
+    taus = mult.solve_multipliers(maps.T, np.conj(maps.T))
+    worst = hausdorff_distance(taus, 1.0 / np.conj(taus)).max()
     return CheckResult("multiplier-symmetry", worst <= 1e-8, worst, 1e-8)
 
 

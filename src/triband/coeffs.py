@@ -65,7 +65,11 @@ class PeriodicCoefficients:
         object.__setattr__(self, "p_samples", p)
         object.__setattr__(self, "q_samples", q)
         object.__setattr__(self, "grid_size", int(p.size))
-        object.__setattr__(self, "kappa", float(np.mean(np.abs(p) + np.abs(q))))
+        with np.errstate(over="ignore"):
+            kappa = float(np.mean(np.abs(p) + np.abs(q)))
+        if not np.isfinite(kappa):
+            raise ValueError("kappa = mean(|p| + |q|) overflows double precision")
+        object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "runs", _equal_cell_runs(p, q))
 
     @classmethod

@@ -100,7 +100,11 @@ def default_search_interval(c: PeriodicCoefficients) -> tuple[float, float]:
     cube matches the natural lambda ~ (scale)^3 growth and is generous for
     small coefficients.  Callers get the choice surfaced, not hidden.
     """
-    r = (10.0 + 10.0 * c.kappa) ** 3
+    try:
+        r = (10.0 + 10.0 * c.kappa) ** 3
+    except OverflowError:
+        raise ValueError(f"the default window (10 + 10 kappa)^3 overflows at kappa = "
+                         f"{c.kappa:.3e}; give a search interval") from None
     return (-r, r)
 
 

@@ -24,11 +24,9 @@ import numpy as np
 
 from .monodromy import OMEGA, SpectralParameter
 
-FLAG_NEAR_BRANCH_POINT = "near-branch-point"
 FLAG_AMBIGUOUS_MATCH = "ambiguous-match"
 
-# flag thresholds of continue_branches (see its docstring)
-_BRANCH_POINT_RTOL = 1e-9
+# best and runner-up matching costs this close (relative) flag a point ambiguous
 _TIE_RTOL = 1e-3
 
 _PERMUTATIONS_3 = (
@@ -44,7 +42,7 @@ class Classification(Enum):
 
 @dataclass(frozen=True)
 class MultiplierSet:
-    """Multipliers at one spectral point, with continuation flags.
+    """Multipliers at one spectral point, with the continuation's flag.
 
     After continue_branches, taus[j - 1] is branch j of the asymptotic
     convention (branch j tends to exp(i z w^(j-1))).  The Lyapunov data and
@@ -55,10 +53,6 @@ class MultiplierSet:
     lam: complex
     taus: tuple[complex, complex, complex]
     flags: frozenset[str] = frozenset()
-
-    @property
-    def trace(self) -> complex:
-        return sum(self.taus)
 
     @property
     def lyapunov(self) -> tuple[complex, complex, complex]:
@@ -204,69 +198,37 @@ def free_multipliers(param: SpectralParameter) -> tuple[complex, complex, comple
     return tuple(cmath.exp(1j * OMEGA**j * param.z) for j in range(3))
 
 
-def _match_permutation(
-    current: Sequence[complex], reference: Sequence[complex]
-) -> tuple[tuple[int, int, int], float, float]:
-    """Permutation of current minimizing scaled distance to reference."""
-    best, second = None, math.inf
-    best_perm = _PERMUTATIONS_3[0]
-    best_cost = math.inf
-    for perm in _PERMUTATIONS_3:
-        cost = sum(
-            abs(current[perm[j]] - reference[j]) / (1.0 + abs(reference[j]))
-            for j in range(3)
-        )
-        if cost < best_cost:
-            second = best_cost
-            best_cost = cost
-            best_perm = perm
-        elif cost < second:
-            second = cost
-    return best_perm, best_cost, second
-
-
-def continue_branches(
-    lams: Sequence[float],
-    sets: Sequence[MultiplierSet],
-) -> list[MultiplierSet]:
-    """Assign consistent branch labels along a real-lambda grid.
+def continue_branches(lams: Sequence[float], roots: np.ndarray) -> list[MultiplierSet]:
+    """Consistent branch labels along a real-lambda grid for roots (L, 3) of solve_multipliers.
 
     Labels are anchored at the largest grid point by proximity to the
     zero-coefficient multipliers exp(i z w^(j-1)) and swept downward by
-    nearest matching between consecutive points.  Points whose discriminant
-    (product of squared multiplier differences) is within
-    1e-9 (1 + |T|)^4 of zero are flagged near-branch-point:
-    label continuity through such a point is not asserted.  A matching
-    whose best and runner-up permutations are within 1e-3 relative of each
-    other is flagged ambiguous, not rejected.
+    nearest matching between consecutive points: the permutation of the
+    row with the least scaled distance to the previous labels, the first of
+    equal ones.  A matching whose best and runner-up permutations are
+    within 1e-3 relative of each other is flagged ambiguous, not rejected;
+    that is the only flag set here (bands decides near-branch-point).
 
     The result is returned in the input order; the matching itself works on
     the sorted grid, so a reversed grid yields identical labels.
     """
-    if len(lams) != len(sets):
-        raise ValueError("grid and multiplier sets must have equal length")
-    if not sets:
-        return []
+    if len(lams) != len(roots):
+        raise ValueError("grid and root stack must have equal length")
     order = np.argsort(lams)
-    sorted_sets = [sets[i] for i in order]
-
-    out: list[MultiplierSet] = [None] * len(sets)  # type: ignore[list-item]
-    anchor_param = SpectralParameter.from_lambda(float(lams[order[-1]]))
-    reference: Sequence[complex] = free_multipliers(anchor_param)
-    for pos in range(len(sorted_sets) - 1, -1, -1):
-        ms = sorted_sets[pos]
-        perm, best, second = _match_permutation(ms.taus, reference)
-        taus = tuple(ms.taus[i] for i in perm)
-        flags = set(ms.flags)
-        if second < math.inf and (second - best) <= _TIE_RTOL * (1.0 + best):
-            flags.add(FLAG_AMBIGUOUS_MATCH)
-        # rho / (1 + |T|)^4, scaled before squaring: rho itself grows like
-        # |T|^4 and overflows long before the propagation guard
-        t1, t2, t3 = taus
-        s = 1.0 + abs(sum(taus))
-        rho_scaled = ((t1 - t2) / s * (t1 - t3) / s * (t2 - t3)) ** 2
-        if abs(rho_scaled) <= _BRANCH_POINT_RTOL:
-            flags.add(FLAG_NEAR_BRANCH_POINT)
-        out[order[pos]] = MultiplierSet(lam=ms.lam, taus=taus, flags=frozenset(flags))
+    out: list[MultiplierSet] = [None] * len(lams)  # type: ignore[list-item]
+    if not out:
+        return out
+    reference: Sequence[complex] = free_multipliers(
+        SpectralParameter.from_lambda(float(lams[order[-1]])))
+    for i in order[::-1]:
+        row = roots[i]
+        weights = [1.0 + abs(ref) for ref in reference]
+        (best, p), (second, _) = sorted(
+            (sum(abs(row[perm[j]] - reference[j]) / weights[j] for j in range(3)), p)
+            for p, perm in enumerate(_PERMUTATIONS_3))[:2]
+        taus = tuple(row[j] for j in _PERMUTATIONS_3[p])
+        tie = second - best <= _TIE_RTOL * (1.0 + best)
+        flags = frozenset({FLAG_AMBIGUOUS_MATCH} if tie else ())
+        out[i] = MultiplierSet(complex(lams[i]), taus, flags)
         reference = taus
     return out

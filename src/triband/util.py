@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 
@@ -28,8 +26,12 @@ def parse_int_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def hausdorff_distance(xs: Sequence[complex], ys: Sequence[complex]) -> float:
-    """Hausdorff distance between two finite point sets in the plane."""
-    d1 = max(min(abs(x - y) for y in ys) for x in xs)
-    d2 = max(min(abs(x - y) for x in xs) for y in ys)
-    return max(d1, d2)
+def hausdorff_distance(xs, ys) -> np.ndarray:
+    """Hausdorff distance between finite point sets in the plane, along the last axis of stacks.
+
+    One distance per row of the stacks, a scalar for two plain sets.  |x - y| is np.hypot of
+    the parts, which matches Python's abs of a complex bit for bit (np.abs does not).
+    """
+    d = np.asarray(xs, dtype=complex)[..., :, None] - np.asarray(ys, dtype=complex)[..., None, :]
+    d = np.hypot(d.real, d.imag)
+    return np.maximum(d.min(axis=-1).max(axis=-1), d.min(axis=-2).max(axis=-1))

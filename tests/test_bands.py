@@ -167,6 +167,21 @@ def test_scan_across_the_growth_guard_keeps_grid_order(const_c, monkeypatch):
         assert pt == band_point(const_c, pt.lam)
 
 
+def test_scan_solves_its_cubics_in_one_call(small_c, const_c, monkeypatch):
+    """One stacked solve_multipliers call per scan, over the accepted points only."""
+    calls = []
+    solve = multipliers.solve_multipliers
+
+    def counting(T, T_conj_bar):
+        calls.append(np.shape(T))
+        return solve(T, T_conj_bar)
+
+    monkeypatch.setattr(multipliers, "solve_multipliers", counting)
+    scan_real_axis(small_c, (-60.0, 60.0), 41)
+    scan_real_axis(const_c, (1e8, 1e9), 5)  # 3 of 5 points refused by the growth guard
+    assert calls == [(41,), (2,)]
+
+
 def test_branch_columns_follow_continuation(zero_c):
     # with continued labels the first branch column is cos(z) throughout
     points = scan_real_axis(zero_c, (30.0, 300.0), 40)

@@ -316,8 +316,15 @@ def test_scan_csv_and_json_agree_on_every_row(capsys):
         ["verify", "--p-const", "1e4", "--q-const", "0"],
         # past the Picard tail bound rather than the growth guard
         ["verify", "--p-const", "60", "--q-const", "0", "--grid", "4"],
+        # (10 + 10 kappa)^3 overflows the float range, kappa itself does not
+        ["sigma3", "--p-const", "1e300", "--q-const", "0"],
+        # kappa = mean(|p| + |q|) overflows in the sum and in the mean
+        ["scan", "--p-const", "1e308", "--q-const", "1e308", "--interval", "-1,1",
+         "--points", "2", "--format", "json"],
+        ["scan", "--p-const", "1", "--q-const", "1e308", "--interval", "-1,1", "--points", "2"],
     ],
-    ids=["sigma3-default-window", "sigma3-interval", "eigs", "verify", "verify-picard"],
+    ids=["sigma3-default-window", "sigma3-interval", "eigs", "verify", "verify-picard",
+         "sigma3-window-overflow", "kappa-overflow-add", "kappa-overflow-reduce"],
 )
 def test_refusals_are_clean_errors(capsys, argv):
     """The growth guard and the Picard tail bound end in 'error: ...', exit 1."""

@@ -23,6 +23,17 @@ def test_kappa_grid_independent_for_constants(grid_size):
     assert c.kappa == pytest.approx(2.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("p, q", [([1e308], [1e308]), ([1.0, 1e308], [1e308, 1e308])],
+                         ids=["add", "reduce"])
+def test_kappa_overflow_is_refused(p, q):
+    """Finite samples whose kappa overflows: a ValueError naming kappa, no numpy warning
+    (pytest turns a RuntimeWarning into an error)."""
+    with pytest.raises(ValueError, match="kappa"):
+        PeriodicCoefficients.from_samples(p, q)
+    with pytest.raises(ValueError, match="kappa"):
+        PeriodicCoefficients.from_constants(p[0], q[0], 4)
+
+
 def test_from_samples_kappa():
     assert PeriodicCoefficients.from_samples([1, -1], [0, 0]).kappa == 1.0
     assert PeriodicCoefficients.from_samples([0], [5]).kappa == 5.0

@@ -33,6 +33,9 @@ CASES = {
     "scan-const_c": ["scan", *CONST_C, "--interval", "-40,40", "--points", "41"],
     "scan-sin_c": ["scan", "--coeffs", str(SIN_C),
                    "--interval", "-40,40", "--points", "41"],
+    # the free branch point lambda = 0 is a grid point: its row is flagged
+    "scan-free-branch": ["scan", "--p-const", "0", "--q-const", "0", "--grid", "4",
+                         "--interval", "-2,2", "--points", "41"],
     "eigs-const_c": ["eigs", *CONST_C, "--k", "1.0", "--n-range", "-2..2"],
     "eigs-sin_c": ["eigs", "--coeffs", str(SIN_C), "--k", "2.5", "--n-range", "-2..2"],
     # missed seeds: n = 0 at k = 2, n = -1 at k = 5.2 (the fine scan's

@@ -14,11 +14,13 @@ from triband import (
     multiplier_set,
     propagate_pairs,
     rho_product_formula,
+    scan_real_axis,
     solve_multipliers,
     trace_at,
     traces_at,
 )
-from triband.multipliers import FLAG_NEAR_BRANCH_POINT, MultiplierSet
+from triband.bands import FLAG_NEAR_BRANCH_POINT
+from triband.multipliers import MultiplierSet
 from triband.util import hausdorff_distance
 
 
@@ -218,13 +220,15 @@ def test_lyapunov_equals_cos_of_quasimomentum():
 # ------------------------------------------------------- branch tracking
 
 
-def _sets_on_grid(c, grid):
-    return [multiplier_set(float(lam), T) for lam, T in zip(grid, traces_at(c, grid))]
+def _roots_on_grid(c, grid):
+    """The root stack (L, 3) of one solve_multipliers call over the grid."""
+    traces = traces_at(c, grid)
+    return solve_multipliers(traces, np.conj(traces))
 
 
 def test_free_branch_tracking(zero_c):
     grid = np.linspace(1.0, 1000.0, 60)
-    sets = continue_branches(grid, _sets_on_grid(zero_c, grid))
+    sets = continue_branches(grid, _roots_on_grid(zero_c, grid))
     for lam, ms in zip(grid, sets):
         z = P(float(lam)).z
         assert abs(ms.taus[0] - cmath.exp(1j * z)) <= 1e-8
@@ -235,7 +239,7 @@ def test_free_branch_tracking(zero_c):
 def test_asymptotic_branch_deviation_is_order_one_over_z(small_c):
     # |tau_j exp(-i z w^(j-1)) - 1| * |z| stays bounded as lambda grows
     grid = np.geomspace(1e3, 1e6, 25)
-    sets = continue_branches(grid, _sets_on_grid(small_c, grid))
+    sets = continue_branches(grid, _roots_on_grid(small_c, grid))
     weighted = []
     for lam, ms in zip(grid, sets):
         par = P(float(lam))
@@ -252,7 +256,7 @@ def test_asymptotic_branch_deviation_is_order_one_over_z(small_c):
 def test_lyapunov_asymptotics_weighted_deviation(small_c):
     # |Delta_j - cos(z w^(j-1))| <= C e^{|Im(z w^(j-1))|} / |z| with C bounded
     grid = np.geomspace(1e3, 1e6, 25)
-    sets = continue_branches(grid, _sets_on_grid(small_c, grid))
+    sets = continue_branches(grid, _roots_on_grid(small_c, grid))
     weighted = []
     for lam, ms in zip(grid, sets):
         par = P(float(lam))
@@ -269,7 +273,7 @@ def test_lyapunov_asymptotics_weighted_deviation(small_c):
 
 def test_free_lyapunov_branches_are_exact_cosines(zero_c):
     grid = np.linspace(50.0, 500.0, 12)
-    sets = continue_branches(grid, _sets_on_grid(zero_c, grid))
+    sets = continue_branches(grid, _roots_on_grid(zero_c, grid))
     for lam, ms in zip(grid, sets):
         z = P(float(lam)).z
         for j in range(3):
@@ -279,19 +283,22 @@ def test_free_lyapunov_branches_are_exact_cosines(zero_c):
 
 def test_reversed_grid_gives_identical_labels(small_c):
     grid = np.linspace(5.0, 120.0, 24)
-    sets = _sets_on_grid(small_c, grid)
-    forward = continue_branches(grid, sets)
-    backward = continue_branches(grid[::-1], sets[::-1])
+    roots = _roots_on_grid(small_c, grid)
+    forward = continue_branches(grid, roots)
+    backward = continue_branches(grid[::-1], roots[::-1])
     for f, b in zip(forward, backward[::-1]):
         assert f.taus == b.taus
 
 
 def test_branch_point_flagging(zero_c):
-    # the free discriminant vanishes at lambda = 0: flag the adjacent points
+    # the free discriminant vanishes at lambda = 0: the scan flags that row;
+    # continuation itself sets no near-branch-point flag
     grid = np.linspace(-2.0, 2.0, 41)
-    sets = continue_branches(grid, _sets_on_grid(zero_c, grid))
-    at_zero = sets[20]
+    at_zero = scan_real_axis(zero_c, (-2.0, 2.0), 41)[20]
+    assert at_zero.lam == 0.0
     assert FLAG_NEAR_BRANCH_POINT in at_zero.flags
+    assert all(FLAG_NEAR_BRANCH_POINT not in ms.flags
+               for ms in continue_branches(grid, _roots_on_grid(zero_c, grid)))
 
 
 def test_tracked_lyapunov_derivative_nonzero_on_bands(small_c, zero_c):
@@ -305,7 +312,7 @@ def test_tracked_lyapunov_derivative_nonzero_on_bands(small_c, zero_c):
         for lam0 in (20.0, 55.0, 140.0):
             h = 1e-3 * max(1.0, abs(lam0))
             grid = [lam0 - h, lam0, lam0 + h]
-            sets = continue_branches(grid, _sets_on_grid(c, grid))
+            sets = continue_branches(grid, _roots_on_grid(c, grid))
             rho = rho_product_formula(sets[1].taus)
             assert rho.real > 0  # away from branch points
             j = int(np.argmin([abs(abs(t) - 1) for t in sets[1].taus]))

@@ -183,6 +183,9 @@ def test_verify_far_root_counts_ask_the_tight_pairs_first(workloads, tmp_path, m
     12 at k = 2.0), and asks for a wide pair only where a tight pair misses:
     at most 52 points and 3 core calls per verify call, 1010 points over the
     20 calls.  No lambda reaches the core twice within one count_in_disk call.
+    None of those searches asks for a point twice, so the golden step set
+    at k = 2, N = 5 comes last: its missed seed runs every subdivision, and
+    the searches ask 117 points, 19 of them again, for 98 in 9 core calls.
     """
     ops = workloads.WORKLOADS["verify-far"].build(np.random.default_rng(41), str(tmp_path))
     disks, mapped = [], []
@@ -210,6 +213,12 @@ def test_verify_far_root_counts_ask_the_tight_pairs_first(workloads, tmp_path, m
         assert sum(map(sum, disks)) <= 52 and sum(map(len, disks)) <= 3, (op.argv, disks)
         points += sum(map(sum, disks))
     assert points == 1010
+    disks.clear()
+    mapped.clear()
+    res = per_disk(load_coefficients(Path(__file__).parent / "golden" / "steps.json"), 2.0, 5)
+    assert len(res.missed) == 1
+    assert len(set(mapped[0])) == len(mapped[0]) == 98
+    assert disks == [[24, 9, 2, 6, 2, 6, 2, 6, 41]]
 
 
 def test_roots_steps_eigs_ops_keep_their_core_calls(workloads, tmp_path, monkeypatch):

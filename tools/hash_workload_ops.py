@@ -10,16 +10,24 @@ benchmark runs it: a CLI command through ``triband.cli.main`` or a
 ``band_point`` probe.  The digest covers, per operation, its kind, argv and
 probe λ, the exit status, standard output and standard error of a command,
 the repr of a probe's ``BandPoint``, and the type and text of any
-exception.  The CLI echoes the coefficient file paths into its output, so
-the files are written into WORKDIR; hash two checkouts with the same
-WORKDIR to compare them.  Equal counts and digests mean byte-identical
-output.
+exception.  A probe's flags are digested in sorted order: a frozenset's
+repr follows PYTHONHASHSEED once it holds two flags.
+
+The workload scans have 2-3 points, so a second digest covers dense CLI
+tables: 2001-point scans through lambda = 0 and the triple set on the
+conftest fixtures and ROOT/tests/golden/steps.json, each fixture's sigma3
+in its default window, and its verify, in CSV and JSON.
+
+The CLI echoes the coefficient file paths into its output, so the files
+are written into WORKDIR; hash two checkouts with the same WORKDIR to
+compare them.  Equal counts and digests mean byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -36,22 +44,65 @@ def _load_workloads(root: Path):
     return module
 
 
-def _outcome(op, cli, bands, load_coefficients) -> str:
-    """The text the digest takes for one operation."""
-    if op.kind == "probe":
-        try:
-            return repr(bands.band_point(load_coefficients(op.coeffs), op.lam))
-        except Exception as exc:
-            return f"exception {type(exc).__name__}: {exc}"
+# the conftest fixtures by their CLI coefficients, and the golden step set;
+# each with 2001-point scan windows through lambda = 0, across the triple
+# set, and 2e-5 wide at one of its ends, where rows are flagged
+_DENSE_FIXTURES = {
+    "zero_c": (["--p-const", "0", "--q-const", "0", "--grid", "4"],
+               ["-1000,1000", "-2,2", "-0.001,0.001"]),
+    "const_c": (["--p-const", "1", "--q-const", "-0.5", "--grid", "64"],
+                ["-60,60", "-3,2", "-1.58867,-1.58865"]),
+    "small_c": (["--p-const", "0.5", "--q-const", "0.3", "--grid", "64"],
+                ["-60,60", "-1,1", "0.68489,0.68491"]),
+    "sin_c": (["--coeffs", "sin_c.json"], ["-60,60", "-0.01,0.01", "0.000537,0.000557"]),
+    "steps": (["--coeffs", "steps.json"], ["-200,200", "-20,20", "11.31170,11.31172"]),
+}
+
+
+class _SortedFlags(frozenset):
+    """A frozenset whose repr lists its items sorted."""
+
+    def __repr__(self) -> str:
+        return f"frozenset({{{', '.join(map(repr, sorted(self)))}}})" if self else "frozenset()"
+
+
+def _dense_argvs(root: Path, workdir: Path) -> list[list[str]]:
+    """The dense-table commands, their coefficient files copied into workdir."""
+    workdir.mkdir(parents=True, exist_ok=True)
+    argvs = []
+    for coeffs, windows in _DENSE_FIXTURES.values():
+        if coeffs[0] == "--coeffs":
+            path = workdir / coeffs[1]
+            path.write_bytes((root / "tests" / "golden" / coeffs[1]).read_bytes())
+            coeffs = ["--coeffs", str(path)]
+        commands = [["scan", *coeffs, "--interval", w, "--points", "2001"] for w in windows]
+        commands += [["sigma3", *coeffs], ["verify", *coeffs]]
+        argvs += [[*cmd, "--format", fmt] for cmd in commands for fmt in ("csv", "json")]
+    return argvs
+
+
+def _cli_text(cli, argv: list[str]) -> str:
+    """Exit status, standard output and standard error of one command."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            status = cli.main(list(op.argv))
+            status = cli.main(argv)
         except SystemExit as exc:
             status = exc.code
         except Exception as exc:
             status = f"exception {type(exc).__name__}: {exc}"
     return f"status {status}\nstdout\n{out.getvalue()}stderr\n{err.getvalue()}"
+
+
+def _outcome(op, cli, bands, load_coefficients) -> str:
+    """The text the digest takes for one operation."""
+    if op.kind == "probe":
+        try:
+            pt = bands.band_point(load_coefficients(op.coeffs), op.lam)
+            return repr(dataclasses.replace(pt, flags=_SortedFlags(pt.flags)))
+        except Exception as exc:
+            return f"exception {type(exc).__name__}: {exc}"
+    return _cli_text(cli, list(op.argv))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -85,6 +136,10 @@ def main(argv: list[str] | None = None) -> int:
         total_count += count
         print(f"seed {seed}: {count} operations, sha256 {digest.hexdigest()}")
     print(f"all seeds: {total_count} operations, sha256 {total.hexdigest()}")
+    dense, argvs = hashlib.sha256(), _dense_argvs(root, args.workdir / "dense")
+    for argv in argvs:
+        dense.update(f"{argv!r}\n{_cli_text(cli, argv)}\n".encode())
+    print(f"dense tables: {len(argvs)} commands, sha256 {dense.hexdigest()}")
     return 0
 
 
