@@ -121,11 +121,11 @@ def growth_refusal(c: PeriodicCoefficients, lam: complex) -> Optional[Propagatio
     # the guard reads z0 <= |lambda|^(1/3): only a point past that bound needs it
     if abs(lam) ** (1.0 / 3.0) * (1 + 1e-9) + c.kappa <= MAX_GROWTH_EXPONENT:
         return None
-    z0 = SpectralParameter.from_lambda(lam).z0
-    if z0 + c.kappa <= MAX_GROWTH_EXPONENT:
+    growth = SpectralParameter.from_lambda(lam).z0 + c.kappa
+    if growth <= MAX_GROWTH_EXPONENT:
         return None
-    return PropagationOverflowError(
-        f"growth exponent z0 + kappa = {z0 + c.kappa:.1f} exceeds "
+    return PropagationOverflowError(  # in fixed point a kappa near 1e308 would print 309 digits
+        f"growth exponent z0 + kappa = {growth:{'.1f' if growth < 1e6 else '.3e'}} exceeds "
         f"{MAX_GROWTH_EXPONENT:.0f}; entries of the period map would "
         "overflow double precision"
     )

@@ -335,6 +335,25 @@ def test_refusals_are_clean_errors(capsys, argv):
     assert "Traceback" not in err
 
 
+_GUARD_TAIL = "exceeds 700; entries of the period map would overflow double precision"
+
+
+@pytest.mark.parametrize(
+    "argv, exponent",
+    [
+        (["verify", "--p-const", "1e4", "--q-const", "0"], "10006.9"),
+        # past 1e6 the exponent is printed in exponent form, not as 100 digits
+        (["sigma3", "--p-const", "1e100", "--q-const", "0"], "9.660e+100"),
+    ],
+    ids=["verify", "sigma3-huge-kappa"],
+)
+def test_growth_refusal_line(capsys, argv, exponent):
+    """The growth guard's refusal is one full line naming the exponent."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: growth exponent z0 + kappa = {exponent} {_GUARD_TAIL}\n"
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [

@@ -146,7 +146,7 @@ def test_roots_steps_eigs_ops_take_few_rounds(workloads, tmp_path, monkeypatch):
 
 def test_verify_far_identity_suites_take_one_core_call(workloads, tmp_path, monkeypatch):
     """Outside root counting, run_verify on a verify-far set sends its fixed
-    grids to period_maps once, 307 distinct points; the coefficient-free
+    grids to period_maps once, 143 distinct points; the coefficient-free
     suites reach the core in the first call of the process only.
     """
     ops = workloads.WORKLOADS["verify-far"].build(np.random.default_rng(41), str(tmp_path))
@@ -172,7 +172,7 @@ def test_verify_far_identity_suites_take_one_core_call(workloads, tmp_path, monk
         c = load_coefficients(op.coeffs)
         calls.clear()
         assert all(r.passed for r in checks.run_verify(c))
-        assert [n for c_i, n, roots in calls if c_i is c and not roots] == [307]
+        assert [n for c_i, n, roots in calls if c_i is c and not roots] == [143]
         assert all(c_i is c for c_i, _, _ in calls) == (i > 0), calls
         assert any(roots for c_i, _, roots in calls if c_i is c)
 

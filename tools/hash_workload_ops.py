@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One sha256 over the outputs of every benchmark workload operation.
+"""One sha256 over the outputs of every benchmark workload operation, and one per kind.
 
     python3 tools/hash_workload_ops.py ROOT WORKDIR [--seeds 41 7]
 
@@ -11,12 +11,16 @@ benchmark runs it: a CLI command through ``triband.cli.main`` or a
 probe λ, the exit status, standard output and standard error of a command,
 the repr of a probe's ``BandPoint``, and the type and text of any
 exception.  A probe's flags are digested in sorted order: a frozenset's
-repr follows PYTHONHASHSEED once it holds two flags.
+repr follows PYTHONHASHSEED once it holds two flags.  Each seed's line is
+followed by one digest per operation kind (scan, eigs, sigma3, verify,
+probe) over the same records, so a change confined to one command shows
+as the other kinds' digests held.
 
 The workload scans have 2-3 points, so a second digest covers dense CLI
 tables: 2001-point scans through lambda = 0 and the triple set on the
 conftest fixtures and ROOT/tests/golden/steps.json, each fixture's sigma3
-in its default window, and its verify, in CSV and JSON.
+in its default window, and its verify, in CSV and JSON; it too is split
+per command.
 
 The CLI echoes the coefficient file paths into its output, so the files
 are written into WORKDIR; hash two checkouts with the same WORKDIR to
@@ -26,6 +30,7 @@ compare them.  Equal counts and digests mean byte-identical output.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -64,6 +69,22 @@ class _SortedFlags(frozenset):
 
     def __repr__(self) -> str:
         return f"frozenset({{{', '.join(map(repr, sorted(self)))}}})" if self else "frozenset()"
+
+
+class _Digests:
+    """One running sha256 and record count per key, in first-seen order."""
+
+    def __init__(self) -> None:
+        self.digests: dict[str, "hashlib._Hash"] = {}
+        self.counts: collections.Counter[str] = collections.Counter()
+
+    def update(self, key: str, record: bytes) -> None:
+        self.digests.setdefault(key, hashlib.sha256()).update(record)
+        self.counts[key] += 1
+
+    def report(self, prefix: str, noun: str) -> None:
+        for key, digest in self.digests.items():
+            print(f"{prefix} {key}: {self.counts[key]} {noun}, sha256 {digest.hexdigest()}")
 
 
 def _dense_argvs(root: Path, workdir: Path) -> list[list[str]]:
@@ -123,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     workloads = _load_workloads(root)
     total, total_count = hashlib.sha256(), 0
     for seed in args.seeds:
-        digest, count = hashlib.sha256(), 0
+        digest, count, kinds = hashlib.sha256(), 0, _Digests()
         for name, workload in workloads.WORKLOADS.items():
             workdir = args.workdir / f"{name}-{seed}"
             workdir.mkdir(parents=True, exist_ok=True)
@@ -132,14 +153,19 @@ def main(argv: list[str] | None = None) -> int:
                 record = f"{op.kind} {op.argv!r} {op.lam!r}\n{text}\n".encode()
                 digest.update(record)
                 total.update(record)
+                kinds.update(op.kind, record)
                 count += 1
         total_count += count
         print(f"seed {seed}: {count} operations, sha256 {digest.hexdigest()}")
+        kinds.report(f"seed {seed}", "operations")
     print(f"all seeds: {total_count} operations, sha256 {total.hexdigest()}")
-    dense, argvs = hashlib.sha256(), _dense_argvs(root, args.workdir / "dense")
+    dense, argvs, commands = hashlib.sha256(), _dense_argvs(root, args.workdir / "dense"), _Digests()
     for argv in argvs:
-        dense.update(f"{argv!r}\n{_cli_text(cli, argv)}\n".encode())
+        record = f"{argv!r}\n{_cli_text(cli, argv)}\n".encode()
+        dense.update(record)
+        commands.update(argv[0], record)
     print(f"dense tables: {len(argvs)} commands, sha256 {dense.hexdigest()}")
+    commands.report("dense tables", "commands")
     return 0
 
 
