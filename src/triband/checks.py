@@ -69,87 +69,64 @@ def _real_grid() -> np.ndarray:
     return np.linspace(-500.0, 500.0, 80)  # an even count keeps lambda = 0 out
 
 
-@dataclass(frozen=True)
-class SuiteMaps:
-    """One suite's points with their period maps and traces, in the suite's order."""
-
-    c: PeriodicCoefficients
-    lams: list[complex]
-    M: np.ndarray
-    T: list[complex]
-
-
 @functools.cache
-def _fixed_grids() -> tuple[list[complex], dict[str, np.ndarray], list[complex]]:
-    """Each suite's fixed points as rows of their union without repeats, and the char-poly taus;
-    the real-axis suites share one grid, the complex suites one set of points and conjugates."""
+def _fixed_grids() -> tuple[np.ndarray, tuple[np.ndarray, ...], list[complex]]:
+    """verify's fixed points as one array without repeats, and the char-poly taus.
+
+    Four row arrays index it: the real grid, 20 complex points then their conjugates, the
+    series points and the reduction points.  The union opens at the real grid's first point,
+    so the growth guard refuses the point the determinant suite alone would.
+    """
     rng = np.random.default_rng(7)
     lams, taus = zip(*[(complex(rng.uniform(-350, 350), rng.uniform(-350, 350)),
                         complex(rng.normal(), rng.normal())) for _ in range(20)])
-    real, pairs = _real_grid(), [*lams, *np.conj(lams)]
-    # suites in run_verify's order: the growth guard refuses the point a suite alone would
-    grids = {
-        "determinant-identity": real,
-        "symplectic-identity": [*real, *pairs],
-        "characteristic-polynomial": pairs,
-        "discriminant-consistency": real,
-        "growth-bounds": real,
-        "series-vs-steps": np.linspace(-100.0, 100.0, 9),
-        "multiplier-symmetry": real,
-        "determinant-reduction": np.linspace(-150.0, 150.0, 16),
-    }
+    grids = (_real_grid(), [*lams, *np.conj(lams)],
+             np.linspace(-100.0, 100.0, 9), np.linspace(-150.0, 150.0, 16))
     index: dict[complex, int] = {}  # row of each lambda
-    rows = {name: np.array([index.setdefault(complex(lam), len(index)) for lam in grid])
-            for name, grid in grids.items()}
-    return list(index), rows, list(taus)
+    rows = tuple(np.array([index.setdefault(complex(lam), len(index)) for lam in grid])
+                 for grid in grids)
+    return np.array(list(index)), rows, list(taus)
 
 
-def suite_maps(c: PeriodicCoefficients) -> dict[str, SuiteMaps]:
-    """SuiteMaps of every fixed-grid suite, by name, from one period_maps call."""
-    lams, rows, _ = _fixed_grids()
-    M = period_maps(c, lams)
-    T = _traces(M)
-    return {name: SuiteMaps(c, [lams[i] for i in r], M[r], [T[i] for i in r])
-            for name, r in rows.items()}
-
-
-def check_determinant_identity(maps: SuiteMaps) -> CheckResult:
-    worst = det_residual(maps.M).max()
+def check_determinant_identity(M: np.ndarray) -> CheckResult:
+    worst = det_residual(M).max()
     return CheckResult("determinant-identity", worst <= _ROUNDOFF, worst, _ROUNDOFF)
 
 
-def check_symplectic_identity(maps: SuiteMaps) -> CheckResult:
-    """The real grid, each point its own pair, then 20 complex points and their conjugates."""
-    partner = np.r_[: len(maps.lams) - 40, -20:0, -40:-20]  # index of the map at conj(lambda)
-    worst = symplectic_residual(maps.M, maps.M[partner]).max()
+def check_symplectic_identity(M_real: np.ndarray, M_pairs: np.ndarray) -> CheckResult:
+    """Each real point its own pair; complex points first, then their conjugates."""
+    worst = max(symplectic_residual(M_real, M_real).max(),
+                symplectic_residual(M_pairs, np.roll(M_pairs, len(M_pairs) // 2, axis=0)).max())
     return CheckResult("symplectic-identity", worst <= _ROUNDOFF, worst, _ROUNDOFF)
 
 
-def check_char_poly_identity(maps: SuiteMaps) -> CheckResult:
+def check_char_poly_identity(M_pairs: np.ndarray, T_pairs: np.ndarray,
+                             taus: list[complex]) -> CheckResult:
     """det(M - tau) against the trace form of the cubic, complex lambda included."""
     worst = 0.0  # the points come first, then their conjugates
-    for M, T, T_conj, tau in zip(maps.M, maps.T, maps.T[len(maps.T) // 2 :], _fixed_grids()[2]):
+    T = T_pairs.tolist()
+    for M, T_lam, T_conj, tau in zip(M_pairs, T, T[len(T) // 2 :], taus):
         direct = complex(det3(np.asarray(M, dtype=complex) - tau * np.eye(3)))
-        worst = max(worst, abs(direct - char_poly(T, T_conj, tau)) / (1.0 + abs(direct)))
+        worst = max(worst, abs(direct - char_poly(T_lam, T_conj, tau)) / (1.0 + abs(direct)))
     return CheckResult("characteristic-polynomial", worst <= 1e-8, worst, 1e-8)
 
 
 @functools.cache
 def check_free_trace() -> CheckResult:
     """Propagated trace against the closed form, zero coefficients, |lam| <= 1e6."""
-    c = zero_coefficients()
+    grid = np.linspace(-1e6, 1e6, 80).tolist()
     worst = 0.0
-    grid = [float(lam) for lam in np.linspace(-1e6, 1e6, 80) if lam != 0.0]
-    for lam, T in zip(grid, traces_at(c, grid)):
+    for lam, T in zip(grid, traces_at(zero_coefficients(), grid)):
         T0 = free_trace(lam)
         worst = max(worst, abs(T - T0) / abs(T0))
     return CheckResult("free-case-trace", worst <= 1e-10, worst, 1e-10)
 
 
-def check_discriminant_consistency(maps: SuiteMaps) -> CheckResult:
+def check_discriminant_consistency(T: np.ndarray, roots: np.ndarray) -> CheckResult:
+    """Both routes of rho on the real grid, the product route from its roots (L, 3)."""
     worst = 0.0
-    for T, taus in zip(maps.T, mult.solve_multipliers(maps.T, np.conj(maps.T))):
-        rt = rho_trace_formula(T)
+    for T_lam, taus in zip(T.tolist(), roots):
+        rt = rho_trace_formula(T_lam)
         rp = rho_product_formula(taus)
         scale = 1.0 + abs(rt)
         worst = max(worst, abs(rt - rp.real) / scale, abs(rp.imag) / scale * 1e2)
@@ -158,26 +135,25 @@ def check_discriminant_consistency(maps: SuiteMaps) -> CheckResult:
     return CheckResult("discriminant-consistency", worst <= 1e-6, worst, 1e-6)
 
 
-def check_trace_bounds(maps: SuiteMaps) -> CheckResult:
-    """|T| <= 3 e^{z0+kappa} everywhere; perturbation bounds for |lambda| >= 1.
+def check_trace_bounds(kappa: float, lams: np.ndarray, M: np.ndarray,
+                       T: np.ndarray) -> CheckResult:
+    """|T| <= 3 e^{z0+kappa}, and perturbation bounds, which hold for |lambda| >= 1.
 
     The perturbation bounds are |T - T0| <= 3 kappa e^{z0+kappa} / |z| and,
     in the frame that diagonalizes the free system, a matching bound on the
-    full matrix deviation from the diagonal free propagator.
+    full matrix deviation from the diagonal free propagator.  The real grid
+    holds no point with |lambda| < 1.
     """
-    kappa = maps.c.kappa
-    params = [SpectralParameter.from_lambda(lam) for lam in maps.lams]
-    M, T = maps.M, np.array(maps.T)
+    params = [SpectralParameter.from_lambda(lam) for lam in lams]
     z0 = np.array([prm.z0 for prm in params])
     worst = float(np.max(np.abs(T) / (3.0 * np.exp(z0 + kappa))))
-    far = [i for i, prm in enumerate(params) if abs(prm.lam) >= 1.0]
-    if kappa > 0 and far:
-        z = np.array([params[i].z for i in far])
-        matrix_cap = kappa * np.exp(z0[far] + kappa) / np.abs(z)
-        T0 = np.array([sum(mult.free_multipliers(params[i])) for i in far])
-        worst = max(worst, float(np.max(np.abs(T[far] - T0) / (3.0 * matrix_cap))))
-        V, V_inv, B = free_diagonalizer([params[i] for i in far])
-        frame = V_inv @ M[far].astype(complex) @ V
+    if kappa > 0:
+        z = np.array([prm.z for prm in params])
+        matrix_cap = kappa * np.exp(z0 + kappa) / np.abs(z)
+        T0 = np.array([sum(mult.free_multipliers(prm)) for prm in params])
+        worst = max(worst, float(np.max(np.abs(T - T0) / (3.0 * matrix_cap))))
+        V, V_inv, B = free_diagonalizer(params)
+        frame = V_inv @ M.astype(complex) @ V
         diag_free = np.exp(1j * z[:, np.newaxis] * np.diag(B))[:, np.newaxis] * np.eye(3)
         deviation = np.linalg.norm(frame - diag_free, 2, axis=(-2, -1))
         worst = max(worst, float(np.max(deviation / matrix_cap)))
@@ -185,8 +161,9 @@ def check_trace_bounds(maps: SuiteMaps) -> CheckResult:
                        detail="(ratios to the proved caps)")
 
 
-def check_picard_agreement(maps: SuiteMaps) -> CheckResult:
-    worst = np.abs(maps.M.astype(complex) - picard_maps(maps.c, maps.lams, tol=_PICARD_TOL)).max()
+def check_picard_agreement(c: PeriodicCoefficients, lams: np.ndarray,
+                           M: np.ndarray) -> CheckResult:
+    worst = np.abs(M.astype(complex) - picard_maps(c, lams, tol=_PICARD_TOL)).max()
     threshold = max(1e-8, 10.0 * _PICARD_TOL)
     return CheckResult("series-vs-steps", worst <= threshold, worst, threshold)
 
@@ -194,34 +171,32 @@ def check_picard_agreement(maps: SuiteMaps) -> CheckResult:
 @functools.cache
 def check_free_closed_forms() -> CheckResult:
     """Solved multipliers and both discriminant routes against the closed forms."""
-    c = zero_coefficients()
+    grid = np.linspace(-900.0, 900.0, 40).tolist()
+    T = traces_at(zero_coefficients(), grid)
     worst = 0.0
-    grid = [float(lam) for lam in np.linspace(-900.0, 900.0, 40) if lam != 0.0]
-    for lam, T in zip(grid, traces_at(c, grid)):
+    for lam, taus in zip(grid, mult.solve_multipliers(T, np.conj(T))):
         ref = free_case(lam)
-        taus = mult.solve_multipliers(T, np.conj(T))
         worst = max(worst, hausdorff_distance(taus, ref.taus0))
         rt = rho_trace_formula(ref.T0)
         worst = max(worst, abs(rt - ref.rho0.real) / (1.0 + abs(rt)))
     return CheckResult("free-case-closed-forms", worst <= 1e-8, worst, 1e-8)
 
 
-def check_multiplier_symmetry(maps: SuiteMaps) -> CheckResult:
+def check_multiplier_symmetry(roots: np.ndarray) -> CheckResult:
     """Invariance of the multiplier set under tau -> 1/conj(tau), real lambda."""
-    taus = mult.solve_multipliers(maps.T, np.conj(maps.T))
-    worst = hausdorff_distance(taus, 1.0 / np.conj(taus)).max()
+    worst = hausdorff_distance(roots, 1.0 / np.conj(roots)).max()
     return CheckResult("multiplier-symmetry", worst <= 1e-8, worst, 1e-8)
 
 
-def check_reduction_identity(maps: SuiteMaps) -> CheckResult:
+def check_reduction_identity(M: np.ndarray, T: np.ndarray) -> CheckResult:
     """det(M - e^{ik}) == 2i e^{3ik/2} F(k, lambda) on the real axis."""
     worst = 0.0
-    maps_c = maps.M.astype(complex)
+    maps_c = M.astype(complex)
     for k in (0.0, 0.3, 1.0, math.pi, 5.0):
         shift = np.exp(1j * k) * np.eye(3)
-        for M, T in zip(maps_c, maps.T):
-            direct = complex(det3(M - shift))
-            reduced = 2j * np.exp(1.5j * k) * char_real_function(k, T)
+        for M_lam, T_lam in zip(maps_c, T.tolist()):
+            direct = complex(det3(M_lam - shift))
+            reduced = 2j * np.exp(1.5j * k) * char_real_function(k, T_lam)
             worst = max(worst, abs(direct - reduced) / (1.0 + abs(direct)))
     return CheckResult("determinant-reduction", worst <= 1e-8, worst, 1e-8)
 
@@ -247,17 +222,21 @@ def check_root_counts(c: PeriodicCoefficients) -> CheckResult:
 
 
 def run_verify(c: PeriodicCoefficients) -> list[CheckResult]:
-    maps = suite_maps(c)  # popped, so each suite's maps are freed once it has run
+    """Eleven suites on c; the fixed-grid ones read rows of one map stack and one root stack."""
+    lams, (real, pairs, series, reduction), taus = _fixed_grids()
+    M = period_maps(c, lams)
+    T = np.array(_traces(M))
+    roots = mult.solve_multipliers(T[real], np.conj(T[real]))  # the real grid's cubics, once
     return [
-        check_determinant_identity(maps.pop("determinant-identity")),
-        check_symplectic_identity(maps.pop("symplectic-identity")),
-        check_char_poly_identity(maps.pop("characteristic-polynomial")),
+        check_determinant_identity(M[real]),
+        check_symplectic_identity(M[real], M[pairs]),
+        check_char_poly_identity(M[pairs], T[pairs], taus),
         check_free_trace(),
-        check_discriminant_consistency(maps.pop("discriminant-consistency")),
-        check_trace_bounds(maps.pop("growth-bounds")),
-        check_picard_agreement(maps.pop("series-vs-steps")),
+        check_discriminant_consistency(T[real], roots),
+        check_trace_bounds(c.kappa, lams[real], M[real], T[real]),
+        check_picard_agreement(c, lams[series], M[series]),
         check_free_closed_forms(),
-        check_multiplier_symmetry(maps.pop("multiplier-symmetry")),
-        check_reduction_identity(maps.pop("determinant-reduction")),
+        check_multiplier_symmetry(roots),
+        check_reduction_identity(M[reduction], T[reduction]),
         check_root_counts(c),
     ]

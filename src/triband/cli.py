@@ -36,7 +36,7 @@ def _add_coefficient_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p-const", type=float, help="constant p value")
     p.add_argument("--q-const", type=float, help="constant q value")
     p.add_argument(
-        "--grid", type=int, default=64,
+        "--grid", type=int,
         help="coefficient grid size for --p-const/--q-const (default 64)",
     )
 
@@ -112,11 +112,15 @@ def _coefficients_from(args: argparse.Namespace) -> PeriodicCoefficients:
     has_consts = args.p_const is not None or args.q_const is not None
     if has_file and has_consts:
         raise SystemExit("error: give either --coeffs or --p-const/--q-const, not both")
+    if has_file and args.grid is not None:
+        raise SystemExit(
+            "error: give --grid only with --p-const/--q-const; a --coeffs file sets its own")
     if has_file:
         return load_coefficients(args.coeffs)
     if args.p_const is None or args.q_const is None:
         raise SystemExit("error: need --coeffs FILE or both --p-const and --q-const")
-    return PeriodicCoefficients.from_constants(args.p_const, args.q_const, args.grid)
+    grid = 64 if args.grid is None else args.grid
+    return PeriodicCoefficients.from_constants(args.p_const, args.q_const, grid)
 
 
 def _config_echo(args: argparse.Namespace, c: PeriodicCoefficients) -> dict:

@@ -10,6 +10,8 @@ def uniform_grid(a: float, b: float, points: int) -> np.ndarray:
         raise ValueError(f"interval ends must be finite, got [{a}, {b}]")
     if not (a < b):
         raise ValueError(f"interval must satisfy a < b, got [{a}, {b}]")
+    if not np.isfinite(b - a):
+        raise ValueError(f"interval width overflows the float range, got [{a}, {b}]")
     if points < 2:
         raise ValueError("need at least 2 grid points")
     return np.linspace(a, b, points)

@@ -7,14 +7,19 @@ import triband.checks as checks
 from triband import SpectralParameter, free_diagonalizer, free_trace, propagate_pairs, trace_at
 from triband.monodromy import period_maps
 from triband._linalg import EXTENDED, det3
-from triband.checks import check_trace_bounds
+
+
+def _results(c):
+    """The CheckResults of run_verify by suite name."""
+    return {r.name: r for r in checks.run_verify(c)}
 
 
 def _trace_bounds_worst_per_point(c):
-    """The growth-bounds ratio one point of the suite at a time: the reference loop."""
+    """The growth-bounds ratio one point of the real grid at a time: the reference loop."""
     worst = 0.0
     kappa = c.kappa
-    for lam in checks.suite_maps(c)["growth-bounds"].lams:
+    lams, (real, *_), _ = checks._fixed_grids()
+    for lam in lams[real]:
         [M], T = period_maps(c, [lam]), trace_at(c, lam)
         param = SpectralParameter.from_lambda(lam)
         worst = max(worst, abs(T) / (3.0 * math.exp(param.z0 + kappa)))
@@ -33,7 +38,7 @@ def _trace_bounds_worst_per_point(c):
 def test_growth_bounds_suite_matches_per_point_loop(name, request):
     """The stacked growth-bounds suite reads the per-point worst ratio to 1e-12."""
     c = request.getfixturevalue(name)
-    assert check_trace_bounds(checks.suite_maps(c)["growth-bounds"]).worst == pytest.approx(
+    assert _results(c)["growth-bounds"].worst == pytest.approx(
         _trace_bounds_worst_per_point(c), rel=1e-12
     )
 
@@ -48,11 +53,11 @@ def test_identity_suites_read_the_scaled_residuals(const_c, monkeypatch):
     monkeypatch.setattr(checks, "_real_grid", lambda: np.linspace(-2e3, 2e3, 60))
     maps, _ = propagate_pairs(const_c, checks._real_grid())
     assert max(abs(complex(det3(M)) - 1.0) for M in maps) > 1e-9
-    suites = checks.suite_maps(const_c)  # the fixed grids are rebuilt under the patch
-    assert max(abs(lam) for lam in suites["determinant-identity"].lams) == 2e3
-    for suite, name in ((checks.check_determinant_identity, "determinant-identity"),
-                        (checks.check_symplectic_identity, "symplectic-identity")):
-        result = suite(suites[name])
+    lams, (real, *_), _ = checks._fixed_grids()  # rebuilt under the patch
+    assert max(abs(lams[real])) == 2e3
+    results = _results(const_c)
+    for name in ("determinant-identity", "symplectic-identity"):
+        result = results[name]
         assert result.passed
         assert result.threshold == 100 * np.finfo(EXTENDED).eps
 
@@ -62,22 +67,21 @@ def test_fixed_grids_share_one_real_grid_and_one_complex_set():
 
     Every suite keeps at least the points it had with a grid of its own, and
     the union still opens at lambda = -500, where the growth guard refuses.
+    The growth-bounds suite applies its |lambda| >= 1 bounds at every point of
+    the real grid, so the grid holds none below.
     """
-    lams, rows, taus = checks._fixed_grids()
-    real = rows["determinant-identity"]
-    assert len(real) == 80 and all(lams[i].imag == 0.0 for i in real)
-    for name in ("discriminant-consistency", "growth-bounds", "multiplier-symmetry"):
-        assert np.array_equal(rows[name], real), name
-    symplectic, pairs = rows["symplectic-identity"], rows["characteristic-polynomial"]
-    assert np.array_equal(symplectic[:80], real)
-    assert np.array_equal(symplectic[80:], pairs)
+    lams, (real, pairs, series, reduction), taus = checks._fixed_grids()
+    assert len(real) == 80 and all(lams[real].imag == 0.0)
+    assert np.array_equal(lams[real], checks._real_grid())
+    assert min(abs(checks._real_grid())) >= 1.0
     assert len(pairs) == 40 and len(taus) == 20
     for i, j in zip(pairs[:20], pairs[20:]):
         assert lams[i].imag != 0.0 and lams[j] == lams[i].conjugate()
-    former = {"determinant-identity": 60, "symplectic-identity": 60,
-              "characteristic-polynomial": 40, "discriminant-consistency": 80,
-              "growth-bounds": 50, "series-vs-steps": 9, "multiplier-symmetry": 60,
-              "determinant-reduction": 16}
-    assert list(rows) == list(former)
-    assert all(len(rows[name]) >= n for name, n in former.items())
+    # former point counts in run_verify's order: determinant, symplectic,
+    # characteristic-polynomial, discriminant, growth-bounds, series,
+    # multiplier-symmetry, reduction
+    former = [60, 60, 40, 80, 50, 9, 60, 16]
+    now = [len(real), len(real) + len(pairs), len(pairs), len(real), len(real), len(series),
+           len(real), len(reduction)]
+    assert all(n >= n_former for n, n_former in zip(now, former, strict=True))
     assert len(lams) == 143 and lams[0] == -500.0

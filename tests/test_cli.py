@@ -210,6 +210,36 @@ def test_conflicting_coefficient_sources_rejected(capsys, tmp_path):
               "--interval", "0,1", "--points", "2"])
 
 
+def test_grid_with_coefficient_file_rejected(capsys):
+    """--grid sizes constant coefficients only; a file brings its own grid."""
+    steps = str(Path(__file__).parent / "golden" / "steps.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--coeffs", steps, "--grid", "5", "--interval", "0,1", "--points", "2"])
+    assert exc.value.code == (
+        "error: give --grid only with --p-const/--q-const; a --coeffs file sets its own"
+    )
+    code, out, _ = run_cli(capsys, "scan", "--p-const", "1", "--q-const", "0",
+                           "--interval", "0,1", "--points", "2")
+    assert code == 0 and "# grid_size = 64\n" in out
+
+
+@pytest.mark.parametrize(
+    "argv, interval",
+    [
+        (["scan", "--p-const", "1", "--q-const", "0", "--interval", "-1.7e308,1.7e308",
+          "--points", "3"], "[-1.7e+308, 1.7e+308]"),
+        # the default window (10 + 10 kappa)^3 is finite, its width is not
+        (["sigma3", "--p-const", "5e101", "--q-const", "0"],
+         "[-1.2499999999999992e+308, 1.2499999999999992e+308]"),
+    ],
+    ids=["scan", "sigma3-default-window"],
+)
+def test_window_whose_width_overflows_is_one_error_line(capsys, argv, interval):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: interval width overflows the float range, got {interval}\n"
+
+
 def test_missing_coefficients_rejected():
     with pytest.raises(SystemExit):
         main(["scan", "--interval", "0,1", "--points", "2"])

@@ -9,8 +9,9 @@ roots-steps inputs of workloads.py also guard the round count of the
 Floquet search, which sets the cost of its eigs operations, its core calls
 and period maps, and the per-call setup that the CLI and the core build
 once; the verify-far inputs guard the one core call that the fixed-grid
-suites of verify share, the points and core calls of its root counting, and
-the products and Taylor chunks of its series call.
+suites of verify share, the one cubic solve of its real grid, the points and
+core calls of its root counting, and the products and Taylor chunks of its
+series call.
 """
 
 import argparse
@@ -175,6 +176,27 @@ def test_verify_far_identity_suites_take_one_core_call(workloads, tmp_path, monk
         assert [n for c_i, n, roots in calls if c_i is c and not roots] == [143]
         assert all(c_i is c for c_i, _, _ in calls) == (i > 0), calls
         assert any(roots for c_i, _, roots in calls if c_i is c)
+
+
+def test_verify_far_sets_solve_their_cubics_in_one_call(workloads, tmp_path, monkeypatch):
+    """run_verify on a seed-41 verify-far set solves the 80 cubics of its real
+    grid in one solve_multipliers call, which the discriminant-consistency and
+    multiplier-symmetry suites share; the free-case closed forms, built once
+    per process, add one 40-row call to the first.
+    """
+    ops = workloads.WORKLOADS["verify-far"].build(np.random.default_rng(41), str(tmp_path))
+    rows = []
+    solve_multipliers = checks.mult.solve_multipliers
+
+    def counting(T, T_conj_bar):
+        rows.append(np.size(T))
+        return solve_multipliers(T, T_conj_bar)
+
+    monkeypatch.setattr(checks.mult, "solve_multipliers", counting)
+    for i, op in enumerate([op for op in ops if op.kind == "verify"]):
+        rows.clear()
+        assert all(r.passed for r in checks.run_verify(load_coefficients(op.coeffs)))
+        assert rows == ([80] if i else [80, 40]), (op.argv, rows)
 
 
 def test_verify_far_root_counts_ask_the_tight_pairs_first(workloads, tmp_path, monkeypatch):
