@@ -42,6 +42,7 @@ from .monodromy import (
     free_diagonalizer,
     picard_monodromy,
     propagate_pairs,
+    spectral_norms,
     symplectic_residual,
     trace_at,
     traces_at,
@@ -98,6 +99,7 @@ __all__ = [
     "scan_real_axis",
     "sigma3_intervals",
     "solve_multipliers",
+    "spectral_norms",
     "symplectic_residual",
     "trace_at",
     "traces_at",

@@ -27,6 +27,7 @@ from .monodromy import (
     free_diagonalizer,
     period_maps,
     picard_maps,
+    spectral_norms,
     symplectic_residual,
     traces_at,
 )
@@ -69,9 +70,21 @@ def _real_grid() -> np.ndarray:
     return np.linspace(-500.0, 500.0, 80)  # an even count keeps lambda = 0 out
 
 
+def _free_bound_data(lams: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The growth-bounds suite's grid-only data, from one SpectralParameter per lambda != 0:
+    z0, z, the free trace T0, V, V^-1 and the diagonal free propagator."""
+    params = [SpectralParameter.from_lambda(lam) for lam in lams]
+    z = np.array([prm.z for prm in params])
+    T0 = np.array([sum(mult.free_multipliers(prm)) for prm in params])
+    V, V_inv, B = free_diagonalizer(params)
+    diag_free = np.exp(1j * z[:, np.newaxis] * np.diag(B))[:, np.newaxis] * np.eye(3)
+    return np.array([prm.z0 for prm in params]), z, T0, V, V_inv, diag_free
+
+
 @functools.cache
-def _fixed_grids() -> tuple[np.ndarray, tuple[np.ndarray, ...], list[complex]]:
-    """verify's fixed points as one array without repeats, and the char-poly taus.
+def _fixed_grids() -> tuple[np.ndarray, tuple[np.ndarray, ...], list[complex], tuple]:
+    """verify's fixed points as one array without repeats, the char-poly taus and the
+    growth-bounds data of the real grid (_free_bound_data).
 
     Four row arrays index it: the real grid, 20 complex points then their conjugates, the
     series points and the reduction points.  The union opens at the real grid's first point,
@@ -85,18 +98,18 @@ def _fixed_grids() -> tuple[np.ndarray, tuple[np.ndarray, ...], list[complex]]:
     index: dict[complex, int] = {}  # row of each lambda
     rows = tuple(np.array([index.setdefault(complex(lam), len(index)) for lam in grid])
                  for grid in grids)
-    return np.array(list(index)), rows, list(taus)
+    return np.array(list(index)), rows, list(taus), _free_bound_data(grids[0])
 
 
-def check_determinant_identity(M: np.ndarray) -> CheckResult:
-    worst = det_residual(M).max()
+def check_determinant_identity(M: np.ndarray, norms: np.ndarray) -> CheckResult:
+    worst = det_residual(M, norms).max()
     return CheckResult("determinant-identity", worst <= _ROUNDOFF, worst, _ROUNDOFF)
 
 
-def check_symplectic_identity(M_real: np.ndarray, M_pairs: np.ndarray) -> CheckResult:
-    """Each real point its own pair; complex points first, then their conjugates."""
-    worst = max(symplectic_residual(M_real, M_real).max(),
-                symplectic_residual(M_pairs, np.roll(M_pairs, len(M_pairs) // 2, axis=0)).max())
+def check_symplectic_identity(M: np.ndarray, M_conj: np.ndarray, norms: np.ndarray,
+                              norms_conj: np.ndarray) -> CheckResult:
+    """Rows paired by index: a real point with itself, a complex one with its conjugate."""
+    worst = symplectic_residual(M, M_conj, norms, norms_conj).max()
     return CheckResult("symplectic-identity", worst <= _ROUNDOFF, worst, _ROUNDOFF)
 
 
@@ -135,27 +148,20 @@ def check_discriminant_consistency(T: np.ndarray, roots: np.ndarray) -> CheckRes
     return CheckResult("discriminant-consistency", worst <= 1e-6, worst, 1e-6)
 
 
-def check_trace_bounds(kappa: float, lams: np.ndarray, M: np.ndarray,
-                       T: np.ndarray) -> CheckResult:
+def check_trace_bounds(kappa: float, free: tuple, M: np.ndarray, T: np.ndarray) -> CheckResult:
     """|T| <= 3 e^{z0+kappa}, and perturbation bounds, which hold for |lambda| >= 1.
 
     The perturbation bounds are |T - T0| <= 3 kappa e^{z0+kappa} / |z| and,
     in the frame that diagonalizes the free system, a matching bound on the
-    full matrix deviation from the diagonal free propagator.  The real grid
-    holds no point with |lambda| < 1.
+    full matrix deviation from the diagonal free propagator.  free is the
+    _free_bound_data of the grid, which holds no point with |lambda| < 1.
     """
-    params = [SpectralParameter.from_lambda(lam) for lam in lams]
-    z0 = np.array([prm.z0 for prm in params])
+    z0, z, T0, V, V_inv, diag_free = free
     worst = float(np.max(np.abs(T) / (3.0 * np.exp(z0 + kappa))))
     if kappa > 0:
-        z = np.array([prm.z for prm in params])
         matrix_cap = kappa * np.exp(z0 + kappa) / np.abs(z)
-        T0 = np.array([sum(mult.free_multipliers(prm)) for prm in params])
         worst = max(worst, float(np.max(np.abs(T - T0) / (3.0 * matrix_cap))))
-        V, V_inv, B = free_diagonalizer(params)
-        frame = V_inv @ M.astype(complex) @ V
-        diag_free = np.exp(1j * z[:, np.newaxis] * np.diag(B))[:, np.newaxis] * np.eye(3)
-        deviation = np.linalg.norm(frame - diag_free, 2, axis=(-2, -1))
+        deviation = spectral_norms(V_inv @ M.astype(complex) @ V - diag_free)
         worst = max(worst, float(np.max(deviation / matrix_cap)))
     return CheckResult("growth-bounds", worst <= 1.0 + _BOUND_SLACK, worst, 1.0,
                        detail="(ratios to the proved caps)")
@@ -222,18 +228,22 @@ def check_root_counts(c: PeriodicCoefficients) -> CheckResult:
 
 
 def run_verify(c: PeriodicCoefficients) -> list[CheckResult]:
-    """Eleven suites on c; the fixed-grid ones read rows of one map stack and one root stack."""
-    lams, (real, pairs, series, reduction), taus = _fixed_grids()
+    """Eleven suites on c; the fixed-grid ones read rows of one map, norm and root stack."""
+    lams, (real, pairs, series, reduction), taus, free = _fixed_grids()
     M = period_maps(c, lams)
+    norms = spectral_norms(M)  # every map's norm, once
     T = np.array(_traces(M))
     roots = mult.solve_multipliers(T[real], np.conj(T[real]))  # the real grid's cubics, once
+    # symplectic pairs: each real point with itself, complex points with their conjugates
+    rows = np.concatenate((real, pairs))
+    partner = np.concatenate((real, np.roll(pairs, len(pairs) // 2)))
     return [
-        check_determinant_identity(M[real]),
-        check_symplectic_identity(M[real], M[pairs]),
+        check_determinant_identity(M[real], norms[real]),
+        check_symplectic_identity(M[rows], M[partner], norms[rows], norms[partner]),
         check_char_poly_identity(M[pairs], T[pairs], taus),
         check_free_trace(),
         check_discriminant_consistency(T[real], roots),
-        check_trace_bounds(c.kappa, lams[real], M[real], T[real]),
+        check_trace_bounds(c.kappa, free, M[real], T[real]),
         check_picard_agreement(c, lams[series], M[series]),
         check_free_closed_forms(),
         check_multiplier_symmetry(roots),

@@ -28,7 +28,7 @@ from .coeffs import PeriodicCoefficients, load_coefficients
 from .discriminant import sigma3_intervals
 from .floquet import eigenvalues_at_k
 from .monodromy import PicardTruncationError, PropagationOverflowError
-from .util import parse_int_range
+from .util import MAX_GRID_POINTS, parse_int_range
 
 
 def _add_coefficient_args(p: argparse.ArgumentParser) -> None:
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--interval", type=_parse_interval, required=True,
                         metavar="A,B", help="real scan window")
     p_scan.add_argument("--points", type=int, default=201,
-                        help="grid points in the window (default 201)")
+                        help=f"grid points in the window (default 201, at most {MAX_GRID_POINTS})")
     _add_output_args(p_scan)
 
     p_eigs = sub.add_parser("eigs", help="eigenvalue table at one quasimomentum")
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="search interval (default: heuristic window from the coefficient norm)",
     )
     p_sig.add_argument("--points", type=int, default=2001,
-                       help="scan grid points (default 2001)")
+                       help=f"scan grid points (default 2001, at most {MAX_GRID_POINTS})")
     p_sig.add_argument("--tol", type=float, default=1e-6, help="endpoint tolerance")
     _add_output_args(p_sig)
 
@@ -295,6 +295,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return command[args.command](args, c, _config_echo(args, c))
     except (OSError, ValueError, PropagationOverflowError, PicardTruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's refused allocations included
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._rootfind import brent_steps, lockstep
 from .coeffs import PeriodicCoefficients
-from .monodromy import traces_at
+from .monodromy import _check_growth, traces_at
 
 
 def char_real_function(k: float, T: complex) -> float:
@@ -188,7 +188,9 @@ def eigenvalues_at_k(
     is the expected signature of an even-order touch of F at a double
     eigenvalue.  The seeds advance in lockstep on one trace table: each
     round's points that the call has not mapped yet go to the period-map
-    core together, in one call.
+    core together, in one call.  The guard refuses the whole first round,
+    where every search opens, so it is asked first about the openings of the
+    two end seeds, the largest |n|, before any search is built.
     """
     k = float(k)
     if not 0.0 <= k < 2.0 * math.pi:
@@ -200,6 +202,7 @@ def eigenvalues_at_k(
         raise ValueError("empty index range")
 
     means = float(np.mean(c.p_samples)), float(np.mean(c.q_samples))
+    _check_growth(c, [s**3 for n in (n_lo, n_hi) for s in next(_bracket(k, n, *means))])
     traces: dict[float, complex] = {}
     searches = [_solve_one(k, n, tol, means, traces) for n in range(n_lo, n_hi + 1)]
     outcomes = lockstep(_f_in_s(c, k, traces), searches)

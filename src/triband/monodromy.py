@@ -137,8 +137,8 @@ def _check_growth(c: PeriodicCoefficients, lams: Sequence[complex]) -> None:
             raise refusal
 
 
-def det_residual(M: np.ndarray) -> np.ndarray:
-    """|det M - 1| / ||M||^3 for a stack (L, 3, 3) of period maps, as L floats.
+def det_residual(M: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """|det M - 1| / ||M||^3 for a stack (L, 3, 3) of period maps and their spectral_norms.
 
     The raw residual grows like ||M||^3, so above |lambda| ~ 1e3 it no
     longer tells roundoff from a fault; the scaled one stays at roundoff
@@ -147,34 +147,37 @@ def det_residual(M: np.ndarray) -> np.ndarray:
     on a step set was off by 1.4e-11 relative at lambda = -2e8 while both
     scaled residuals sat at roundoff.
     """
-    norm = _norms(M)
     # det3 reads M[i, j] as the stack of entries (i, j)
-    return (np.abs(det3(np.moveaxis(M, 0, -1)) - 1) / norm / norm / norm).astype(float)
+    return (np.abs(det3(np.moveaxis(M, 0, -1)) - 1) / norms / norms / norms).astype(float)
 
 
-def symplectic_residual(M: np.ndarray, M_conj: np.ndarray) -> np.ndarray:
+def symplectic_residual(M: np.ndarray, M_conj: np.ndarray, norms: np.ndarray,
+                        norms_conj: np.ndarray) -> np.ndarray:
     """||M(conj(lambda))^* J M(lambda) - J|| / (||M(conj(lambda))|| ||M(lambda)||), as L floats.
 
-    M and M_conj are stacks (L, 3, 3) paired by index; for real lambda
-    pass the same stack twice.  The defect is formed in M's dtype and
-    divided by one norm at a time, so nothing overflows.
+    M and M_conj are stacks (L, 3, 3) paired by index, norms and norms_conj
+    their spectral_norms; for real lambda pass the same stack twice.  The
+    defect is formed in M's dtype and divided by one norm at a time, so
+    nothing overflows.
     """
     J = SYMPLECTIC_J.astype(M.dtype)
     R = np.swapaxes(M_conj.conj(), -1, -2) @ J @ M - J
-    R = R / _norms(M_conj)[:, np.newaxis, np.newaxis] / _norms(M)[:, np.newaxis, np.newaxis]
-    return np.linalg.norm(R.astype(np.complex128), 2, axis=(-2, -1))
+    R = R / norms_conj[:, np.newaxis, np.newaxis] / norms[:, np.newaxis, np.newaxis]
+    return spectral_norms(R).astype(float)
 
 
-def _norms(M: np.ndarray) -> np.ndarray:
-    """Spectral norms of a stack (L, 3, 3) in M's own real dtype.
+def spectral_norms(M: np.ndarray) -> np.ndarray:
+    """Spectral norms of a stack (..., 3, 3) in M's own real dtype: the one norm routine.
 
-    Near the propagation guard ||M|| exceeds double range by a factor of
-    up to |lambda|^(2/3), so the complex128 SVD runs on each map scaled by
-    its own largest entry and the scale is multiplied back in M's type.
+    Near the propagation guard ||M|| exceeds double range by a factor of up to
+    |lambda|^(2/3), so each map is scaled by its largest entry in M's type to U in
+    complex128, and ||M|| = scale sqrt(lambda_max(U^H U)) from one stacked Hermitian
+    eigensolve, row by row (an all-zero map has norm 0).  It matches the SVD to a few
+    eps, at sigma_1 = sigma_2 too, where a closed-form cubic root loses half the digits.
     """
     scale = np.abs(M).max(axis=(-2, -1))
-    unit = (M / scale[:, np.newaxis, np.newaxis]).astype(np.complex128)
-    return scale * np.linalg.norm(unit, 2, axis=(-2, -1))
+    U = (M / np.where(scale > 0, scale, 1)[..., np.newaxis, np.newaxis]).astype(np.complex128)
+    return scale * np.sqrt(np.linalg.eigvalsh(np.swapaxes(U.conj(), -1, -2) @ U)[..., -1])
 
 
 def _traces(M: np.ndarray) -> list[complex]:
@@ -316,8 +319,7 @@ def q_norm_integral(c: PeriodicCoefficients) -> float:
     """
     cells, p, q = c.runs.T
     _, Q = system_matrices([], p, q)
-    norms = np.linalg.norm(Q, 2, axis=(-2, -1))
-    return sum(np.repeat(norms, cells.astype(int)).tolist()) / c.grid_size
+    return sum(np.repeat(spectral_norms(Q), cells.astype(int)).tolist()) / c.grid_size
 
 
 # Terms allowed to the series, and its dtype
@@ -466,5 +468,5 @@ def picard_monodromy(
     """
     W, [(K, tail)] = _series_terms(c, [param.lam], tol)
     M = W.sum(axis=1)
-    norms = np.linalg.norm(W[0, : K + 1], 2, axis=(-2, -1)).tolist()
+    norms = spectral_norms(W[0, : K + 1]).tolist()
     return MonodromyResult(param, M[0], _traces(M)[0], K, tuple(norms), tail)

@@ -5,6 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 
+# The most points of a scan or sigma3 grid: a scan maps all its points in one core call, at
+# a peak of about 1.3 kB per point (tracemalloc, 20000-point scans at N = 64), so a million
+# ask for some 1.3 GB, and far more end in numpy's allocation error or run for hours.
+MAX_GRID_POINTS = 1_000_000
+
+
 def uniform_grid(a: float, b: float, points: int) -> np.ndarray:
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError(f"interval ends must be finite, got [{a}, {b}]")
@@ -14,6 +20,8 @@ def uniform_grid(a: float, b: float, points: int) -> np.ndarray:
         raise ValueError(f"interval width overflows the float range, got [{a}, {b}]")
     if points < 2:
         raise ValueError("need at least 2 grid points")
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"need at most {MAX_GRID_POINTS} grid points, got {points}")
     return np.linspace(a, b, points)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import triband.checks as checks
+import triband.monodromy as monodromy
 from triband import SpectralParameter, free_diagonalizer, free_trace, propagate_pairs, trace_at
 from triband.monodromy import period_maps
 from triband._linalg import EXTENDED, det3
@@ -18,7 +19,7 @@ def _trace_bounds_worst_per_point(c):
     """The growth-bounds ratio one point of the real grid at a time: the reference loop."""
     worst = 0.0
     kappa = c.kappa
-    lams, (real, *_), _ = checks._fixed_grids()
+    lams, (real, *_), *_ = checks._fixed_grids()
     for lam in lams[real]:
         [M], T = period_maps(c, [lam]), trace_at(c, lam)
         param = SpectralParameter.from_lambda(lam)
@@ -53,13 +54,46 @@ def test_identity_suites_read_the_scaled_residuals(const_c, monkeypatch):
     monkeypatch.setattr(checks, "_real_grid", lambda: np.linspace(-2e3, 2e3, 60))
     maps, _ = propagate_pairs(const_c, checks._real_grid())
     assert max(abs(complex(det3(M)) - 1.0) for M in maps) > 1e-9
-    lams, (real, *_), _ = checks._fixed_grids()  # rebuilt under the patch
+    lams, (real, *_), *_ = checks._fixed_grids()  # rebuilt under the patch
     assert max(abs(lams[real])) == 2e3
     results = _results(const_c)
     for name in ("determinant-identity", "symplectic-identity"):
         result = results[name]
         assert result.passed
         assert result.threshold == 100 * np.finfo(EXTENDED).eps
+
+
+def test_run_verify_takes_one_norm_pass_per_stack(sin_c, monkeypatch):
+    """One spectral_norms pass per distinct stack, and no SVD: the 143 maps, the symplectic
+    defects of the 80 real and 40 paired rows together, the 80 growth-bounds deviations and
+    the series route's Q per run of equal cells."""
+    kernel, passes = monodromy.spectral_norms, []
+
+    def counting(M):
+        passes.append(M.shape)
+        return kernel(M)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called")
+
+    monkeypatch.setattr(checks, "spectral_norms", counting)
+    monkeypatch.setattr(monodromy, "spectral_norms", counting)
+    monkeypatch.setattr(np.linalg, "norm", no_svd)
+    assert all(r.passed for r in checks.run_verify(sin_c))
+    assert sorted(passes) == [(64, 3, 3), (80, 3, 3), (120, 3, 3), (143, 3, 3)]
+
+
+def test_growth_bound_data_are_built_once_per_grid(sin_c, monkeypatch):
+    """The free data of the growth-bounds suite come with the cached grids: a second
+    verify call builds none, and a patched real grid rebuilds them."""
+    built, diagonalizer = [], checks.free_diagonalizer
+    monkeypatch.setattr(checks, "free_diagonalizer",
+                        lambda params: built.append(len(params)) or diagonalizer(params))
+    first = _results(sin_c)["growth-bounds"]
+    assert _results(sin_c)["growth-bounds"] == first and built == [80]
+    monkeypatch.setattr(checks, "_real_grid", lambda: np.linspace(-2e3, 2e3, 60))
+    checks._fixed_grids.cache_clear()
+    assert _results(sin_c)["growth-bounds"].passed and built == [80, 60]
 
 
 def test_fixed_grids_share_one_real_grid_and_one_complex_set():
@@ -70,7 +104,7 @@ def test_fixed_grids_share_one_real_grid_and_one_complex_set():
     The growth-bounds suite applies its |lambda| >= 1 bounds at every point of
     the real grid, so the grid holds none below.
     """
-    lams, (real, pairs, series, reduction), taus = checks._fixed_grids()
+    lams, (real, pairs, series, reduction), taus, _ = checks._fixed_grids()
     assert len(real) == 80 and all(lams[real].imag == 0.0)
     assert np.array_equal(lams[real], checks._real_grid())
     assert min(abs(checks._real_grid())) >= 1.0

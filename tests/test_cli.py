@@ -5,13 +5,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from triband import cli
+from triband import cli, floquet
 from triband.checks import CheckResult
 from triband.cli import build_parser, main
+from triband.util import MAX_GRID_POINTS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -238,6 +241,66 @@ def test_window_whose_width_overflows_is_one_error_line(capsys, argv, interval):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: interval width overflows the float range, got {interval}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--p-const", "1", "--q-const", "0", "--interval", "0,1"],
+        ["sigma3", "--p-const", "1", "--q-const", "0"],
+    ],
+    ids=["scan", "sigma3"],
+)
+def test_points_above_the_cap_are_one_error_line(capsys, argv):
+    """One point past MAX_GRID_POINTS is refused before any grid is built."""
+    points = str(MAX_GRID_POINTS + 1)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv, "--points", points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == f"error: need at most {MAX_GRID_POINTS} grid points, got {points}\n"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError("Unable to allocate 745. GiB"), "out of memory: Unable to allocate 745. GiB"),
+        (MemoryError(), "out of memory"),
+    ],
+    ids=["numpy-message", "bare"],
+)
+def test_memory_error_is_one_error_line(capsys, monkeypatch, error, line):
+    """An allocation that fails, numpy's refusal included, ends in one error: line."""
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    argv = ["scan", "--p-const", "1", "--q-const", "0", "--interval", "0,1", "--points", "5"]
+    assert run_cli(capsys, *argv) == (1, "", f"error: {line}\n")
+
+
+def test_eigs_refuses_at_the_end_seeds_before_any_search(capsys, monkeypatch):
+    """A range whose far end the growth guard refuses maps at most the tight pairs of its two
+    end seeds and builds no search; a range inside the guard keeps its output."""
+    checked, built = [], []
+    guard, solve_one = floquet._check_growth, floquet._solve_one
+    monkeypatch.setattr(floquet, "_check_growth", lambda c, lams: checked.append(len(lams))
+                        or guard(c, lams))
+    monkeypatch.setattr(floquet, "_solve_one", lambda *args: built.append(args) or solve_one(*args))
+    argv = ["eigs", "--p-const", "1", "--q-const", "0", "--k", "1"]
+    code, out, err = run_cli(capsys, *argv, "--n-range", "0..5000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: growth exponent z0 + kappa = ") and err.endswith(
+        f"{_GUARD_TAIL}\n")
+    assert checked == [4] and built == []
+    monkeypatch.undo()
+    inside = run_cli(capsys, *argv, "--n-range", "-3..3")
+    monkeypatch.setattr(floquet, "_check_growth", lambda c, lams: None)
+    assert run_cli(capsys, *argv, "--n-range", "-3..3") == inside
 
 
 def test_missing_coefficients_rejected():

@@ -17,6 +17,7 @@ from triband import (
     free_trace,
     picard_monodromy,
     propagate_pairs,
+    spectral_norms,
     symplectic_residual,
     trace_at,
     traces_at,
@@ -104,13 +105,17 @@ def test_system_matrices_entries():
 
 
 def test_system_matrices_stack_and_q_norm_match_cell_loop(sin_c):
+    """The integral is the cell loop of one-map spectral_norms calls bit for bit, and the
+    loop of SVD norms to 1e-14."""
     _, Q = system_matrices([3.0], sin_c.p_samples, sin_c.q_samples)
-    total = 0.0
+    total = svd_total = 0.0
     for i in range(sin_c.grid_size):
         _, Q_i = system_matrices([3.0], sin_c.p_samples[i], sin_c.q_samples[i])
         assert np.array_equal(Q[i], Q_i)
-        total += np.linalg.norm(Q_i, 2)
+        total += float(spectral_norms(Q_i))
+        svd_total += np.linalg.norm(Q_i, 2)
     assert q_norm_integral(sin_c) == total / sin_c.grid_size
+    assert q_norm_integral(sin_c) == pytest.approx(svd_total / sin_c.grid_size, rel=1e-14)
 
 
 # -------------------------------------------------- period maps and pairs
@@ -177,8 +182,9 @@ def test_scaled_residuals_stay_at_roundoff(const_c, sin_c, lam):
     """
     for c in (const_c, sin_c, STEPS):
         M = period_maps(c, [lam])
-        assert det_residual(M)[0] <= 1e-17
-        assert symplectic_residual(M, M)[0] <= 1e-15
+        norms = spectral_norms(M)
+        assert det_residual(M, norms)[0] <= 1e-17
+        assert symplectic_residual(M, M, norms, norms)[0] <= 1e-15
 
 
 def test_scaled_residuals_scale_each_map_by_its_own_entries():
@@ -188,11 +194,13 @@ def test_scaled_residuals_scale_each_map_by_its_own_entries():
     stack moves the residuals of the small maps in their last bits.
     """
     M = period_maps(STEPS, [1e2, -1e4, 1e8, -2e8])
-    det, symp = det_residual(M), symplectic_residual(M, M)
+    norms = spectral_norms(M)
+    det, symp = det_residual(M, norms), symplectic_residual(M, M, norms, norms)
     for i in range(len(M)):
         one = M[i : i + 1]
-        assert det[i] == det_residual(one)[0]
-        assert symp[i] == symplectic_residual(one, one)[0]
+        one_norm = spectral_norms(one)
+        assert det[i] == det_residual(one, one_norm)[0]
+        assert symp[i] == symplectic_residual(one, one, one_norm, one_norm)[0]
     assert max(det.max(), symp.max()) <= 100 * np.finfo(EXTENDED).eps
 
 
@@ -204,7 +212,8 @@ def test_symplectic_identity_complex_pairs(sin_c):
         assert _raw_residuals(M, M_bar)[1] <= 1e-8
         assert _raw_residuals(M_bar, M)[1] <= 1e-8
         pair = np.stack((M, M_bar))
-        assert symplectic_residual(pair, pair[::-1]).max() <= 1e-15
+        norms = spectral_norms(pair)
+        assert symplectic_residual(pair, pair[::-1], norms, norms[::-1]).max() <= 1e-15
         # direct form of the identity
         J = SYMPLECTIC_J
         R = np.asarray(M_bar, complex).conj().T @ J @ np.asarray(M, complex) - J
@@ -229,7 +238,8 @@ def test_propagate_pairs_is_one_core_call(sin_c, monkeypatch):
     assert M.shape == M_conj.shape == (len(_PAIR_LAMBDAS), 3, 3)
     propagate_pairs(sin_c, [7.0, -1.0])
     assert calls[1:] == [2]
-    assert symplectic_residual(M, M_conj).max() <= 1e-15
+    norms, norms_conj = spectral_norms(M), spectral_norms(M_conj)
+    assert symplectic_residual(M, M_conj, norms, norms_conj).max() <= 1e-15
 
 
 def test_pair_rows_are_the_maps_at_conj_lambda(sin_c):
@@ -675,7 +685,66 @@ def test_standard_conjugate_against_classical_integration():
 
 def test_symplectic_residual_direct():
     M = np.eye(3, dtype=complex)[np.newaxis]
-    assert symplectic_residual(M, M)[0] == pytest.approx(0.0, abs=1e-15)
+    norms = spectral_norms(M)
+    assert symplectic_residual(M, M, norms, norms)[0] == pytest.approx(0.0, abs=1e-15)
+
+
+# ------------------------------------------------------- the norm kernel
+
+
+def _unitaries(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3)))[0]
+
+
+def _norm_stacks():
+    rng = np.random.default_rng(26)
+    random = rng.normal(size=(40, 3, 3)) + 1j * rng.normal(size=(40, 3, 3))
+    u, v = random[:, :, 0], random[:, 0, :]
+    # sigma_1 = sigma_2: U diag(2, 2, 0.5) W for unitary U and W
+    double = _unitaries(rng, 40) * np.array([2.0, 2.0, 0.5]) @ _unitaries(rng, 40)
+    return {
+        "random": random,
+        "rank-1": u[:, :, np.newaxis] * v.conj()[:, np.newaxis, :],
+        "sigma1-equals-sigma2": double,
+        "near-identity": np.eye(3) + 1e-9 * random,
+    }
+
+
+@pytest.mark.parametrize("kind", ["random", "rank-1", "sigma1-equals-sigma2", "near-identity"])
+def test_spectral_norms_agree_with_the_svd(kind):
+    M = _norm_stacks()[kind]
+    svd = np.linalg.norm(M, 2, axis=(-2, -1))
+    assert np.abs(spectral_norms(M) / svd - 1).max() <= 1e-14
+
+
+def test_spectral_norms_of_extended_maps_past_double_range():
+    """At lambda = -2e8 and scaled past double range, in the maps' own long double type,
+    against the SVD of each map scaled by its largest entry."""
+    [M] = period_maps(STEPS, [-2e8])
+    far = M * np.longdouble(2.0) ** 1000
+    assert np.abs(far).max() > np.finfo(float).max
+    for X in (M, far):
+        scale = np.abs(X).max()
+        svd = scale * np.linalg.norm((X / scale).astype(complex), 2)
+        norm = spectral_norms(X)
+        assert norm.dtype == np.finfo(EXTENDED).dtype and np.isfinite(norm)
+        assert abs(norm / svd - 1) <= 1e-14
+
+
+def test_spectral_norms_of_a_zero_map_is_zero():
+    for dtype in (complex, EXTENDED):
+        M = np.zeros((3, 3, 3), dtype=dtype)
+        M[1] = np.eye(3)
+        assert spectral_norms(M).tolist() == [0.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("kind", ["random", "rank-1", "sigma1-equals-sigma2", "near-identity"])
+def test_spectral_norms_rows_are_one_map_calls(kind):
+    M = _norm_stacks()[kind]
+    for stack in (M, M.astype(EXTENDED) * np.longdouble(10.0) ** 300):
+        norms = spectral_norms(stack)
+        assert all(norms[i] == spectral_norms(stack[i]) == spectral_norms(stack[i : i + 1])[0]
+                   for i in range(len(stack)))
 
 
 # ------------------------------------------------------- batched core

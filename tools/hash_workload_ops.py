@@ -14,13 +14,15 @@ exception.  A probe's flags are digested in sorted order: a frozenset's
 repr follows PYTHONHASHSEED once it holds two flags.  Each seed's line is
 followed by one digest per operation kind (scan, eigs, sigma3, verify,
 probe) over the same records, so a change confined to one command shows
-as the other kinds' digests held.
+as the other kinds' digests held, and by a verify-masked digest: the
+verify records with every ``worst`` number masked, so a change that moves
+only the roundoff residuals verify reports shows every other byte held.
 
 The workload scans have 2-3 points, so a second digest covers dense CLI
 tables: 2001-point scans through lambda = 0 and the triple set on the
 conftest fixtures and ROOT/tests/golden/steps.json, each fixture's sigma3
 in its default window, and its verify, in CSV and JSON; it too is split
-per command.
+per command, with a verify-masked digest.
 
 The CLI echoes the coefficient file paths into its output, so the files
 are written into WORKDIR; hash two checkouts with the same WORKDIR to
@@ -36,6 +38,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -62,6 +65,15 @@ _DENSE_FIXTURES = {
     "sin_c": (["--coeffs", "sin_c.json"], ["-60,60", "-0.01,0.01", "0.000537,0.000557"]),
     "steps": (["--coeffs", "steps.json"], ["-200,200", "-20,20", "11.31170,11.31172"]),
 }
+
+
+# the number after "worst " in verify's text report or after "worst": in its JSON
+_WORST = re.compile(rb'(worst"?:? )[^ ,\n]+')
+
+
+def _masked(record: bytes) -> bytes:
+    """A verify record with its worst numbers replaced by '#'."""
+    return _WORST.sub(rb"\1#", record)
 
 
 class _SortedFlags(frozenset):
@@ -154,6 +166,8 @@ def main(argv: list[str] | None = None) -> int:
                 digest.update(record)
                 total.update(record)
                 kinds.update(op.kind, record)
+                if op.kind == "verify":
+                    kinds.update("verify-masked", _masked(record))
                 count += 1
         total_count += count
         print(f"seed {seed}: {count} operations, sha256 {digest.hexdigest()}")
@@ -164,6 +178,8 @@ def main(argv: list[str] | None = None) -> int:
         record = f"{argv!r}\n{_cli_text(cli, argv)}\n".encode()
         dense.update(record)
         commands.update(argv[0], record)
+        if argv[0] == "verify":
+            commands.update("verify-masked", _masked(record))
     print(f"dense tables: {len(argvs)} commands, sha256 {dense.hexdigest()}")
     commands.report("dense tables", "commands")
     return 0
