@@ -41,16 +41,13 @@ from .monodromy import (
     det_residual,
     free_diagonalizer,
     picard_monodromy,
-    propagate_pairs,
     spectral_norms,
     symplectic_residual,
     trace_at,
     traces_at,
 )
 from .multipliers import (
-    Classification,
     MultiplierSet,
-    classify_on_circle,
     continue_branches,
     free_multipliers,
     multiplier_set,
@@ -59,7 +56,6 @@ from .multipliers import (
 
 __all__ = [
     "BandPoint",
-    "Classification",
     "DiskCountResult",
     "FloquetEigenvalue",
     "FloquetSolveResult",
@@ -77,7 +73,6 @@ __all__ = [
     "band_point",
     "char_poly",
     "char_real_function",
-    "classify_on_circle",
     "continue_branches",
     "count_in_disk",
     "default_search_interval",
@@ -92,7 +87,6 @@ __all__ = [
     "multiplier_set",
     "parse_coefficients",
     "picard_monodromy",
-    "propagate_pairs",
     "rho_at",
     "rho_product_formula",
     "rho_trace_formula",

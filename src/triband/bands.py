@@ -36,9 +36,11 @@ class BandPoint:
     within the degeneracy tolerance of zero are flagged near-branch-point
     (both classifications are unreliable there by construction, so the
     consistency invariant multiplicity == on_circle_count holds off the
-    flagged set).  That flag is decided here alone, for band_point and
-    scan alike; continuation adds only ambiguous-match.  lyapunov_branches lists all three Lyapunov values in
-    branch-label order with branch_on_circle marking the unimodular ones;
+    flagged set).  That flag, on_circle_count and the degenerate flag (a
+    count other than one or three) are decided here alone, for band_point
+    and scan alike; continuation adds only ambiguous-match.
+    lyapunov_branches lists all three Lyapunov values in branch-label order
+    with branch_on_circle marking the unimodular ones;
     lyapunov_real_branches keeps just those values, clipped into [-1, 1].
     """
 

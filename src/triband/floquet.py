@@ -73,9 +73,6 @@ class FloquetSolveResult:
     eigenvalues: tuple[FloquetEigenvalue, ...]
     missed: tuple[MissedRoot, ...]
 
-    def lambdas(self) -> np.ndarray:
-        return np.array([e.lambda_n for e in self.eigenvalues])
-
 
 _GROW = 1.45
 _FINE_SCAN = 48

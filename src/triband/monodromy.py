@@ -250,25 +250,6 @@ def _framed_runs(c: PeriodicCoefficients, lams: Sequence[complex], dtype):
     return runs, widths, points, frame.reshape(-1, 9).take(_ABC, axis=1), frame
 
 
-def propagate_pairs(
-    c: PeriodicCoefficients, lams: Iterable[complex]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Period maps at each lambda and at its conjugate, as stacks (M, M_conj) paired by row.
-
-    The symplectic identity and char_poly couple the two points, so for
-    complex lambda a single evaluation cannot serve them; the pairing is
-    explicit instead of a silent conjugation.  A real lambda's row appears
-    in both stacks.  The points and the conjugates of the complex ones go
-    to period_maps in one call.
-    """
-    lams = [complex(lam) for lam in lams]
-    paired = [i for i, lam in enumerate(lams) if lam.imag != 0.0]
-    M = period_maps(c, lams + [lams[i].conjugate() for i in paired])
-    partner = np.arange(len(lams))  # row of the map at conj(lambda)
-    partner[paired] = np.arange(len(lams), len(M))
-    return M[: len(lams)], M[partner]
-
-
 def traces_at(c: PeriodicCoefficients, lams: Iterable[complex]) -> list[complex]:
     """T(lambda) = tr M(1, lambda) at every lambda, from one core call."""
     return _traces(period_maps(c, list(lams)))

@@ -8,16 +8,15 @@ have product 1, and for real lambda the set is invariant under
 tau -> 1/conj(tau).  Exactly one or all three lie on the unit circle at a
 real spectral point; in the one-on-circle case the remaining pair is
 (e^{ik}, e^{i conj(k)}) with nonreal k.  Each multiplier carries a Lyapunov
-value Delta = (tau + 1/tau)/2 = cos(k) and a quasimomentum k with
-Re k normalized to [0, 2pi); both are computed from tau on access.
+value Delta = (tau + 1/tau)/2 = cos(k), computed from tau on access.  This
+module says which multipliers are on the circle (on_circle); bands alone
+turns their count into a row's on_circle_count and degenerate flag.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,20 +33,13 @@ _PERMUTATIONS_3 = (
 )
 
 
-class Classification(Enum):
-    ALL_ON_CIRCLE = "all-on-circle"
-    ONE_ON_CIRCLE = "one-on-circle"
-    DEGENERATE = "degenerate"
-
-
 @dataclass(frozen=True)
 class MultiplierSet:
     """Multipliers at one spectral point, with the continuation's flag.
 
     After continue_branches, taus[j - 1] is branch j of the asymptotic
-    convention (branch j tends to exp(i z w^(j-1))).  The Lyapunov data and
-    the classification are views of taus; classification is None for
-    complex lambda.
+    convention (branch j tends to exp(i z w^(j-1))).  The Lyapunov data are
+    a view of taus.
     """
 
     lam: complex
@@ -59,23 +51,6 @@ class MultiplierSet:
         """Delta_j = (tau_j + 1/tau_j)/2; tau = 0 contradicts det M = 1."""
         assert all(tau != 0 for tau in self.taus), "zero multiplier contradicts det M = 1"
         return tuple((tau + 1.0 / tau) / 2.0 for tau in self.taus)
-
-    @property
-    def quasimomenta(self) -> tuple[complex, complex, complex]:
-        """k_j = -i log tau_j with Re k_j in [0, 2pi); Delta = cos(k) on every branch."""
-        quasi = []
-        for tau in self.taus:
-            k = -1j * cmath.log(tau)
-            if k.real < 0:
-                k += 2 * math.pi
-            quasi.append(k)
-        return tuple(quasi)
-
-    @property
-    def classification(self) -> Optional[Classification]:
-        if complex(self.lam).imag != 0.0:
-            return None
-        return classify_on_circle(self)
 
 
 def _newton_step(tau: complex, a: complex, b: complex) -> Optional[complex]:
@@ -166,23 +141,6 @@ def on_circle(taus: Sequence[complex]) -> tuple[bool, ...]:
     """
     tol = 1e-8 * (1.0 + min(abs(sum(taus)), _LARGE_TRACE))
     return tuple(bool(abs(abs(tau) - 1.0) <= tol) for tau in taus)
-
-
-def classify_on_circle(ms: MultiplierSet) -> Classification:
-    """Count unimodular multipliers at a real spectral point.
-
-    DEGENERATE marks a tolerance outcome of zero or two on-circle roots,
-    which only happens inside the uncertainty band around a branch point;
-    it is a request for refinement, never a final band classification.
-    """
-    if complex(ms.lam).imag != 0.0:
-        raise ValueError("on-circle classification is defined for real lambda only")
-    count = sum(on_circle(ms.taus))
-    if count == 3:
-        return Classification.ALL_ON_CIRCLE
-    if count == 1:
-        return Classification.ONE_ON_CIRCLE
-    return Classification.DEGENERATE
 
 
 def multiplier_set(lam: float, T: complex) -> MultiplierSet:

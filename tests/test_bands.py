@@ -6,12 +6,9 @@ import pytest
 import numpy as np
 
 from triband import (
-    Classification,
-    MultiplierSet,
     PeriodicCoefficients,
     band_point,
     bands,
-    classify_on_circle,
     multipliers,
     scan_real_axis,
 )
@@ -87,7 +84,7 @@ def test_degenerate_flag_follows_on_circle_count(monkeypatch, zero_c, taus, coun
     pt = band_point(zero_c, 8.0)
     assert pt.on_circle_count == count
     assert FLAG_DEGENERATE in pt.flags
-    assert classify_on_circle(MultiplierSet(lam=8.0, taus=taus)) is Classification.DEGENERATE
+    assert sum(multipliers.on_circle(taus)) == count
 
 
 def test_no_degenerate_flag_with_one_on_circle(monkeypatch, zero_c):
@@ -96,7 +93,7 @@ def test_no_degenerate_flag_with_one_on_circle(monkeypatch, zero_c):
     pt = band_point(zero_c, 8.0)
     assert pt.on_circle_count == 1
     assert FLAG_DEGENERATE not in pt.flags
-    assert classify_on_circle(MultiplierSet(lam=8.0, taus=taus)) is Classification.ONE_ON_CIRCLE
+    assert sum(multipliers.on_circle(taus)) == 1
 
 
 def test_on_circle_count_is_one_or_three(coefficient_sets):

@@ -5,7 +5,7 @@ import pytest
 
 import triband.checks as checks
 import triband.monodromy as monodromy
-from triband import SpectralParameter, free_diagonalizer, free_trace, propagate_pairs, trace_at
+from triband import SpectralParameter, free_diagonalizer, free_trace, trace_at
 from triband.monodromy import period_maps
 from triband._linalg import EXTENDED, det3
 
@@ -52,7 +52,7 @@ def test_identity_suites_read_the_scaled_residuals(const_c, monkeypatch):
     stay below 100 eps of the extended dtype.
     """
     monkeypatch.setattr(checks, "_real_grid", lambda: np.linspace(-2e3, 2e3, 60))
-    maps, _ = propagate_pairs(const_c, checks._real_grid())
+    maps = period_maps(const_c, checks._real_grid())
     assert max(abs(complex(det3(M)) - 1.0) for M in maps) > 1e-9
     lams, (real, *_), *_ = checks._fixed_grids()  # rebuilt under the patch
     assert max(abs(lams[real])) == 2e3

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from triband import (
-    Classification,
     OMEGA,
     PeriodicCoefficients,
     default_search_interval,
@@ -22,6 +21,7 @@ from triband import (
 )
 from triband import monodromy
 from triband._rootfind import brent_steps, lockstep
+from triband.multipliers import on_circle
 from triband.util import uniform_grid
 
 
@@ -77,7 +77,7 @@ def test_rho_positive_in_one_on_circle_case(coefficient_sets):
     for c in coefficient_sets:
         for lam, T in zip(lams, traces_at(c, lams)):
             ms = multiplier_set(lam, T)
-            if ms.classification is Classification.ONE_ON_CIRCLE:
+            if sum(on_circle(ms.taus)) == 1:
                 assert rho_product_formula(ms.taus).real > 0
 
 
@@ -111,9 +111,9 @@ def test_classification_matches_rho_sign(const_c, sin_c):
             if abs(rho) <= 1e-9 * (1 + abs(rho)):
                 continue  # boundary band: classification may be degenerate
             if rho > 0:
-                assert ms.classification is Classification.ONE_ON_CIRCLE
+                assert sum(on_circle(ms.taus)) == 1
             else:
-                assert ms.classification is Classification.ALL_ON_CIRCLE
+                assert sum(on_circle(ms.taus)) == 3
 
 
 # ------------------------------------------------------------- sigma3 scan

@@ -1,13 +1,16 @@
 """Every imported name in the package and the tests is used, and so is
-every private name the package defines.
+every private name the package defines, and every public one it exports.
 
 AST scans: a name bound by an import statement must occur as a name
 somewhere else in the module.  Names re-exported through ``__all__`` and
 ``from __future__`` imports are exempt.  A private (``_``-prefixed)
 module-level function, class or constant of the package must be read
-somewhere in the package or the tests outside its own definition.  No
-linter runs with the suite, so this is what keeps orphaned imports and
-orphaned helpers out.
+somewhere in the package or the tests outside its own definition.  A name
+in the package's ``__all__`` must be read by a consumer: the package
+outside ``__init__.py``, perfbench/ or tools/; the closed forms of
+``freecase`` are test oracles and may be read by the tests alone.  No
+linter runs with the suite, so this is what keeps orphaned imports,
+orphaned helpers and an unread public surface out.
 """
 
 import ast
@@ -117,3 +120,39 @@ def test_no_dead_private_names():
     package = {path.stem: path.read_text() for path in PACKAGE}
     tests = [path.read_text() for path in sorted(ROOT.glob("tests/*.py"))]
     assert dead_private_names(package, tests) == []
+
+
+def _names_and_attributes(source: str) -> set[str]:
+    """Every ast.Name and attribute of the source: what it calls or reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def unread_exports(exported: set[str], consumers: list[str], oracles: set[str],
+                   tests: list[str]) -> list[str]:
+    """The exported names that no consumer source reads; oracles may be read by tests."""
+    read = set().union(*map(_names_and_attributes, consumers))
+    read_by_tests = set().union(*map(_names_and_attributes, tests))
+    return sorted(name for name in exported
+                  if name not in read and not (name in oracles and name in read_by_tests))
+
+
+def test_scanner_flags_an_unread_export():
+    consumers = ["from .a import used\nused(1)\n", "import a\na.attr\n"]
+    tests = ["oracle(); stray()\n"]
+    exported = {"used", "attr", "oracle", "stray", "dropped"}
+    assert unread_exports(exported, consumers, {"oracle"}, tests) == ["dropped", "stray"]
+
+
+def test_every_export_has_a_consumer():
+    init = ROOT / "src" / "triband" / "__init__.py"
+    consumers = [path.read_text() for path in PACKAGE if path != init]
+    consumers += [path.read_text() for path in sorted(ROOT.glob("perfbench/*.py"))]
+    consumers += [path.read_text() for path in sorted(ROOT.glob("tools/*.py"))]
+    freecase = ast.parse((ROOT / "src" / "triband" / "freecase.py").read_text())
+    oracles = {node.name for node in freecase.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    tests = [path.read_text() for path in sorted(ROOT.glob("tests/*.py"))]
+    assert unread_exports(_exported(ast.parse(init.read_text())), consumers, oracles,
+                          tests) == []

@@ -16,14 +16,13 @@ from triband import (
     free_diagonalizer,
     free_trace,
     picard_monodromy,
-    propagate_pairs,
     spectral_norms,
     symplectic_residual,
     trace_at,
     traces_at,
     zero_coefficients,
 )
-from triband import monodromy
+from triband import checks, monodromy
 from triband._linalg import EXTENDED, det3
 from triband.monodromy import period_maps, q_norm_integral, system_matrices
 
@@ -208,7 +207,7 @@ def test_symplectic_identity_complex_pairs(sin_c):
     rng = np.random.default_rng(11)
     for _ in range(8):
         lam = complex(rng.uniform(-300, 300), rng.uniform(-300, 300))
-        [M], [M_bar] = propagate_pairs(sin_c, [lam])
+        M, M_bar = period_maps(sin_c, [lam, lam.conjugate()])
         assert _raw_residuals(M, M_bar)[1] <= 1e-8
         assert _raw_residuals(M_bar, M)[1] <= 1e-8
         pair = np.stack((M, M_bar))
@@ -223,29 +222,41 @@ def test_symplectic_identity_complex_pairs(sin_c):
 _PAIR_LAMBDAS = (7.0, 2.0 + 3.0j, -40.0, -50.0 - 12.0j, 0.0, 3e4 + 1e-3j)
 
 
-def test_propagate_pairs_is_one_core_call(sin_c, monkeypatch):
-    """L points, of which C complex, take one core call of L + C points:
-    a real lambda is its own partner, evaluated once."""
+def _conjugate_pairs(c):
+    """Maps at _PAIR_LAMBDAS and at their conjugates, paired by row, from one core call of
+    the L points and the conjugates of the C complex ones: a real lambda is its own partner,
+    evaluated once."""
+    lams = [complex(lam) for lam in _PAIR_LAMBDAS]
+    paired = [i for i, lam in enumerate(lams) if lam.imag != 0.0]
+    M = period_maps(c, lams + [lams[i].conjugate() for i in paired])
+    partner = np.arange(len(lams))  # row of the map at conj(lambda)
+    partner[paired] = np.arange(len(lams), len(M))
+    return M, M[: len(lams)], M[partner]
+
+
+def test_conjugate_pairs_are_one_core_call(sin_c, monkeypatch):
+    """L points, of which C complex, pair from one core call of L + C points, and verify
+    pairs its 80 real and 20 complex points inside its one core call of 143."""
+    stack, M, M_conj = _conjugate_pairs(sin_c)
+    assert stack.shape == (len(_PAIR_LAMBDAS) + 3, 3, 3)
+    norms, norms_conj = spectral_norms(M), spectral_norms(M_conj)
+    assert symplectic_residual(M, M_conj, norms, norms_conj).max() <= 1e-15
     core, calls = monodromy.period_maps, []
 
     def counting(c, lams, *args, **kwargs):
         calls.append(len(lams))
         return core(c, lams, *args, **kwargs)
 
-    monkeypatch.setattr(monodromy, "period_maps", counting)
-    M, M_conj = propagate_pairs(sin_c, _PAIR_LAMBDAS)
-    assert calls == [len(_PAIR_LAMBDAS) + 3]
-    assert M.shape == M_conj.shape == (len(_PAIR_LAMBDAS), 3, 3)
-    propagate_pairs(sin_c, [7.0, -1.0])
-    assert calls[1:] == [2]
-    norms, norms_conj = spectral_norms(M), spectral_norms(M_conj)
-    assert symplectic_residual(M, M_conj, norms, norms_conj).max() <= 1e-15
+    monkeypatch.setattr(checks, "period_maps", counting)
+    symplectic = checks.run_verify(sin_c)[1]
+    assert symplectic.name == "symplectic-identity" and symplectic.passed
+    assert calls == [143]
 
 
 def test_pair_rows_are_the_maps_at_conj_lambda(sin_c):
     """The M_conj row of a complex lambda is the core's map at conj(lambda),
     bit for bit; a real lambda's M_conj row is its M row."""
-    M, M_conj = propagate_pairs(sin_c, _PAIR_LAMBDAS)
+    _, M, M_conj = _conjugate_pairs(sin_c)
     assert _same_bits(M, period_maps(sin_c, _PAIR_LAMBDAS))
     for lam, row, conj_row in zip(_PAIR_LAMBDAS, M, M_conj):
         if complex(lam).imag == 0.0:
@@ -256,7 +267,7 @@ def test_pair_rows_are_the_maps_at_conj_lambda(sin_c):
 
 def test_overflow_fails_loudly(const_c):
     with pytest.raises(PropagationOverflowError):
-        propagate_pairs(const_c, [1e12])
+        period_maps(const_c, [1e12])
 
 
 def _across_the_guard(c, direction):
@@ -475,7 +486,8 @@ def test_picard_first_terms_against_quadrature_oracle():
 def test_symplectic_inverse_formula(sin_c):
     # the identity pins the inverse: M^{-1} = -J M(conj lambda)^* J
     J = SYMPLECTIC_J
-    for M, M_bar in zip(*propagate_pairs(sin_c, [4.0, -35.0, 6.0 + 2.0j])):
+    maps = period_maps(sin_c, [4.0, -35.0, 6.0 + 2.0j, 6.0 - 2.0j])
+    for M, M_bar in zip(maps, maps[[0, 1, 3, 2]]):
         M = np.asarray(M, complex)
         inv_direct = np.linalg.inv(M)
         inv_symplectic = -J @ np.asarray(M_bar, complex).conj().T @ J
@@ -630,7 +642,7 @@ def test_char_poly_matches_determinant_for_complex_lambda(sin_c):
     rng = np.random.default_rng(13)
     for _ in range(10):
         lam = complex(rng.uniform(-150, 150), rng.uniform(-150, 150))
-        [M], [M_conj] = propagate_pairs(sin_c, [lam])
+        M, M_conj = period_maps(sin_c, [lam, lam.conjugate()])
         T, T_conj = (complex(np.trace(m)) for m in (M, M_conj))
         tau = complex(rng.normal(), rng.normal())
         direct = complex(det3(np.asarray(M, complex) - tau * np.eye(3)))
@@ -789,11 +801,12 @@ def test_batched_core_equals_per_lambda_loop(family, n):
             for i, lam in zip(range(length), itertools.cycle(_MIXED_LAMBDAS))]
 
     batched = monodromy.period_maps(c, lams)
-    looped = np.stack([propagate_pairs(c, [lam])[0][0] for lam in lams])
+    looped = np.stack([monodromy.period_maps(c, [lam])[0] for lam in lams])
     assert batched.dtype == looped.dtype
     assert np.array_equal(batched, looped)
-    M, _ = propagate_pairs(c, lams)
-    assert np.array_equal(M, looped)
+    # the same rows with the conjugates of the complex points appended, as verify asks
+    conjugates = [complex(lam).conjugate() for lam in lams if complex(lam).imag != 0.0]
+    assert np.array_equal(monodromy.period_maps(c, lams + conjugates)[: len(lams)], looped)
     assert monodromy.traces_at(c, lams) == [monodromy.trace_at(c, lam) for lam in lams]
 
     wide = monodromy.period_maps(c, lams, dtype=np.complex128)
@@ -826,7 +839,7 @@ def test_calls_sharing_a_run_table_match_a_fresh_object():
 def test_batched_core_refuses_like_the_one_lambda_path(sin_c):
     far = -1e12
     with pytest.raises(PropagationOverflowError) as single:
-        propagate_pairs(sin_c, [far])
+        period_maps(sin_c, [far])
     with pytest.raises(PropagationOverflowError) as batched:
         monodromy.period_maps(sin_c, [1.0, 3 + 4j, far, -5.0])
     assert str(batched.value) == str(single.value)

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from triband import (
-    Classification,
     OMEGA,
     SpectralParameter,
-    classify_on_circle,
+    band_point,
     continue_branches,
     free_multipliers,
+    monodromy,
     multiplier_set,
-    propagate_pairs,
     rho_product_formula,
     scan_real_axis,
     solve_multipliers,
@@ -20,12 +19,18 @@ from triband import (
     traces_at,
 )
 from triband.bands import FLAG_NEAR_BRANCH_POINT
-from triband.multipliers import MultiplierSet
+from triband.multipliers import MultiplierSet, on_circle
 from triband.util import hausdorff_distance
 
 
 def P(lam):
     return SpectralParameter.from_lambda(lam)
+
+
+def quasimomentum(tau):
+    """k = -i log tau with Re k in [0, 2pi), so that tau = e^{ik} and Delta = cos(k)."""
+    k = -1j * cmath.log(tau)
+    return k + 2 * math.pi if k.real < 0 else k
 
 
 def test_triple_root():
@@ -47,7 +52,7 @@ def test_roots_match_matrix_eigenvalues(sin_c):
     rng = np.random.default_rng(2)
     for _ in range(12):
         lam = float(rng.uniform(-300, 300))
-        [M], _ = propagate_pairs(sin_c, [lam])
+        [M] = monodromy.period_maps(sin_c, [lam])
         T = trace_at(sin_c, lam)
         taus = np.sort_complex(solve_multipliers(T, np.conj(T)))
         eigs = np.sort_complex(np.linalg.eigvals(np.asarray(M, complex)))
@@ -106,7 +111,8 @@ def test_stacked_solve_equals_scalar_calls_at_perfect_cubes():
 def test_stacked_solve_equals_scalar_calls_on_unpaired_traces(sin_c):
     """Complex lambda: T(lambda) and conj(T(conj(lambda))) are two numbers."""
     lams = [complex(re, im) for re in (-300.0, -20.0, 5.0, 400.0) for im in (-80.0, 3.0, 150.0)]
-    M, M_conj = propagate_pairs(sin_c, lams)
+    maps = monodromy.period_maps(sin_c, lams + [lam.conjugate() for lam in lams])
+    M, M_conj = maps[: len(lams)], maps[len(lams) :]
     T = np.trace(M, axis1=1, axis2=2).astype(complex)
     T_conj_bar = np.conj(np.trace(M_conj, axis1=1, axis2=2)).astype(complex)
     assert (abs(T - np.conj(T_conj_bar)) > 1e-6 * abs(T)).all()
@@ -128,12 +134,12 @@ def test_stacked_solve_shapes_and_nonfinite_rows():
                 solve_multipliers(T, np.conj(T_bad))
 
 
-# ------------------------------------------------------- classification
+# ------------------------------------------------------ on-circle count
 
 
 def test_classify_one_on_circle_free(zero_c):
     ms = multiplier_set(8.0, trace_at(zero_c, 8.0))
-    assert ms.classification is Classification.ONE_ON_CIRCLE
+    assert sum(on_circle(ms.taus)) == 1
     moduli = sorted(abs(t) for t in ms.taus)
     assert moduli[0] == pytest.approx(math.exp(-math.sqrt(3)), rel=1e-8)
     assert moduli[1] == pytest.approx(1.0, abs=1e-9)
@@ -144,7 +150,7 @@ def test_classify_all_on_circle_at_triple_point(zero_c):
     # T(0) = 3: the multiplier is 1 with multiplicity three
     ms = multiplier_set(0.0, trace_at(zero_c, 0.0))
     assert ms.taus == (1.0, 1.0, 1.0)
-    assert ms.classification is Classification.ALL_ON_CIRCLE
+    assert sum(on_circle(ms.taus)) == 3
 
 
 def test_classify_off_circle_pair_structure(coefficient_sets):
@@ -153,29 +159,28 @@ def test_classify_off_circle_pair_structure(coefficient_sets):
     for c in coefficient_sets:
         for lam, T in zip(lams, traces_at(c, lams)):
             ms = multiplier_set(lam, T)
-            if ms.classification is not Classification.ONE_ON_CIRCLE:
+            if sum(on_circle(ms.taus)) != 1:
                 continue
             off = [t for t in ms.taus if abs(abs(t) - 1) > 1e-6]
             assert len(off) == 2
             assert abs(off[0] - 1 / np.conj(off[1])) <= 1e-8 * (1 + abs(off[0]))
 
 
-def test_classify_requires_real_lambda():
-    ms = MultiplierSet(lam=1j, taus=(1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        classify_on_circle(ms)
-    assert ms.classification is None
+def test_classify_requires_real_lambda(zero_c):
+    # the on-circle count is a real-axis notion: its consumers refuse complex lambda
+    with pytest.raises(TypeError):
+        band_point(zero_c, 1j)
     with pytest.raises(ValueError):
         multiplier_set(1j, 3.0)
 
 
-# ------------------------------------------- Lyapunov and quasimomenta
+# ------------------------------------------- Lyapunov and quasimomentum
 
 
 def test_lyapunov_of_unit_multiplier():
     ms = MultiplierSet(lam=0.0, taus=(1.0, 1.0, 1.0))
     assert ms.lyapunov == (1.0, 1.0, 1.0)
-    assert ms.quasimomenta[0] == pytest.approx(0.0, abs=1e-15)
+    assert quasimomentum(ms.taus[0]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_free_lyapunov_is_cosine_of_cube_root(zero_c):
@@ -208,7 +213,7 @@ def test_lyapunov_real_exactly_for_unimodular_or_real_multipliers(coefficient_se
 def test_lyapunov_equals_cos_of_quasimomentum():
     taus = (cmath.exp(-1j + math.sqrt(3)), cmath.exp(2j), cmath.exp(-1j - math.sqrt(3)))
     ms = MultiplierSet(lam=8.0, taus=taus)
-    for tau, delta, k in zip(ms.taus, ms.lyapunov, ms.quasimomenta):
+    for tau, delta, k in zip(ms.taus, ms.lyapunov, map(quasimomentum, ms.taus)):
         assert cmath.exp(1j * k) == pytest.approx(tau, rel=1e-12)
         assert cmath.cos(k) == pytest.approx(delta, rel=1e-12)
         assert 0 <= k.real < 2 * math.pi

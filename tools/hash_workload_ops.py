@@ -18,11 +18,13 @@ as the other kinds' digests held, and by a verify-masked digest: the
 verify records with every ``worst`` number masked, so a change that moves
 only the roundoff residuals verify reports shows every other byte held.
 
-The workload scans have 2-3 points, so a second digest covers dense CLI
-tables: 2001-point scans through lambda = 0 and the triple set on the
-conftest fixtures and ROOT/tests/golden/steps.json, each fixture's sigma3
-in its default window, and its verify, in CSV and JSON; it too is split
-per command, with a verify-masked digest.
+The workload scans have 2-3 points and its eigs short index ranges, so a
+second digest covers dense CLI tables: 2001-point scans through lambda = 0
+and the triple set on the conftest fixtures and
+ROOT/tests/golden/steps.json, each fixture's eigs at k = 1 over n in
+-40..40, its sigma3 in its default window, and its verify, in CSV and
+JSON; it too is split per command (scan, eigs, sigma3, verify), with a
+verify-masked digest.
 
 The CLI echoes the coefficient file paths into its output, so the files
 are written into WORKDIR; hash two checkouts with the same WORKDIR to
@@ -109,7 +111,8 @@ def _dense_argvs(root: Path, workdir: Path) -> list[list[str]]:
             path.write_bytes((root / "tests" / "golden" / coeffs[1]).read_bytes())
             coeffs = ["--coeffs", str(path)]
         commands = [["scan", *coeffs, "--interval", w, "--points", "2001"] for w in windows]
-        commands += [["sigma3", *coeffs], ["verify", *coeffs]]
+        commands += [["eigs", *coeffs, "--k", "1.0", "--n-range", "-40..40"],
+                     ["sigma3", *coeffs], ["verify", *coeffs]]
         argvs += [[*cmd, "--format", fmt] for cmd in commands for fmt in ("csv", "json")]
     return argvs
 
