@@ -110,12 +110,17 @@ def square_by_level(stacks: np.ndarray, squarings: np.ndarray, square) -> None:
         done = level
 
 
-def det3(M: np.ndarray) -> complex:
-    """Cofactor determinant of one 3x3 matrix, evaluated in M's own dtype."""
+def det3(M) -> complex:
+    """Cofactor determinant of a 3x3 matrix from its unpacked rows, in its entries' own type.
+
+    M may be a (3, 3) array, a stack (3, 3, ...) of entry arrays (one determinant per
+    element) or rows of Python complex numbers, which round as numpy's complex128 scalars do.
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
     return (
-        M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-        - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
-        + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
+        m00 * (m11 * m22 - m12 * m21)
+        - m01 * (m10 * m22 - m12 * m20)
+        + m02 * (m10 * m21 - m11 * m20)
     )
 
 

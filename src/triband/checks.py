@@ -101,6 +101,12 @@ def _fixed_grids() -> tuple[np.ndarray, tuple[np.ndarray, ...], list[complex], t
     return np.array(list(index)), rows, list(taus), _free_bound_data(grids[0])
 
 
+def _shifted(rows: list[list[complex]], tau: complex) -> tuple[tuple[complex, ...], ...]:
+    """Rows of M - tau I from the rows of M, in Python complex numbers."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
+    return (m00 - tau, m01, m02), (m10, m11 - tau, m12), (m20, m21, m22 - tau)
+
+
 def check_determinant_identity(M: np.ndarray, norms: np.ndarray) -> CheckResult:
     worst = det_residual(M, norms).max()
     return CheckResult("determinant-identity", worst <= _ROUNDOFF, worst, _ROUNDOFF)
@@ -117,9 +123,9 @@ def check_char_poly_identity(M_pairs: np.ndarray, T_pairs: np.ndarray,
                              taus: list[complex]) -> CheckResult:
     """det(M - tau) against the trace form of the cubic, complex lambda included."""
     worst = 0.0  # the points come first, then their conjugates
-    T = T_pairs.tolist()
-    for M, T_lam, T_conj, tau in zip(M_pairs, T, T[len(T) // 2 :], taus):
-        direct = complex(det3(np.asarray(M, dtype=complex) - tau * np.eye(3)))
+    maps, T = M_pairs.astype(complex).tolist(), T_pairs.tolist()
+    for rows, T_lam, T_conj, tau in zip(maps, T, T[len(T) // 2 :], taus):
+        direct = det3(_shifted(rows, tau))
         worst = max(worst, abs(direct - char_poly(T_lam, T_conj, tau)) / (1.0 + abs(direct)))
     return CheckResult("characteristic-polynomial", worst <= 1e-8, worst, 1e-8)
 
@@ -138,7 +144,7 @@ def check_free_trace() -> CheckResult:
 def check_discriminant_consistency(T: np.ndarray, roots: np.ndarray) -> CheckResult:
     """Both routes of rho on the real grid, the product route from its roots (L, 3)."""
     worst = 0.0
-    for T_lam, taus in zip(T.tolist(), roots):
+    for T_lam, taus in zip(T.tolist(), roots.tolist()):
         rt = rho_trace_formula(T_lam)
         rp = rho_product_formula(taus)
         scale = 1.0 + abs(rt)
@@ -197,12 +203,12 @@ def check_multiplier_symmetry(roots: np.ndarray) -> CheckResult:
 def check_reduction_identity(M: np.ndarray, T: np.ndarray) -> CheckResult:
     """det(M - e^{ik}) == 2i e^{3ik/2} F(k, lambda) on the real axis."""
     worst = 0.0
-    maps_c = M.astype(complex)
+    maps, traces = M.astype(complex).tolist(), T.tolist()
     for k in (0.0, 0.3, 1.0, math.pi, 5.0):
-        shift = np.exp(1j * k) * np.eye(3)
-        for M_lam, T_lam in zip(maps_c, T.tolist()):
-            direct = complex(det3(M_lam - shift))
-            reduced = 2j * np.exp(1.5j * k) * char_real_function(k, T_lam)
+        shift, factor = complex(np.exp(1j * k)), complex(2j * np.exp(1.5j * k))
+        for rows, T_lam in zip(maps, traces):
+            direct = det3(_shifted(rows, shift))
+            reduced = factor * char_real_function(k, T_lam)
             worst = max(worst, abs(direct - reduced) / (1.0 + abs(direct)))
     return CheckResult("determinant-reduction", worst <= 1e-8, worst, 1e-8)
 

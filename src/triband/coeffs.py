@@ -110,6 +110,26 @@ def _json_int(value: Any) -> int:
     return value
 
 
+def _json_number(value: Any) -> float:
+    """value as a float if it is a JSON number: no string, no bool."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _json_numbers(value: Any) -> np.ndarray:
+    """value as a float array if numpy reads it as integers or floats: no strings, no bools.
+
+    Integers past 64 bits make an object array; only there is each entry's type checked.
+    """
+    arr = np.asarray(value)
+    numbers = arr.dtype.kind in "iuf" or (
+        arr.dtype.kind == "O" and all(type(x) in (int, float) for x in arr.flat))
+    if not numbers:
+        raise TypeError(f"expected numbers, got entries of dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def parse_coefficients(obj: dict) -> PeriodicCoefficients:
     """Build coefficients from a decoded JSON object.
 
@@ -117,15 +137,15 @@ def parse_coefficients(obj: dict) -> PeriodicCoefficients:
       {"grid_size": N, "p": [...], "q": [...]}
       {"p_const": x, "q_const": y, "grid_size": N}
     A missing field or one of the wrong type is a ValueError; grid_size
-    must be a JSON integer.
+    must be a JSON integer, and the samples and constants JSON numbers.
     """
     if not isinstance(obj, dict):
         raise ValueError("coefficient file must hold a JSON object")
     grid_size = _field(obj, "grid_size", _json_int)
     if "p_const" in obj or "q_const" in obj:
         return PeriodicCoefficients.from_constants(
-            _field(obj, "p_const", float), _field(obj, "q_const", float), grid_size)
-    p, q = (_field(obj, key, lambda v: np.asarray(v, dtype=float)) for key in ("p", "q"))
+            _field(obj, "p_const", _json_number), _field(obj, "q_const", _json_number), grid_size)
+    p, q = (_field(obj, key, _json_numbers) for key in ("p", "q"))
     c = PeriodicCoefficients.from_samples(p, q)
     if c.grid_size != grid_size:
         raise ValueError(

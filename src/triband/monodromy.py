@@ -25,6 +25,7 @@ arg z in (-pi/6, pi/2], w = exp(2*pi*i/3).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -315,16 +316,25 @@ _SERIES_DTYPE = np.dtype(np.complex128)
 _SERIES_CHUNK_BYTES = 1 << 16
 
 
+@functools.cache
+def _toeplitz_rows(n: int) -> np.ndarray:
+    """Read-only gather index (3n, n) of _block_toeplitz for n blocks, built once per n.
+
+    Entry (3j + r, 3k + c) is entry (3(j - k) + r, c) of the block column, or of the zero
+    row 3n appended to it when k > j.
+    """
+    rows = np.subtract.outer(np.arange(3 * n), 3 * np.arange(n))
+    rows[rows < 0] = 3 * n
+    rows.setflags(write=False)
+    return rows
+
+
 def _block_toeplitz(G: np.ndarray) -> np.ndarray:
     """Lower block-Toeplitz matrices (..., 3n, 3n) with first block columns G (..., n, 3, 3)."""
     n = G.shape[-3]
-    # entry (3j + r, 3k + c) is entry (3(j - k) + r, c) of the block column,
-    # or of the zero row appended to it when k > j
-    rows = np.subtract.outer(np.arange(3 * n), 3 * np.arange(n))
-    rows[rows < 0] = 3 * n
     column = G.reshape(G.shape[:-3] + (3 * n, 3))
     padded = np.concatenate((column, np.zeros_like(column[..., :1, :])), axis=-2)
-    return padded.take(rows, axis=-2).reshape(G.shape[:-3] + (3 * n, 3 * n))
+    return padded.take(_toeplitz_rows(n), axis=-2).reshape(G.shape[:-3] + (3 * n, 3 * n))
 
 
 def _series_exponentials(a, c0, b, c1, n: int) -> np.ndarray:
@@ -332,18 +342,21 @@ def _series_exponentials(a, c0, b, c1, n: int) -> np.ndarray:
 
     A0 = [[0, a, 0], [0, 0, a], [c0, 0, 0]] and A1 = [[0, 0, 0], [b, 0, 0], [c1, b, 0]]; scales
     by 2^-s to ||A0||_inf + ||A1||_inf <= 0.25, takes the degree-16 Taylor polynomial row by
-    row (term k reaches block k at most) and s squarings by level.
+    row (term k reaches block k at most) and s squarings by level.  The terms are written in
+    turn into two buffers allocated once per call, each row product straight into its rows.
     """
     squarings = scaling_exponents(np.maximum(abs(a), abs(c0)) + abs(b) + abs(c1))
     a, c0, b, c1 = (x * np.ldexp(1.0, -squarings) for x in (a, c0, b, c1))  # exact: powers of 2
     # pairs on the last axis: each row operation is one long inner loop
     G = np.zeros((n, 3, 3, len(a)), dtype=c0.dtype)
     G[0, [0, 1, 2], [0, 1, 2]] = 1
+    buffers = np.empty((2, min(n, _TAYLOR_DEGREE + 1)) + G.shape[1:], dtype=G.dtype)
     term = G[:1]
     for k in range(1, _TAYLOR_DEGREE + 1):
-        nxt = np.zeros_like(G[: min(k + 1, n)])
-        nxt[: len(term), :2] = a * term[:, 1:]
-        nxt[: len(term), 2] = c0 * term[:, 0]
+        nxt = buffers[k % 2, : min(k + 1, n)]
+        nxt[len(term) :].fill(0)  # the block the term reaches first
+        np.multiply(a, term[:, 1:], out=nxt[: len(term), :2])
+        np.multiply(c0, term[:, 0], out=nxt[: len(term), 2])
         below = term[: len(nxt) - 1]
         nxt[1:, 1:] += b * below[:, :2]
         nxt[1:, 2] += c1 * below[:, 0]

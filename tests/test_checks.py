@@ -1,4 +1,6 @@
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +8,14 @@ import pytest
 import triband.checks as checks
 import triband.monodromy as monodromy
 from triband import SpectralParameter, free_diagonalizer, free_trace, trace_at
-from triband.monodromy import period_maps
+from triband.coeffs import load_coefficients
+from triband.discriminant import rho_product_formula, rho_trace_formula
+from triband.floquet import char_real_function
+from triband.monodromy import char_poly, period_maps, spectral_norms
+from triband.multipliers import solve_multipliers
 from triband._linalg import EXTENDED, det3
+
+_KS = (0.0, 0.3, 1.0, math.pi, 5.0)  # the reduction suite's k
 
 
 def _results(c):
@@ -119,3 +127,79 @@ def test_fixed_grids_share_one_real_grid_and_one_complex_set():
            len(real), len(reduction)]
     assert all(n >= n_former for n, n_former in zip(now, former, strict=True))
     assert len(lams) == 143 and lams[0] == -500.0
+
+
+def _det3_indexed(M):
+    """The cofactor determinant read by M[i, j], in M's own dtype: the reference of det3."""
+    return (
+        M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
+        - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
+        + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
+    )
+
+
+def _reference_det(M, tau):
+    """det(M - tau) as the suites once took it: numpy scalars of a shifted complex128 array."""
+    return complex(_det3_indexed(np.asarray(M, dtype=complex) - tau * np.eye(3)))
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)  # signed zeros count
+
+
+def test_det3_of_shifted_rows_is_the_array_determinant_bit_for_bit():
+    """det3 on Python complex rows with the diagonal shifted gives the bits of the numpy
+    scalar path on M - tau I, on random complex128 maps with entries from 1e-5 to 1e5."""
+    rng = np.random.default_rng(28)
+    for _ in range(2000):
+        M = 10.0 ** rng.uniform(-5, 5, (3, 3)) * np.exp(2j * np.pi * rng.uniform(size=(3, 3)))
+        tau = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-5, 5)
+        for shift in (tau, complex(np.exp(1j * rng.choice(_KS)))):
+            direct = det3(checks._shifted(M.tolist(), shift))
+            assert type(direct) is complex
+            assert _bits(direct) == _bits(_reference_det(M, shift))
+
+
+def _fixture_sets(request):
+    names = ("const_c", "sin_c", "small_c")
+    golden = load_coefficients(Path(__file__).parent / "golden" / "steps.json")
+    return [request.getfixturevalue(name) for name in names] + [golden]
+
+
+def test_suite_determinants_are_the_array_determinants_bit_for_bit(request):
+    """The 16 reduction rows at each k and the 20 char-poly rows with their taus, on the
+    conftest sets and the golden step set: det3 on shifted rows against the array path;
+    the reduction, char-poly and discriminant suites' worst against the per-point loops
+    they replaced; det_residual against the indexed determinant of the stack."""
+    lams, (real, pairs, _, reduction), taus, _ = checks._fixed_grids()
+    for c in _fixture_sets(request):
+        M = period_maps(c, lams)
+        T = np.array(monodromy._traces(M))
+        maps = M.astype(complex)
+        worst = 0.0
+        for k in _KS:
+            shift = np.exp(1j * k)
+            for M_lam, T_lam in zip(maps[reduction], T[reduction].tolist()):
+                reference = complex(_det3_indexed(M_lam - shift * np.eye(3)))
+                assert _bits(det3(checks._shifted(M_lam.tolist(), complex(shift)))) == \
+                    _bits(reference)
+                reduced = 2j * np.exp(1.5j * k) * char_real_function(k, T_lam)
+                worst = max(worst, abs(reference - reduced) / (1.0 + abs(reference)))
+        assert checks.check_reduction_identity(M[reduction], T[reduction]).worst == worst
+        worst, T_pairs = 0.0, T[pairs].tolist()
+        for M_lam, T_lam, T_conj, tau in zip(maps[pairs], T_pairs, T_pairs[20:], taus):
+            reference = _reference_det(M_lam, tau)
+            assert _bits(det3(checks._shifted(M_lam.tolist(), tau))) == _bits(reference)
+            residual = abs(reference - char_poly(T_lam, T_conj, tau)) / (1.0 + abs(reference))
+            worst = max(worst, residual)
+        assert checks.check_char_poly_identity(M[pairs], T[pairs], taus).worst == worst
+        roots = solve_multipliers(T[real], np.conj(T[real]))
+        worst = 0.0
+        for T_lam, row in zip(T[real].tolist(), roots):
+            rt, rp = rho_trace_formula(T_lam), rho_product_formula(row)
+            worst = max(worst, abs(rt - rp.real) / (1.0 + abs(rt)),
+                        abs(rp.imag) / (1.0 + abs(rt)) * 1e2)
+        assert checks.check_discriminant_consistency(T[real], roots).worst == worst
+        norms = spectral_norms(M)
+        reference = np.abs(_det3_indexed(np.moveaxis(M, 0, -1)) - 1) / norms / norms / norms
+        assert np.array_equal(monodromy.det_residual(M, norms), reference.astype(float))

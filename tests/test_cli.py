@@ -459,9 +459,15 @@ def test_growth_refusal_line(capsys, argv, exponent):
         ({"p_const": 1, "q_const": 0, "grid_size": 4.7}, "grid_size"),
         ({"grid_size": True, "p": [1], "q": [0]}, "grid_size"),
         ({"p_const": 1, "q_const": 0, "grid_size": True}, "grid_size"),
+        # float() once ran these as p = [1, 2], [1, 0] and as 1.5 and 1.0
+        ({"grid_size": 2, "p": ["1", "2e0"], "q": [0, 0]}, "p"),
+        ({"grid_size": 2, "p": [True, False], "q": [0, 0]}, "p"),
+        ({"p_const": "1.5", "q_const": 0, "grid_size": 4}, "p_const"),
+        ({"p_const": True, "q_const": 0, "grid_size": 4}, "p_const"),
     ],
     ids=["p-object", "p_const-list", "grid_size-null", "const-grid_size-null",
-         "grid_size-float", "const-grid_size-float", "grid_size-bool", "const-grid_size-bool"],
+         "grid_size-float", "const-grid_size-float", "grid_size-bool", "const-grid_size-bool",
+         "p-strings", "p-bools", "p_const-string", "p_const-bool"],
 )
 def test_malformed_coefficient_files_are_clean_errors(capsys, tmp_path, doc, field):
     """A field of the wrong type ends in 'error: ...' naming it, exit 1."""

@@ -110,6 +110,18 @@ def test_parse_coefficients_sample_layout():
     assert (c.p_samples[2], c.q_samples[2]) == (3.0, 1.0)
 
 
+def test_parse_coefficients_takes_every_json_integer():
+    """Integers, those past int64 and past 64 bits included, are numbers; a bool among
+    such integers, and a null, are not."""
+    c = parse_coefficients({"grid_size": 3, "p": [2**63, 10**30, -1], "q": [0, 0, 1.5]})
+    assert c.p_samples.tolist() == [2.0**63, 1e30, -1.0]
+    c = parse_coefficients({"p_const": 10**30, "q_const": -2, "grid_size": 2})
+    assert (c.p_samples[0], c.q_samples[0]) == (1e30, -2.0)
+    for p in ([10**30, True], [10**30, None], [None, None]):
+        with pytest.raises(ValueError, match="^field 'p': expected numbers"):
+            parse_coefficients({"grid_size": 2, "p": p, "q": [0, 0]})
+
+
 def test_parse_coefficients_constant_layout():
     c = parse_coefficients({"p_const": 1.5, "q_const": -2.0, "grid_size": 8})
     assert c.grid_size == 8

@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,8 @@ from triband import (
     zero_coefficients,
 )
 from triband import checks, monodromy
-from triband._linalg import EXTENDED, det3
+from triband._linalg import EXTENDED, _TAYLOR_DEGREE, det3, scaling_exponents, square_by_level
+from triband.coeffs import load_coefficients
 from triband.monodromy import period_maps, q_norm_integral, system_matrices
 
 # a 2-level step set on 64 cells
@@ -607,6 +611,77 @@ def test_picard_maps_refuses_before_any_work(const_c, monkeypatch, far, error):
     with pytest.raises(error) as batched:
         monodromy.picard_maps(const_c, [1.0, 3 + 4j, far, -5.0], tol=1e-10)
     assert str(batched.value) == str(single.value)
+
+
+def _series_exponentials_per_term(a, c0, b, c1, n):
+    """The Taylor stage with a fresh array per term: the reference of _series_exponentials."""
+    squarings = scaling_exponents(np.maximum(abs(a), abs(c0)) + abs(b) + abs(c1))
+    a, c0, b, c1 = (x * np.ldexp(1.0, -squarings) for x in (a, c0, b, c1))
+    G = np.zeros((n, 3, 3, len(a)), dtype=c0.dtype)
+    G[0, [0, 1, 2], [0, 1, 2]] = 1
+    term = G[:1]
+    for k in range(1, _TAYLOR_DEGREE + 1):
+        nxt = np.zeros_like(G[: min(k + 1, n)])
+        nxt[: len(term), :2] = a * term[:, 1:]
+        nxt[: len(term), 2] = c0 * term[:, 0]
+        below = term[: len(nxt) - 1]
+        nxt[1:, 1:] += b * below[:, :2]
+        nxt[1:, 2] += c1 * below[:, 0]
+        nxt /= k
+        G[: len(nxt)] += nxt
+        term = nxt
+    G = np.ascontiguousarray(np.moveaxis(G, -1, 0))
+    square_by_level(G, squarings, monodromy._toeplitz_squares)
+    return G
+
+
+def _assert_same_bits(got, want):
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 18, 30])
+def test_series_exponentials_equal_the_per_term_loop(n):
+    """Bit for bit on random generators whose scaled norms need 0 to 14 squarings,
+    with fewer blocks than Taylor terms, as many, and more."""
+    rng = np.random.default_rng(n)
+    a, c0, b, c1 = (10.0 ** rng.uniform(-3, 3, 40) * np.exp(2j * np.pi * rng.uniform(size=40))
+                    for _ in range(4))
+    want = _series_exponentials_per_term(a, c0, b, c1, n)
+    _assert_same_bits(monodromy._series_exponentials(a, c0, b, c1, n), want)
+
+
+def test_series_exponentials_equal_the_per_term_loop_on_verify_far(tmp_path, monkeypatch):
+    """Bit for bit on the inputs of the 9-point series call of verify on the seed-41
+    verify-far sets of perfbench/workloads.py."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    ops = workloads.WORKLOADS["verify-far"].build(np.random.default_rng(41), str(tmp_path))
+    grid, (_, _, series, _), *_ = checks._fixed_grids()
+    inputs, exponentials = [], monodromy._series_exponentials
+    monkeypatch.setattr(monodromy, "_series_exponentials",
+                        lambda *args: inputs.append(args) or exponentials(*args))
+    for op in [op for op in ops if op.kind == "verify"]:
+        monodromy.picard_maps(load_coefficients(op.coeffs), grid[series], tol=checks._PICARD_TOL)
+    assert len(inputs) >= 20
+    for args in inputs:
+        _assert_same_bits(exponentials(*args), _series_exponentials_per_term(*args))
+
+
+def test_toeplitz_rows_are_built_once_per_order_and_read_only():
+    """The gather index of _block_toeplitz: row 3(j - k) + r of the block column at entry
+    (3j + r, 3k + .), the appended zero row 3n above the diagonal."""
+    for n in (1, 4, 9):
+        rows = monodromy._toeplitz_rows(n)
+        assert monodromy._toeplitz_rows(n) is rows
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0
+        want = [[3 * (j - k) + r if k <= j else 3 * n for k in range(n)]
+                for j in range(n) for r in range(3)]
+        assert rows.tolist() == want
 
 
 # --------------------------------------------------- characteristic cubic
