@@ -15,16 +15,19 @@ def brent_steps(
     xtol: float,
     fa: float,
     fb: float,
+    admit: Callable[[float], bool] = lambda x: True,
 ) -> Generator[list[float], list[float], tuple[float, float]]:
     """Brent's iteration on the sign-change bracket [a, b], as a lockstep search.
 
     It starts from the caller's values fa = f(a) and fb = f(b).  It yields
-    the one-point list [x] for each further point x at which it needs f and
-    is sent [f(x)] back (``[fb] = yield [b]``), so lockstep can evaluate the
-    points of many searches in one call.  It returns (x, f(x)) with x within
-    about 2*eps*|x| + xtol of a zero; x is always a point whose f it was
-    given.  Inverse-quadratic / secant steps guarded by bisection, after
-    Brent.
+    a list [x, ...] for each further point x at which it needs f, is sent
+    their values and reads only f(x), so lockstep can evaluate the points of
+    many searches in one call.  After a step d with tol < |d| <= 1e3 tol the
+    next step is most likely the confirming x -+ t, t = 2*eps*|x| + 0.5*xtol:
+    the list then also holds those of x + t, x - t that admit accepts, which
+    an evaluator with a table of values finds there one round later.  It
+    returns (x, f(x)) with x within about 2*eps*|x| + xtol of a zero, a point
+    whose f it was given.  Secant / inverse-quadratic steps guarded by bisection.
     """
     if fa == 0.0:
         return a, fa
@@ -69,7 +72,9 @@ def brent_steps(
                 d = e = mid
         a, fa = b, fb
         b += d if abs(d) > tol else (tol if mid > 0 else -tol)
-        [fb] = yield [b]
+        t = 2.0 * _EPS * abs(b) + 0.5 * xtol  # the tol of the next step
+        ahead = [x for x in (b + t, b - t) if admit(x)] if tol < abs(d) <= 1e3 * tol else []
+        fb = (yield [b, *ahead])[0]
     return b, fb
 
 
@@ -83,7 +88,8 @@ def lockstep(
     values as a list, and returns its outcome; a search may return before
     its first yield.  brent_steps is one such search, and so is any
     generator that hands its points on to it.  evaluate maps a list of
-    points to the list of their values.  Returns the outcomes in the order
+    points to the list of their values (one with a table of the values it
+    found serves brent_steps' early asks).  Returns the outcomes in the order
     of searches.
     """
     outcomes: list = [None] * len(searches)

@@ -64,10 +64,10 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of the process (5 parsers, about 1.2 ms), built on the first call and then
-    shared: parse_args leaves it unchanged and no default is mutable.  It is not built at
-    import, which would charge every importer, the library's included, for it."""
+def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser and one per command (5 parsers, about 1.2 ms), built on the first call
+    and then shared: parse_args leaves them unchanged and no default is mutable.  They are
+    not built at import, which would charge every importer, the library's included."""
     parser = argparse.ArgumentParser(
         prog="triband",
         description="Floquet spectral data of a third-order periodic operator",
@@ -104,7 +104,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the structural identity suites")
     _add_coefficient_args(p_ver)
     _add_output_args(p_ver)
-    return parser
+    return parser, dict(sub.choices)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv as the root parser reads it: a command's parser reads its arguments alone, and
+    the root parser takes any other argv (--version, -h, a typo, leftover arguments)."""
+    root, commands = build_parsers()
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(
+            command=argv[0]))
+        if not extra:
+            return args
+    return root.parse_args(argv)
 
 
 def _coefficients_from(args: argparse.Namespace) -> PeriodicCoefficients:
@@ -288,7 +300,7 @@ def _merge_value_flags(argv: Sequence[str]) -> list[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_merge_value_flags(argv))
+    args = _parse_args(_merge_value_flags(argv))
     command = {"scan": _cmd_scan, "eigs": _cmd_eigs, "sigma3": _cmd_sigma3, "verify": _cmd_verify}
     try:
         c = _coefficients_from(args)

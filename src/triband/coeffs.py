@@ -46,7 +46,8 @@ class PeriodicCoefficients:
     for the step-function model: (1/N) * sum_i (|p_i| + |q_i|).  It is the
     single scalar that enters every perturbation bound.  runs is the run
     table, found once here for every period map: one read-only row (n, p, q)
-    per run of n equal cells, in cell order.
+    per run of n equal cells, in cell order.  The period-map core keeps the
+    arrays it builds from the runs in _run_entries, one entry per dtype.
     """
 
     p_samples: np.ndarray
@@ -54,6 +55,7 @@ class PeriodicCoefficients:
     grid_size: int = field(init=False)
     kappa: float = field(init=False)
     runs: np.ndarray = field(init=False, repr=False, compare=False)
+    _run_entries: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         p = _validated_samples(self.p_samples, "p_samples")
@@ -118,16 +120,16 @@ def _json_number(value: Any) -> float:
 
 
 def _json_numbers(value: Any) -> np.ndarray:
-    """value as a float array if numpy reads it as integers or floats: no strings, no bools.
+    """value as a float array if it is a list of JSON numbers: no strings, no bools, no lists.
 
-    Integers past 64 bits make an object array; only there is each entry's type checked.
+    numpy would read a bool among numbers as one, so each entry's type is looked at.
     """
-    arr = np.asarray(value)
-    numbers = arr.dtype.kind in "iuf" or (
-        arr.dtype.kind == "O" and all(type(x) in (int, float) for x in arr.flat))
-    if not numbers:
-        raise TypeError(f"expected numbers, got entries of dtype {arr.dtype}")
-    return arr.astype(float, copy=False)
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {type(value).__name__}")
+    if not (kinds := set(map(type, value))) <= {int, float}:
+        others = ", ".join(sorted(k.__name__ for k in kinds - {int, float}))
+        raise TypeError(f"expected numbers, got entries of type {others}")
+    return np.array(value, dtype=float)
 
 
 def parse_coefficients(obj: dict) -> PeriodicCoefficients:

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._rootfind import brent_steps, lockstep
 from .coeffs import PeriodicCoefficients
-from .monodromy import _check_growth, traces_at
+from .monodromy import _check_growth, growth_refusal, traces_at
 
 
 def char_real_function(k: float, T: complex) -> float:
@@ -130,38 +130,45 @@ def _bracket(k: float, n: int, p_mean: float, q_mean: float) -> _Stage:
                       "bracket (possible even-multiplicity touch)")
 
 
-def _refine(k: float, n: int, tol: float, bracket: tuple, traces: dict) -> _Stage:
+def _refine(c: PeriodicCoefficients, k: float, n: int, tol: float, bracket: tuple,
+            traces: dict) -> _Stage:
     """Brent's root in a bracket (a, b, f(a), f(b)) from _bracket, as a FloquetEigenvalue.
 
-    Brent returns a point it was sent F at, whose trace the table holds.
+    Brent returns a point it was sent F at, whose trace the table holds; it
+    asks for no point early that the growth guard refuses.
     """
     seed = 2.0 * math.pi * n + k
     xtol_s = max(tol * max(1.0, abs(seed)) / 3.0, 6e-16 * max(1.0, abs(seed)))
     a, b, fa, fb = bracket
-    s_root, f_val = yield from brent_steps(a, b, xtol=xtol_s, fa=fa, fb=fb)
+    s_root, f_val = yield from brent_steps(a, b, xtol=xtol_s, fa=fa, fb=fb,
+                                           admit=lambda s: growth_refusal(c, s**3) is None)
     return FloquetEigenvalue(n=n, k=k, lambda_n=s_root**3, cube_root_gap=s_root - seed,
                              residual=abs(f_val) / (1.0 + abs(traces[s_root])))
 
 
-def _solve_one(k: float, n: int, tol: float, means: tuple, traces: dict) -> _Stage:
+def _solve_one(c: PeriodicCoefficients, k: float, n: int, tol: float, means: tuple,
+               traces: dict) -> _Stage:
     """_bracket, then _refine: the root, or the MissedRoot of the bracket search."""
     bracket = yield from _bracket(k, n, *means)
     if isinstance(bracket, MissedRoot):
         return bracket
-    return (yield from _refine(k, n, tol, bracket, traces))
+    return (yield from _refine(c, k, n, tol, bracket, traces))
 
 
 def _f_in_s(c: PeriodicCoefficients, k: float, traces: dict[float, complex]):
     """F(k, .) at a list of points s = cbrt(lambda), on the trace table traces.
 
     The points missing from the table go to the period-map core in one
-    call and their traces into the table; with none missing, no call.
+    call and their traces into the table; with none missing, no call.  F is
+    char_real_function's arithmetic, with e^{ik/2} and sin(3k/2) taken once.
     """
+    e, sin_k = complex(math.cos(k / 2.0), math.sin(k / 2.0)), math.sin(1.5 * k)
+
     def g(points: list[float]) -> list[float]:
         missing = list(dict.fromkeys(s for s in points if s not in traces))
         if missing:
             traces.update(zip(missing, traces_at(c, [s**3 for s in missing])))
-        return [char_real_function(k, traces[s]) for s in points]
+        return [(e * traces[s]).imag - sin_k for s in points]
 
     return g
 
@@ -201,7 +208,7 @@ def eigenvalues_at_k(
     means = float(np.mean(c.p_samples)), float(np.mean(c.q_samples))
     _check_growth(c, [s**3 for n in (n_lo, n_hi) for s in next(_bracket(k, n, *means))])
     traces: dict[float, complex] = {}
-    searches = [_solve_one(k, n, tol, means, traces) for n in range(n_lo, n_hi + 1)]
+    searches = [_solve_one(c, k, n, tol, means, traces) for n in range(n_lo, n_hi + 1)]
     outcomes = lockstep(_f_in_s(c, k, traces), searches)
     found = [o for o in outcomes if isinstance(o, FloquetEigenvalue)]
     missed = tuple(o for o in outcomes if isinstance(o, MissedRoot))
@@ -275,7 +282,7 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
         a_in, b_in = (bool(abs(np.cbrt(s**3)) < s_radius) for s in bracket[:2])
         if a_in == b_in:
             return int(a_in)
-        root = yield from _refine(k, n, _TOL, bracket, traces)
+        root = yield from _refine(c, k, n, _TOL, bracket, traces)
         return int(abs(np.cbrt(root.lambda_n)) < s_radius)
 
     outcomes = lockstep(_f_in_s(c, k, traces), [count_one(n) for n in range(n_lo, n_hi + 1)])

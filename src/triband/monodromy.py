@@ -237,14 +237,20 @@ def period_maps(c: PeriodicCoefficients, lams: Sequence[complex], dtype=EXTENDED
 def _framed_runs(c: PeriodicCoefficients, lams: Sequence[complex], dtype):
     """Entries at (0, 1), (1, 0), (2, 0) of the system over R runs of equal cells and L points.
 
-    Per run (1, -p, i q) (R, 3) and the width n/N (R, 1), from c.runs; per point (0, 0, -i lambda)
-    (L, 3), the frame there (mu, 1/mu, 1/mu^2) (L, 3) and the whole frame mu^(j - i) (L, 3, 3).
+    Per run (1, -p, i q) (R, 3) and the width n/N (R, 1), from c.runs, built once per c and dtype;
+    per point (0, 0, -i lambda) (L, 3), the frame there (mu, 1/mu, 1/mu^2) (L, 3) and the whole
+    frame mu^(j - i) (L, 3, 3).
     (runs + points) * (widths * powers) is (P + Q) * widths * frame there, bit for bit.
     """
-    cells, p, q = c.runs.T
-    widths = (cells.astype(np.finfo(dtype).dtype) / c.grid_size)[:, np.newaxis]
-    runs = np.zeros((len(cells), 3), dtype=dtype)
-    runs[:, 0], runs[:, 1], runs[:, 2] = 1.0, -p, 1j * q
+    if dtype not in c._run_entries:
+        cells, p, q = c.runs.T
+        widths = (cells.astype(np.finfo(dtype).dtype) / c.grid_size)[:, np.newaxis]
+        runs = np.zeros((len(cells), 3), dtype=dtype)
+        runs[:, 0], runs[:, 1], runs[:, 2] = 1.0, -p, 1j * q
+        for entry in (runs, widths):
+            entry.setflags(write=False)
+        c._run_entries[dtype] = runs, widths
+    runs, widths = c._run_entries[dtype]
     points = np.zeros((len(lams), 3), dtype=dtype)
     points[:, 2] = [-1j * complex(lam) for lam in lams]
     frame = np.maximum(np.cbrt(np.abs(points[:, 2])), 1)[:, np.newaxis, np.newaxis] ** _FRAME_POWERS

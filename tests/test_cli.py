@@ -13,7 +13,7 @@ import pytest
 
 from triband import cli, floquet
 from triband.checks import CheckResult
-from triband.cli import build_parser, main
+from triband.cli import build_parsers, main
 from triband.util import MAX_GRID_POINTS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -464,10 +464,14 @@ def test_growth_refusal_line(capsys, argv, exponent):
         ({"grid_size": 2, "p": [True, False], "q": [0, 0]}, "p"),
         ({"p_const": "1.5", "q_const": 0, "grid_size": 4}, "p_const"),
         ({"p_const": True, "q_const": 0, "grid_size": 4}, "p_const"),
+        # numpy reads a bool among numbers as a number: these ran as p = [1, 1], q = [1.5, 0]
+        ({"grid_size": 2, "p": [1, True], "q": [0, 0]}, "p"),
+        ({"grid_size": 2, "p": [0, 0], "q": [1.5, False]}, "q"),
     ],
     ids=["p-object", "p_const-list", "grid_size-null", "const-grid_size-null",
          "grid_size-float", "const-grid_size-float", "grid_size-bool", "const-grid_size-bool",
-         "p-strings", "p-bools", "p_const-string", "p_const-bool"],
+         "p-strings", "p-bools", "p_const-string", "p_const-bool", "p-bool-among-ints",
+         "q-bool-among-floats"],
 )
 def test_malformed_coefficient_files_are_clean_errors(capsys, tmp_path, doc, field):
     """A field of the wrong type ends in 'error: ...' naming it, exit 1."""
@@ -505,7 +509,7 @@ def test_non_finite_tol_and_windows_are_clean_errors(capsys, argv, message):
 def test_shared_parser_keeps_no_state_between_calls(capsys):
     """main parses with one parser per process; a failed parse and the
     options of one command leave nothing behind for the next call."""
-    assert build_parser() is build_parser()
+    assert build_parsers() is build_parsers()
     consts = ["--p-const", "1", "--q-const", "-0.5", "--grid", "8", "--format", "json"]
     with pytest.raises(SystemExit) as exc:
         main(["eigs", *consts, "--k", "1.0", "--tol", "1e-8"])  # no --n-range
@@ -538,3 +542,38 @@ def test_in_process_output_matches_a_fresh_interpreter(capsys):
     fresh = subprocess.run([sys.executable, "-m", "triband.cli", *argv], capture_output=True,
                            check=True, env={**os.environ, "PYTHONPATH": path})
     assert outs[0].encode() == outs[1].encode() == fresh.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eigs", "--p-const", "1", "--q-const", "0", "--k", "1", "--n-range=-2..2"],
+        ["sigma3", "--coeffs", "c.json", "--poi", "9", "--format", "json"],
+        ["eigs", "--p-const", "1", "--k", "1"],
+        ["scan", "--interval=-1,1", "--points", "many"],
+        ["scan", "--interval=-1,1", "--bogus", "3"],
+        ["verify", "--p-const", "0", "extra"],
+        ["sigma3", "--version"],
+        ["sigma3", "-h"],
+        ["--version"],
+        ["-h"],
+        ["--format", "json", "scan"],
+        ["scna", "--p-const", "0"],
+        [],
+    ],
+    ids=["eigs", "abbreviated-option", "missing-option", "bad-type", "unknown-option",
+         "extra-argument", "version-after-command", "command-help", "version", "help",
+         "option-before-command", "typo", "empty"],
+)
+def test_command_parsers_read_argv_as_the_root_parser_does(capsys, argv):
+    """main hands argv that starts with a command to that command's parser; the
+    namespace, or the exit status, output and message, are the root parser's."""
+    def parsed(parse):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
+
+    root, _ = build_parsers()
+    assert parsed(cli._parse_args) == parsed(root.parse_args)

@@ -144,9 +144,11 @@ def test_sigma3_strong_perturbation_intervals():
 def test_sigma3_endpoints_refine_in_lockstep(monkeypatch):
     """Both endpoints share each round's core call and land where Brent alone lands.
 
-    On this asymmetric constant set Brent takes 5 evaluations for the
-    lower end and 4 for the upper one, so the grid plus lockstep rounds
-    make 1 + 5 core calls where one endpoint after the other makes 1 + 9.
+    On this asymmetric constant set Brent takes 5 rounds for the lower end
+    and 4 for the upper one.  The lower end's last round is its confirming
+    step, asked for one round early and found in the table of T, so the
+    grid plus lockstep rounds make 1 + 4 core calls where one endpoint after
+    the other makes 1 + 8.
     """
     c = PeriodicCoefficients.from_constants(3.0, 0.7, 8)
     window, points, tol = (-40.0, 41.0), 41, 1e-6
@@ -162,7 +164,7 @@ def test_sigma3_endpoints_refine_in_lockstep(monkeypatch):
     assert not (iv.lo_clipped or iv.hi_clipped)
     # the grid, then one round per Brent step with both ends until the upper one stops
     core_calls = list(calls)
-    assert core_calls == [points] + [2] * 4 + [1]
+    assert core_calls == [points] + [2] * 3 + [4]
 
     grid = uniform_grid(*window, points)
     evaluations = []
@@ -171,7 +173,7 @@ def test_sigma3_endpoints_refine_in_lockstep(monkeypatch):
         asked = []
 
         def rho(lams):
-            asked.extend(lams)
+            asked.append(lams[0])
             return [rho_at(c, lam) for lam in lams]
 
         a, b = float(grid[k - 1]), float(grid[k])
@@ -179,7 +181,7 @@ def test_sigma3_endpoints_refine_in_lockstep(monkeypatch):
         assert x == end
         evaluations.append(len(asked))
     assert evaluations == [5, 4]
-    assert len(core_calls) == 1 + max(evaluations)
+    assert len(core_calls) == max(evaluations)
 
 
 def test_sigma3_window_inside_triple_set_is_clipped():

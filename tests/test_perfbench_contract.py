@@ -16,8 +16,10 @@ series call.
 
 import argparse
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import math
 import os
 import subprocess
@@ -244,10 +246,11 @@ def test_verify_far_root_counts_ask_the_tight_pairs_first(workloads, tmp_path, m
 
 
 def test_roots_steps_eigs_ops_keep_their_core_calls(workloads, tmp_path, monkeypatch):
-    """The 70 eigs operations of roots-steps at seed 41 make 394 core calls
-    for 1311 period maps.  Each operation's first core call asks for 2
-    points per seed: the tight pair alone, or the wide pair where the tight
-    pair does not fit.  No lambda reaches the core twice within one call.
+    """The 70 eigs operations of roots-steps at seed 41 make 326 core calls
+    for 1509 period maps; Brent's confirming steps, asked for one round
+    early, take no call of their own.  Each operation's first core call asks
+    for 2 points per seed: the tight pair alone, or the wide pair where the
+    tight pair does not fit.  No lambda reaches the core twice within one call.
     """
     ops = workloads.WORKLOADS["roots-steps"].build(np.random.default_rng(41), str(tmp_path))
     eigs = [op for op in ops if op.kind == "eigs"]
@@ -267,7 +270,34 @@ def test_roots_steps_eigs_ops_keep_their_core_calls(workloads, tmp_path, monkeyp
         fl.eigenvalues_at_k(load_coefficients(op.coeffs), op.expect["k"], op.expect["n_range"])
         assert calls[first] == 2 * (n_hi - n_lo + 1), op.argv
         assert len(set(mapped)) == len(mapped), op.argv
-    assert (len(eigs), len(calls), sum(calls)) == (70, 394, 1311)
+    assert (len(eigs), len(calls), sum(calls)) == (70, 326, 1509)
+
+
+def test_roots_steps_sigma3_ops_keep_their_core_calls(workloads, tmp_path, monkeypatch):
+    """The 30 sigma3 operations of roots-steps at seed 41 make 187 core calls
+    for 661 period maps: the 9-point grid, then one call per lockstep round
+    that asks for a point the table of T lacks.  No lambda reaches the core
+    twice within one operation.
+    """
+    ops = workloads.WORKLOADS["roots-steps"].build(np.random.default_rng(41), str(tmp_path))
+    sigma3 = [op for op in ops if op.kind == "sigma3"]
+    calls, mapped = [], []
+    period_maps = monodromy.period_maps
+
+    def counting(c, lams, *args, **kwargs):
+        calls.append(len(lams))
+        mapped.extend(lams)
+        return period_maps(c, lams, *args, **kwargs)
+
+    monkeypatch.setattr(monodromy, "period_maps", counting)
+    for op in sigma3:
+        first = len(calls)
+        mapped.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(list(op.argv)) == 0, op.argv
+        assert calls[first] == 9, op.argv
+        assert len(set(mapped)) == len(mapped), op.argv
+    assert (len(sigma3), len(calls), sum(calls)) == (30, 187, 661)
 
 
 def test_verify_far_series_calls_take_one_product_per_run(workloads, tmp_path, monkeypatch):
@@ -333,7 +363,8 @@ def test_roots_steps_ops_build_one_parser_and_one_run_table_per_set(
         workloads, tmp_path, monkeypatch, capsys):
     """Through cli.main, roots-steps builds its 5 parsers (root and 4 commands)
     once in all, and each coefficient object finds its runs once however many
-    core calls it serves, in whatever dtype.
+    core calls it serves, in whatever dtype, and builds the core's run
+    entries from them once per dtype.
     """
     ops = workloads.WORKLOADS["roots-steps"].build(np.random.default_rng(41), str(tmp_path))
     picked = [op for op in ops if op.kind == "eigs"][:4]
@@ -351,16 +382,18 @@ def test_roots_steps_ops_build_one_parser_and_one_run_table_per_set(
         return find(p, q)
 
     def recording(c, params, dtype):
-        served.append((c, np.dtype(dtype)))  # holds c, so no id is reused
-        return framed(c, params, dtype)
+        framing = framed(c, params, dtype)
+        served.append((c, np.dtype(dtype), framing[0]))  # holds c, so no id is reused
+        return framing
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     monkeypatch.setattr(coeffs, "_equal_cell_runs", counting_find)
     monkeypatch.setattr(monodromy, "_framed_runs", recording)
-    cli.build_parser.cache_clear()
+    cli.build_parsers.cache_clear()
     for op in picked:
         assert cli.main(list(op.argv)) == 0, op.argv
     capsys.readouterr()
     assert 1 <= len(parsers) <= 5, parsers
-    assert len(tables) <= len({(id(c), dtype) for c, dtype in served}) == len(picked)
+    assert len(tables) <= len({(id(c), dtype) for c, dtype, _ in served}) == len(picked)
+    assert len({id(runs) for _, _, runs in served}) == len(picked)
     assert len(served) >= 3 * len(picked)

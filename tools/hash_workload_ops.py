@@ -17,6 +17,10 @@ probe) over the same records, so a change confined to one command shows
 as the other kinds' digests held, and by a verify-masked digest: the
 verify records with every ``worst`` number masked, so a change that moves
 only the roundoff residuals verify reports shows every other byte held.
+Each such digest line is followed by a line with the period-map core calls
+and points its operations made, counted by wrappers that this tool puts on
+``monodromy.period_maps`` and ``checks.period_maps``; those lines differ
+between checkouts that map different points, the digest lines do not.
 
 The workload scans have 2-3 points and its eigs short index ranges, so a
 second digest covers dense CLI tables: 2001-point scans through lambda = 0
@@ -24,7 +28,7 @@ and the triple set on the conftest fixtures and
 ROOT/tests/golden/steps.json, each fixture's eigs at k = 1 over n in
 -40..40, its sigma3 in its default window, and its verify, in CSV and
 JSON; it too is split per command (scan, eigs, sigma3, verify), with a
-verify-masked digest.
+verify-masked digest, and with the core calls and points of each.
 
 The CLI echoes the coefficient file paths into its output, so the files
 are written into WORKDIR; hash two checkouts with the same WORKDIR to
@@ -86,19 +90,46 @@ class _SortedFlags(frozenset):
 
 
 class _Digests:
-    """One running sha256 and record count per key, in first-seen order."""
+    """One running sha256, record count and core-call count per key, in first-seen order."""
 
     def __init__(self) -> None:
         self.digests: dict[str, "hashlib._Hash"] = {}
         self.counts: collections.Counter[str] = collections.Counter()
+        self.calls: collections.Counter[str] = collections.Counter()
+        self.points: collections.Counter[str] = collections.Counter()
 
-    def update(self, key: str, record: bytes) -> None:
+    def update(self, key: str, record: bytes, core: tuple[int, int]) -> None:
+        """Take one record and the (core calls, points) made for it."""
         self.digests.setdefault(key, hashlib.sha256()).update(record)
         self.counts[key] += 1
+        self.calls[key] += core[0]
+        self.points[key] += core[1]
 
     def report(self, prefix: str, noun: str) -> None:
         for key, digest in self.digests.items():
             print(f"{prefix} {key}: {self.counts[key]} {noun}, sha256 {digest.hexdigest()}")
+            print(f"{prefix} {key} calls: {self.calls[key]} core calls, "
+                  f"{self.points[key]} points")
+
+
+class _CoreCounter:
+    """Core calls and points so far, through the wrappers of count()."""
+
+    def __init__(self) -> None:
+        self.calls = self.points = 0
+
+    def count(self, core):
+        """core, counting each call and its points."""
+        def period_maps(c, lams, *args, **kwargs):
+            self.calls += 1
+            self.points += len(lams)
+            return core(c, lams, *args, **kwargs)
+
+        return period_maps
+
+    def since(self, start: tuple[int, int]) -> tuple[int, int]:
+        """(calls, points) made after the snapshot start."""
+        return self.calls - start[0], self.points - start[1]
 
 
 def _dense_argvs(root: Path, workdir: Path) -> list[list[str]]:
@@ -151,12 +182,15 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(root / "src"))
     import numpy as np
     import triband
-    from triband import bands, cli
+    from triband import bands, checks, cli, monodromy
     from triband.coeffs import load_coefficients
 
     if root / "src" not in Path(triband.__file__).resolve().parents:
         raise SystemExit(f"triband imported from {triband.__file__}, not from {root / 'src'}")
     workloads = _load_workloads(root)
+    core = _CoreCounter()
+    monodromy.period_maps = core.count(monodromy.period_maps)
+    checks.period_maps = core.count(checks.period_maps)
     total, total_count = hashlib.sha256(), 0
     for seed in args.seeds:
         digest, count, kinds = hashlib.sha256(), 0, _Digests()
@@ -164,13 +198,15 @@ def main(argv: list[str] | None = None) -> int:
             workdir = args.workdir / f"{name}-{seed}"
             workdir.mkdir(parents=True, exist_ok=True)
             for op in workload.build(np.random.default_rng(seed), str(workdir)):
+                start = core.calls, core.points
                 text = _outcome(op, cli, bands, load_coefficients)
+                made = core.since(start)
                 record = f"{op.kind} {op.argv!r} {op.lam!r}\n{text}\n".encode()
                 digest.update(record)
                 total.update(record)
-                kinds.update(op.kind, record)
+                kinds.update(op.kind, record, made)
                 if op.kind == "verify":
-                    kinds.update("verify-masked", _masked(record))
+                    kinds.update("verify-masked", _masked(record), made)
                 count += 1
         total_count += count
         print(f"seed {seed}: {count} operations, sha256 {digest.hexdigest()}")
@@ -178,11 +214,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"all seeds: {total_count} operations, sha256 {total.hexdigest()}")
     dense, argvs, commands = hashlib.sha256(), _dense_argvs(root, args.workdir / "dense"), _Digests()
     for argv in argvs:
+        start = core.calls, core.points
         record = f"{argv!r}\n{_cli_text(cli, argv)}\n".encode()
+        made = core.since(start)
         dense.update(record)
-        commands.update(argv[0], record)
+        commands.update(argv[0], record, made)
         if argv[0] == "verify":
-            commands.update("verify-masked", _masked(record))
+            commands.update("verify-masked", _masked(record), made)
     print(f"dense tables: {len(argvs)} commands, sha256 {dense.hexdigest()}")
     commands.report("dense tables", "commands")
     return 0
