@@ -47,10 +47,8 @@ from .monodromy import (
     traces_at,
 )
 from .multipliers import (
-    MultiplierSet,
     continue_branches,
     free_multipliers,
-    multiplier_set,
     solve_multipliers,
 )
 
@@ -61,7 +59,6 @@ __all__ = [
     "FloquetSolveResult",
     "FreeCaseValues",
     "MonodromyResult",
-    "MultiplierSet",
     "OMEGA",
     "PeriodicCoefficients",
     "PicardTruncationError",
@@ -84,7 +81,6 @@ __all__ = [
     "free_multipliers",
     "free_trace",
     "load_coefficients",
-    "multiplier_set",
     "parse_coefficients",
     "picard_monodromy",
     "rho_at",

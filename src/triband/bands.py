@@ -3,7 +3,9 @@
 Every real lambda is in the spectrum; the table records with which
 multiplicity it is covered: the discriminant rho, the count of unimodular
 multipliers (one or three), and the Lyapunov values of the branches, with
-branch labels continued consistently along the grid.
+branch labels continued consistently along the grid.  Every row is built by
+_assemble from a triple of multipliers: the only code that computes
+Delta = (tau + 1/tau)/2 and the only code that names the flags below.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .monodromy import growth_refusal, trace_at, traces_at
 from .util import uniform_grid
 
 FLAG_NEAR_BRANCH_POINT = "near-branch-point"
-FLAG_AMBIGUOUS_MATCH = mult.FLAG_AMBIGUOUS_MATCH
+FLAG_AMBIGUOUS_MATCH = "ambiguous-match"
 FLAG_DEGENERATE = "degenerate"
 
 # |rho| within this share of the formula's scale flags a point near-branch-point;
@@ -38,7 +40,8 @@ class BandPoint:
     consistency invariant multiplicity == on_circle_count holds off the
     flagged set).  That flag, on_circle_count and the degenerate flag (a
     count other than one or three) are decided here alone, for band_point
-    and scan alike; continuation adds only ambiguous-match.
+    and scan alike; ambiguous-match marks a scan row whose branch labels
+    were a near tie (continue_branches).
     lyapunov_branches lists all three Lyapunov values in branch-label order
     with branch_on_circle marking the unimodular ones;
     lyapunov_real_branches keeps just those values, clipped into [-1, 1].
@@ -55,18 +58,18 @@ class BandPoint:
     error: Optional[str] = None
 
 
-def _assemble(lam: float, ms: mult.MultiplierSet, T: complex) -> BandPoint:
-    """The row at lam from its multipliers and the trace T they solve."""
-    on_circle = mult.on_circle(ms.taus)
+def _assemble(lam: float, taus: tuple[complex, complex, complex], tie: bool,
+              T: complex) -> BandPoint:
+    """The row at lam from its multipliers in branch order, their labelling's tie, and T."""
+    assert all(tau != 0 for tau in taus), "zero multiplier contradicts det M = 1"
+    on_circle = mult.on_circle(taus)
     count = sum(on_circle)
-    lyapunov = ms.lyapunov
+    lyapunov = tuple((tau + 1.0 / tau) / 2.0 for tau in taus)
     rho = rho_trace_formula(T)
-
-    flags = set(ms.flags)
-    if abs(rho) <= _DEGENERACY_RTOL * rho_formula_scale(T):
-        flags.add(FLAG_NEAR_BRANCH_POINT)
-    if count not in (1, 3):
-        flags.add(FLAG_DEGENERATE)
+    flags = frozenset(flag for flag, on in (
+        (FLAG_AMBIGUOUS_MATCH, tie),
+        (FLAG_NEAR_BRANCH_POINT, abs(rho) <= _DEGENERACY_RTOL * rho_formula_scale(T)),
+        (FLAG_DEGENERATE, count not in (1, 3))) if on)
 
     real_branches = tuple(
         float(min(1.0, max(-1.0, delta.real)))
@@ -81,7 +84,7 @@ def _assemble(lam: float, ms: mult.MultiplierSet, T: complex) -> BandPoint:
         lyapunov_branches=lyapunov,
         branch_on_circle=on_circle,
         lyapunov_real_branches=real_branches,
-        flags=frozenset(flags),
+        flags=flags,
     )
 
 
@@ -91,7 +94,7 @@ def band_point(c: PeriodicCoefficients, lam: float) -> BandPoint:
     if (err := growth_refusal(c, lam)) is not None:
         return BandPoint(lam=lam, error=str(err))
     T = trace_at(c, lam)
-    return _assemble(lam, mult.multiplier_set(lam, T), T)
+    return _assemble(lam, tuple(mult.solve_multipliers(T, np.conj(T))), False, T)
 
 
 def scan_real_axis(
@@ -114,7 +117,7 @@ def scan_real_axis(
     refusals = [growth_refusal(c, lam) for lam in lams]
     good = [lam for lam, err in zip(lams, refusals) if err is None]
     traces = traces_at(c, good)
-    sets = mult.continue_branches(good, mult.solve_multipliers(traces, np.conj(traces)))
-    rows = iter([_assemble(x, ms, T) for x, ms, T in zip(good, sets, traces)])
+    taus, ties = mult.continue_branches(good, mult.solve_multipliers(traces, np.conj(traces)))
+    rows = iter([_assemble(*row) for row in zip(good, taus, ties, traces)])
     return [BandPoint(lam=lam, error=str(err)) if err is not None else next(rows)
             for lam, err in zip(lams, refusals)]

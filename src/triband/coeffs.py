@@ -16,6 +16,8 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .util import MAX_GRID_POINTS
+
 
 def _validated_samples(values: Any, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -76,9 +78,11 @@ class PeriodicCoefficients:
 
     @classmethod
     def from_constants(cls, p0: float, q0: float, grid_size: int) -> "PeriodicCoefficients":
-        """Constant coefficients p = p0, q = q0 on a grid of the given size."""
+        """p = p0, q = q0 on 1..MAX_GRID_POINTS cells: one run at any N, so more buy nothing."""
         if grid_size < 1:
             raise ValueError("grid_size must be at least 1")
+        if grid_size > MAX_GRID_POINTS:
+            raise ValueError(f"grid_size must be at most {MAX_GRID_POINTS}, got {grid_size}")
         p0 = float(p0)
         q0 = float(q0)
         if not (np.isfinite(p0) and np.isfinite(q0)):

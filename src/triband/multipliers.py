@@ -1,4 +1,4 @@
-"""Multipliers (eigenvalues of the period map) and the Lyapunov data.
+"""Multipliers: the eigenvalues of the period map, solved and labelled by branch.
 
 The three multipliers tau_j solve the cubic
 
@@ -7,50 +7,27 @@ The three multipliers tau_j solve the cubic
 have product 1, and for real lambda the set is invariant under
 tau -> 1/conj(tau).  Exactly one or all three lie on the unit circle at a
 real spectral point; in the one-on-circle case the remaining pair is
-(e^{ik}, e^{i conj(k)}) with nonreal k.  Each multiplier carries a Lyapunov
-value Delta = (tau + 1/tau)/2 = cos(k), computed from tau on access.  This
-module says which multipliers are on the circle (on_circle); bands alone
-turns their count into a row's on_circle_count and degenerate flag.
+(e^{ik}, e^{i conj(k)}) with nonreal k.  This module solves the cubics, says
+which roots are on the circle (on_circle) and labels the roots of a real grid
+by branch (continue_branches).  bands alone computes the Lyapunov values
+Delta = (tau + 1/tau)/2 = cos(k) and the on-circle count, and names every flag.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .monodromy import OMEGA, SpectralParameter
 
-FLAG_AMBIGUOUS_MATCH = "ambiguous-match"
-
-# best and runner-up matching costs this close (relative) flag a point ambiguous
+# best and runner-up matching costs this close (relative) make a point a tie
 _TIE_RTOL = 1e-3
 
 _PERMUTATIONS_3 = (
     (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)
 )
-
-
-@dataclass(frozen=True)
-class MultiplierSet:
-    """Multipliers at one spectral point, with the continuation's flag.
-
-    After continue_branches, taus[j - 1] is branch j of the asymptotic
-    convention (branch j tends to exp(i z w^(j-1))).  The Lyapunov data are
-    a view of taus.
-    """
-
-    lam: complex
-    taus: tuple[complex, complex, complex]
-    flags: frozenset[str] = frozenset()
-
-    @property
-    def lyapunov(self) -> tuple[complex, complex, complex]:
-        """Delta_j = (tau_j + 1/tau_j)/2; tau = 0 contradicts det M = 1."""
-        assert all(tau != 0 for tau in self.taus), "zero multiplier contradicts det M = 1"
-        return tuple((tau + 1.0 / tau) / 2.0 for tau in self.taus)
 
 
 def _newton_step(tau: complex, a: complex, b: complex) -> Optional[complex]:
@@ -143,39 +120,34 @@ def on_circle(taus: Sequence[complex]) -> tuple[bool, ...]:
     return tuple(bool(abs(abs(tau) - 1.0) <= tol) for tau in taus)
 
 
-def multiplier_set(lam: float, T: complex) -> MultiplierSet:
-    """Multipliers at a real lambda, where conj(T(conj(lambda))) = conj(T)."""
-    lam = complex(lam)
-    if lam.imag != 0.0:
-        raise ValueError("multiplier_set is defined for real lambda only")
-    return MultiplierSet(lam=lam, taus=tuple(solve_multipliers(T, np.conj(T))))
-
-
 def free_multipliers(param: SpectralParameter) -> tuple[complex, complex, complex]:
     """Zero-coefficient multipliers exp(i z w^(j-1)), j = 1, 2, 3."""
     return tuple(cmath.exp(1j * OMEGA**j * param.z) for j in range(3))
 
 
-def continue_branches(lams: Sequence[float], roots: np.ndarray) -> list[MultiplierSet]:
-    """Consistent branch labels along a real-lambda grid for roots (L, 3) of solve_multipliers.
+def continue_branches(lams: Sequence[float], roots: np.ndarray) -> tuple[list[tuple], list[bool]]:
+    """Branch-labelled rows and ties along a real-lambda grid for roots (L, 3) of solve_multipliers.
 
-    Labels are anchored at the largest grid point by proximity to the
-    zero-coefficient multipliers exp(i z w^(j-1)) and swept downward by
-    nearest matching between consecutive points: the permutation of the
-    row with the least scaled distance to the previous labels, the first of
-    equal ones.  A matching whose best and runner-up permutations are
-    within 1e-3 relative of each other is flagged ambiguous, not rejected;
-    that is the only flag set here (bands decides near-branch-point).
+    rows[i] is row i of roots permuted so that rows[i][j - 1] is branch j of
+    the asymptotic convention (branch j tends to exp(i z w^(j-1))), a tuple
+    of the stack's own numpy scalars.  Labels are anchored at the largest
+    grid point by proximity to the zero-coefficient multipliers and swept
+    downward by nearest matching between consecutive points: the
+    permutation of the row with the least scaled distance to the previous
+    labels, the first of equal ones.  ties[i] says whether the best and
+    runner-up permutations at point i were within 1e-3 relative of each
+    other; such a point is labelled all the same, and bands flags it.
 
-    The result is returned in the input order; the matching itself works on
-    the sorted grid, so a reversed grid yields identical labels.
+    Both lists are in the input order; the matching itself works on the
+    sorted grid, so a reversed grid yields identical labels.
     """
     if len(lams) != len(roots):
         raise ValueError("grid and root stack must have equal length")
     order = np.argsort(lams)
-    out: list[MultiplierSet] = [None] * len(lams)  # type: ignore[list-item]
-    if not out:
-        return out
+    rows: list = [None] * len(lams)
+    ties = [False] * len(lams)
+    if not rows:
+        return rows, ties
     reference: Sequence[complex] = free_multipliers(
         SpectralParameter.from_lambda(float(lams[order[-1]])))
     for i in order[::-1]:
@@ -184,9 +156,6 @@ def continue_branches(lams: Sequence[float], roots: np.ndarray) -> list[Multipli
         (best, p), (second, _) = sorted(
             (sum(abs(row[perm[j]] - reference[j]) / weights[j] for j in range(3)), p)
             for p, perm in enumerate(_PERMUTATIONS_3))[:2]
-        taus = tuple(row[j] for j in _PERMUTATIONS_3[p])
-        tie = second - best <= _TIE_RTOL * (1.0 + best)
-        flags = frozenset({FLAG_AMBIGUOUS_MATCH} if tie else ())
-        out[i] = MultiplierSet(complex(lams[i]), taus, flags)
-        reference = taus
-    return out
+        rows[i] = reference = tuple(row[j] for j in _PERMUTATIONS_3[p])
+        ties[i] = bool(second - best <= _TIE_RTOL * (1.0 + best))
+    return rows, ties

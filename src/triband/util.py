@@ -7,7 +7,8 @@ import numpy as np
 
 # The most points of a scan or sigma3 grid: a scan maps all its points in one core call, at
 # a peak of about 1.3 kB per point (tracemalloc, 20000-point scans at N = 64), so a million
-# ask for some 1.3 GB, and far more end in numpy's allocation error or run for hours.
+# ask for some 1.3 GB, and far more end in numpy's allocation error or run for hours.  Also
+# the most cells of a constant-coefficient grid, which is one run of the core at any N.
 MAX_GRID_POINTS = 1_000_000
 
 

@@ -19,7 +19,6 @@ from triband import (
     free_eigenvalues,
     free_trace,
     monodromy,
-    multiplier_set,
     picard_monodromy,
     rho_at,
     rho_product_formula,
@@ -245,16 +244,15 @@ def test_criterion_9_multiplier_symmetry(coefficient_sets):
     structure_ok = True
     lams = _real_grid(100)
     for c in coefficient_sets:
-        for lam, T in zip(lams, traces_at(c, lams)):
+        for T in traces_at(c, lams):
             taus = solve_multipliers(T, np.conj(T))
             worst_h = max(
                 worst_h, hausdorff_distance(tuple(taus), tuple(1.0 / np.conj(taus)))
             )
             rho = rho_trace_formula(T)
             if rho > 1e-9 * (1 + abs(rho)):
-                ms = multiplier_set(float(lam), T)
-                structure_ok = structure_ok and sum(on_circle(ms.taus)) == 1
-                off = sorted(ms.taus, key=lambda t: abs(abs(t) - 1.0))[1:]
+                structure_ok = structure_ok and sum(on_circle(taus)) == 1
+                off = sorted(taus, key=lambda t: abs(abs(t) - 1.0))[1:]
                 structure_ok = structure_ok and (
                     abs(off[0] - 1.0 / np.conj(off[1])) <= 1e-8 * (1 + abs(off[0]))
                 )

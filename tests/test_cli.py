@@ -265,6 +265,26 @@ def test_points_above_the_cap_are_one_error_line(capsys, argv):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("source", ["--grid", "--coeffs"])
+def test_constant_grid_above_the_cap_is_one_error_line(capsys, tmp_path, source):
+    """A constant-coefficient grid of one cell past MAX_GRID_POINTS, from --grid or from a
+    {"p_const", "q_const", "grid_size"} file, is refused before its samples are built."""
+    size = MAX_GRID_POINTS + 1
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"p_const": 1, "q_const": 0, "grid_size": size}))
+    coeffs = (["--p-const", "1", "--q-const", "0", "--grid", str(size)] if source == "--grid"
+              else ["--coeffs", str(path)])
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "scan", *coeffs, "--interval", "0,1", "--points", "2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == f"error: grid_size must be at most {MAX_GRID_POINTS}, got {size}\n"
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize(
     "error, line",
     [

@@ -9,6 +9,7 @@ from triband import (
     parse_coefficients,
 )
 from triband.monodromy import period_maps
+from triband.util import MAX_GRID_POINTS
 
 
 def test_from_constants_kappa():
@@ -49,6 +50,16 @@ def test_from_samples_sin_kappa_quadrature_oracle():
     c = PeriodicCoefficients.from_samples(np.sin(2 * np.pi * t), np.zeros(1024))
     assert c.kappa == pytest.approx(oracle, abs=1e-3)
     assert c.kappa == pytest.approx(2 / np.pi, abs=1e-3)
+
+
+def test_constant_grid_is_capped_at_max_grid_points():
+    """Equal cells are one run at any N: the cap is accepted, one cell more is refused."""
+    c = PeriodicCoefficients.from_constants(1, 0, MAX_GRID_POINTS)
+    assert c.grid_size == MAX_GRID_POINTS
+    assert c.runs.tolist() == [[MAX_GRID_POINTS, 1.0, 0.0]]
+    for grid_size in (MAX_GRID_POINTS + 1, 10**11):
+        with pytest.raises(ValueError, match=f"at most {MAX_GRID_POINTS}, got {grid_size}"):
+            PeriodicCoefficients.from_constants(1, 0, grid_size)
 
 
 def test_invalid_inputs_rejected():

@@ -9,7 +9,6 @@ from triband import (
     OMEGA,
     PeriodicCoefficients,
     default_search_interval,
-    multiplier_set,
     rho_at,
     rho_product_formula,
     rho_trace_formula,
@@ -75,10 +74,10 @@ def test_rho_product_simple_values():
 def test_rho_positive_in_one_on_circle_case(coefficient_sets):
     lams = (25.0, -60.0, 333.0)
     for c in coefficient_sets:
-        for lam, T in zip(lams, traces_at(c, lams)):
-            ms = multiplier_set(lam, T)
-            if sum(on_circle(ms.taus)) == 1:
-                assert rho_product_formula(ms.taus).real > 0
+        for T in traces_at(c, lams):
+            taus = tuple(solve_multipliers(T, np.conj(T)))
+            if sum(on_circle(taus)) == 1:
+                assert rho_product_formula(taus).real > 0
 
 
 def test_trace_and_product_routes_agree(coefficient_sets):
@@ -105,15 +104,15 @@ def test_free_rho_positive_off_zero(zero_c):
 def test_classification_matches_rho_sign(const_c, sin_c):
     for c in (const_c, sin_c):
         lams = [float(lam) for lam in np.linspace(-90, 90, 37) if lam != 0]
-        for lam, T in zip(lams, traces_at(c, lams)):
+        for T in traces_at(c, lams):
             rho = rho_trace_formula(T)
-            ms = multiplier_set(lam, T)
+            taus = tuple(solve_multipliers(T, np.conj(T)))
             if abs(rho) <= 1e-9 * (1 + abs(rho)):
                 continue  # boundary band: classification may be degenerate
             if rho > 0:
-                assert sum(on_circle(ms.taus)) == 1
+                assert sum(on_circle(taus)) == 1
             else:
-                assert sum(on_circle(ms.taus)) == 3
+                assert sum(on_circle(taus)) == 3
 
 
 # ------------------------------------------------------------- sigma3 scan
