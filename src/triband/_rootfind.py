@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Any, Callable, Generator, Optional, Sequence
 
 _EPS = 2.220446049250313e-16
@@ -15,7 +14,6 @@ def brent_steps(
     xtol: float,
     fa: float,
     fb: float,
-    admit: Callable[[float], bool] = lambda x: True,
 ) -> Generator[list[float], list[float], tuple[float, float]]:
     """Brent's iteration on the sign-change bracket [a, b], as a lockstep search.
 
@@ -24,10 +22,12 @@ def brent_steps(
     their values and reads only f(x), so lockstep can evaluate the points of
     many searches in one call.  After a step d with tol < |d| <= 1e3 tol the
     next step is most likely the confirming x -+ t, t = 2*eps*|x| + 0.5*xtol:
-    the list then also holds those of x + t, x - t that admit accepts, which
-    an evaluator with a table of values finds there one round later.  It
-    returns (x, f(x)) with x within about 2*eps*|x| + xtol of a zero, a point
-    whose f it was given.  Secant / inverse-quadratic steps guarded by bisection.
+    the list then also holds those of x + t, x - t that lie in the bracket
+    whose ends it holds values at (where a guard that grows with |x| and
+    passed both ends passes them too), and lockstep's table serves the
+    confirming step one round later.  It returns (x, f(x)) with x within
+    about 2*eps*|x| + xtol of a zero, a point whose f it was given.
+    Secant / inverse-quadratic steps guarded by bisection.
     """
     if fa == 0.0:
         return a, fa
@@ -73,7 +73,8 @@ def brent_steps(
         a, fa = b, fb
         b += d if abs(d) > tol else (tol if mid > 0 else -tol)
         t = 2.0 * _EPS * abs(b) + 0.5 * xtol  # the tol of the next step
-        ahead = [x for x in (b + t, b - t) if admit(x)] if tol < abs(d) <= 1e3 * tol else []
+        lo, hi = min(a, c), max(a, c)  # the bracket, with values at both ends
+        ahead = [x for x in (b + t, b - t) if lo <= x <= hi] if tol < abs(d) <= 1e3 * tol else []
         fb = (yield [b, *ahead])[0]
     return b, fb
 
@@ -82,17 +83,21 @@ def lockstep(
     evaluate: Callable[[list], list],
     searches: Sequence[Generator[list, list, Any]],
 ) -> list:
-    """Run searches together; the points of each round go to one evaluate call.
+    """Run searches together; the new points of each round go to one evaluate call.
 
     Each search is a generator that yields a list of points, is sent their
     values as a list, and returns its outcome; a search may return before
     its first yield.  brent_steps is one such search, and so is any
     generator that hands its points on to it.  evaluate maps a list of
-    points to the list of their values (one with a table of the values it
-    found serves brent_steps' early asks).  Returns the outcomes in the order
-    of searches.
+    points to the list of their values.  It is sent only the points of a
+    round that no earlier round asked for, each once and in the order they
+    were first asked, and is not called in a round without one; every
+    search is answered from the table of values so found, which serves
+    repeats across searches and rounds and brent_steps' early asks alike.
+    Returns the outcomes in the order of searches.
     """
     outcomes: list = [None] * len(searches)
+    table: dict = {}
     replies: dict[int, Optional[list]] = dict.fromkeys(range(len(searches)))
     while replies:
         asks = {}
@@ -101,9 +106,8 @@ def lockstep(
                 asks[i] = searches[i].send(reply)
             except StopIteration as done:
                 outcomes[i] = done.value
-        if not asks:
-            break
-        values = iter(evaluate([x for points in asks.values() for x in points]))
-        replies = {i: list(islice(values, len(points))) for i, points in asks.items()}
+        new = list(dict.fromkeys(x for points in asks.values() for x in points if x not in table))
+        if new:
+            table.update(zip(new, evaluate(new)))
+        replies = {i: [table[x] for x in points] for i, points in asks.items()}
     return outcomes
-

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._rootfind import brent_steps, lockstep
 from .coeffs import PeriodicCoefficients
-from .monodromy import growth_refusal, trace_at, traces_at
+from .monodromy import trace_at, traces_at
 from .util import uniform_grid
 
 _LD = np.longdouble
@@ -89,7 +89,6 @@ class Sigma3Result:
     intervals: tuple[Sigma3Interval, ...]
     touch_points: tuple[float, ...]
     search_interval: tuple[float, float]
-    scan_points: int
     interval_was_default: bool = False
 
 
@@ -159,18 +158,14 @@ def sigma3_intervals(
     def refine(i: int, j: int):
         """Search for (root, rho there) between grid points i < j of opposite strict signs."""
         return brent_steps(float(grid[i]), float(grid[j]), xtol=tol, fa=float(rho[i]),
-                           fb=float(rho[j]), admit=lambda lam: growth_refusal(c, lam) is None)
-
-    table: dict[float, complex] = {}  # lambda -> T of the Brent points
+                           fb=float(rho[j]))
 
     def rho_of(lams: list[float]) -> list[float]:
-        missing = list(dict.fromkeys(lam for lam in lams if lam not in table))
-        if missing:
-            table.update(zip(missing, traces_at(c, missing)))
-        return [rho_trace_formula(table[lam]) for lam in lams]
+        return [rho_trace_formula(T) for T in traces_at(c, lams)]
 
     # every endpoint inside the scan refines in lockstep, one core call per
-    # round; ends clipped at the scan edge keep the grid point and its rho
+    # round with a new point; ends clipped at the scan edge keep the grid
+    # point and its rho
     searches = []
     for i, j, first, last in runs:
         if i > 0:
@@ -188,6 +183,5 @@ def sigma3_intervals(
         intervals=tuple(intervals),
         touch_points=tuple(touches),
         search_interval=(a, b),
-        scan_points=scan_points,
         interval_was_default=was_default,
     )

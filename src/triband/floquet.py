@@ -28,7 +28,7 @@ import numpy as np
 
 from ._rootfind import brent_steps, lockstep
 from .coeffs import PeriodicCoefficients
-from .monodromy import _check_growth, growth_refusal, traces_at
+from .monodromy import _check_growth, traces_at
 
 
 def char_real_function(k: float, T: complex) -> float:
@@ -82,7 +82,7 @@ _TIGHT = 1e-2
 _TOL = 1e-10  # relative lambda accuracy of the Brent stage, unless a caller asks otherwise
 
 # a search stage yields lists of points s = cbrt(lambda) and is sent their F
-# values; the traces behind them sit in the trace table of the call
+# values; the traces behind them sit in the trace record of the call
 _Stage = Generator[list[float], list[float], object]
 
 
@@ -92,7 +92,7 @@ def _scans(seed: float, s0: float):
     The tight pair s0 -+ _TIGHT around the corrected seed s0 alone (unless
     the pair reaches past the bracket ends [lo, hi]), then [lo, hi] and its
     9-point subdivision for each width, then the fine scan.  A subdivision
-    repeats its ends, which the trace table already holds.
+    repeats its ends, which lockstep answers from its table.
     """
     # bracket stays inside the midpoints to the neighbouring seeds so a
     # root cannot be captured from the wrong index
@@ -130,45 +130,41 @@ def _bracket(k: float, n: int, p_mean: float, q_mean: float) -> _Stage:
                       "bracket (possible even-multiplicity touch)")
 
 
-def _refine(c: PeriodicCoefficients, k: float, n: int, tol: float, bracket: tuple,
-            traces: dict) -> _Stage:
+def _refine(k: float, n: int, tol: float, bracket: tuple, traces: dict) -> _Stage:
     """Brent's root in a bracket (a, b, f(a), f(b)) from _bracket, as a FloquetEigenvalue.
 
-    Brent returns a point it was sent F at, whose trace the table holds; it
-    asks for no point early that the growth guard refuses.
+    Brent returns a point it was sent F at, whose trace the record holds.
     """
     seed = 2.0 * math.pi * n + k
     xtol_s = max(tol * max(1.0, abs(seed)) / 3.0, 6e-16 * max(1.0, abs(seed)))
     a, b, fa, fb = bracket
-    s_root, f_val = yield from brent_steps(a, b, xtol=xtol_s, fa=fa, fb=fb,
-                                           admit=lambda s: growth_refusal(c, s**3) is None)
+    s_root, f_val = yield from brent_steps(a, b, xtol=xtol_s, fa=fa, fb=fb)
     return FloquetEigenvalue(n=n, k=k, lambda_n=s_root**3, cube_root_gap=s_root - seed,
                              residual=abs(f_val) / (1.0 + abs(traces[s_root])))
 
 
-def _solve_one(c: PeriodicCoefficients, k: float, n: int, tol: float, means: tuple,
-               traces: dict) -> _Stage:
+def _solve_one(k: float, n: int, tol: float, means: tuple, traces: dict) -> _Stage:
     """_bracket, then _refine: the root, or the MissedRoot of the bracket search."""
     bracket = yield from _bracket(k, n, *means)
     if isinstance(bracket, MissedRoot):
         return bracket
-    return (yield from _refine(c, k, n, tol, bracket, traces))
+    return (yield from _refine(k, n, tol, bracket, traces))
 
 
 def _f_in_s(c: PeriodicCoefficients, k: float, traces: dict[float, complex]):
-    """F(k, .) at a list of points s = cbrt(lambda), on the trace table traces.
+    """F(k, .) at a list of points s = cbrt(lambda), from one period-map core call.
 
-    The points missing from the table go to the period-map core in one
-    call and their traces into the table; with none missing, no call.  F is
-    char_real_function's arithmetic, with e^{ik/2} and sin(3k/2) taken once.
+    lockstep sends each point once, so every point sent is mapped and its
+    trace recorded in traces, where _refine reads the residual of its root.
+    F is char_real_function's arithmetic, with e^{ik/2} and sin(3k/2) taken
+    once.
     """
     e, sin_k = complex(math.cos(k / 2.0), math.sin(k / 2.0)), math.sin(1.5 * k)
 
     def g(points: list[float]) -> list[float]:
-        missing = list(dict.fromkeys(s for s in points if s not in traces))
-        if missing:
-            traces.update(zip(missing, traces_at(c, [s**3 for s in missing])))
-        return [(e * traces[s]).imag - sin_k for s in points]
+        found = traces_at(c, [s**3 for s in points])
+        traces.update(zip(points, found))
+        return [(e * T).imag - sin_k for T in found]
 
     return g
 
@@ -190,11 +186,11 @@ def eigenvalues_at_k(
     degenerate eigenvalue and are both reported with multiplicity 2.  Seeds
     without any sign change are returned as missed-root diagnostics, which
     is the expected signature of an even-order touch of F at a double
-    eigenvalue.  The seeds advance in lockstep on one trace table: each
-    round's points that the call has not mapped yet go to the period-map
-    core together, in one call.  The guard refuses the whole first round,
-    where every search opens, so it is asked first about the openings of the
-    two end seeds, the largest |n|, before any search is built.
+    eigenvalue.  The seeds advance in one lockstep: each round's points that
+    the call has not mapped yet go to the period-map core together, in one
+    call.  The guard refuses the whole first round, where every search
+    opens, so it is asked first about the openings of the two end seeds,
+    the largest |n|, before any search is built.
     """
     k = float(k)
     if not 0.0 <= k < 2.0 * math.pi:
@@ -208,7 +204,7 @@ def eigenvalues_at_k(
     means = float(np.mean(c.p_samples)), float(np.mean(c.q_samples))
     _check_growth(c, [s**3 for n in (n_lo, n_hi) for s in next(_bracket(k, n, *means))])
     traces: dict[float, complex] = {}
-    searches = [_solve_one(c, k, n, tol, means, traces) for n in range(n_lo, n_hi + 1)]
+    searches = [_solve_one(k, n, tol, means, traces) for n in range(n_lo, n_hi + 1)]
     outcomes = lockstep(_f_in_s(c, k, traces), searches)
     found = [o for o in outcomes if isinstance(o, FloquetEigenvalue)]
     missed = tuple(o for o in outcomes if isinstance(o, MissedRoot))
@@ -252,10 +248,10 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
     narrower than the disk).  Brent runs only on a bracket that crosses the
     radius, with the arithmetic of eigenvalues_at_k; its root lies in the
     bracket, so every count is the one of the refined roots.  Each seed's
-    stage, its bracket and then that Brent run, goes in one lockstep on one
-    trace table, as in eigenvalues_at_k.  A bracket
-    stays within pi of its seed, so the search takes every seed within pi
-    of the disk, and reliable covers the seeds whose brackets can reach it.
+    stage, its bracket and then that Brent run, goes in one lockstep, as in
+    eigenvalues_at_k.  A bracket stays within pi of its seed, so the search
+    takes every seed within pi of the disk, and reliable covers the seeds
+    whose brackets can reach it.
     """
     k = float(k)
     if N < 1:
@@ -282,7 +278,7 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
         a_in, b_in = (bool(abs(np.cbrt(s**3)) < s_radius) for s in bracket[:2])
         if a_in == b_in:
             return int(a_in)
-        root = yield from _refine(c, k, n, _TOL, bracket, traces)
+        root = yield from _refine(k, n, _TOL, bracket, traces)
         return int(abs(np.cbrt(root.lambda_n)) < s_radius)
 
     outcomes = lockstep(_f_in_s(c, k, traces), [count_one(n) for n in range(n_lo, n_hi + 1)])

@@ -93,7 +93,6 @@ class MonodromyResult:
     terms and tail_bound the analytic bound that fixed K.
     """
 
-    param: SpectralParameter
     M: np.ndarray
     trace_T: complex
     order: int
@@ -469,4 +468,4 @@ def picard_monodromy(
     W, [(K, tail)] = _series_terms(c, [param.lam], tol)
     M = W.sum(axis=1)
     norms = spectral_norms(W[0, : K + 1]).tolist()
-    return MonodromyResult(param, M[0], _traces(M)[0], K, tuple(norms), tail)
+    return MonodromyResult(M[0], _traces(M)[0], K, tuple(norms), tail)

@@ -1,10 +1,10 @@
 """Brent's early ask for its confirming step changes no result.
 
 brent_steps asks for x + t and x - t along with x after a step d with
-tol < |d| <= 1e3 tol, and reads only f(x).  The lockstep evaluators keep a
-table of the traces they found, so the confirming step one round later finds
-its trace there.  Every result must be the one of searches that ask for x
-alone, which a wrapper local to these tests makes of brent_steps.
+tol < |d| <= 1e3 tol, and reads only f(x).  lockstep keeps a table of the
+values it found, so the confirming step one round later finds its value
+there.  Every result must be the one of searches that ask for x alone, which
+a wrapper local to these tests makes of brent_steps.
 """
 
 from pathlib import Path
@@ -14,13 +14,11 @@ import pytest
 
 import triband.discriminant as discriminant
 import triband.floquet as fl
-import triband.monodromy as monodromy
 from triband import PeriodicCoefficients
 from triband._rootfind import brent_steps
 from triband.coeffs import load_coefficients
 from triband.discriminant import sigma3_intervals
 from triband.floquet import count_in_disk, eigenvalues_at_k
-from triband.monodromy import PropagationOverflowError
 
 STEPS = Path(__file__).parent / "golden" / "steps.json"
 
@@ -79,54 +77,56 @@ def test_prefetch_changes_no_root(const_c, small_c, sin_c, monkeypatch):
     assert all(len(points) in (1, 3) for points in prefetched)
 
 
-@pytest.mark.parametrize("confirmed", [False, True], ids=["idle-side", "confirming-side"])
-def test_a_guarded_early_ask_is_dropped(const_c, confirmed, monkeypatch):
-    """A guard that refuses one of x -+ t keeps it from the core on the early
-    ask, and the search ends as the one that asks for x alone ends: with the
-    same endpoints where the refused point is never needed, with the same
-    refusal where it is the confirming step.
-
-    On the real axis the growth guard cannot refuse either: x -+ t lies
-    strictly inside a bracket whose ends were mapped, and the guard grows
-    with |lambda|.  So a guard that refuses that one point stands in for it.
-    """
-    window, points = (-3.0, 2.0), 11
-    asked = []
-    with monkeypatch.context() as patch:
-        patch.setattr(discriminant, "brent_steps", _wrapped(asked, first_only=False))
-        unguarded = sigma3_intervals(const_c, window, points)
-    firsts = {pts[0] for pts in asked}
-    # an early ask whose confirming step came: one of x -+ t was asked for again
-    ahead = next(pts[1:] for pts in asked if len(pts) == 3 and firsts.intersection(pts[1:]))
-    [refused] = [y for y in ahead if (y in firsts) == confirmed]
-
-    real_guard, core = monodromy.growth_refusal, monodromy.period_maps
-    mapped = []
-
-    def guard(c, lam):
-        if lam == refused:
-            return PropagationOverflowError(f"refused {lam!r}")
-        return real_guard(c, lam)
-
-    def counting(c, lams, *args, **kwargs):
-        mapped.append(list(lams))
-        return core(c, lams, *args, **kwargs)
-
-    monkeypatch.setattr(monodromy, "growth_refusal", guard)
-    monkeypatch.setattr(discriminant, "growth_refusal", guard)
-    monkeypatch.setattr(monodromy, "period_maps", counting)
-
-    def outcome():
+def _held(log: list):
+    """brent_steps that logs, per search, each list it asks for with the values
+    it holds by then: f at its two ends and at the first point of each earlier
+    list, the only value of a list it reads."""
+    def steps(a, b, xtol, fa, fb):
+        held, asked = {a: fa, b: fb}, []
+        log.append(asked)
+        search = brent_steps(a, b, xtol, fa, fb)
         try:
-            return sigma3_intervals(const_c, window, points)
-        except PropagationOverflowError as exc:
-            return repr(exc)
+            points = next(search)
+            while True:
+                asked.append((points, dict(held)))
+                values = yield points
+                held[points[0]] = values[0]
+                points = search.send(values)
+        except StopIteration as done:
+            return done.value
 
-    got = outcome()
-    # only the confirming step itself, asked for alone, takes the refused point to the core
-    assert [lams for lams in mapped if refused in lams] == ([[refused]] if confirmed else [])
-    with monkeypatch.context() as patch:
-        patch.setattr(discriminant, "brent_steps", _wrapped([], first_only=True))
-        assert got == outcome()
-    assert got == (f"PropagationOverflowError('refused {refused!r}')" if confirmed
-                   else unguarded)
+    return steps
+
+
+@pytest.mark.parametrize("confirmed", [False, True], ids=["idle-side", "confirming-side"])
+def test_every_early_ask_lies_in_a_held_bracket(const_c, small_c, sin_c, confirmed,
+                                                monkeypatch):
+    """Each early-ask point of x -+ t, the one the next step confirms and the
+    idle one alike, lies between two points of opposite sign at which the
+    search already holds values, in eigenvalues_at_k, count_in_disk and
+    sigma3_intervals on the golden step set, the conftest fixtures and 20
+    random step sets.
+
+    On the real axis the growth guard grows with |lambda|, and lambda = s^3
+    is monotone in s, so the guard admits every such point once it admitted
+    the bracket's ends: the searches need no guard of their own.
+    """
+    rng = np.random.default_rng(31)
+    sets = [load_coefficients(STEPS), const_c, small_c, sin_c]
+    sets += [_random_steps(rng) for _ in range(20)]
+    ks = rng.uniform(0.0, 2.0 * np.pi, len(sets)).tolist()
+    log = []
+    monkeypatch.setattr(fl, "brent_steps", _held(log))
+    monkeypatch.setattr(discriminant, "brent_steps", _held(log))
+    for c, k in zip(sets, ks):
+        _results(c, k)
+    early = []
+    for asked in log:
+        firsts = {points[0] for points, _ in asked}
+        early += [(y, held) for points, held in asked for y in points[1:]
+                  if (y in firsts) == confirmed]
+    assert len(early) > 100
+    for y, held in early:
+        below = [f for x, f in held.items() if x <= y]
+        above = [f for x, f in held.items() if x >= y]
+        assert any((f > 0) != (g > 0) for f in below for g in above), y

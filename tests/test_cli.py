@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triband import cli, floquet
+from triband import __version__, cli, floquet
 from triband.checks import CheckResult
 from triband.cli import build_parsers, main
 from triband.util import MAX_GRID_POINTS
@@ -355,13 +355,30 @@ def test_invalid_k_is_reported(capsys):
     assert "error" in err.lower()
 
 
-def test_bad_interval_and_range_syntax():
+def test_bad_interval_and_range_syntax(capsys):
     with pytest.raises(SystemExit):
         main(["scan", "--p-const", "0", "--q-const", "0",
               "--interval", "5,1", "--points", "3"])
     with pytest.raises(SystemExit):
         main(["eigs", "--p-const", "0", "--q-const", "0",
               "--k", "1.0", "--n-range", "3-5"])
+    capsys.readouterr()
+    for argv, message in [
+        (["scan", "--interval", "1,2,3"], "expected A,B got '1,2,3'"),
+        (["eigs", "--k", "1.0", "--n-range", "3..1"], "empty range '3..1'"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--p-const", "0", "--q-const", "0"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_version_from_a_fresh_interpreter():
+    """python -m triband.cli reads sys.argv, the argv=None path of main."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "triband.cli", "--version"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"triband {__version__}\n", "")
 
 
 def test_output_is_deterministic(tmp_path):

@@ -75,6 +75,10 @@ def test_invalid_inputs_rejected():
         PeriodicCoefficients.from_samples([], [])
     with pytest.raises(ValueError):
         PeriodicCoefficients.from_samples([1, np.nan], [0, 0])
+    with pytest.raises(ValueError, match="p_samples must be one-dimensional"):
+        PeriodicCoefficients(np.zeros((2, 3)), np.zeros(6))
+    with pytest.raises(ValueError, match="q_samples must be one-dimensional"):
+        PeriodicCoefficients.from_samples([1.0, 2.0], [[0.0, 0.0]])
 
 
 def test_samples_are_immutable():

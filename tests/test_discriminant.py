@@ -19,7 +19,7 @@ from triband import (
     zero_coefficients,
 )
 from triband import monodromy
-from triband._rootfind import brent_steps, lockstep
+from triband._rootfind import brent_steps
 from triband.multipliers import on_circle
 from triband.util import uniform_grid
 
@@ -144,10 +144,10 @@ def test_sigma3_endpoints_refine_in_lockstep(monkeypatch):
     """Both endpoints share each round's core call and land where Brent alone lands.
 
     On this asymmetric constant set Brent takes 5 rounds for the lower end
-    and 4 for the upper one.  The lower end's last round is its confirming
-    step, asked for one round early and found in the table of T, so the
-    grid plus lockstep rounds make 1 + 4 core calls where one endpoint after
-    the other makes 1 + 8.
+    and 4 for the upper one, counted at the search.  The lower end's last
+    round is its confirming step, asked for one round early and found in
+    lockstep's table, so the grid plus lockstep rounds make 1 + 4 core calls
+    where one endpoint after the other makes 1 + 8.
     """
     c = PeriodicCoefficients.from_constants(3.0, 0.7, 8)
     window, points, tol = (-40.0, 41.0), 41, 1e-6
@@ -161,26 +161,28 @@ def test_sigma3_endpoints_refine_in_lockstep(monkeypatch):
     monkeypatch.setattr(monodromy, "period_maps", counting)
     [iv] = sigma3_intervals(c, window, points, tol).intervals
     assert not (iv.lo_clipped or iv.hi_clipped)
-    # the grid, then one round per Brent step with both ends until the upper one stops
+    # the grid, then one call per round with a new point, both ends until the upper one stops
     core_calls = list(calls)
     assert core_calls == [points] + [2] * 3 + [4]
 
     grid = uniform_grid(*window, points)
-    evaluations = []
+    rounds = []
     for end in (iv.lo, iv.hi):
         k = int(np.searchsorted(grid, end))
-        asked = []
-
-        def rho(lams):
-            asked.append(lams[0])
-            return [rho_at(c, lam) for lam in lams]
-
         a, b = float(grid[k - 1]), float(grid[k])
-        [(x, _)] = lockstep(rho, [brent_steps(a, b, tol, rho_at(c, a), rho_at(c, b))])
+        search = brent_steps(a, b, tol, rho_at(c, a), rho_at(c, b))
+        yields = 0
+        try:
+            lams = next(search)
+            while True:
+                yields += 1
+                lams = search.send([rho_at(c, lam) for lam in lams])
+        except StopIteration as done:
+            x, _ = done.value
         assert x == end
-        evaluations.append(len(asked))
-    assert evaluations == [5, 4]
-    assert len(core_calls) == max(evaluations)
+        rounds.append(yields)
+    assert rounds == [5, 4]
+    assert len(core_calls) == max(rounds)
 
 
 def test_sigma3_window_inside_triple_set_is_clipped():

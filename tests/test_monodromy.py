@@ -369,6 +369,17 @@ def test_free_diagonalizer_diagonalizes():
     assert np.allclose(V @ V_inv, np.eye(3), atol=1e-13)
 
 
+def test_free_diagonalizer_refuses_lambda_zero():
+    with pytest.raises(ValueError, match="lambda != 0"):
+        free_diagonalizer([P(5.0 - 3.0j), P(0.0)])
+
+
+@pytest.mark.parametrize("lam", [math.nan, complex(1.0, math.nan), math.inf])
+def test_spectral_parameter_refuses_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        SpectralParameter.from_lambda(lam)
+
+
 # ----------------------------------------------------------------- series
 
 
