@@ -50,16 +50,23 @@ def expm_stack(X: np.ndarray, dtype: np.dtype | type = EXTENDED) -> np.ndarray:
     at its scaled norm is at most 1e-24 (taylor_blocks; Higham 2005).  The call runs
     its largest count; a stack that needs fewer enters with zero blocks above its own,
     so it ends bit-identical to its result alone.  The squarings follow by level.
+
+    The norms that pick s and the blocks are taken in double, the rest in dtype; a call
+    where no stack squares skips the rescale.  Within a few ulps of 0.25 2^k or a block
+    radius they may pick one squaring or block more or fewer than norms in dtype, with
+    the same 1e-24 tail: the radii are rounded down, and 0.25 lies below the last, 0.28.
     """
     X = np.asarray(X, dtype=dtype)
     abc = X.reshape((-1,) + X.shape[-2:]) if X.ndim > 1 else X.reshape(1, 1, 3)
-    # the row sums of |X| are |a|, |a| + |b| and |b| + |c|
-    mag = np.abs(abc)
-    norms = (mag[..., :2] + mag[..., 1:]).max(axis=(1, 2), initial=0.0).astype(np.float64)
+    # the row sums of |X| are |a|, |a| + |b| and |b| + |c|; they only pick s and the degree
+    mag = np.abs(abc.astype(np.complex128, copy=False))
+    norms = (mag[..., :2] + mag[..., 1:]).max(axis=(1, 2), initial=0.0)
     squarings = scaling_exponents(norms)
-    scale = np.ldexp(1.0, -squarings)
-    abc = abc * scale[:, np.newaxis, np.newaxis]  # exact: powers of 2
-    blocks = taylor_blocks(norms * scale).reshape(-1, 1, 1, 1)
+    if squarings.any():
+        scale = np.ldexp(1.0, -squarings)
+        abc = abc * scale[:, np.newaxis, np.newaxis]  # exact: powers of 2
+        norms = norms * scale
+    blocks = taylor_blocks(norms).reshape(-1, 1, 1, 1)
     lowest, top = min(blocks.flat), max(blocks.flat)  # few stacks: cheaper than numpy's
     a, b, c = abc[..., 0], abc[..., 1], abc[..., 2]
     ab, a2 = a * b, a * a

@@ -2,11 +2,14 @@
 
 expm_stack is checked against a 40-digit mpmath exponential of the run
 generators whose entries it takes, its Taylor degrees against their tail
-bound, and the entries, as period_maps hands them over, against the
-structure of the generators; ordered_product
-against the plain left-multiplying loop, the run-collapsed period map
-against the uncollapsed per-cell product, and the trace of the period map
-against a 60-digit mpmath product of the run exponentials.
+bound, its choice of scaling and degree from norms in double against the
+same choice from norms in the caller's dtype (bit for bit away from a
+boundary, against mpmath where the two differ), and the entries, as
+period_maps hands them over, against the structure of the generators;
+ordered_product against the plain left-multiplying loop, the
+run-collapsed period map against the uncollapsed per-cell product, and the
+trace of the period map against a 60-digit mpmath product of the run
+exponentials.
 """
 
 import numpy as np
@@ -118,6 +121,121 @@ def test_taylor_blocks_meet_the_tail_at_their_radii():
     for norm in (0.05, 0.16, 0.25):
         A = _run_generators(rng, 4, norm)
         _assert_matches_mpmath(A, expm_stack(_entries(A), EXTENDED))
+
+
+def _random_entries(rng, size, kind):
+    """size complex128 triples (a, b, c): a and b real and c imaginary on the real axis,
+    as period_maps builds them at real lambda, or all three complex."""
+    a = rng.uniform(0.1, 1.0, size) * rng.choice([-1.0, 1.0], size)
+    b, c = rng.standard_normal(size), 1j * rng.standard_normal(size)
+    if kind == "complex":
+        a, b = a * np.exp(2j * np.pi * rng.random(size)), b * np.exp(2j * np.pi * rng.random(size))
+        c = c + rng.standard_normal(size)
+    return np.stack([a + 0j, b + 0j, c], axis=-1)
+
+
+def _generators(abc):
+    """The run generators [[0, a, 0], [b, 0, a], [c, b, 0]] (..., 3, 3) of entries (..., 3)."""
+    A = np.zeros(abc.shape[:-1] + (3, 3), dtype=abc.dtype)
+    A[..., 0, 1] = A[..., 1, 2] = abc[..., 0]
+    A[..., 1, 0] = A[..., 2, 1] = abc[..., 1]
+    A[..., 2, 0] = abc[..., 2]
+    return A
+
+
+def _reference_norms(X):
+    """Row-sum norms of the stacks of X (s, m, 3) as the kernel took them before it took
+    them in double: |X| in X's own dtype, the sums and maximum too, then cast to float64."""
+    mag = np.abs(X)
+    return (mag[..., :2] + mag[..., 1:]).max(axis=(1, 2), initial=0.0).astype(np.float64)
+
+
+def _reference_choices(X):
+    """Scaling exponents and Taylor block counts that _reference_norms picks."""
+    norms = _reference_norms(X)
+    squarings = _linalg.scaling_exponents(norms)
+    return squarings, _linalg.taylor_blocks(norms * np.ldexp(1.0, -squarings))
+
+
+def _chosen(monkeypatch, X):
+    """expm_stack(X) with the scaling exponents and Taylor block counts it picked."""
+    seen = {}
+
+    def spy(name):
+        pick = getattr(_linalg, name)
+        return lambda norms: seen.setdefault(name, pick(norms))
+
+    monkeypatch.setattr(_linalg, "scaling_exponents", spy("scaling_exponents"))
+    monkeypatch.setattr(_linalg, "taylor_blocks", spy("taylor_blocks"))
+    E = expm_stack(X, X.dtype)
+    monkeypatch.undo()
+    return E, seen["scaling_exponents"], seen["taylor_blocks"].ravel()
+
+
+def test_double_norms_choose_as_the_extended_norms_bit_for_bit(monkeypatch):
+    """expm_stack, which takes its norms in double, against the reference path, which
+    takes them in the caller's dtype (_reference_norms), on a seeded sweep.
+
+    120 calls of 1-4 stacks of 1-8 extended-precision generators, real-axis or
+    complex entries, stack norms log-uniform in [1e-6, 1e4]: 136 of the 281
+    stacks square, and 55 calls mix stacks with and without squarings.  The
+    scaling exponents, the Taylor block counts and every result are the
+    reference's, in values and in signs of zero.
+    """
+    rng = np.random.default_rng(32)
+    mixed = 0
+    for call in range(120):
+        stacks, m = rng.integers(1, 5), rng.integers(1, 9)
+        X = _random_entries(rng, (stacks, m), ("real-axis", "complex")[call % 2])
+        X *= (10.0 ** rng.uniform(-6, 4, stacks) / _reference_norms(X))[:, None, None]
+        X = X.astype(EXTENDED)
+        squarings, blocks = _reference_choices(X)
+        mixed += squarings.min() == 0 < squarings.max()
+        monkeypatch.setattr(_linalg, "scaling_exponents", lambda _: squarings)
+        monkeypatch.setattr(_linalg, "taylor_blocks", lambda _: blocks)
+        reference = expm_stack(X, EXTENDED)
+        monkeypatch.undo()
+        E, got_squarings, got_blocks = _chosen(monkeypatch, X)
+        assert got_squarings.tolist() == squarings.tolist()
+        assert got_blocks.tolist() == blocks.tolist()
+        assert _same_bits(E, reference)
+    assert mixed == 55
+
+
+# scaled norms at which the choice of expm_stack changes: 0.25 2^k, where a squaring
+# is added, and the radii of 1..5 Taylor blocks (the sixth, 0.28, lies past 0.25)
+_BOUNDARIES = [0.25 * 2.0**k for k in range(13)] + _linalg._BLOCK_RADII[:-1].tolist()
+
+
+@pytest.mark.skipif(EXTENDED == np.complex128, reason="no extended type: both norms are in double")
+def test_choices_flipped_near_a_boundary_keep_their_accuracy(monkeypatch):
+    """Within a few ulps of a boundary the norm in double can pick one squaring or
+    one block fewer or more than the norm in the caller's dtype, at the same accuracy.
+
+    Per boundary, 200 real-axis and 200 complex stacks of one generator with
+    norms within 4 ulps of it.  On the real axis |a|, |b| and |c| are exact in
+    either type and both norms round the same sums to double, so no choice
+    flips; of the complex stacks, whose |.| rounds differently in double,
+    some flip (105 on x86-64 with the x87 long double), in both directions:
+    a squaring at each 0.25 2^k and a block at each radius.  Every flipped
+    stack and one unflipped stack per boundary match the 40-digit exponential within the bound of
+    test_expm_stack_matches_mpmath: the Taylor tail is at most 1e-24 at
+    either choice (the radii are rounded down by 1e-12, and 0.25 lies below
+    the 6-block radius 0.28).
+    """
+    rng = np.random.default_rng(250)
+    for boundary in _BOUNDARIES:
+        abc = np.concatenate([_random_entries(rng, 200, kind) for kind in ("real-axis", "complex")])
+        abc *= boundary / _reference_norms(abc[:, None])[:, None]
+        abc *= 1 + rng.integers(-4, 5, len(abc))[:, None] * np.finfo(float).eps
+        X = abc[:, None].astype(EXTENDED)
+        E, squarings, blocks = _chosen(monkeypatch, X)
+        want_squarings, want_blocks = _reference_choices(X)
+        flips = (squarings != want_squarings) | (blocks != want_blocks)
+        assert not flips[:200].any() and flips.any()
+        assert (squarings != want_squarings).any() == (boundary >= 0.25)
+        checked = [*np.flatnonzero(flips), np.flatnonzero(~flips)[0]]
+        _assert_matches_mpmath(_generators(abc[checked]), E[checked, 0])
 
 
 @pytest.mark.parametrize("lams", [[0.0], [1e3], [-1e3], [1e7], [300 + 200j, 300 - 200j]])

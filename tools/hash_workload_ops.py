@@ -30,6 +30,15 @@ ROOT/tests/golden/steps.json, each fixture's eigs at k = 1 over n in
 JSON; it too is split per command (scan, eigs, sigma3, verify), with a
 verify-masked digest, and with the core calls and points of each.
 
+The CLI prints values rounded to complex128, so a kernel change that moves
+only the last bits of an extended-precision period map passes both
+digests unseen.  A last line digests the maps themselves: ``period_maps``
+in its default dtype on the dense fixtures and one N = 1024 harmonic set,
+over real lambda through 0 and out to 1e7, complex pairs with their
+conjugates, and points just inside each set's growth guard.  Each real and
+imaginary part is hashed as its shortest round-trip text, not as bytes:
+an x87 long double carries padding bytes that hold no value.
+
 The CLI echoes the coefficient file paths into its output, so the files
 are written into WORKDIR; hash two checkouts with the same WORKDIR to
 compare them.  Equal counts and digests mean byte-identical output.
@@ -47,6 +56,8 @@ import io
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 
 def _load_workloads(root: Path):
@@ -71,6 +82,15 @@ _DENSE_FIXTURES = {
     "sin_c": (["--coeffs", "sin_c.json"], ["-60,60", "-0.01,0.01", "0.000537,0.000557"]),
     "steps": (["--coeffs", "steps.json"], ["-200,200", "-20,20", "11.31170,11.31172"]),
 }
+
+
+# lambdas of the period-map digest: real points through 0 and out to 1e7, and complex
+# points with their conjugates; each set adds points just inside its growth guard
+_MAP_LAMBDAS = [
+    *(float(x) for x in range(-1000, 1001, 100)),
+    *(s * 10.0**e for e in range(-3, 8) for s in (1, -1)),
+    *(z for w in (3 + 4j, -200 + 50j, 1e4 + 1e4j, -3e6 + 2e5j) for z in (w, w.conjugate())),
+]
 
 
 # the number after "worst " in verify's text report or after "worst": in its JSON
@@ -172,6 +192,35 @@ def _outcome(op, cli, bands, load_coefficients) -> str:
     return _cli_text(cli, list(op.argv))
 
 
+def _map_sets(root: Path, workloads, coeffs):
+    """The dense fixtures' coefficient sets by name, and one N = 1024 harmonic set."""
+    sets = {}
+    for name, (args, _) in _DENSE_FIXTURES.items():
+        opts = dict(zip(args[::2], args[1::2]))
+        if "--coeffs" in opts:
+            sets[name] = coeffs.load_coefficients(root / "tests" / "golden" / opts["--coeffs"])
+        else:
+            sets[name] = coeffs.PeriodicCoefficients.from_constants(
+                float(opts["--p-const"]), float(opts["--q-const"]), int(opts["--grid"]))
+    sets["harmonic1024"] = coeffs.PeriodicCoefficients.from_samples(
+        *workloads.harmonic(np.random.default_rng(1024), 1024, 1.0))
+    return sets
+
+
+def _period_map_digest(sets, monodromy) -> tuple[int, str]:
+    """Count and sha256 of the period maps over _MAP_LAMBDAS and the guard points of each set."""
+    digest, count = hashlib.sha256(), 0
+    for name, c in sets.items():
+        r = ((monodromy.MAX_GROWTH_EXPONENT - c.kappa) * (1 - 1e-6)) ** 3
+        lams = [*_MAP_LAMBDAS, r, -r, r * (0.6 + 0.8j), r * (0.6 - 0.8j)]
+        for lam, M in zip(lams, monodromy.period_maps(c, lams)):
+            parts = (np.format_float_scientific(x, unique=True)
+                     for z in M.ravel() for x in (z.real, z.imag))
+            digest.update(f"{name} {lam!r} {' '.join(parts)}\n".encode())
+            count += 1
+    return count, digest.hexdigest()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("root", type=Path, help="source checkout to hash")
@@ -180,14 +229,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path.insert(0, str(root / "src"))
-    import numpy as np
     import triband
-    from triband import bands, checks, cli, monodromy
+    from triband import bands, checks, cli, coeffs, monodromy
     from triband.coeffs import load_coefficients
 
     if root / "src" not in Path(triband.__file__).resolve().parents:
         raise SystemExit(f"triband imported from {triband.__file__}, not from {root / 'src'}")
     workloads = _load_workloads(root)
+    map_sets = _map_sets(root, workloads, coeffs)
     core = _CoreCounter()
     monodromy.period_maps = core.count(monodromy.period_maps)
     checks.period_maps = core.count(checks.period_maps)
@@ -223,6 +272,8 @@ def main(argv: list[str] | None = None) -> int:
             commands.update("verify-masked", _masked(record), made)
     print(f"dense tables: {len(argvs)} commands, sha256 {dense.hexdigest()}")
     commands.report("dense tables", "commands")
+    maps, map_digest = _period_map_digest(map_sets, monodromy)
+    print(f"period maps: {len(map_sets)} sets, {maps} maps, sha256 {map_digest}")
     return 0
 
 
