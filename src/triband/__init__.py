@@ -6,51 +6,15 @@ with real 1-periodic coefficients.  The package computes the period map of
 the modified fundamental system, its multipliers and Lyapunov values, the
 discriminant that separates spectral multiplicity one from three on the
 real axis, and the eigenvalue curves of the quasi-periodic fibers.
+
+Importing the package loads none of its modules.  A name of ``__all__`` is
+resolved on first access (PEP 562), so ``triband.cli`` and each of its
+commands load only the modules they use.
 """
 
-__version__ = "0.1.0"
+import importlib
 
-from .bands import BandPoint, band_point, scan_real_axis
-from .coeffs import PeriodicCoefficients, load_coefficients, parse_coefficients, zero_coefficients
-from .discriminant import (
-    Sigma3Interval,
-    Sigma3Result,
-    default_search_interval,
-    rho_at,
-    rho_product_formula,
-    rho_trace_formula,
-    sigma3_intervals,
-)
-from .floquet import (
-    DiskCountResult,
-    FloquetEigenvalue,
-    FloquetSolveResult,
-    char_real_function,
-    count_in_disk,
-    eigenvalues_at_k,
-)
-from .freecase import FreeCaseValues, free_case, free_eigenvalues, free_trace
-from .monodromy import (
-    OMEGA,
-    SYMPLECTIC_J,
-    MonodromyResult,
-    PicardTruncationError,
-    PropagationOverflowError,
-    SpectralParameter,
-    char_poly,
-    det_residual,
-    free_diagonalizer,
-    picard_monodromy,
-    spectral_norms,
-    symplectic_residual,
-    trace_at,
-    traces_at,
-)
-from .multipliers import (
-    continue_branches,
-    free_multipliers,
-    solve_multipliers,
-)
+__version__ = "0.1.0"
 
 __all__ = [
     "BandPoint",
@@ -95,3 +59,24 @@ __all__ = [
     "traces_at",
     "zero_coefficients",
 ]
+
+# the modules that define __all__, each after every one it imports, so the
+# first that binds a name is the one that defines it
+_API_MODULES = ("coeffs", "monodromy", "floquet", "discriminant", "multipliers", "freecase",
+                "bands")
+
+
+def __getattr__(name: str):
+    """A public name, from the first of _API_MODULES that binds it; that module and those
+    ahead of it are imported, and the name is then bound here."""
+    if name in __all__:
+        for module in _API_MODULES:
+            namespace = vars(importlib.import_module(f"{__name__}.{module}"))
+            if name in namespace:
+                globals()[name] = namespace[name]
+                return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

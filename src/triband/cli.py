@@ -8,6 +8,9 @@
 Output goes to --out (default stdout) as CSV or JSON.  CSV files start
 with '# key = value' comment lines echoing the configuration, so a result
 file is reproducible from its own header.
+
+Each command imports its modules when it runs, so importing this module
+loads only the coefficient parser.
 """
 
 from __future__ import annotations
@@ -19,16 +22,14 @@ import io
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .bands import BandPoint, scan_real_axis
-from .checks import run_verify
 from .coeffs import PeriodicCoefficients, load_coefficients
-from .discriminant import sigma3_intervals
-from .floquet import eigenvalues_at_k
-from .monodromy import PicardTruncationError, PropagationOverflowError
 from .util import MAX_GRID_POINTS, parse_int_range
+
+if TYPE_CHECKING:
+    from .bands import BandPoint
 
 
 def _add_coefficient_args(p: argparse.ArgumentParser) -> None:
@@ -204,6 +205,8 @@ def _scan_point(pt: BandPoint) -> tuple[list, dict]:
 
 
 def _cmd_scan(args: argparse.Namespace, c: PeriodicCoefficients, config: dict) -> int:
+    from .bands import scan_real_axis
+
     points = scan_real_axis(c, args.interval, args.points)
     table = [_scan_point(pt) for pt in points]
     _render(
@@ -219,6 +222,8 @@ def _cmd_scan(args: argparse.Namespace, c: PeriodicCoefficients, config: dict) -
 
 
 def _cmd_eigs(args: argparse.Namespace, c: PeriodicCoefficients, config: dict) -> int:
+    from .floquet import eigenvalues_at_k
+
     res = eigenvalues_at_k(c, args.k, args.n_range, tol=args.tol)
     records = [vars(e) for e in res.eigenvalues]
     _render(
@@ -238,6 +243,8 @@ def _cmd_eigs(args: argparse.Namespace, c: PeriodicCoefficients, config: dict) -
 
 
 def _cmd_sigma3(args: argparse.Namespace, c: PeriodicCoefficients, config: dict) -> int:
+    from .discriminant import sigma3_intervals
+
     res = sigma3_intervals(
         c, search_interval=args.interval, scan_points=args.points, tol=args.tol
     )
@@ -263,6 +270,8 @@ def _cmd_sigma3(args: argparse.Namespace, c: PeriodicCoefficients, config: dict)
 
 
 def _cmd_verify(args: argparse.Namespace, c: PeriodicCoefficients, config: dict) -> int:
+    from .checks import run_verify
+
     results = run_verify(c)
     n_fail = sum(1 for r in results if not r.passed)
     if args.format == "json":
@@ -301,6 +310,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parse_args(_merge_value_flags(argv))
+    from .monodromy import PicardTruncationError, PropagationOverflowError
+
     command = {"scan": _cmd_scan, "eigs": _cmd_eigs, "sigma3": _cmd_sigma3, "verify": _cmd_verify}
     try:
         c = _coefficients_from(args)

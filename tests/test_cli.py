@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triband import __version__, cli, floquet
+from triband import __version__, checks, cli, floquet
 from triband.checks import CheckResult
 from triband.cli import build_parsers, main
 from triband.util import MAX_GRID_POINTS
@@ -180,7 +180,7 @@ def test_verify_reports_a_failed_suite(capsys, monkeypatch):
         CheckResult("second", False, 0.5, 1e-8, detail="(broken)"),
         CheckResult("third", True, 0.0, 1e-8),
     ]
-    monkeypatch.setattr(cli, "run_verify", lambda c: results)
+    monkeypatch.setattr(checks, "run_verify", lambda c: results)
     consts = ["verify", "--p-const", "0", "--q-const", "0", "--grid", "4"]
     code, out, _ = run_cli(capsys, *consts)
     assert code == 1
