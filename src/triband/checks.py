@@ -225,7 +225,7 @@ def check_root_counts(c: PeriodicCoefficients) -> CheckResult:
     worst = 0.0
     for k in (0.3, 2.0):
         res = count_in_disk(c, k, _ROOT_COUNT_N)
-        ok = ok and res.count == res.expected and res.reliable
+        ok = ok and res.count == res.expected and not res.missed
         worst = max(worst, float(abs(res.count - res.expected)))
         detail.append(f"k={k}: {res.count}/{res.expected}")
     return CheckResult(

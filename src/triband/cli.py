@@ -232,8 +232,7 @@ def _cmd_eigs(args: argparse.Namespace, c: PeriodicCoefficients, config: dict) -
         [list(e.values()) for e in records],
         {
             "eigenvalues": records,
-            "missed": [{key: v for key, v in vars(miss).items() if key != "k"}
-                       for miss in res.missed],
+            "missed": [vars(miss) for miss in res.missed],
         },
     )
     if res.missed:
@@ -249,7 +248,7 @@ def _cmd_sigma3(args: argparse.Namespace, c: PeriodicCoefficients, config: dict)
         c, search_interval=args.interval, scan_points=args.points, tol=args.tol
     )
     config["search_interval"] = list(res.search_interval)
-    if res.interval_was_default:
+    if args.interval is None:
         # no rigorous radius exists for this set; make the guess visible
         config["search_interval_note"] = (
             "heuristic window (10+10*kappa)^3 derived from the coefficient norm"

@@ -89,7 +89,6 @@ class Sigma3Result:
     intervals: tuple[Sigma3Interval, ...]
     touch_points: tuple[float, ...]
     search_interval: tuple[float, float]
-    interval_was_default: bool = False
 
 
 def default_search_interval(c: PeriodicCoefficients) -> tuple[float, float]:
@@ -122,7 +121,6 @@ def sigma3_intervals(
     intervals.  Runs of zeros with positive neighbours on both sides come
     back as zero-width touch points.
     """
-    was_default = search_interval is None
     if search_interval is None:
         search_interval = default_search_interval(c)
     a, b = float(search_interval[0]), float(search_interval[1])
@@ -183,5 +181,4 @@ def sigma3_intervals(
         intervals=tuple(intervals),
         touch_points=tuple(touches),
         search_interval=(a, b),
-        interval_was_default=was_default,
     )

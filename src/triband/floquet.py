@@ -21,8 +21,9 @@ starts at the cube root of that corrected seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
-from typing import Generator
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -61,7 +62,6 @@ class MissedRoot:
     """Diagnostics for a seed whose bracket never produced a sign change."""
 
     n: int
-    k: float
     seed_lambda: float
     min_abs_f: float
     at_lambda: float
@@ -82,7 +82,7 @@ _TIGHT = 1e-2
 _TOL = 1e-10  # relative lambda accuracy of the Brent stage, unless a caller asks otherwise
 
 # a search stage yields lists of points s = cbrt(lambda) and is sent their F
-# values; the traces behind them sit in the trace record of the call
+# values; the traces behind them sit in the trace record of _seed_searches
 _Stage = Generator[list[float], list[float], object]
 
 
@@ -125,7 +125,7 @@ def _bracket(k: float, n: int, p_mean: float, q_mean: float) -> _Stage:
             if (fa > 0) != (fb > 0):
                 return a, b, fa, fb
     i_min = int(np.argmin(np.abs(vals)))
-    return MissedRoot(n=n, k=k, seed_lambda=seed**3, min_abs_f=float(abs(vals[i_min])),
+    return MissedRoot(n=n, seed_lambda=seed**3, min_abs_f=float(abs(vals[i_min])),
                       at_lambda=pts[i_min] ** 3, note="no sign change in the allowed "
                       "bracket (possible even-multiplicity touch)")
 
@@ -143,21 +143,13 @@ def _refine(k: float, n: int, tol: float, bracket: tuple, traces: dict) -> _Stag
                              residual=abs(f_val) / (1.0 + abs(traces[s_root])))
 
 
-def _solve_one(k: float, n: int, tol: float, means: tuple, traces: dict) -> _Stage:
-    """_bracket, then _refine: the root, or the MissedRoot of the bracket search."""
-    bracket = yield from _bracket(k, n, *means)
-    if isinstance(bracket, MissedRoot):
-        return bracket
-    return (yield from _refine(k, n, tol, bracket, traces))
-
-
 def _f_in_s(c: PeriodicCoefficients, k: float, traces: dict[float, complex]):
     """F(k, .) at a list of points s = cbrt(lambda), from one period-map core call.
 
-    lockstep sends each point once, so every point sent is mapped and its
-    trace recorded in traces, where _refine reads the residual of its root.
-    F is char_real_function's arithmetic, with e^{ik/2} and sin(3k/2) taken
-    once.
+    The evaluator of _seed_searches: lockstep sends each point once, so every
+    point sent is mapped and its trace recorded in traces, where _refine
+    reads the residual of its root.  F is char_real_function's arithmetic,
+    with e^{ik/2} and sin(3k/2) taken once per call of the driver.
     """
     e, sin_k = complex(math.cos(k / 2.0), math.sin(k / 2.0)), math.sin(1.5 * k)
 
@@ -167,6 +159,29 @@ def _f_in_s(c: PeriodicCoefficients, k: float, traces: dict[float, complex]):
         return [(e * T).imag - sin_k for T in found]
 
     return g
+
+
+def _seed_searches(c: PeriodicCoefficients, k: float, seeds: range,
+                   finish: Callable[[int, tuple, dict], _Stage]) -> list:
+    """Per seed n, in order: the MissedRoot of _bracket, or finish(n, bracket, traces)'s outcome.
+
+    Every search opens in the first round, which the growth guard refuses
+    whole, so the guard is asked first about the openings of the two end
+    seeds, the largest |n|, before any search is built.  The searches then
+    advance in one lockstep on one trace record, traces: each round's points
+    that the call has not mapped yet go to the period-map core together.
+    """
+    means = float(np.mean(c.p_samples)), float(np.mean(c.q_samples))
+    _check_growth(c, [s**3 for n in (seeds[0], seeds[-1]) for s in next(_bracket(k, n, *means))])
+    traces: dict[float, complex] = {}
+
+    def search(n: int) -> _Stage:
+        bracket = yield from _bracket(k, n, *means)
+        if isinstance(bracket, MissedRoot):
+            return bracket
+        return (yield from finish(n, bracket, traces))
+
+    return lockstep(_f_in_s(c, k, traces), [search(n) for n in seeds])
 
 
 def eigenvalues_at_k(
@@ -186,26 +201,19 @@ def eigenvalues_at_k(
     degenerate eigenvalue and are both reported with multiplicity 2.  Seeds
     without any sign change are returned as missed-root diagnostics, which
     is the expected signature of an even-order touch of F at a double
-    eigenvalue.  The seeds advance in one lockstep: each round's points that
-    the call has not mapped yet go to the period-map core together, in one
-    call.  The guard refuses the whole first round, where every search
-    opens, so it is asked first about the openings of the two end seeds,
-    the largest |n|, before any search is built.
+    eigenvalue.  The searches run in _seed_searches, whose growth guard
+    refuses a range before any search is built.  n_range holds integers.
     """
     k = float(k)
     if not 0.0 <= k < 2.0 * math.pi:
         raise ValueError("quasimomentum k must lie in [0, 2*pi)")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
-    n_lo, n_hi = int(n_range[0]), int(n_range[1])
-    if n_lo > n_hi:
+    seeds = range(n_range[0], n_range[1] + 1)  # refuses a float rather than truncate it
+    if not seeds:
         raise ValueError("empty index range")
 
-    means = float(np.mean(c.p_samples)), float(np.mean(c.q_samples))
-    _check_growth(c, [s**3 for n in (n_lo, n_hi) for s in next(_bracket(k, n, *means))])
-    traces: dict[float, complex] = {}
-    searches = [_solve_one(k, n, tol, means, traces) for n in range(n_lo, n_hi + 1)]
-    outcomes = lockstep(_f_in_s(c, k, traces), searches)
+    outcomes = _seed_searches(c, k, seeds, lambda n, b, traces: _refine(k, n, tol, b, traces))
     found = [o for o in outcomes if isinstance(o, FloquetEigenvalue)]
     missed = tuple(o for o in outcomes if isinstance(o, MissedRoot))
 
@@ -228,14 +236,13 @@ class DiskCountResult:
     2N+1 on (pi(2N+1))^3 for k in [0, pi/2) or (3pi/2, 2pi), 2N on
     (2 pi N)^3 for k in [pi/2, 3pi/2].  The theory guarantees the count
     only above an unquantified index threshold, so N is caller input;
-    missed holds the seeds whose search found no sign change, and
-    reliable goes False whenever there are any.
+    missed holds the seeds whose search found no sign change, and the
+    count is reliable only when it is empty.
     """
 
     count: int
     expected: int
     radius: float
-    reliable: bool
     missed: tuple[MissedRoot, ...]
 
 
@@ -247,13 +254,14 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
     both ends lie inside the radius and 0 if both lie outside (a bracket is
     narrower than the disk).  Brent runs only on a bracket that crosses the
     radius, with the arithmetic of eigenvalues_at_k; its root lies in the
-    bracket, so every count is the one of the refined roots.  Each seed's
-    stage, its bracket and then that Brent run, goes in one lockstep, as in
-    eigenvalues_at_k.  A bracket stays within pi of its seed, so the search
-    takes every seed within pi of the disk, and reliable covers the seeds
-    whose brackets can reach it.
+    bracket, so every count is the one of the refined roots.  The searches
+    run in _seed_searches, as in eigenvalues_at_k, whose growth guard
+    refuses a disk before any search is built.  A bracket stays within pi
+    of its seed, so the search takes every seed within pi of the disk, and
+    missed covers the seeds whose brackets can reach it.  N is an integer.
     """
     k = float(k)
+    N = operator.index(N)
     if N < 1:
         raise ValueError("N must be at least 1")
     if not 0.0 <= k < 2.0 * math.pi:
@@ -267,22 +275,16 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
     # from the last seed at or below -s_radius to the first at or above it
     n_lo = math.floor((-s_radius - k) / (2 * math.pi))
     n_hi = math.ceil((s_radius - k) / (2 * math.pi))
-    means = float(np.mean(c.p_samples)), float(np.mean(c.q_samples))
-    traces: dict[float, complex] = {}
 
-    def count_one(n: int) -> _Stage:
-        """1 or 0 for the root of seed n, or its MissedRoot."""
-        bracket = yield from _bracket(k, n, *means)
-        if isinstance(bracket, MissedRoot):
-            return bracket
+    def count_one(n: int, bracket: tuple, traces: dict) -> _Stage:
+        """1 or 0 for the root in seed n's bracket; Brent only if it crosses the radius."""
         a_in, b_in = (bool(abs(np.cbrt(s**3)) < s_radius) for s in bracket[:2])
         if a_in == b_in:
             return int(a_in)
         root = yield from _refine(k, n, _TOL, bracket, traces)
         return int(abs(np.cbrt(root.lambda_n)) < s_radius)
 
-    outcomes = lockstep(_f_in_s(c, k, traces), [count_one(n) for n in range(n_lo, n_hi + 1)])
+    outcomes = _seed_searches(c, k, range(n_lo, n_hi + 1), count_one)
     missed = tuple(o for o in outcomes if isinstance(o, MissedRoot))
     count = sum(o for o in outcomes if not isinstance(o, MissedRoot))
-    return DiskCountResult(count=count, expected=expected, radius=s_radius**3,
-                           reliable=not missed, missed=missed)
+    return DiskCountResult(count=count, expected=expected, radius=s_radius**3, missed=missed)

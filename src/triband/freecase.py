@@ -57,11 +57,11 @@ def free_trace(lam: complex) -> complex:
 
 
 def free_eigenvalues(k: float, n_range: tuple[int, int]) -> list[float]:
-    """(2 pi n + k)^3 for n in the inclusive range, ascending."""
+    """(2 pi n + k)^3 for n in the inclusive integer range, ascending."""
     k = float(k)
     if not 0.0 <= k < 2.0 * math.pi:
         raise ValueError("quasimomentum k must lie in [0, 2*pi)")
-    n_lo, n_hi = int(n_range[0]), int(n_range[1])
-    if n_lo > n_hi:
+    seeds = range(n_range[0], n_range[1] + 1)  # refuses a float rather than truncate it
+    if not seeds:
         raise ValueError("empty index range")
-    return [(2.0 * math.pi * n + k) ** 3 for n in range(n_lo, n_hi + 1)]
+    return [(2.0 * math.pi * n + k) ** 3 for n in seeds]

@@ -305,18 +305,19 @@ def test_memory_error_is_one_error_line(capsys, monkeypatch, error, line):
 
 def test_eigs_refuses_at_the_end_seeds_before_any_search(capsys, monkeypatch):
     """A range whose far end the growth guard refuses maps at most the tight pairs of its two
-    end seeds and builds no search; a range inside the guard keeps its output."""
-    checked, built = [], []
-    guard, solve_one = floquet._check_growth, floquet._solve_one
+    end seeds and opens no search: _bracket runs only for those two openings.  A range
+    inside the guard keeps its output."""
+    checked, opened = [], []
+    guard, bracket = floquet._check_growth, floquet._bracket
     monkeypatch.setattr(floquet, "_check_growth", lambda c, lams: checked.append(len(lams))
                         or guard(c, lams))
-    monkeypatch.setattr(floquet, "_solve_one", lambda *args: built.append(args) or solve_one(*args))
+    monkeypatch.setattr(floquet, "_bracket", lambda *args: opened.append(args[1]) or bracket(*args))
     argv = ["eigs", "--p-const", "1", "--q-const", "0", "--k", "1"]
     code, out, err = run_cli(capsys, *argv, "--n-range", "0..5000")
     assert (code, out) == (1, "")
     assert err.startswith("error: growth exponent z0 + kappa = ") and err.endswith(
         f"{_GUARD_TAIL}\n")
-    assert checked == [4] and built == []
+    assert checked == [4] and opened == [0, 5000]
     monkeypatch.undo()
     inside = run_cli(capsys, *argv, "--n-range", "-3..3")
     monkeypatch.setattr(floquet, "_check_growth", lambda c, lams: None)

@@ -208,7 +208,7 @@ def test_sigma3_default_interval_heuristic(const_c):
     assert hi == pytest.approx((10 + 10 * const_c.kappa) ** 3)
     assert lo == -hi
     res = sigma3_intervals(zero_coefficients(2), scan_points=51, tol=1e-4)
-    assert res.interval_was_default
+    assert res.search_interval == default_search_interval(zero_coefficients(2))
     assert res.search_interval == (-1000.0, 1000.0)
 
 

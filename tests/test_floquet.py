@@ -8,6 +8,7 @@ import pytest
 
 from triband import (
     PeriodicCoefficients,
+    PropagationOverflowError,
     char_real_function,
     count_in_disk,
     eigenvalues_at_k,
@@ -17,6 +18,7 @@ from triband import (
     solve_multipliers,
     trace_at,
     traces_at,
+    zero_coefficients,
 )
 
 TWO_PI = 2 * math.pi
@@ -373,7 +375,6 @@ def test_count_flags_strong_coupling_regime():
     # fabricate a root
     c = PeriodicCoefficients.from_constants(5.0, 0.0, 32)
     res = count_in_disk(c, 2.0, 5)
-    assert not res.reliable
     assert res.missed
     assert res.count < res.expected
 
@@ -413,7 +414,8 @@ def test_count_by_brackets_matches_the_refined_roots(monkeypatch):
                        math.ceil((s_radius - k) / TWO_PI) + 1)
             ref = eigenvalues_at_k(c, k, n_range)
             count = sum(1 for e in ref.eigenvalues if abs(np.cbrt(e.lambda_n)) < s_radius)
-            assert (res.count, res.expected, res.reliable) == (count, expected, not ref.missed)
+            assert ((res.count, res.expected, not res.missed)
+                    == (count, expected, not ref.missed))
             assert res.missed == ref.missed and isinstance(res.count, int)
             assert counting_refines[i, k] <= len(ref.eigenvalues)
     assert counting_refines[len(sets), 0.3] >= 1
@@ -425,3 +427,39 @@ def test_count_input_validation(zero_c):
         count_in_disk(zero_c, 0.3, 0)
     with pytest.raises(ValueError):
         count_in_disk(zero_c, 7.0, 3)
+
+
+def test_count_refuses_at_the_end_seeds_before_any_search(monkeypatch):
+    """A disk whose end seeds the growth guard refuses raises the core's error before any
+    search is built: _bracket runs for the two end seeds' openings alone, and lockstep
+    never runs.  N = 10**5 takes seeds n = -100001..100001."""
+    import triband.floquet as fl
+
+    opened, ran = [], []
+    bracket = fl._bracket
+    monkeypatch.setattr(fl, "_bracket", lambda *args: opened.append(args[1]) or bracket(*args))
+    monkeypatch.setattr(fl, "lockstep", lambda *args: ran.append(args))
+    with pytest.raises(PropagationOverflowError) as refused:
+        count_in_disk(zero_coefficients(), 0.3, 10**5)
+    assert str(refused.value) == ("growth exponent z0 + kappa = 544145.0 exceeds 700; entries "
+                                  "of the period map would overflow double precision")
+    assert opened == [-100001, 100001] and ran == []
+
+
+@pytest.mark.parametrize("refused, accepted, same", [
+    (lambda c: eigenvalues_at_k(c, 0.3, (-1.7, 1.2)),
+     lambda c: eigenvalues_at_k(c, 0.3, (np.int64(-1), np.int64(1))),
+     lambda c: eigenvalues_at_k(c, 0.3, (-1, 1))),
+    (lambda c: free_eigenvalues(0.3, (-1.7, 1.2)),
+     lambda c: free_eigenvalues(0.3, (np.int64(-1), np.int64(1))),
+     lambda c: free_eigenvalues(0.3, (-1, 1))),
+    (lambda c: count_in_disk(c, 0.3, 2.5),
+     lambda c: count_in_disk(c, 0.3, np.int64(2)),
+     lambda c: count_in_disk(c, 0.3, 2)),
+], ids=["eigenvalues_at_k", "free_eigenvalues", "count_in_disk"])
+def test_index_inputs_must_be_integers(zero_c, refused, accepted, same):
+    """A float index is refused, not truncated (n_range (-1.7, 1.2) once searched
+    n = -1..1, and N = 2.5 gave expected = 6.0); numpy integers are indices."""
+    with pytest.raises(TypeError):
+        refused(zero_c)
+    assert accepted(zero_c) == same(zero_c)

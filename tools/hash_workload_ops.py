@@ -30,6 +30,12 @@ ROOT/tests/golden/steps.json, each fixture's eigs at k = 1 over n in
 JSON; it too is split per command (scan, eigs, sigma3, verify), with a
 verify-masked digest, and with the core calls and points of each.
 
+verify counts roots only at N = 5 and two k, and its report keeps only the
+counts, so a ``root counts`` digest covers the library's ``count_in_disk``
+on the dense fixtures at five k and N = 2, 5 and 8: each result's count,
+expected count and radius and each missed seed's record, followed by the
+core calls and points behind them.
+
 The CLI prints values rounded to complex128, so a kernel change that moves
 only the last bits of an extended-precision period map passes both
 digests unseen.  A last line digests the maps themselves: ``period_maps``
@@ -53,6 +59,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import io
+import itertools
 import re
 import sys
 from pathlib import Path
@@ -91,6 +98,12 @@ _MAP_LAMBDAS = [
     *(s * 10.0**e for e in range(-3, 8) for s in (1, -1)),
     *(z for w in (3 + 4j, -200 + 50j, 1e4 + 1e4j, -3e6 + 2e5j) for z in (w, w.conjugate())),
 ]
+
+
+# quasimomenta and disk indices of the root-count digest: both cases of the expected
+# count, k = pi/2 on their boundary, and disks from 2 to 8 seeds out
+_COUNT_KS = (0.0, 0.3, np.pi / 2, 2.0, 5.5)
+_COUNT_NS = (2, 5, 8)
 
 
 # the number after "worst " in verify's text report or after "worst": in its JSON
@@ -207,6 +220,17 @@ def _map_sets(root: Path, workloads, coeffs):
     return sets
 
 
+def _root_count_record(floquet, c, k: float, N: int) -> str:
+    """The text the root-count digest takes for one count_in_disk call."""
+    try:
+        res = floquet.count_in_disk(c, k, N)
+    except Exception as exc:
+        return f"exception {type(exc).__name__}: {exc}"
+    missed = (f"missed {m.n} {m.seed_lambda!r} {m.min_abs_f!r} {m.at_lambda!r} {m.note}"
+              for m in res.missed)
+    return "\n".join([f"{res.count} {res.expected} {res.radius!r}", *missed])
+
+
 def _period_map_digest(sets, monodromy) -> tuple[int, str]:
     """Count and sha256 of the period maps over _MAP_LAMBDAS and the guard points of each set."""
     digest, count = hashlib.sha256(), 0
@@ -230,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     root = args.root.resolve()
     sys.path.insert(0, str(root / "src"))
     import triband
-    from triband import bands, checks, cli, coeffs, monodromy
+    from triband import bands, checks, cli, coeffs, floquet, monodromy
     from triband.coeffs import load_coefficients
 
     if root / "src" not in Path(triband.__file__).resolve().parents:
@@ -272,6 +296,12 @@ def main(argv: list[str] | None = None) -> int:
             commands.update("verify-masked", _masked(record), made)
     print(f"dense tables: {len(argvs)} commands, sha256 {dense.hexdigest()}")
     commands.report("dense tables", "commands")
+    counts = _Digests()
+    for name, k, N in itertools.product(_DENSE_FIXTURES, _COUNT_KS, _COUNT_NS):
+        start = core.calls, core.points
+        text = _root_count_record(floquet, map_sets[name], k, N)
+        counts.update("counts", f"{name} {k!r} {N}\n{text}\n".encode(), core.since(start))
+    counts.report("root", "calls")
     maps, map_digest = _period_map_digest(map_sets, monodromy)
     print(f"period maps: {len(map_sets)} sets, {maps} maps, sha256 {map_digest}")
     return 0
