@@ -36,7 +36,8 @@ _BLOCK_RADII = np.array([(1e-24 * float(_FACTORIALS[d])) ** (1 / (d + 1)) * (1 -
                          for d in (2, 5, 8, 11, 14, _TAYLOR_DEGREE)])
 
 
-def expm_stack(X: np.ndarray, dtype: np.dtype | type = EXTENDED) -> np.ndarray:
+def expm_stack(X: np.ndarray, dtype: np.dtype | type = EXTENDED, *,
+               norms: np.ndarray | None = None) -> np.ndarray:
     """Exponentials (..., m, 3, 3) of run generators from their entries X (..., m, 3).
 
     X[..., k, :] = (a, b, c) stands for [[0, a, 0], [b, 0, a], [c, b, 0]], the run
@@ -55,12 +56,14 @@ def expm_stack(X: np.ndarray, dtype: np.dtype | type = EXTENDED) -> np.ndarray:
     where no stack squares skips the rescale.  Within a few ulps of 0.25 2^k or a block
     radius they may pick one squaring or block more or fewer than norms in dtype, with
     the same 1e-24 tail: the radii are rounded down, and 0.25 lies below the last, 0.28.
+
+    norms, if given, stands in for run_norms(X), one per stack: a caller that cuts one
+    stack into chunks of runs passes the norms of the whole, so every chunk takes the
+    whole stack's s and blocks, and its exponentials keep their bits.
     """
     X = np.asarray(X, dtype=dtype)
     abc = X.reshape((-1,) + X.shape[-2:]) if X.ndim > 1 else X.reshape(1, 1, 3)
-    # the row sums of |X| are |a|, |a| + |b| and |b| + |c|; they only pick s and the degree
-    mag = np.abs(abc.astype(np.complex128, copy=False))
-    norms = (mag[..., :2] + mag[..., 1:]).max(axis=(1, 2), initial=0.0)
+    norms = run_norms(abc) if norms is None else np.reshape(norms, -1)
     squarings = scaling_exponents(norms)
     if squarings.any():
         scale = np.ldexp(1.0, -squarings)
@@ -83,7 +86,7 @@ def expm_stack(X: np.ndarray, dtype: np.dtype | type = EXTENDED) -> np.ndarray:
     # r0 = f0 - 1: each diagonal entry takes the 1 in its own last
     # rounding, so the three do not share one error of f0
     g0, f1, f2 = r[..., 0, 0], r[..., 1, 0], r[..., 2, 0]
-    total = np.empty(a.shape + (3, 3), dtype=dtype)
+    total = L  # spent: the assembly sets each of its entries
     total[..., 0, 0] = total[..., 2, 2] = (g0 + f2 * ab) + 1
     total[..., 1, 1] = (g0 + f2 * e1) + 1
     total[..., 0, 1] = total[..., 1, 2] = f1 * a
@@ -92,6 +95,13 @@ def expm_stack(X: np.ndarray, dtype: np.dtype | type = EXTENDED) -> np.ndarray:
     total[..., 2, 0] = f1 * c + f2 * b * b
     square_by_level(total, squarings, lambda part: part @ part)
     return total.reshape(X.shape[:-1] + (3, 3))
+
+
+def run_norms(X: np.ndarray) -> np.ndarray:
+    """||A||_inf of each stack (..., m, 3) of run generators of expm_stack, largest over its
+    m runs, in double: the row sums of |A| are |a|, |a| + |b| and |b| + |c|."""
+    mag = np.abs(X.astype(np.complex128, copy=False))
+    return (mag[..., :2] + mag[..., 1:]).max(axis=(-2, -1), initial=0.0)
 
 
 def scaling_exponents(norms: np.ndarray) -> np.ndarray:

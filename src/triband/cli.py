@@ -9,8 +9,9 @@ Output goes to --out (default stdout) as CSV or JSON.  CSV files start
 with '# key = value' comment lines echoing the configuration, so a result
 file is reproducible from its own header.
 
-Each command imports its modules when it runs, so importing this module
-loads only the coefficient parser.
+Each command imports its modules when it runs, and the coefficient parser
+when it reads its coefficients, so importing this module loads neither
+them nor numpy, and --version, -h and usage errors run without them.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .coeffs import PeriodicCoefficients, load_coefficients
 from .util import MAX_GRID_POINTS, parse_int_range
 
 if TYPE_CHECKING:
     from .bands import BandPoint
+    from .coeffs import PeriodicCoefficients
 
 
 def _add_coefficient_args(p: argparse.ArgumentParser) -> None:
@@ -121,6 +122,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _coefficients_from(args: argparse.Namespace) -> PeriodicCoefficients:
+    from .coeffs import PeriodicCoefficients, load_coefficients
+
     has_file = args.coeffs is not None
     has_consts = args.p_const is not None or args.q_const is not None
     if has_file and has_consts:

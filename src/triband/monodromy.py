@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._linalg import EXTENDED, det3, expm_stack, ordered_product
-from ._linalg import _TAYLOR_DEGREE, scaling_exponents, square_by_level
+from ._linalg import _TAYLOR_DEGREE, run_norms, scaling_exponents, square_by_level
 from .coeffs import PeriodicCoefficients
 
 OMEGA: complex = cmath.exp(2j * cmath.pi / 3)
@@ -185,10 +185,10 @@ def _traces(M: np.ndarray) -> list[complex]:
     return (M[:, 0, 0] + M[:, 1, 1] + M[:, 2, 2]).astype(complex).tolist()
 
 
-# Run exponentials per stack of the period-map core.  Spectral points are
-# grouped so that one stack holds about this many; from 128 runs on, a
-# stack holds one point.
-_STACK_MATRICES = 128
+# The most run exponentials in one stack of the period-map core, a power of two.
+# Spectral points are grouped up to it; a point with more runs is cut into aligned
+# chunks of this many, so the working set of a point does not grow with N.
+_STACK_MATRICES = 512
 
 # j - i at entry (i, j): the exponents of mu in the balanced frame
 _FRAME_POWERS = np.arange(3) - np.arange(3)[:, np.newaxis]
@@ -217,11 +217,16 @@ def period_maps(c: PeriodicCoefficients, lams: Sequence[complex], dtype=EXTENDED
     on it, M = D^-1 (product) D; in exact arithmetic this is the same M,
     and the trace is not touched at all.
 
-    The points are evaluated in stacks of about 128 run exponentials, each
-    point with its own frame, scaling exponent and Taylor degree, so every
-    M is bit-identical to the one-point evaluation.  Raises
-    PropagationOverflowError, before any work, if the guard refuses any of
-    the points.
+    The points are evaluated in stacks of at most 512 run exponentials
+    (_STACK_MATRICES), each point with its own frame, scaling exponent and
+    Taylor degree, so every M is bit-identical to the one-point evaluation.
+    A point with more runs is cut into chunks of 512 runs: each chunk is
+    exponentiated with the scaling and degree that the norms of all the
+    point's runs pick, and reduced to its product, and one more product
+    joins the chunks.  The chunks are aligned powers of two, so the
+    balanced tree of ordered_product groups every factor as it would in
+    one stack, and M keeps its bits.  Raises PropagationOverflowError,
+    before any work, if the guard refuses any of the points.
     """
     _check_growth(c, lams)
     runs, widths, points, powers, frame = _framed_runs(c, lams, dtype)
@@ -229,7 +234,14 @@ def period_maps(c: PeriodicCoefficients, lams: Sequence[complex], dtype=EXTENDED
     M = np.empty((len(lams), 3, 3), dtype=dtype)
     for i in range(0, len(lams), step):
         X = (runs + points[i : i + step, np.newaxis]) * (widths * powers[i : i + step, np.newaxis])
-        M[i : i + step] = ordered_product(expm_stack(X, dtype)) / frame[i : i + step]
+        if len(runs) <= _STACK_MATRICES:
+            product = ordered_product(expm_stack(X, dtype))
+        else:  # one point, in chunks that share its norms
+            norms = run_norms(X)
+            product = ordered_product(np.stack(
+                [ordered_product(expm_stack(X[:, j : j + _STACK_MATRICES], dtype, norms=norms))
+                 for j in range(0, len(runs), _STACK_MATRICES)], axis=-3))
+        M[i : i + step] = product / frame[i : i + step]
     return M
 
 

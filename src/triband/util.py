@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # The most points of a scan or sigma3 grid: a scan maps all its points in one core call, at
@@ -13,6 +16,8 @@ MAX_GRID_POINTS = 1_000_000
 
 
 def uniform_grid(a: float, b: float, points: int) -> np.ndarray:
+    import numpy as np
+
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError(f"interval ends must be finite, got [{a}, {b}]")
     if not (a < b):
@@ -43,6 +48,8 @@ def hausdorff_distance(xs, ys) -> np.ndarray:
     One distance per row of the stacks, a scalar for two plain sets.  |x - y| is np.hypot of
     the parts, which matches Python's abs of a complex bit for bit (np.abs does not).
     """
+    import numpy as np
+
     d = np.asarray(xs, dtype=complex)[..., :, None] - np.asarray(ys, dtype=complex)[..., None, :]
     d = np.hypot(d.real, d.imag)
     return np.maximum(d.min(axis=-1).max(axis=-1), d.min(axis=-2).max(axis=-1))

@@ -9,8 +9,12 @@ period_maps hands them over, against the structure of the generators;
 ordered_product against the plain left-multiplying loop, the
 run-collapsed period map against the uncollapsed per-cell product, and the
 trace of the period map against a 60-digit mpmath product of the run
-exponentials.
+exponentials.  Points with more runs than one stack holds are mapped in
+chunks: their maps against one whole stack bit for bit, the products of
+aligned chunks against the whole product, and the working set of a call.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,9 +252,9 @@ def test_period_maps_hands_expm_stack_its_structure(monkeypatch, lams):
     """
     seen = []
 
-    def spy(X, dtype):
+    def spy(X, dtype, **kwargs):
         seen.append(X.copy())
-        return expm_stack(X, dtype)
+        return expm_stack(X, dtype, **kwargs)
 
     monkeypatch.setattr(monodromy, "expm_stack", spy)
     c = PeriodicCoefficients.from_samples(
@@ -282,6 +286,78 @@ def _same_bits(x, y):
     """Equal values and equal signs of zero, in the real and the imaginary parts."""
     return all(np.array_equal(f(x), f(y)) and np.array_equal(np.signbit(f(x)), np.signbit(f(y)))
                for f in (np.real, np.imag))
+
+
+def test_expm_stack_takes_the_norms_it_is_handed():
+    """Handed the norms run_norms gives, expm_stack returns what it returns alone,
+    and chunks of a stack handed the whole stack's norms return the stack's rows."""
+    rng = np.random.default_rng(36)
+    X = _random_entries(rng, (4, 37), "complex")
+    X *= (10.0 ** rng.uniform(-6, 4, 4) / _reference_norms(X))[:, None, None]
+    X = X.astype(EXTENDED)
+    norms = _linalg.run_norms(X)
+    whole = expm_stack(X, EXTENDED)
+    assert _same_bits(expm_stack(X, EXTENDED, norms=norms), whole)
+    chunks = [expm_stack(X[:, j : j + 8], EXTENDED, norms=norms) for j in range(0, 37, 8)]
+    assert _same_bits(np.concatenate(chunks, axis=1), whole)
+    triple = X[0, 0]
+    assert _same_bits(expm_stack(triple, EXTENDED, norms=_linalg.run_norms(triple[None, None])),
+                      expm_stack(triple, EXTENDED))
+
+
+@pytest.mark.parametrize("length", [1, 511, 512, 513, 1500, 2049])
+def test_aligned_chunk_products_join_to_the_whole_product(length):
+    """The balanced tree groups the factors of each aligned power-of-two chunk as
+    the chunk's own tree does, so the product of the chunk products keeps the bits."""
+    rng = np.random.default_rng(length)
+    G = rng.standard_normal((length, 3, 3)) + 1j * rng.standard_normal((length, 3, 3))
+    factors = np.linalg.qr(G)[0].astype(EXTENDED)
+    size = monodromy._STACK_MATRICES
+    chunks = [ordered_product(factors[j : j + size]) for j in range(0, length, size)]
+    assert _same_bits(ordered_product(np.stack(chunks)), ordered_product(factors))
+
+
+# real lambda through +-1e7 and a point near the guard, and complex pairs
+_CHUNK_LAMBDAS = [0.0, 3.0, -40.0, 1e3, -1e5, 1e7, -1e7, -2e8,
+                  3e4 + 2e5j, 3e4 - 2e5j, -5e6 + 1e6j, -5e6 - 1e6j]
+
+
+@pytest.mark.parametrize("N", [511, 512, 513, 1024, 1500, 4096])
+def test_period_maps_in_chunks_keep_the_whole_stack_bits(N):
+    """period_maps on N distinct cells against the whole stack of one point at a time,
+    ordered_product(expm_stack(X)) / frame: equal bit for bit, squarings included.
+
+    |p| is of size N on the first 8 cells, so near lambda = 0 the whole stack squares
+    while a later chunk scaled by its own norms would not.
+    """
+    rng = np.random.default_rng(N)
+    p = rng.uniform(-1, 1, N)
+    p[:8] *= N
+    c = PeriodicCoefficients.from_samples(p, rng.uniform(-1, 1, N))
+    assert len(c.runs) == N
+    runs, widths, points, powers, frame = monodromy._framed_runs(c, _CHUNK_LAMBDAS, EXTENDED)
+    want, squared = [], False
+    for i in range(len(_CHUNK_LAMBDAS)):
+        X = (runs + points[i : i + 1, np.newaxis]) * (widths * powers[i : i + 1, np.newaxis])
+        squared |= bool(_linalg.scaling_exponents(_linalg.run_norms(X)).any())
+        want.append(ordered_product(expm_stack(X, EXTENDED)) / frame[i : i + 1])
+    assert squared
+    assert _same_bits(period_maps(c, _CHUNK_LAMBDAS), np.concatenate(want))
+
+
+def test_period_maps_working_set_does_not_grow_with_the_runs():
+    """A 3-point call at N = 8192 allocates at most 3 MB at its peak (7.9 MB in one stack)."""
+    rng = np.random.default_rng(8192)
+    c = PeriodicCoefficients.from_samples(rng.uniform(-1, 1, 8192), rng.uniform(-1, 1, 8192))
+    lams = [-1e3, 10.0, 1e3]
+    period_maps(c, lams)  # the run entries, kept on c
+    tracemalloc.start()
+    try:
+        period_maps(c, lams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
 
 
 def _square_by_gather(stacks, squarings, square):

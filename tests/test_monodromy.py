@@ -961,9 +961,9 @@ def test_run_entries_are_those_of_the_system_matrices(monkeypatch, family):
     Pm, Qm = system_matrices(lams, p[starts], q[starts])
     seen = []
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         seen.append(args)
-        return kernels[len(args)](*args)
+        return kernels[len(args)](*args, **kwargs)
 
     kernels = {2: monodromy.expm_stack, 5: monodromy._series_exponentials}
     monkeypatch.setattr(monodromy, "expm_stack", spy)

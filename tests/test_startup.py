@@ -1,7 +1,8 @@
 """What importing the package and running one command loads.
 
 The CLI's set-up (``import triband.cli`` and one coefficient file parsed)
-loads four modules, and each command imports its own modules when it runs,
+loads four modules, ``--version`` and ``-h`` load neither the coefficient
+parser nor numpy, and each command imports its own modules when it runs,
 so a top-level import that pulls a command's modules into the set-up, or
 one command's into another's, fails here.  The package's public names
 resolve on first access (PEP 562) to the objects their home modules define.
@@ -60,6 +61,17 @@ def test_a_command_loads_only_its_own_modules(command):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(sys.argv[1:]) == 0\n")
     assert _loaded(code, *argv) == SETUP | chain
+
+
+@pytest.mark.parametrize("flag", ["--version", "-h"])
+def test_version_and_help_load_no_numpy(flag):
+    """--version and -h exit from the parser, before any coefficient is read."""
+    code = ("import contextlib, io, sys\n"
+            "from triband import cli\n"
+            "with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(sys.argv[1:])\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded'\n")
+    assert _loaded(code, flag) == {"triband", "triband.cli", "triband.util"}
 
 
 def test_from_import_loads_the_named_module():

@@ -39,8 +39,9 @@ core calls and points behind them.
 The CLI prints values rounded to complex128, so a kernel change that moves
 only the last bits of an extended-precision period map passes both
 digests unseen.  A last line digests the maps themselves: ``period_maps``
-in its default dtype on the dense fixtures and one N = 1024 harmonic set,
-over real lambda through 0 and out to 1e7, complex pairs with their
+in its default dtype on the dense fixtures and harmonic sets at N = 1024,
+1500 and 8192 (one point per stack; the last two cut into chunks of runs,
+1500 with a partial last chunk and 8192 into 16 chunks), over real lambda through 0 and out to 1e7, complex pairs with their
 conjugates, and points just inside each set's growth guard.  Each real and
 imaginary part is hashed as its shortest round-trip text, not as bytes:
 an x87 long double carries padding bytes that hold no value.
@@ -206,7 +207,7 @@ def _outcome(op, cli, bands, load_coefficients) -> str:
 
 
 def _map_sets(root: Path, workloads, coeffs):
-    """The dense fixtures' coefficient sets by name, and one N = 1024 harmonic set."""
+    """The dense fixtures' coefficient sets by name, and harmonic sets at N = 1024, 1500, 8192."""
     sets = {}
     for name, (args, _) in _DENSE_FIXTURES.items():
         opts = dict(zip(args[::2], args[1::2]))
@@ -215,8 +216,9 @@ def _map_sets(root: Path, workloads, coeffs):
         else:
             sets[name] = coeffs.PeriodicCoefficients.from_constants(
                 float(opts["--p-const"]), float(opts["--q-const"]), int(opts["--grid"]))
-    sets["harmonic1024"] = coeffs.PeriodicCoefficients.from_samples(
-        *workloads.harmonic(np.random.default_rng(1024), 1024, 1.0))
+    for n in (1024, 1500, 8192):
+        sets[f"harmonic{n}"] = coeffs.PeriodicCoefficients.from_samples(
+            *workloads.harmonic(np.random.default_rng(n), n, 1.0))
     return sets
 
 
