@@ -8,10 +8,10 @@ the trace is a few eps times the growth exponent z0: over 48 random
 lambda in +-[1e2, 2e8] at most 2.3 eps z0 (1.2e-13) in complex128 and
 3.6 eps z0 (4.9e-17) in complex256, with medians 0.6 and 0.4 eps z0.
 
-Both stack kernels take leading batch axes (one per spectral point in the
-period-map core) and test no term as they go: expm_stack takes up to five
-3-vector products per matrix plus the squarings, ordered_product
-ceil(log2 N) batched matmuls for N factors.
+Both stack kernels test no term as they go: expm_stack takes exactly s stacks of m
+run generators (one per point, or chunk of a point's runs, in the period-map core) and
+up to five 3-vector products per matrix plus the squarings; ordered_product takes any
+leading batch axes and ceil(log2 N) batched matmuls for N factors.
 """
 
 from __future__ import annotations
@@ -36,49 +36,40 @@ _BLOCK_RADII = np.array([(1e-24 * float(_FACTORIALS[d])) ** (1 / (d + 1)) * (1 -
                          for d in (2, 5, 8, 11, 14, _TAYLOR_DEGREE)])
 
 
-def expm_stack(X: np.ndarray, dtype: np.dtype | type = EXTENDED, *,
-               norms: np.ndarray | None = None) -> np.ndarray:
-    """Exponentials (..., m, 3, 3) of run generators from their entries X (..., m, 3).
+def expm_stack(X: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Exponentials (s, m, 3, 3) of s stacks of m run generators from their entries X (s, m, 3).
 
-    X[..., k, :] = (a, b, c) stands for [[0, a, 0], [b, 0, a], [c, b, 0]], the run
-    generators of monodromy.period_maps.  The m generators of a stack share the least
-    scaling exponent s with ||A||_inf / 2^s <= 0.25; leading axes hold independent
-    stacks, and a (3,) triple is a stack of one.  X^3 = e1 X + e0 I with e1 = 2ab and
-    e0 = a^2 c (Cayley-Hamilton), so the Taylor polynomial is f0 I + f1 X + f2 X^2,
-    sum_j Y^j B_j in the blocks B_j of 1/k! with Y = X^3.  Y acts on coordinates over
-    I, X, X^2 as L = [[e0, 0, e0 e1], [e1, e0, e1^2], [0, e1, e0]]: Horner in Y takes
-    one 3-vector product by L per block.  Each stack takes the fewest blocks whose tail
-    at its scaled norm is at most 1e-24 (taylor_blocks; Higham 2005).  The call runs
-    its largest count; a stack that needs fewer enters with zero blocks above its own,
+    X[i, k] = (a, b, c) stands for [[0, a, 0], [b, 0, a], [c, b, 0]], in the result's dtype;
+    norms (s,) are run_norms of each stack, or of the whole point a chunk is cut from, so the
+    chunks of a point share its least scaling exponent s with norm / 2^s <= 0.25, and its
+    blocks.  X^3 = e1 X + e0 I with e1 = 2ab and e0 = a^2 c (Cayley-Hamilton), so the Taylor
+    polynomial is f0 I + f1 X + f2 X^2, sum_j Y^j B_j in the blocks B_j of 1/k! with Y = X^3.
+    Y acts on coordinates over I, X, X^2 as L = [[e0, 0, e0 e1], [e1, e0, e1^2], [0, e1, e0]]:
+    Horner in Y takes one 3-vector product by L per block.  Each stack takes the fewest blocks
+    whose tail at its scaled norm is at most 1e-24 (taylor_blocks; Higham 2005).  The call
+    runs its largest count; a stack that needs fewer enters with zero blocks above its own,
     so it ends bit-identical to its result alone.  The squarings follow by level.
 
-    The norms that pick s and the blocks are taken in double, the rest in dtype; a call
-    where no stack squares skips the rescale.  Within a few ulps of 0.25 2^k or a block
-    radius they may pick one squaring or block more or fewer than norms in dtype, with
-    the same 1e-24 tail: the radii are rounded down, and 0.25 lies below the last, 0.28.
-
-    norms, if given, stands in for run_norms(X), one per stack: a caller that cuts one
-    stack into chunks of runs passes the norms of the whole, so every chunk takes the
-    whole stack's s and blocks, and its exponentials keep their bits.
+    The norms are in double, the rest in X's dtype; a call where no stack squares skips the
+    rescale.  Within a few ulps of 0.25 2^k or a block radius they may pick one squaring or
+    block more or fewer than norms in X's dtype would, with the same 1e-24 tail: the radii
+    are rounded down, and 0.25 lies below the last, 0.28.
     """
-    X = np.asarray(X, dtype=dtype)
-    abc = X.reshape((-1,) + X.shape[-2:]) if X.ndim > 1 else X.reshape(1, 1, 3)
-    norms = run_norms(abc) if norms is None else np.reshape(norms, -1)
     squarings = scaling_exponents(norms)
     if squarings.any():
         scale = np.ldexp(1.0, -squarings)
-        abc = abc * scale[:, np.newaxis, np.newaxis]  # exact: powers of 2
+        X = X * scale[:, np.newaxis, np.newaxis]  # exact: powers of 2
         norms = norms * scale
     blocks = taylor_blocks(norms).reshape(-1, 1, 1, 1)
     lowest, top = min(blocks.flat), max(blocks.flat)  # few stacks: cheaper than numpy's
-    a, b, c = abc[..., 0], abc[..., 1], abc[..., 2]
+    a, b, c = X[..., 0], X[..., 1], X[..., 2]
     ab, a2 = a * b, a * a
     e1, e0 = ab + ab, a2 * c
-    L = np.zeros(a.shape + (3, 3), dtype=dtype)
+    L = np.zeros(a.shape + (3, 3), dtype=X.dtype)
     L[..., 0, 0] = L[..., 1, 1] = L[..., 2, 2] = e0
     L[..., 1, 0] = L[..., 2, 1] = e1
     L[..., 0, 2], L[..., 1, 2] = e0 * e1, e1 * e1
-    coeffs = _TAYLOR_BLOCKS.astype(dtype)
+    coeffs = _TAYLOR_BLOCKS.astype(X.dtype)
     r = coeffs[top - 1] if lowest == top else coeffs[top - 1] * (blocks == top)
     for j in range(top - 2, -1, -1):
         r = L @ r
@@ -94,11 +85,11 @@ def expm_stack(X: np.ndarray, dtype: np.dtype | type = EXTENDED, *,
     total[..., 1, 0] = total[..., 2, 1] = f1 * b + f2 * a * c
     total[..., 2, 0] = f1 * c + f2 * b * b
     square_by_level(total, squarings, lambda part: part @ part)
-    return total.reshape(X.shape[:-1] + (3, 3))
+    return total
 
 
 def run_norms(X: np.ndarray) -> np.ndarray:
-    """||A||_inf of each stack (..., m, 3) of run generators of expm_stack, largest over its
+    """||A||_inf of each stack (s, m, 3) of run generators of expm_stack, largest over its
     m runs, in double: the row sums of |A| are |a|, |a| + |b| and |b| + |c|."""
     mag = np.abs(X.astype(np.complex128, copy=False))
     return (mag[..., :2] + mag[..., 1:]).max(axis=(-2, -1), initial=0.0)

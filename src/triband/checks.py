@@ -43,6 +43,12 @@ _ROOT_COUNT_N = 5
 # threshold of the scaled det and symplectic residuals, which stay at
 # roundoff of the period map's dtype at every |lambda|
 _ROUNDOFF = 100.0 * float(np.finfo(EXTENDED).eps)
+# Roundoff allowances of the growth-bounds caps, which vanish with kappa while the computed
+# differences do not; first-order counts in eps of complex128, where the suite compares.  Per
+# e^{z0+kappa} (1 + |z|): T0 and the free propagator take exponents i w^j z off by 12 eps (z 4,
+# w^2 5, the product 3); sums, casts and the map's own few eps z0 (see _linalg) fill 16.  Per
+# 3 max |V^-1||M||V| >= its spectral norm: V (13), V^-1 (15), M's cast (1), two products (7 each).
+_FREE_ROUNDOFF, _FRAME_ROUNDOFF = (n * float(np.finfo(np.complex128).eps) for n in (16, 3 * 43))
 
 
 @dataclass(frozen=True)
@@ -159,16 +165,17 @@ def check_trace_bounds(kappa: float, free: tuple, M: np.ndarray, T: np.ndarray) 
 
     The perturbation bounds are |T - T0| <= 3 kappa e^{z0+kappa} / |z| and,
     in the frame that diagonalizes the free system, a matching bound on the
-    full matrix deviation from the diagonal free propagator.  free is the
-    _free_bound_data of the grid, which holds no point with |lambda| < 1.
+    full matrix deviation from the diagonal free propagator, each plus its
+    roundoff allowance.  free is the _free_bound_data of the grid, which
+    holds no point with |lambda| < 1.
     """
     z0, z, T0, V, V_inv, diag_free = free
-    worst = float(np.max(np.abs(T) / (3.0 * np.exp(z0 + kappa))))
-    if kappa > 0:
-        matrix_cap = kappa * np.exp(z0 + kappa) / np.abs(z)
-        worst = max(worst, float(np.max(np.abs(T - T0) / (3.0 * matrix_cap))))
-        deviation = spectral_norms(V_inv @ M.astype(complex) @ V - diag_free)
-        worst = max(worst, float(np.max(deviation / matrix_cap)))
+    growth, M = np.exp(z0 + kappa), M.astype(complex)
+    cap = (kappa / np.abs(z) + _FREE_ROUNDOFF * (1 + np.abs(z))) * growth
+    frame_cap = cap + _FRAME_ROUNDOFF * (np.abs(V_inv) @ np.abs(M) @ np.abs(V)).max(axis=(-2, -1))
+    deviation = spectral_norms(V_inv @ M @ V - diag_free)
+    worst = max(np.max(np.abs(T) / (3.0 * growth)), np.max(np.abs(T - T0) / (3.0 * cap)),
+                np.max(deviation / frame_cap))
     return CheckResult("growth-bounds", worst <= 1.0 + _BOUND_SLACK, worst, 1.0,
                        detail="(ratios to the proved caps)")
 

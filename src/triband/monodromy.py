@@ -219,14 +219,14 @@ def period_maps(c: PeriodicCoefficients, lams: Sequence[complex], dtype=EXTENDED
 
     The points are evaluated in stacks of at most 512 run exponentials
     (_STACK_MATRICES), each point with its own frame, scaling exponent and
-    Taylor degree, so every M is bit-identical to the one-point evaluation.
-    A point with more runs is cut into chunks of 512 runs: each chunk is
-    exponentiated with the scaling and degree that the norms of all the
-    point's runs pick, and reduced to its product, and one more product
-    joins the chunks.  The chunks are aligned powers of two, so the
-    balanced tree of ordered_product groups every factor as it would in
-    one stack, and M keeps its bits.  Raises PropagationOverflowError,
-    before any work, if the guard refuses any of the points.
+    Taylor degree, picked by run_norms of all its runs once per stack, so
+    every M is bit-identical to the one-point evaluation.  A point with more
+    runs is cut into chunks of 512 runs, each exponentiated with its point's
+    norms and reduced to its product, and one more product joins the chunks.
+    The chunks are aligned powers of two, so the balanced tree of
+    ordered_product groups every factor as it would in one stack, and M
+    keeps its bits.  Raises PropagationOverflowError, before any work, if
+    the guard refuses any of the points.
     """
     _check_growth(c, lams)
     runs, widths, points, powers, frame = _framed_runs(c, lams, dtype)
@@ -234,12 +234,12 @@ def period_maps(c: PeriodicCoefficients, lams: Sequence[complex], dtype=EXTENDED
     M = np.empty((len(lams), 3, 3), dtype=dtype)
     for i in range(0, len(lams), step):
         X = (runs + points[i : i + step, np.newaxis]) * (widths * powers[i : i + step, np.newaxis])
+        norms = run_norms(X)
         if len(runs) <= _STACK_MATRICES:
-            product = ordered_product(expm_stack(X, dtype))
+            product = ordered_product(expm_stack(X, norms))
         else:  # one point, in chunks that share its norms
-            norms = run_norms(X)
             product = ordered_product(np.stack(
-                [ordered_product(expm_stack(X[:, j : j + _STACK_MATRICES], dtype, norms=norms))
+                [ordered_product(expm_stack(X[:, j : j + _STACK_MATRICES], norms))
                  for j in range(0, len(runs), _STACK_MATRICES)], axis=-3))
         M[i : i + step] = product / frame[i : i + step]
     return M
@@ -395,10 +395,10 @@ def _toeplitz_squares(G: np.ndarray) -> np.ndarray:
 
 
 def _series_terms(
-    c: PeriodicCoefficients, lams: Sequence[complex], tol: float
+    c: PeriodicCoefficients, params: Sequence[SpectralParameter], tol: float
 ) -> tuple[np.ndarray, list[tuple[int, float]]]:
-    """Series terms (L, n, 3, 3) at every lambda in lams, zero past each point's
-    order K, and (K, tail bound) per point, from one evaluation.
+    """Series terms (L, n, 3, 3) at the L spectral points params, zero past each
+    point's order K, and (K, tail bound) per point, from one evaluation.
 
     The points share the largest order of the call, n = max K + 1: block j
     of a lower block-Toeplitz product depends on blocks 0..j only.
@@ -406,10 +406,10 @@ def _series_terms(
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
     kq = q_norm_integral(c)
+    lams = [prm.lam for prm in params]
     _check_growth(c, lams)
     orders = []  # (K, tail bound) per point
-    for lam in lams:
-        z0 = SpectralParameter.from_lambda(lam).z0
+    for z0 in (prm.z0 for prm in params):
         prefactor = math.exp(min(z0, MAX_GROWTH_EXPONENT)) * math.exp(kq)
         for K in range(_SERIES_MAX_TERMS + 1):
             tail = prefactor * kq ** (K + 1) / math.factorial(K + 1)
@@ -445,7 +445,8 @@ def _series_terms(
 
 def picard_maps(c: PeriodicCoefficients, lams: Sequence[complex], tol: float) -> np.ndarray:
     """M(1, lambda) of the series route at every lambda in lams, as an (L, 3, 3) array."""
-    return _series_terms(c, lams, tol)[0].sum(axis=1)
+    params = [SpectralParameter.from_lambda(lam) for lam in lams]
+    return _series_terms(c, params, tol)[0].sum(axis=1)
 
 
 def picard_monodromy(
@@ -477,7 +478,7 @@ def picard_monodromy(
     expm_stack, each block-Toeplitz product one stacked gemm on the
     3(K+1) x 3(K+1) matrix; picard_maps batches points under _SERIES_CHUNK_BYTES.
     """
-    W, [(K, tail)] = _series_terms(c, [param.lam], tol)
+    W, [(K, tail)] = _series_terms(c, [param], tol)
     M = W.sum(axis=1)
     norms = spectral_norms(W[0, : K + 1]).tolist()
     return MonodromyResult(M[0], _traces(M)[0], K, tuple(norms), tail)

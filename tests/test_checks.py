@@ -8,7 +8,7 @@ import pytest
 import triband.checks as checks
 import triband.monodromy as monodromy
 from triband import SpectralParameter, free_diagonalizer, free_trace, trace_at
-from triband.coeffs import load_coefficients
+from triband.coeffs import PeriodicCoefficients, load_coefficients, zero_coefficients
 from triband.discriminant import rho_product_formula, rho_trace_formula
 from triband.floquet import char_real_function
 from triband.monodromy import char_poly, period_maps, spectral_norms
@@ -23,23 +23,24 @@ def _results(c):
     return {r.name: r for r in checks.run_verify(c)}
 
 
-def _trace_bounds_worst_per_point(c):
-    """The growth-bounds ratio one point of the real grid at a time: the reference loop."""
-    worst = 0.0
-    kappa = c.kappa
+def _trace_bounds_worst_per_point(c, scale=1.0):
+    """The growth-bounds ratio one point of the real grid at a time, each map and trace
+    times scale: the reference loop.  The caps take their roundoff allowances."""
+    worst, kappa = 0.0, c.kappa
     lams, (real, *_), *_ = checks._fixed_grids()
     for lam in lams[real]:
-        [M], T = period_maps(c, [lam]), trace_at(c, lam)
+        [M], T = period_maps(c, [lam]) * scale, trace_at(c, lam) * scale
         param = SpectralParameter.from_lambda(lam)
-        worst = max(worst, abs(T) / (3.0 * math.exp(param.z0 + kappa)))
-        if abs(param.lam) >= 1.0 and kappa > 0:
-            dev_cap = 3.0 * kappa * math.exp(param.z0 + kappa) / abs(param.z)
-            worst = max(worst, abs(T - free_trace(param.lam)) / dev_cap)
-            [V], [V_inv], B = free_diagonalizer([param])
-            frame = V_inv @ np.asarray(M, dtype=complex) @ V
-            diag_free = np.diag(np.exp(1j * param.z * np.diag(B)))
-            matrix_cap = kappa * math.exp(param.z0 + kappa) / abs(param.z)
-            worst = max(worst, np.linalg.norm(frame - diag_free, 2) / matrix_cap)
+        assert abs(param.lam) >= 1.0
+        growth = math.exp(param.z0 + kappa)
+        worst = max(worst, abs(T) / (3.0 * growth))
+        matrix_cap = (kappa / abs(param.z) + checks._FREE_ROUNDOFF * (1 + abs(param.z))) * growth
+        worst = max(worst, abs(T - free_trace(param.lam)) / (3.0 * matrix_cap))
+        [V], [V_inv], B = free_diagonalizer([param])
+        M = np.asarray(M, dtype=complex)
+        diag_free = np.diag(np.exp(1j * param.z * np.diag(B)))
+        roundoff = checks._FRAME_ROUNDOFF * (abs(V_inv) @ abs(M) @ abs(V)).max()
+        worst = max(worst, np.linalg.norm(V_inv @ M @ V - diag_free, 2) / (matrix_cap + roundoff))
     return worst
 
 
@@ -50,6 +51,44 @@ def test_growth_bounds_suite_matches_per_point_loop(name, request):
     assert _results(c)["growth-bounds"].worst == pytest.approx(
         _trace_bounds_worst_per_point(c), rel=1e-12
     )
+
+
+# weak coefficients: constant p or q from 1e-12 down to 1e-300, and a three-level step
+# set with kappa = 1.4e-15; their perturbation caps without the allowance lie below roundoff
+_WEAK_SETS = {
+    **{f"p={p:g}": (np.full(64, p), np.zeros(64)) for p in (1e-12, 1e-14, 1e-15, 1e-16, 1e-300)},
+    "q=1e-16": (np.zeros(64), np.full(64, 1e-16)),
+    "steps": (np.repeat([2e-15, -1e-15, 5e-16], [20, 25, 19]),
+              np.repeat([3e-16, 0.0, -6e-16], [12, 30, 22])),
+}
+
+
+@pytest.mark.parametrize("name", list(_WEAK_SETS))
+def test_verify_passes_on_weak_coefficients(name):
+    """Every suite passes on weak coefficients, and the growth-bounds worst is the
+    per-point loop's; at kappa <= 1e-14 the perturbation ratios stay far below 1, so the
+    worst is the |T| ratio of the zero set."""
+    c = PeriodicCoefficients.from_samples(*_WEAK_SETS[name])
+    assert c.kappa < 2e-12
+    results = _results(c)
+    assert all(r.passed for r in results.values()), [r.line() for r in results.values()]
+    worst = results["growth-bounds"].worst
+    assert worst == pytest.approx(_trace_bounds_worst_per_point(c), rel=1e-12)
+    if c.kappa <= 1e-14:
+        zero = _results(zero_coefficients(64))["growth-bounds"].worst
+        assert worst == pytest.approx(zero, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1 + 1e-6, 1 + 1e-10])
+def test_growth_bounds_fail_a_planted_violation_at_kappa_1e_16(scale):
+    """Maps and traces scaled by 1 + 1e-6 or 1 + 1e-10 at kappa = 1e-16 break the caps,
+    allowance and all, by a factor of at least 1e3."""
+    c = PeriodicCoefficients.from_constants(1e-16, 0.0, 64)
+    lams, (real, *_), _, free = checks._fixed_grids()
+    M = period_maps(c, lams)[real] * scale
+    result = checks.check_trace_bounds(c.kappa, free, M, np.array(monodromy._traces(M)))
+    assert not result.passed and result.worst > 1e3
+    assert result.worst == pytest.approx(_trace_bounds_worst_per_point(c, scale), rel=1e-12)
 
 
 def test_identity_suites_read_the_scaled_residuals(const_c, monkeypatch):

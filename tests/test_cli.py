@@ -155,6 +155,14 @@ def test_verify_passes_on_zero_coefficients(capsys):
     assert "root-counting" in out
 
 
+def test_verify_passes_at_kappa_1e_300_on_one_cell(capsys):
+    """The growth-bounds caps keep their roundoff allowance as kappa -> 0: exit 0."""
+    code, out, _ = run_cli(capsys, "verify", "--p-const", "1e-300", "--q-const", "0",
+                           "--grid", "1")
+    assert code == 0
+    assert "FAIL" not in out and "PASS  growth-bounds" in out
+
+
 def test_verify_json_structure(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--p-const", "0", "--q-const", "0", "--grid", "4",

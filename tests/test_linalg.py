@@ -19,9 +19,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from triband import PeriodicCoefficients, monodromy
+from triband import PeriodicCoefficients, SpectralParameter, monodromy
 from triband import _linalg
-from triband._linalg import EXTENDED, expm_stack, ordered_product, taylor_blocks
+from triband._linalg import EXTENDED, expm_stack, ordered_product, run_norms, taylor_blocks
 from triband.monodromy import period_maps, system_matrices
 
 EPS = float(np.finfo(EXTENDED).eps)
@@ -54,6 +54,12 @@ def _entries(A):
     return A[..., _ROWS, _COLS].astype(EXTENDED)
 
 
+def _expm_one_stack(X):
+    """expm_stack of one stack X (m, 3), in its own dtype, with its run_norms."""
+    X = X[np.newaxis]
+    return expm_stack(X, run_norms(X))[0]
+
+
 def _assert_matches_mpmath(A, E):
     """Entrywise error of each E = exp(A) relative to max |exp(A)|, within 16 eps ||A||."""
     mp = pytest.importorskip("mpmath")
@@ -80,7 +86,7 @@ def test_expm_stack_matches_mpmath(norm):
     """
     rng = np.random.default_rng(int(np.log10(norm)) + 100)
     A = _run_generators(rng, 4, norm)
-    _assert_matches_mpmath(A, expm_stack(_entries(A), EXTENDED))
+    _assert_matches_mpmath(A, _expm_one_stack(_entries(A)))
 
 
 def test_expm_stack_scales_each_stack_on_its_own():
@@ -94,11 +100,12 @@ def test_expm_stack_scales_each_stack_on_its_own():
     norms = (1e-3, 0.05, 0.2, 2.5e3)
     A = np.stack([_run_generators(rng, 3, norm) for norm in norms])
     assert taylor_blocks(np.array([1e-3, 0.05, 0.2, 2.5e3 / 2**14])).tolist() == [3, 4, 6, 5]
-    E = expm_stack(_entries(A), EXTENDED)
+    X = _entries(A)
+    E = expm_stack(X, run_norms(X))
     assert E.shape == (4, 3, 3, 3)
     for stack, result in zip(A, E):
         _assert_matches_mpmath(stack, result)
-        assert np.array_equal(result, expm_stack(_entries(stack), EXTENDED))
+        assert np.array_equal(result, _expm_one_stack(_entries(stack)))
 
 
 def test_taylor_blocks_meet_the_tail_at_their_radii():
@@ -124,7 +131,7 @@ def test_taylor_blocks_meet_the_tail_at_their_radii():
     rng = np.random.default_rng(11)
     for norm in (0.05, 0.16, 0.25):
         A = _run_generators(rng, 4, norm)
-        _assert_matches_mpmath(A, expm_stack(_entries(A), EXTENDED))
+        _assert_matches_mpmath(A, _expm_one_stack(_entries(A)))
 
 
 def _random_entries(rng, size, kind):
@@ -171,7 +178,7 @@ def _chosen(monkeypatch, X):
 
     monkeypatch.setattr(_linalg, "scaling_exponents", spy("scaling_exponents"))
     monkeypatch.setattr(_linalg, "taylor_blocks", spy("taylor_blocks"))
-    E = expm_stack(X, X.dtype)
+    E = expm_stack(X, run_norms(X))
     monkeypatch.undo()
     return E, seen["scaling_exponents"], seen["taylor_blocks"].ravel()
 
@@ -197,7 +204,7 @@ def test_double_norms_choose_as_the_extended_norms_bit_for_bit(monkeypatch):
         mixed += squarings.min() == 0 < squarings.max()
         monkeypatch.setattr(_linalg, "scaling_exponents", lambda _: squarings)
         monkeypatch.setattr(_linalg, "taylor_blocks", lambda _: blocks)
-        reference = expm_stack(X, EXTENDED)
+        reference = expm_stack(X, run_norms(X))
         monkeypatch.undo()
         E, got_squarings, got_blocks = _chosen(monkeypatch, X)
         assert got_squarings.tolist() == squarings.tolist()
@@ -244,28 +251,39 @@ def test_choices_flipped_near_a_boundary_keep_their_accuracy(monkeypatch):
 
 @pytest.mark.parametrize("lams", [[0.0], [1e3], [-1e3], [1e7], [300 + 200j, 300 - 200j]])
 def test_period_maps_hands_expm_stack_its_structure(monkeypatch, lams):
-    """The frame-scaled entries (a, b, c) that period_maps hands to expm_stack.
+    """The frame-scaled entries (a, b, c) and the norms that period_maps hands to expm_stack.
 
     On three runs of a step set, p = 0 on the middle one: a = w mu is real
     and positive, b = -w p / mu is real, exactly 0 on the middle run and
-    nonzero on the others.
+    nonzero on the others.  Every call's norms are run_norms of its stack,
+    and on a set of 1100 runs, cut into chunks of 512, 512 and 76 runs, of
+    the chunk's whole point, bit for bit.
     """
     seen = []
 
-    def spy(X, dtype, **kwargs):
-        seen.append(X.copy())
-        return expm_stack(X, dtype, **kwargs)
+    def spy(X, norms):
+        seen.append((X.copy(), norms.copy()))
+        return expm_stack(X, norms)
 
     monkeypatch.setattr(monodromy, "expm_stack", spy)
     c = PeriodicCoefficients.from_samples(
         np.repeat(_RUN_P_WITH_ZERO, _RUN_CELLS), np.repeat(_RUN_Q, _RUN_CELLS)
     )
     period_maps(c, lams)
-    X = np.concatenate([entries.reshape(-1, 3, 3) for entries in seen])
+    assert all(np.array_equal(norms, run_norms(X)) for X, norms in seen)
+    X = np.concatenate([entries for entries, _ in seen])
     assert X.shape == (len(lams), 3, 3)
     a, b = X[..., 0], X[..., 1]
     assert np.all(a.imag == 0) and np.all(b.imag == 0) and np.all(a.real > 0)
     assert np.all(b[:, 1] == 0) and np.all(b[:, [0, 2]] != 0)
+    rng = np.random.default_rng(1100)
+    seen.clear()
+    period_maps(PeriodicCoefficients.from_samples(rng.uniform(-1, 1, 1100),
+                                                  rng.uniform(-1, 1, 1100)), lams)
+    assert [X.shape[1] for X, _ in seen] == [512, 512, 76] * len(lams)
+    for j in range(0, len(seen), 3):
+        whole = np.concatenate([X for X, _ in seen[j : j + 3]], axis=1)
+        assert all(np.array_equal(norms, run_norms(whole)) for _, norms in seen[j : j + 3])
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 7, 64, 1025])
@@ -289,20 +307,18 @@ def _same_bits(x, y):
 
 
 def test_expm_stack_takes_the_norms_it_is_handed():
-    """Handed the norms run_norms gives, expm_stack returns what it returns alone,
+    """Handed its own norm, each stack returns its rows of the whole call,
     and chunks of a stack handed the whole stack's norms return the stack's rows."""
     rng = np.random.default_rng(36)
     X = _random_entries(rng, (4, 37), "complex")
     X *= (10.0 ** rng.uniform(-6, 4, 4) / _reference_norms(X))[:, None, None]
     X = X.astype(EXTENDED)
-    norms = _linalg.run_norms(X)
-    whole = expm_stack(X, EXTENDED)
-    assert _same_bits(expm_stack(X, EXTENDED, norms=norms), whole)
-    chunks = [expm_stack(X[:, j : j + 8], EXTENDED, norms=norms) for j in range(0, 37, 8)]
+    norms = run_norms(X)
+    whole = expm_stack(X, norms)
+    assert _same_bits(np.concatenate([expm_stack(X[i : i + 1], norms[i : i + 1])
+                                      for i in range(4)]), whole)
+    chunks = [expm_stack(X[:, j : j + 8], norms) for j in range(0, 37, 8)]
     assert _same_bits(np.concatenate(chunks, axis=1), whole)
-    triple = X[0, 0]
-    assert _same_bits(expm_stack(triple, EXTENDED, norms=_linalg.run_norms(triple[None, None])),
-                      expm_stack(triple, EXTENDED))
 
 
 @pytest.mark.parametrize("length", [1, 511, 512, 513, 1500, 2049])
@@ -325,7 +341,7 @@ _CHUNK_LAMBDAS = [0.0, 3.0, -40.0, 1e3, -1e5, 1e7, -1e7, -2e8,
 @pytest.mark.parametrize("N", [511, 512, 513, 1024, 1500, 4096])
 def test_period_maps_in_chunks_keep_the_whole_stack_bits(N):
     """period_maps on N distinct cells against the whole stack of one point at a time,
-    ordered_product(expm_stack(X)) / frame: equal bit for bit, squarings included.
+    ordered_product(expm_stack(X, run_norms(X))) / frame: equal bit for bit, squarings included.
 
     |p| is of size N on the first 8 cells, so near lambda = 0 the whole stack squares
     while a later chunk scaled by its own norms would not.
@@ -339,8 +355,9 @@ def test_period_maps_in_chunks_keep_the_whole_stack_bits(N):
     want, squared = [], False
     for i in range(len(_CHUNK_LAMBDAS)):
         X = (runs + points[i : i + 1, np.newaxis]) * (widths * powers[i : i + 1, np.newaxis])
-        squared |= bool(_linalg.scaling_exponents(_linalg.run_norms(X)).any())
-        want.append(ordered_product(expm_stack(X, EXTENDED)) / frame[i : i + 1])
+        norms = run_norms(X)
+        squared |= bool(_linalg.scaling_exponents(norms).any())
+        want.append(ordered_product(expm_stack(X, norms)) / frame[i : i + 1])
     assert squared
     assert _same_bits(period_maps(c, _CHUNK_LAMBDAS), np.concatenate(want))
 
@@ -414,12 +431,13 @@ def test_core_routes_square_as_the_gather_form(monkeypatch, levels, p, q, lams):
 
     for module in (_linalg, monodromy):
         monkeypatch.setattr(module, "square_by_level", recording)
-    maps, series = period_maps(c, lams), monodromy._series_terms(c, lams, 1e-12)
+    params = [SpectralParameter.from_lambda(lam) for lam in lams]
+    maps, series = period_maps(c, lams), monodromy._series_terms(c, params, 1e-12)
     assert levels in kinds and (levels == "mixed" or kinds == {levels})
     for module in (_linalg, monodromy):
         monkeypatch.setattr(module, "square_by_level", _square_by_gather)
     assert _same_bits(period_maps(c, lams), maps)
-    terms, orders = monodromy._series_terms(c, lams, 1e-12)
+    terms, orders = monodromy._series_terms(c, params, 1e-12)
     assert _same_bits(terms, series[0]) and orders == series[1]
 
 
@@ -440,7 +458,7 @@ def test_propagate_matches_uncollapsed_cell_product(lam):
     c = PeriodicCoefficients.from_samples(p, q)
     P, Q = system_matrices([lam], p, q)
     A = (P.astype(EXTENDED) + Q.astype(EXTENDED)) / np.asarray(64, dtype=EXTENDED)
-    cells = expm_stack(A[..., _ROWS, _COLS], EXTENDED)
+    cells = _expm_one_stack(A[..., _ROWS, _COLS])
     expected = cells[0]
     for F in cells[1:]:
         expected = F @ expected

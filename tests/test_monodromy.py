@@ -579,7 +579,7 @@ def test_picard_maps_equals_one_point_calls(family):
     c = zero_coefficients(4) if family == "zero" else _harmonic_set(3, 8)
     lams = [0.0, -100.0, 100.0, 1e3, 20 + 30j, 20 - 30j]
     batched = monodromy.picard_maps(c, lams, tol=1e-4)
-    terms, orders = monodromy._series_terms(c, lams, tol=1e-4)
+    terms, orders = monodromy._series_terms(c, [P(lam) for lam in lams], tol=1e-4)
     if family == "zero":
         assert {K for K, _ in orders} == {0}
     else:
@@ -906,13 +906,13 @@ def test_calls_sharing_a_run_table_match_a_fresh_object():
     the series route, give what a fresh object gives on its first call."""
     c = _coefficient_family("steps3", 64)
     lams = list(_MIXED_LAMBDAS)
-    series = [lam for lam in lams if abs(lam) <= 2e3]
 
     def fresh():
         return PeriodicCoefficients.from_samples(c.p_samples, c.q_samples)
 
     want = {dtype: period_maps(fresh(), lams, dtype=dtype)
             for dtype in (EXTENDED, np.dtype(np.complex128))}
+    series = [P(lam) for lam in lams if abs(lam) <= 2e3]
     want_terms, want_orders = monodromy._series_terms(fresh(), series, 1e-12)
     for route in (EXTENDED, np.complex128, "series", EXTENDED, "series", np.complex128):
         if isinstance(route, str):

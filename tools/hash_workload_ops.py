@@ -24,11 +24,12 @@ between checkouts that map different points, the digest lines do not.
 
 The workload scans have 2-3 points and its eigs short index ranges, so a
 second digest covers dense CLI tables: 2001-point scans through lambda = 0
-and the triple set on the conftest fixtures and
-ROOT/tests/golden/steps.json, each fixture's eigs at k = 1 over n in
--40..40, its sigma3 in its default window, and its verify, in CSV and
-JSON; it too is split per command (scan, eigs, sigma3, verify), with a
-verify-masked digest, and with the core calls and points of each.
+and the triple set on the conftest fixtures, ROOT/tests/golden/steps.json
+and a constant set with kappa = 1e-16 (weak_c, where verify's perturbation
+caps fall below roundoff), each fixture's eigs at k = 1 over n in -40..40,
+its sigma3 in its default window, and its verify, in CSV and JSON; it too
+is split per command (scan, eigs, sigma3, verify), with a verify-masked
+digest, and with the core calls and points of each.
 
 verify counts roots only at N = 5 and two k, and its report keeps only the
 counts, so a ``root counts`` digest covers the library's ``count_in_disk``
@@ -77,7 +78,7 @@ def _load_workloads(root: Path):
     return module
 
 
-# the conftest fixtures by their CLI coefficients, and the golden step set;
+# the conftest fixtures by their CLI coefficients, the golden step set and a weak set;
 # each with 2001-point scan windows through lambda = 0, across the triple
 # set, and 2e-5 wide at one of its ends, where rows are flagged
 _DENSE_FIXTURES = {
@@ -89,6 +90,9 @@ _DENSE_FIXTURES = {
                 ["-60,60", "-1,1", "0.68489,0.68491"]),
     "sin_c": (["--coeffs", "sin_c.json"], ["-60,60", "-0.01,0.01", "0.000537,0.000557"]),
     "steps": (["--coeffs", "steps.json"], ["-200,200", "-20,20", "11.31170,11.31172"]),
+    # kappa = 1e-16: the perturbation caps of verify's growth-bounds suite sit below roundoff
+    "weak_c": (["--p-const", "1e-16", "--q-const", "0", "--grid", "64"],
+               ["-1000,1000", "-2,2", "-0.001,0.001"]),
 }
 
 
