@@ -40,7 +40,6 @@ __all__ = [
     "det_residual",
     "eigenvalues_at_k",
     "free_case",
-    "free_diagonalizer",
     "free_eigenvalues",
     "free_multipliers",
     "free_trace",

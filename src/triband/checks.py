@@ -20,11 +20,12 @@ from .discriminant import rho_product_formula, rho_trace_formula
 from .floquet import char_real_function, count_in_disk
 from .freecase import free_case, free_trace
 from .monodromy import (
+    OMEGA,
     SpectralParameter,
+    _FRAME_POWERS,
     _traces,
     char_poly,
     det_residual,
-    free_diagonalizer,
     period_maps,
     picard_maps,
     spectral_norms,
@@ -34,9 +35,6 @@ from .monodromy import (
 from ._linalg import EXTENDED, det3
 from .util import hausdorff_distance
 
-# bound checks allow machine-epsilon slack: several are equalities at
-# isolated points (e.g. |T| = 3 exp(z0) in the free case at lambda = 0)
-_BOUND_SLACK = 1e-9
 # requested tail bound of the series route, and the index N of root counting
 _PICARD_TOL = 1e-10
 _ROOT_COUNT_N = 5
@@ -45,10 +43,13 @@ _ROOT_COUNT_N = 5
 _ROUNDOFF = 100.0 * float(np.finfo(EXTENDED).eps)
 # Roundoff allowances of the growth-bounds caps, which vanish with kappa while the computed
 # differences do not; first-order counts in eps of complex128, where the suite compares.  Per
-# e^{z0+kappa} (1 + |z|): T0 and the free propagator take exponents i w^j z off by 12 eps (z 4,
-# w^2 5, the product 3); sums, casts and the map's own few eps z0 (see _linalg) fill 16.  Per
-# 3 max |V^-1||M||V| >= its spectral norm: V (13), V^-1 (15), M's cast (1), two products (7 each).
-_FREE_ROUNDOFF, _FRAME_ROUNDOFF = (n * float(np.finfo(np.complex128).eps) for n in (16, 3 * 43))
+# e^{z0+kappa} (1 + |z|): T0 and C take exponents i w^j z off by 12 eps (z 4, w^2 5, the
+# product 3); sums, casts and the map's own few eps z0 (see _linalg) fill 16.  Per sum |M||W|
+# >= ||M o W||, and >= ||C|| = max |tau| to first order: M's cast 1, W = (iz)^(l-k) 13 (z 4 per
+# power, the square 2, the reciprocal 3), the product 2 and the subtraction 1 per |M_kl||W_kl|;
+# per max |tau|, C 13 (a row, whose sum bounds a circulant's norm: three 3-term sums 22.5 and
+# w, w^2 12, over 3, then the /3 1.5) and the subtraction 3 (sum |C_kl| <= 3 sqrt(3) max |tau|).
+_FREE_ROUNDOFF, _FRAME_ROUNDOFF = (n * float(np.finfo(np.complex128).eps) for n in (16, 33))
 
 
 @dataclass(frozen=True)
@@ -77,14 +78,16 @@ def _real_grid() -> np.ndarray:
 
 
 def _free_bound_data(lams: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The growth-bounds suite's grid-only data, from one SpectralParameter per lambda != 0:
-    z0, z, the free trace T0, V, V^-1 and the diagonal free propagator."""
+    """The growth-bounds suite's grid-only data from one SpectralParameter and one row of free
+    multipliers tau per lambda != 0: z0, z, T0, W = (iz)^(l-k) and the circulant
+    C = U diag(tau) U^H, whose entry (k, l) is sum_j tau_j w^(j(k-l)) / 3 (check_trace_bounds)."""
     params = [SpectralParameter.from_lambda(lam) for lam in lams]
     z = np.array([prm.z for prm in params])
-    T0 = np.array([sum(mult.free_multipliers(prm)) for prm in params])
-    V, V_inv, B = free_diagonalizer(params)
-    diag_free = np.exp(1j * z[:, np.newaxis] * np.diag(B))[:, np.newaxis] * np.eye(3)
-    return np.array([prm.z0 for prm in params]), z, T0, V, V_inv, diag_free
+    taus = np.array([mult.free_multipliers(prm) for prm in params])
+    W = (1j * z)[:, np.newaxis, np.newaxis] ** _FRAME_POWERS
+    circulant = OMEGA ** (np.arange(3)[:, np.newaxis, np.newaxis] * -_FRAME_POWERS % 3)
+    C = (taus[..., np.newaxis, np.newaxis] * circulant).sum(axis=1) / 3
+    return np.array([prm.z0 for prm in params]), z, taus.sum(axis=1), W, C
 
 
 @functools.cache
@@ -163,20 +166,21 @@ def check_discriminant_consistency(T: np.ndarray, roots: np.ndarray) -> CheckRes
 def check_trace_bounds(kappa: float, free: tuple, M: np.ndarray, T: np.ndarray) -> CheckResult:
     """|T| <= 3 e^{z0+kappa}, and perturbation bounds, which hold for |lambda| >= 1.
 
-    The perturbation bounds are |T - T0| <= 3 kappa e^{z0+kappa} / |z| and,
-    in the frame that diagonalizes the free system, a matching bound on the
-    full matrix deviation from the diagonal free propagator, each plus its
-    roundoff allowance.  free is the _free_bound_data of the grid, which
-    holds no point with |lambda| < 1.
+    The perturbation bounds are |T - T0| <= 3 kappa e^{z0+kappa} / |z| and a matching bound
+    on ||V^-1 M V - D||, each plus its roundoff allowance.  V = Z U diagonalizes the free
+    system (Z = diag(1, iz, (iz)^2), U the unitary 3-point DFT) and D = diag(tau) holds the
+    free multipliers.  Z^-1 M Z is M o W with W_kl = (iz)^(l-k), and the spectral norm is
+    unitarily invariant, so the suite reads ||M o W - C|| with C = U D U^H, the circulant of
+    the free multipliers.  free is the _free_bound_data of the grid, which holds no point
+    with |lambda| < 1.
     """
-    z0, z, T0, V, V_inv, diag_free = free
-    growth, M = np.exp(z0 + kappa), M.astype(complex)
+    z0, z, T0, W, C = free
+    growth, MW = np.exp(z0 + kappa), M.astype(complex) * W
     cap = (kappa / np.abs(z) + _FREE_ROUNDOFF * (1 + np.abs(z))) * growth
-    frame_cap = cap + _FRAME_ROUNDOFF * (np.abs(V_inv) @ np.abs(M) @ np.abs(V)).max(axis=(-2, -1))
-    deviation = spectral_norms(V_inv @ M @ V - diag_free)
+    frame_cap = cap + _FRAME_ROUNDOFF * np.abs(MW).sum(axis=(-2, -1))
     worst = max(np.max(np.abs(T) / (3.0 * growth)), np.max(np.abs(T - T0) / (3.0 * cap)),
-                np.max(deviation / frame_cap))
-    return CheckResult("growth-bounds", worst <= 1.0 + _BOUND_SLACK, worst, 1.0,
+                np.max(spectral_norms(MW - C) / frame_cap))
+    return CheckResult("growth-bounds", worst <= 1.0, worst, 1.0,
                        detail="(ratios to the proved caps)")
 
 

@@ -15,6 +15,7 @@ cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -32,17 +33,31 @@ _LD = np.longdouble
 _ZERO_RTOL = 1e-12
 
 
+def _scaled(T: complex) -> tuple:
+    """2^-e in _LD, the formulas' coefficients 8, 18 and 27 times 2^-e, 2^-2e and 2^-4e, and
+    2^e, for e = max(floor(log2 |T|), 0).  On T 2^-e every term of either formula is its term
+    on T times 2^-4e, bit for bit: powers of two commute with rounding, and a term that
+    underflows is one that rounding absorbs."""
+    return _scaling(max(math.frexp(abs(T))[1] - 1, 0), _LD)
+
+
+@functools.cache
+def _scaling(e: int, real: type) -> tuple:  # _scaled's tuple in the type real, once per e
+    down = math.ldexp(1.0, -e)
+    return real(down), 8.0 * down, 18.0 * down * down, 27.0 * down**4, math.ldexp(1.0, e)
+
+
 def rho_trace_formula(T: complex) -> float:
     """|T|^4 - 8 Re(T^3) + 18 |T|^2 - 27, for real lambda.
 
-    Evaluated in extended precision: the leading terms reach 1e300 well
-    inside the propagation range and float64 would overflow to inf - inf.
+    Evaluated in extended precision on T 2^-e (_scaled) and scaled back as a float: past
+    double range rho is +-inf, its sign kept, also where long double is plain double.
     """
-    tr = _LD(T.real)
-    ti = _LD(T.imag)
+    down, c8, c18, c27, up = _scaled(T)
+    tr, ti = down * T.real, down * T.imag
     mod2 = tr * tr + ti * ti
     re_t3 = tr * (tr * tr - 3.0 * ti * ti)
-    return float(mod2 * mod2 - 8.0 * re_t3 + 18.0 * mod2 - 27.0)
+    return float(mod2 * mod2 - c8 * re_t3 + c18 * mod2 - c27) * up * up * up * up
 
 
 def rho_product_formula(taus: Sequence[complex]) -> complex:
@@ -52,9 +67,11 @@ def rho_product_formula(taus: Sequence[complex]) -> complex:
 
 
 def rho_formula_scale(T: complex) -> float:
-    """Magnitude scale of the trace formula, for roundoff-aware zero tests."""
-    a = _LD(abs(T))
-    value = float(((a + 8.0) * a + 18.0) * a * a + 27.0)
+    """Magnitude scale of the trace formula, for roundoff-aware zero tests, from |T| 2^-e as
+    rho_trace_formula; 1e300 past double range."""
+    down, c8, c18, c27, up = _scaled(T)
+    a = down * abs(T)
+    value = float(((a + c8) * a + c18) * a * a + c27) * up * up * up * up
     return value if math.isfinite(value) else 1e300
 
 

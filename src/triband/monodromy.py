@@ -289,27 +289,6 @@ def char_poly(T: complex, T_conj: complex, tau: complex) -> complex:
     return ((-tau + T) * tau - np.conj(T_conj)) * tau + 1.0
 
 
-def free_diagonalizer(
-    params: Sequence[SpectralParameter],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Similarity (V, V^{-1}, B) with P = V (i z B) V^{-1} for lambda != 0.
-
-    V = Z U where U is the unitary discrete-Fourier matrix of order 3 and
-    Z = diag(1, iz, (iz)^2); B = diag(1, w, w^2).  In this frame the free
-    propagator is the diagonal exp(i z t B), which is what makes the
-    large-lambda perturbation bounds sharp.  V and V^{-1} are stacks
-    (L, 3, 3) for a sequence of L points; B is the same for all.
-    """
-    if any(prm.lam == 0 for prm in params):
-        raise ValueError("diagonalization requires lambda != 0")
-    iz = 1j * np.array([prm.z for prm in params], dtype=complex)
-    Z = np.stack((np.ones_like(iz), iz, iz * iz), axis=-1)  # the diagonals of Z
-    U = np.array([[1, 1, 1], [1, OMEGA, OMEGA**2], [1, OMEGA**2, OMEGA]]) / math.sqrt(3.0)
-    V, V_inv = Z[..., np.newaxis] * U, U.conj().T / Z[:, np.newaxis]
-    B = np.diag([1.0, OMEGA, OMEGA**2]).astype(complex)
-    return V, V_inv, B
-
-
 def q_norm_integral(c: PeriodicCoefficients) -> float:
     """Integral over one period of the spectral norm of Q(t).
 

@@ -7,7 +7,7 @@ import pytest
 
 import triband.checks as checks
 import triband.monodromy as monodromy
-from triband import SpectralParameter, free_diagonalizer, free_trace, trace_at
+from triband import SpectralParameter, free_multipliers, free_trace, trace_at
 from triband.coeffs import PeriodicCoefficients, load_coefficients, zero_coefficients
 from triband.discriminant import rho_product_formula, rho_trace_formula
 from triband.floquet import char_real_function
@@ -25,7 +25,8 @@ def _results(c):
 
 def _trace_bounds_worst_per_point(c, scale=1.0):
     """The growth-bounds ratio one point of the real grid at a time, each map and trace
-    times scale: the reference loop.  The caps take their roundoff allowances."""
+    times scale: the reference loop.  The matrix bound is read as ||M o W - C||, W = (iz)^(l-k)
+    and C the circulant of the free multipliers; the caps take their roundoff allowances."""
     worst, kappa = 0.0, c.kappa
     lams, (real, *_), *_ = checks._fixed_grids()
     for lam in lams[real]:
@@ -36,11 +37,12 @@ def _trace_bounds_worst_per_point(c, scale=1.0):
         worst = max(worst, abs(T) / (3.0 * growth))
         matrix_cap = (kappa / abs(param.z) + checks._FREE_ROUNDOFF * (1 + abs(param.z))) * growth
         worst = max(worst, abs(T - free_trace(param.lam)) / (3.0 * matrix_cap))
-        [V], [V_inv], B = free_diagonalizer([param])
-        M = np.asarray(M, dtype=complex)
-        diag_free = np.diag(np.exp(1j * param.z * np.diag(B)))
-        roundoff = checks._FRAME_ROUNDOFF * (abs(V_inv) @ abs(M) @ abs(V)).max()
-        worst = max(worst, np.linalg.norm(V_inv @ M @ V - diag_free, 2) / (matrix_cap + roundoff))
+        W = (1j * param.z) ** monodromy._FRAME_POWERS
+        circulant = monodromy.OMEGA ** (np.arange(3)[:, None, None] * -monodromy._FRAME_POWERS % 3)
+        C = (np.array(free_multipliers(param))[:, None, None] * circulant).sum(axis=0) / 3
+        MW = np.asarray(M, dtype=complex) * W
+        roundoff = checks._FRAME_ROUNDOFF * np.abs(MW).sum()
+        worst = max(worst, np.linalg.norm(MW - C, 2) / (matrix_cap + roundoff))
     return worst
 
 
@@ -133,9 +135,9 @@ def test_run_verify_takes_one_norm_pass_per_stack(sin_c, monkeypatch):
 def test_growth_bound_data_are_built_once_per_grid(sin_c, monkeypatch):
     """The free data of the growth-bounds suite come with the cached grids: a second
     verify call builds none, and a patched real grid rebuilds them."""
-    built, diagonalizer = [], checks.free_diagonalizer
-    monkeypatch.setattr(checks, "free_diagonalizer",
-                        lambda params: built.append(len(params)) or diagonalizer(params))
+    built, free_bound_data = [], checks._free_bound_data
+    monkeypatch.setattr(checks, "_free_bound_data",
+                        lambda lams: built.append(len(lams)) or free_bound_data(lams))
     first = _results(sin_c)["growth-bounds"]
     assert _results(sin_c)["growth-bounds"] == first and built == [80]
     monkeypatch.setattr(checks, "_real_grid", lambda: np.linspace(-2e3, 2e3, 60))

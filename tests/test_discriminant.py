@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from triband import (
     traces_at,
     zero_coefficients,
 )
-from triband import monodromy
+from triband import discriminant, monodromy
 from triband._rootfind import brent_steps
 from triband.multipliers import on_circle
 from triband.util import uniform_grid
@@ -44,6 +45,19 @@ class DiscriminantValue:
 def test_rho_trace_simple_values():
     assert rho_trace_formula(3.0) == pytest.approx(0.0, abs=1e-12)
     assert rho_trace_formula(0.0) == pytest.approx(-27.0)
+
+
+@pytest.mark.parametrize("T", [1e60, 1e100, 1e250j])
+def test_rho_and_its_scale_stay_signed_where_long_double_is_double(T, monkeypatch):
+    """With _LD plain double (D6), rho and its scale at a large |T| are their extended values:
+    +inf (the scale's 1e300) past double range, with no overflow warning and no nan."""
+    extended = rho_trace_formula(T), discriminant.rho_formula_scale(T)
+    monkeypatch.setattr(discriminant, "_LD", np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        double = rho_trace_formula(T), discriminant.rho_formula_scale(T)
+    assert double == pytest.approx(extended, rel=1e-14)
+    assert all(value > 0 for value in double)
 
 
 def test_rho_trace_free_case_oracle(zero_c):

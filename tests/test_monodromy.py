@@ -16,7 +16,6 @@ from triband import (
     SYMPLECTIC_J,
     char_poly,
     det_residual,
-    free_diagonalizer,
     free_trace,
     picard_monodromy,
     spectral_norms,
@@ -348,30 +347,39 @@ def test_trace_perturbation_bound(const_c, sin_c):
             assert abs(T - free_trace(lam)) <= cap * (1 + 1e-9)
 
 
+def _free_frame(par):
+    """(V, V^-1, D) at lambda != 0: V = Z U with Z = diag(1, iz, (iz)^2) and U the unitary
+    3-point DFT diagonalizes the free system, whose propagator there is D = diag(e^{i z w^j})."""
+    Z = np.diag([1.0, 1j * par.z, (1j * par.z) ** 2])
+    U = np.array([[1, 1, 1], [1, OMEGA, OMEGA**2], [1, OMEGA**2, OMEGA]]) / math.sqrt(3.0)
+    D = np.diag(np.exp(1j * par.z * OMEGA ** np.arange(3)))
+    return Z @ U, U.conj().T @ np.linalg.inv(Z), D
+
+
 def test_transformed_frame_bound(const_c, sin_c):
     # || V^-1 M V - exp(izB) || <= (kappa/|z|) exp(z0 + kappa), |lambda| >= 1
     for c in (const_c, sin_c):
         lams = [1.0, -2.0, 9.0, -75.0, 300.0, 1e4, -1e5]
         for lam, M in zip(lams, period_maps(c, lams)):
             par = P(lam)
-            [V], [V_inv], B = free_diagonalizer([par])
+            V, V_inv, free = _free_frame(par)
             frame = V_inv @ np.asarray(M, complex) @ V
-            free = np.diag(np.exp(1j * par.z * np.diag(B)))
             cap = c.kappa / abs(par.z) * math.exp(par.z0 + c.kappa)
             assert np.linalg.norm(frame - free, 2) <= cap * (1 + 1e-9)
 
 
-def test_free_diagonalizer_diagonalizes():
-    par = P(5.0 - 3.0j)
-    [V], [V_inv], B = free_diagonalizer([par])
-    [Pm], _ = system_matrices([par.lam], 0.0, 0.0)
-    assert np.allclose(V @ (1j * par.z * B) @ V_inv, Pm, atol=1e-12)
-    assert np.allclose(V @ V_inv, np.eye(3), atol=1e-13)
-
-
-def test_free_diagonalizer_refuses_lambda_zero():
-    with pytest.raises(ValueError, match="lambda != 0"):
-        free_diagonalizer([P(5.0 - 3.0j), P(0.0)])
+@pytest.mark.parametrize("name", ["zero_c", "const_c", "sin_c", "small_c"])
+def test_frame_deviation_is_the_circulant_deviation(name, request):
+    """||V^-1 M V - D|| in the free frame equals ||M o W - C||, the growth-bounds suite's form
+    (W = (iz)^(l-k), C the circulant of the free multipliers), to 64 eps e^{z0+kappa}."""
+    c = request.getfixturevalue(name)
+    lams = [1.0, -2.0, 9.0, -75.0, 300.0, -500.0, 3 + 4j, -20 - 7j]
+    z0, _, _, W, C = checks._free_bound_data(np.array(lams))
+    M = period_maps(c, lams).astype(complex)
+    for lam, M_lam, norm, growth in zip(lams, M, spectral_norms(M * W - C), z0 + c.kappa):
+        V, V_inv, free = _free_frame(P(lam))
+        frame = np.linalg.norm(V_inv @ M_lam @ V - free, 2)
+        assert abs(norm - frame) <= 64 * np.finfo(float).eps * math.exp(growth)
 
 
 @pytest.mark.parametrize("lam", [math.nan, complex(1.0, math.nan), math.inf])

@@ -21,6 +21,9 @@ Each such digest line is followed by a line with the period-map core calls
 and points its operations made, counted by wrappers that this tool puts on
 ``monodromy.period_maps`` and ``checks.period_maps``; those lines differ
 between checkouts that map different points, the digest lines do not.
+The verify-masked lines are followed by a ``verify worst`` line with an
+8-hex digest of each suite's worst numbers, which names the suites whose
+residuals moved.
 
 The workload scans have 2-3 points and its eigs short index ranges, so a
 second digest covers dense CLI tables: 2001-point scans through lambda = 0
@@ -29,7 +32,8 @@ and a constant set with kappa = 1e-16 (weak_c, where verify's perturbation
 caps fall below roundoff), each fixture's eigs at k = 1 over n in -40..40,
 its sigma3 in its default window, and its verify, in CSV and JSON; it too
 is split per command (scan, eigs, sigma3, verify), with a verify-masked
-digest, and with the core calls and points of each.
+digest and its ``verify worst`` line, and with the core calls and points
+of each.
 
 verify counts roots only at N = 5 and two k, and its report keeps only the
 counts, so a ``root counts`` digest covers the library's ``count_in_disk``
@@ -113,6 +117,9 @@ _COUNT_NS = (2, 5, 8)
 
 # the number after "worst " in verify's text report or after "worst": in its JSON
 _WORST = re.compile(rb'(worst"?:? )[^ ,\n]+')
+# a suite's name and its worst number, in verify's text report or in its JSON
+_SUITE_WORST = re.compile(rb'^(?:PASS|FAIL)  ([a-z-]+): worst (\S+)'
+                          rb'|"name": "([a-z-]+)",\s+"passed": \w+,\s+"worst": ([^,\s]+)', re.M)
 
 
 def _masked(record: bytes) -> bytes:
@@ -135,19 +142,30 @@ class _Digests:
         self.counts: collections.Counter[str] = collections.Counter()
         self.calls: collections.Counter[str] = collections.Counter()
         self.points: collections.Counter[str] = collections.Counter()
+        self.suites: dict[bytes, "hashlib._Hash"] = {}  # per verify suite, its worst numbers
 
     def update(self, key: str, record: bytes, core: tuple[int, int]) -> None:
-        """Take one record and the (core calls, points) made for it."""
+        """Take one record and the (core calls, points) made for it; a verify record also
+        under "verify-masked", with its worst numbers masked, and per suite, those alone."""
         self.digests.setdefault(key, hashlib.sha256()).update(record)
         self.counts[key] += 1
         self.calls[key] += core[0]
         self.points[key] += core[1]
+        if key == "verify":
+            self.update("verify-masked", _masked(record), core)
+            for match in _SUITE_WORST.finditer(record):
+                self.suites.setdefault(match[1] or match[3], hashlib.sha256()).update(
+                    (match[2] or match[4]) + b"\n")
 
     def report(self, prefix: str, noun: str) -> None:
         for key, digest in self.digests.items():
             print(f"{prefix} {key}: {self.counts[key]} {noun}, sha256 {digest.hexdigest()}")
             print(f"{prefix} {key} calls: {self.calls[key]} core calls, "
                   f"{self.points[key]} points")
+            if key == "verify-masked":
+                print(f"{prefix} verify worst: " + ", ".join(
+                    f"{name.decode()} {digest.hexdigest()[:8]}"
+                    for name, digest in self.suites.items()))
 
 
 class _CoreCounter:
@@ -284,8 +302,6 @@ def main(argv: list[str] | None = None) -> int:
                 digest.update(record)
                 total.update(record)
                 kinds.update(op.kind, record, made)
-                if op.kind == "verify":
-                    kinds.update("verify-masked", _masked(record), made)
                 count += 1
         total_count += count
         print(f"seed {seed}: {count} operations, sha256 {digest.hexdigest()}")
@@ -298,8 +314,6 @@ def main(argv: list[str] | None = None) -> int:
         made = core.since(start)
         dense.update(record)
         commands.update(argv[0], record, made)
-        if argv[0] == "verify":
-            commands.update("verify-masked", _masked(record), made)
     print(f"dense tables: {len(argvs)} commands, sha256 {dense.hexdigest()}")
     commands.report("dense tables", "commands")
     counts = _Digests()
