@@ -95,9 +95,10 @@ def run_norms(X: np.ndarray) -> np.ndarray:
     return (mag[..., :2] + mag[..., 1:]).max(axis=(-2, -1), initial=0.0)
 
 
-def scaling_exponents(norms: np.ndarray) -> np.ndarray:
-    """Least s >= 0 with norm / 2^s <= 0.25, the radius of the degree-16 Taylor polynomial."""
-    return np.ceil(np.log2(np.maximum(norms, _TAYLOR_RADIUS) / _TAYLOR_RADIUS)).astype(int)
+def scaling_exponents(norms: np.ndarray, radius: float = _TAYLOR_RADIUS) -> np.ndarray:
+    """Least s >= 0 with norm / 2^s <= radius; by default 0.25, the radius of the
+    degree-16 Taylor polynomial of expm_stack."""
+    return np.ceil(np.log2(np.maximum(norms, radius) / radius)).astype(int)
 
 
 def taylor_blocks(norms: np.ndarray) -> np.ndarray:

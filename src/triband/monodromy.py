@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._linalg import EXTENDED, det3, expm_stack, ordered_product
-from ._linalg import _TAYLOR_DEGREE, run_norms, scaling_exponents, square_by_level
+from ._linalg import run_norms, scaling_exponents, square_by_level
 from .coeffs import PeriodicCoefficients
 
 OMEGA: complex = cmath.exp(2j * cmath.pi / 3)
@@ -303,12 +303,21 @@ def q_norm_integral(c: PeriodicCoefficients) -> float:
 # Terms allowed to the series, and its dtype
 _SERIES_MAX_TERMS = 80
 _SERIES_DTYPE = np.dtype(np.complex128)
+# Taylor degree of the series exponentials, and the largest scaled norm at which its
+# tail x^(d+1)/(d+1)! is at most the dtype's unit roundoff 2^-53, rounded down: 0.438.
+# Degrees 12 to 16 run the series call of verify within 10% of each other; against 13,
+# 15 raised the minor faults of a verify-far benchmark run by a fifth to a third.
+_SERIES_DEGREE = 13
+_SERIES_RADIUS = ((np.finfo(_SERIES_DTYPE).eps / 2 * math.factorial(_SERIES_DEGREE + 1))
+                  ** (1 / (_SERIES_DEGREE + 1)) * (1 - 1e-12))
 
-# Bytes of block columns per chunk of runs (all points of a picard_maps call): the
-# Taylor stage's arrays set the series route's allocation peak.  At 1 MB the peak RSS
-# of a verify-far benchmark run rose by 2 MB, at 256 KB by 0.6 MB, at 64 KB not.  The
-# block-Toeplitz products are short-lived, so they take twice this per squaring and
-# four times this per accumulation, which makes fewer of them without a higher peak.
+# Bytes of block columns G per chunk of runs (all points of a picard_maps call).  It
+# bounds G only: the Taylor stage's buffers and row products coexist with it, so the
+# 9-point call of verify on an N = 8 verify-far set peaks at 400 KB of allocations
+# (median; at most 446 KB, tracemalloc).  At 1 MB the peak RSS of a verify-far benchmark
+# run rose by 2 MB, at 256 KB by 0.6 MB, at 64 KB not.  The block-Toeplitz products are
+# short-lived, so they take twice this per squaring and four times this per
+# accumulation, which makes fewer of them without a higher peak.
 _SERIES_CHUNK_BYTES = 1 << 16
 
 
@@ -337,18 +346,19 @@ def _series_exponentials(a, c0, b, c1, n: int) -> np.ndarray:
     """First block columns (B, n, 3, 3) of exp of the block-bidiagonal generators (A0, A1).
 
     A0 = [[0, a, 0], [0, 0, a], [c0, 0, 0]] and A1 = [[0, 0, 0], [b, 0, 0], [c1, b, 0]]; scales
-    by 2^-s to ||A0||_inf + ||A1||_inf <= 0.25, takes the degree-16 Taylor polynomial row by
-    row (term k reaches block k at most) and s squarings by level.  The terms are written in
-    turn into two buffers allocated once per call, each row product straight into its rows.
+    by 2^-s to ||A0||_inf + ||A1||_inf <= _SERIES_RADIUS, takes the Taylor polynomial of degree
+    _SERIES_DEGREE, whose tail there is at most 2^-53, row by row (term k reaches block k at
+    most) and s squarings by level.  The terms are written in turn into two buffers allocated
+    once per call, each row product straight into its rows.
     """
-    squarings = scaling_exponents(np.maximum(abs(a), abs(c0)) + abs(b) + abs(c1))
+    squarings = scaling_exponents(np.maximum(abs(a), abs(c0)) + abs(b) + abs(c1), _SERIES_RADIUS)
     a, c0, b, c1 = (x * np.ldexp(1.0, -squarings) for x in (a, c0, b, c1))  # exact: powers of 2
     # pairs on the last axis: each row operation is one long inner loop
     G = np.zeros((n, 3, 3, len(a)), dtype=c0.dtype)
     G[0, [0, 1, 2], [0, 1, 2]] = 1
-    buffers = np.empty((2, min(n, _TAYLOR_DEGREE + 1)) + G.shape[1:], dtype=G.dtype)
+    buffers = np.empty((2, min(n, _SERIES_DEGREE + 1)) + G.shape[1:], dtype=G.dtype)
     term = G[:1]
-    for k in range(1, _TAYLOR_DEGREE + 1):
+    for k in range(1, _SERIES_DEGREE + 1):
         nxt = buffers[k % 2, : min(k + 1, n)]
         nxt[len(term) :].fill(0)  # the block the term reaches first
         np.multiply(a, term[:, 1:], out=nxt[: len(term), :2])
@@ -452,9 +462,10 @@ def picard_monodromy(
     The generators are taken in the balanced frame of period_maps, A0 =
     w D P D^-1 and A1 = w D Q D^-1 for a run of width w, so the scaling
     follows |lambda|^(1/3), not |lambda|; the similarity is undone once on
-    the final stack, before term_norms are taken.  Each exponential is the
-    degree-16 Taylor polynomial, term by term, scaled to the radius of
-    expm_stack, each block-Toeplitz product one stacked gemm on the
+    the final stack, before term_norms are taken.  Each exponential is a
+    Taylor polynomial, term by term, of the series' own degree and radius
+    (_SERIES_DEGREE, _SERIES_RADIUS: a tail at most complex128's unit
+    roundoff), each block-Toeplitz product one stacked gemm on the
     3(K+1) x 3(K+1) matrix; picard_maps batches points under _SERIES_CHUNK_BYTES.
     """
     W, [(K, tail)] = _series_terms(c, [param], tol)

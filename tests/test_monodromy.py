@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,8 @@ from triband import (
     traces_at,
     zero_coefficients,
 )
-from triband import checks, monodromy
-from triband._linalg import EXTENDED, _TAYLOR_DEGREE, det3, scaling_exponents, square_by_level
+from triband import _linalg, checks, monodromy
+from triband._linalg import EXTENDED, det3, scaling_exponents, square_by_level
 from triband.coeffs import load_coefficients
 from triband.monodromy import period_maps, q_norm_integral, system_matrices
 
@@ -548,20 +549,28 @@ def _sin_cos_set(n):
     return PeriodicCoefficients.from_samples(np.sin(2 * np.pi * t), np.cos(2 * np.pi * t))
 
 
+# far points of the N = 8 sets, where the series exponentials still square
+_FAR = [-1e3, 1e3, 3e3, -1e4, 400 + 300j]
+
+
 @pytest.mark.parametrize(
-    "make", [lambda: _harmonic_set(1, 8), lambda: _harmonic_set(2, 8), lambda: _sin_cos_set(64)],
+    "make, far",
+    [(lambda: _harmonic_set(1, 8), _FAR), (lambda: _harmonic_set(2, 8), _FAR),
+     (lambda: _sin_cos_set(64), [])],
     ids=["harmonic-1", "harmonic-2", "sin-cos-64"],
 )
-def test_picard_matches_50_digit_cell_product(make):
+def test_picard_matches_50_digit_cell_product(make, far):
     """The series route against a 50-digit product of mpmath.expm per cell.
 
     Entrywise error relative to max |M|, at most 1e-14.  Before the
     series route took the balanced frame it read up to 1.5e-14 here (at
-    lambda = 50 on the harmonic sets); in the frame at most 3e-15.
+    lambda = 50 on the harmonic sets); in the frame at most 3e-15.  At
+    the far points it read up to 6.4e-15 with the Taylor pair of
+    expm_stack (degree 16, radius 0.25) and 4.4e-15 with its own.
     """
     mp = pytest.importorskip("mpmath")
     c = make()
-    lams = [-100.0, -25.0, 50.0, 100.0, 37.3 + 12j]
+    lams = [-100.0, -25.0, 50.0, 100.0, 37.3 + 12j] + far
     maps = monodromy.picard_maps(c, lams, tol=1e-10)
     with mp.workdps(50):
         for lam, M in zip(lams, maps):
@@ -634,12 +643,13 @@ def test_picard_maps_refuses_before_any_work(const_c, monkeypatch, far, error):
 
 def _series_exponentials_per_term(a, c0, b, c1, n):
     """The Taylor stage with a fresh array per term: the reference of _series_exponentials."""
-    squarings = scaling_exponents(np.maximum(abs(a), abs(c0)) + abs(b) + abs(c1))
+    norms = np.maximum(abs(a), abs(c0)) + abs(b) + abs(c1)
+    squarings = scaling_exponents(norms, monodromy._SERIES_RADIUS)
     a, c0, b, c1 = (x * np.ldexp(1.0, -squarings) for x in (a, c0, b, c1))
     G = np.zeros((n, 3, 3, len(a)), dtype=c0.dtype)
     G[0, [0, 1, 2], [0, 1, 2]] = 1
     term = G[:1]
-    for k in range(1, _TAYLOR_DEGREE + 1):
+    for k in range(1, monodromy._SERIES_DEGREE + 1):
         nxt = np.zeros_like(G[: min(k + 1, n)])
         nxt[: len(term), :2] = a * term[:, 1:]
         nxt[: len(term), 2] = c0 * term[:, 0]
@@ -654,15 +664,36 @@ def _series_exponentials_per_term(a, c0, b, c1, n):
     return G
 
 
+def _taylor_tail(radius, degree):
+    """x^(d+1)/(d+1)! at x = radius, exactly."""
+    return Fraction(radius) ** (degree + 1) / math.factorial(degree + 1)
+
+
+def test_series_taylor_pair_meets_the_double_roundoff_tail():
+    """The series route's degree d and radius r hold the Taylor tail r^(d+1)/(d+1)! to
+    2^-53, the unit roundoff of its complex128, and a radius 1e-9 larger does not; the
+    scaling exponents take r as their radius.  The complex256 kernel keeps its own pair,
+    (0.25, 16), and its block radii at a tail of 1e-24."""
+    d, r = monodromy._SERIES_DEGREE, monodromy._SERIES_RADIUS
+    assert monodromy._SERIES_DTYPE == np.complex128
+    assert _taylor_tail(r, d) <= Fraction(1, 2**53) < _taylor_tail(r * (1 + 1e-9), d)
+    assert scaling_exponents(np.array([r, np.nextafter(r, 1.0), 2 * r]), r).tolist() == [0, 1, 1]
+    assert (_linalg._TAYLOR_RADIUS, _linalg._TAYLOR_DEGREE) == (0.25, 16)
+    assert scaling_exponents(np.array([0.25, np.nextafter(0.25, 1.0)])).tolist() == [0, 1]
+    for radius, degree in zip(_linalg._BLOCK_RADII.tolist(), (2, 5, 8, 11, 14, 16)):
+        tail = Fraction(10) ** -24
+        assert _taylor_tail(radius, degree) <= tail < _taylor_tail(radius * (1 + 1e-9), degree)
+
+
 def _assert_same_bits(got, want):
     assert (got.shape, got.dtype) == (want.shape, want.dtype)
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 17, 18, 30])
+@pytest.mark.parametrize("n", [1, 2, 5, 14, 17, 18, 30])
 def test_series_exponentials_equal_the_per_term_loop(n):
-    """Bit for bit on random generators whose scaled norms need 0 to 14 squarings,
-    with fewer blocks than Taylor terms, as many, and more."""
+    """Bit for bit on random generators whose scaled norms need 0 to 13 squarings,
+    with fewer blocks than Taylor terms (d + 1 = 14), as many, and more."""
     rng = np.random.default_rng(n)
     a, c0, b, c1 = (10.0 ** rng.uniform(-3, 3, 40) * np.exp(2j * np.pi * rng.uniform(size=40))
                     for _ in range(4))
