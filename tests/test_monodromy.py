@@ -680,8 +680,8 @@ def test_series_taylor_pair_meets_the_double_roundoff_tail():
     assert scaling_exponents(np.array([r, np.nextafter(r, 1.0), 2 * r]), r).tolist() == [0, 1, 1]
     assert (_linalg._TAYLOR_RADIUS, _linalg._TAYLOR_DEGREE) == (0.25, 16)
     assert scaling_exponents(np.array([0.25, np.nextafter(0.25, 1.0)])).tolist() == [0, 1]
+    tail = Fraction(10) ** -24
     for radius, degree in zip(_linalg._BLOCK_RADII.tolist(), (2, 5, 8, 11, 14, 16)):
-        tail = Fraction(10) ** -24
         assert _taylor_tail(radius, degree) <= tail < _taylor_tail(radius * (1 + 1e-9), degree)
 
 
