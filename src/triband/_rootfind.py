@@ -6,6 +6,7 @@ from typing import Any, Callable, Generator, Optional, Sequence
 
 _EPS = 2.220446049250313e-16
 _MAX_ITER = 200
+ASK_WITHIN = 1e3  # brent_steps' default early-ask window, in units of its tol
 
 
 def brent_steps(
@@ -14,19 +15,22 @@ def brent_steps(
     xtol: float,
     fa: float,
     fb: float,
+    ask_within: float = ASK_WITHIN,
 ) -> Generator[list[float], list[float], tuple[float, float]]:
     """Brent's iteration on the sign-change bracket [a, b], as a lockstep search.
 
     It starts from the caller's values fa = f(a) and fb = f(b).  It yields
     a list [x, ...] for each further point x at which it needs f, is sent
     their values and reads only f(x), so lockstep can evaluate the points of
-    many searches in one call.  After a step d with tol < |d| <= 1e3 tol the
-    next step is most likely the confirming x -+ t, t = 2*eps*|x| + 0.5*xtol:
-    the list then also holds those of x + t, x - t that lie in the bracket
-    whose ends it holds values at (where a guard that grows with |x| and
-    passed both ends passes them too), and lockstep's table serves the
-    confirming step one round later.  It returns (x, f(x)) with x within
-    about 2*eps*|x| + xtol of a zero, a point whose f it was given.
+    many searches in one call.  After a step d with tol < |d| <= ask_within
+    * tol the next step is most likely the confirming x -+ t, t = 2*eps*|x|
+    + 0.5*xtol: the list then also holds those of x + t, x - t that lie in
+    the bracket whose ends it holds values at (where a guard that grows with
+    |x| and passed both ends passes them too), and lockstep's table serves
+    the confirming step one round later.  A caller whose brackets are narrow
+    from the start widens ask_within to take in their first step too.  It
+    returns (x, f(x)) with x within about 2*eps*|x| + xtol of a zero, a
+    point whose f it was given.
     Secant / inverse-quadratic steps guarded by bisection.
     """
     if fa == 0.0:
@@ -74,7 +78,8 @@ def brent_steps(
         b += d if abs(d) > tol else (tol if mid > 0 else -tol)
         t = 2.0 * _EPS * abs(b) + 0.5 * xtol  # the tol of the next step
         lo, hi = min(a, c), max(a, c)  # the bracket, with values at both ends
-        ahead = [x for x in (b + t, b - t) if lo <= x <= hi] if tol < abs(d) <= 1e3 * tol else []
+        early = tol < abs(d) <= ask_within * tol
+        ahead = [x for x in (b + t, b - t) if lo <= x <= hi] if early else []
         fb = (yield [b, *ahead])[0]
     return b, fb
 

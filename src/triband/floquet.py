@@ -27,7 +27,7 @@ from typing import Callable, Generator
 
 import numpy as np
 
-from ._rootfind import brent_steps, lockstep
+from ._rootfind import ASK_WITHIN, brent_steps, lockstep
 from .coeffs import PeriodicCoefficients
 from .monodromy import _check_growth, traces_at
 
@@ -76,30 +76,40 @@ class FloquetSolveResult:
 
 _GROW = 1.45
 _FINE_SCAN = 48
-# half-width in s of the tight pair; wider or seed-dependent widths end
-# Brent elsewhere in its xtol window, past the golden eigs tolerances
+# half-widths in s of the tight pair and of the inner pair inside it, both
+# around the corrected seed; the inner pair holds the root for about 70% of
+# the seeds on step sets (median distance 6e-8), where a wider one (1e-5)
+# moves the median root error 100-fold and a narrower one holds fewer roots
 _TIGHT = 1e-2
+_INNER = 1e-6
 _TOL = 1e-10  # relative lambda accuracy of the Brent stage, unless a caller asks otherwise
+# Brent's early-ask window for eigenvalues_at_k, in units of its tol: the
+# first step from an inner-pair bracket is at most _INNER (half its width),
+# and at the default tol Brent's tol is at least 0.5 xtol_s >= _TOL / 6
+# (_refine), so the window takes in that step: 6e4 against brent_steps' 1e3
+_INNER_ASK_WITHIN = _INNER / (_TOL / 6.0)
 
 # a search stage yields lists of points s = cbrt(lambda) and is sent their F
 # values; the traces behind them sit in the trace record of _seed_searches
 _Stage = Generator[list[float], list[float], object]
 
 
-def _scans(seed: float, s0: float):
+def _scans(seed: float, s0: float, inner: bool):
     """The point lists of one bracket search around seed, in order.
 
-    The tight pair s0 -+ _TIGHT around the corrected seed s0 alone (unless
-    the pair reaches past the bracket ends [lo, hi]), then [lo, hi] and its
-    9-point subdivision for each width, then the fine scan.  A subdivision
-    repeats its ends, which lockstep answers from its table.
+    The tight pair s0 -+ _TIGHT around the corrected seed s0 alone, with
+    the inner pair s0 -+ _INNER when inner, as one sorted list (unless the
+    tight pair reaches past the bracket ends [lo, hi]); then [lo, hi] and
+    its 9-point subdivision for each width, then the fine scan.  A
+    subdivision repeats its ends, which lockstep answers from its table.
     """
     # bracket stays inside the midpoints to the neighbouring seeds so a
     # root cannot be captured from the wrong index
     w_max = math.pi * (1.0 - 1e-9)
     w = 0.35 * math.pi
     if abs(s0 - seed) + _TIGHT < w:
-        yield [s0 - _TIGHT, s0 + _TIGHT]
+        yield ([s0 - _TIGHT, s0 - _INNER, s0 + _INNER, s0 + _TIGHT] if inner
+               else [s0 - _TIGHT, s0 + _TIGHT])
     while True:
         yield [seed - w, seed + w]
         # same sign at the edges: an interior pair of roots would still
@@ -112,14 +122,18 @@ def _scans(seed: float, s0: float):
     yield np.linspace(seed - w_max, seed + w_max, _FINE_SCAN + 1).tolist()
 
 
-def _bracket(k: float, n: int, p_mean: float, q_mean: float) -> _Stage:
+def _bracket(k: float, n: int, p_mean: float, q_mean: float, inner: bool) -> _Stage:
     """Sign-change bracket (a, b, f(a), f(b)) of F near the seed s = 2 pi n + k, or a MissedRoot.
 
-    It yields the point lists of _scans in turn, up to the first with a sign change.
+    It yields the point lists of _scans in turn, up to the first with a sign
+    change, and returns that list's first adjacent pair of opposite signs:
+    with the inner pair, a root within _INNER of the corrected seed gets a
+    bracket 2 _INNER wide, and any other root one no wider than the tight
+    pair.
     """
     seed = 2.0 * math.pi * n + k
     s0 = float(np.cbrt(seed**3 - 2.0 * p_mean * seed + q_mean))
-    for pts in _scans(seed, s0):
+    for pts in _scans(seed, s0, inner):
         vals = yield pts
         for a, b, fa, fb in zip(pts, pts[1:], vals, vals[1:]):
             if (fa > 0) != (fb > 0):
@@ -130,15 +144,19 @@ def _bracket(k: float, n: int, p_mean: float, q_mean: float) -> _Stage:
                       "bracket (possible even-multiplicity touch)")
 
 
-def _refine(k: float, n: int, tol: float, bracket: tuple, traces: dict) -> _Stage:
+def _refine(k: float, n: int, tol: float, bracket: tuple, traces: dict,
+            ask_within: float) -> _Stage:
     """Brent's root in a bracket (a, b, f(a), f(b)) from _bracket, as a FloquetEigenvalue.
 
-    Brent returns a point it was sent F at, whose trace the record holds.
+    Brent asks early for its confirming points after steps up to ask_within
+    times its tol, and returns a point it was sent F at, whose trace the
+    record holds.
     """
     seed = 2.0 * math.pi * n + k
     xtol_s = max(tol * max(1.0, abs(seed)) / 3.0, 6e-16 * max(1.0, abs(seed)))
     a, b, fa, fb = bracket
-    s_root, f_val = yield from brent_steps(a, b, xtol=xtol_s, fa=fa, fb=fb)
+    s_root, f_val = yield from brent_steps(a, b, xtol=xtol_s, fa=fa, fb=fb,
+                                           ask_within=ask_within)
     return FloquetEigenvalue(n=n, k=k, lambda_n=s_root**3, cube_root_gap=s_root - seed,
                              residual=abs(f_val) / (1.0 + abs(traces[s_root])))
 
@@ -161,22 +179,25 @@ def _f_in_s(c: PeriodicCoefficients, k: float, traces: dict[float, complex]):
     return g
 
 
-def _seed_searches(c: PeriodicCoefficients, k: float, seeds: range,
+def _seed_searches(c: PeriodicCoefficients, k: float, seeds: range, inner: bool,
                    finish: Callable[[int, tuple, dict], _Stage]) -> list:
     """Per seed n, in order: the MissedRoot of _bracket, or finish(n, bracket, traces)'s outcome.
 
     Every search opens in the first round, which the growth guard refuses
     whole, so the guard is asked first about the openings of the two end
-    seeds, the largest |n|, before any search is built.  The searches then
-    advance in one lockstep on one trace record, traces: each round's points
-    that the call has not mapped yet go to the period-map core together.
+    seeds, the largest |n|, before any search is built: their ends alone,
+    since the guard grows with |lambda| and an inner pair (when inner) lies
+    between them.  The searches then advance in one lockstep on one trace
+    record, traces: each round's points that the call has not mapped yet go
+    to the period-map core together.
     """
     means = float(np.mean(c.p_samples)), float(np.mean(c.q_samples))
-    _check_growth(c, [s**3 for n in (seeds[0], seeds[-1]) for s in next(_bracket(k, n, *means))])
+    _check_growth(c, [s**3 for n in (seeds[0], seeds[-1])
+                      for s in next(_bracket(k, n, *means, False))])
     traces: dict[float, complex] = {}
 
     def search(n: int) -> _Stage:
-        bracket = yield from _bracket(k, n, *means)
+        bracket = yield from _bracket(k, n, *means, inner)
         if isinstance(bracket, MissedRoot):
             return bracket
         return (yield from finish(n, bracket, traces))
@@ -192,11 +213,13 @@ def eigenvalues_at_k(
 ) -> FloquetSolveResult:
     """Roots of F(k, .) near every seed (2 pi n + k)^3 for n in n_range.
 
-    A tight bracket around the corrected seed (module docstring) comes
-    first, alone, 2 points per seed; without a sign change there, brackets
-    grow adaptively around the seed, capped at the midpoints to the
-    neighbouring seeds.  Each sign change is refined by Brent to a
-    relative lambda accuracy of about tol.
+    A tight pair around the corrected seed (module docstring) and the
+    inner pair within it come first, alone, 4 points per seed; without a
+    sign change there, brackets grow adaptively around the seed, capped at
+    the midpoints to the neighbouring seeds.  Each sign change is refined by
+    Brent to a relative lambda accuracy of about tol; a root within _INNER
+    of the corrected seed gets a bracket 2 _INNER wide, from which Brent's
+    widened early ask (_INNER_ASK_WITHIN) serves the confirming step.
     Two roots that land within 10 * tol of each other (relative) are a
     degenerate eigenvalue and are both reported with multiplicity 2.  Seeds
     without any sign change are returned as missed-root diagnostics, which
@@ -213,7 +236,8 @@ def eigenvalues_at_k(
     if not seeds:
         raise ValueError("empty index range")
 
-    outcomes = _seed_searches(c, k, seeds, lambda n, b, traces: _refine(k, n, tol, b, traces))
+    outcomes = _seed_searches(c, k, seeds, True, lambda n, b, traces: _refine(
+        k, n, tol, b, traces, _INNER_ASK_WITHIN))
     found = [o for o in outcomes if isinstance(o, FloquetEigenvalue)]
     missed = tuple(o for o in outcomes if isinstance(o, MissedRoot))
 
@@ -250,7 +274,8 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
     """The roots of eigenvalues_at_k with |cbrt(lambda)| below the disk radius.
 
     The count is decided by brackets: each seed's search of
-    eigenvalues_at_k stops at its sign-change bracket, which counts 1 if
+    eigenvalues_at_k, opened with the tight pair alone (an inner pair
+    would only add points), stops at its sign-change bracket, which counts 1 if
     both ends lie inside the radius and 0 if both lie outside (a bracket is
     narrower than the disk).  Brent runs only on a bracket that crosses the
     radius, with the arithmetic of eigenvalues_at_k; its root lies in the
@@ -281,10 +306,10 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
         a_in, b_in = (bool(abs(np.cbrt(s**3)) < s_radius) for s in bracket[:2])
         if a_in == b_in:
             return int(a_in)
-        root = yield from _refine(k, n, _TOL, bracket, traces)
+        root = yield from _refine(k, n, _TOL, bracket, traces, ASK_WITHIN)
         return int(abs(np.cbrt(root.lambda_n)) < s_radius)
 
-    outcomes = _seed_searches(c, k, range(n_lo, n_hi + 1), count_one)
+    outcomes = _seed_searches(c, k, range(n_lo, n_hi + 1), False, count_one)
     missed = tuple(o for o in outcomes if isinstance(o, MissedRoot))
     count = sum(o for o in outcomes if not isinstance(o, MissedRoot))
     return DiskCountResult(count=count, expected=expected, radius=s_radius**3, missed=missed)

@@ -1,7 +1,9 @@
 """Brent's early ask for its confirming step changes no result.
 
 brent_steps asks for x + t and x - t along with x after a step d with
-tol < |d| <= 1e3 tol, and reads only f(x).  lockstep keeps a table of the
+tol < |d| <= ask_within tol, and reads only f(x): ask_within is 1e3 by
+default and 6e4 in eigenvalues_at_k, whose inner-pair brackets are narrow
+from the start.  lockstep keeps a table of the
 values it found, so the confirming step one round later finds its value
 there.  Every result must be the one of searches that ask for x alone, which
 a wrapper local to these tests makes of brent_steps.
@@ -15,7 +17,7 @@ import pytest
 import triband.discriminant as discriminant
 import triband.floquet as fl
 from triband import PeriodicCoefficients
-from triband._rootfind import brent_steps
+from triband._rootfind import ASK_WITHIN, brent_steps
 from triband.coeffs import load_coefficients
 from triband.discriminant import sigma3_intervals
 from triband.floquet import count_in_disk, eigenvalues_at_k
@@ -77,14 +79,15 @@ def test_prefetch_changes_no_root(const_c, small_c, sin_c, monkeypatch):
     assert all(len(points) in (1, 3) for points in prefetched)
 
 
-def _held(log: list):
+def _held(log: list, window=None):
     """brent_steps that logs, per search, each list it asks for with the values
     it holds by then: f at its two ends and at the first point of each earlier
-    list, the only value of a list it reads."""
-    def steps(a, b, xtol, fa, fb):
+    list, the only value of a list it reads.  It forwards the caller's
+    early-ask window, or runs every search with window when one is given."""
+    def steps(a, b, xtol, fa, fb, ask_within=ASK_WITHIN):
         held, asked = {a: fa, b: fb}, []
         log.append(asked)
-        search = brent_steps(a, b, xtol, fa, fb)
+        search = brent_steps(a, b, xtol, fa, fb, window or ask_within)
         try:
             points = next(search)
             while True:
@@ -98,14 +101,19 @@ def _held(log: list):
     return steps
 
 
-@pytest.mark.parametrize("confirmed", [False, True], ids=["idle-side", "confirming-side"])
-def test_every_early_ask_lies_in_a_held_bracket(const_c, small_c, sin_c, confirmed,
+@pytest.mark.parametrize("confirmed, window", [
+    (False, None), (True, None),
+    (False, fl._INNER_ASK_WITHIN), (True, fl._INNER_ASK_WITHIN),
+], ids=["idle-side", "confirming-side", "idle-side-floquet-window",
+        "confirming-side-floquet-window"])
+def test_every_early_ask_lies_in_a_held_bracket(const_c, small_c, sin_c, confirmed, window,
                                                 monkeypatch):
     """Each early-ask point of x -+ t, the one the next step confirms and the
     idle one alike, lies between two points of opposite sign at which the
     search already holds values, in eigenvalues_at_k, count_in_disk and
     sigma3_intervals on the golden step set, the conftest fixtures and 20
-    random step sets.
+    random step sets: with each caller's window, and with the wider window
+    of eigenvalues_at_k in every search.
 
     On the real axis the growth guard grows with |lambda|, and lambda = s^3
     is monotone in s, so the guard admits every such point once it admitted
@@ -116,8 +124,8 @@ def test_every_early_ask_lies_in_a_held_bracket(const_c, small_c, sin_c, confirm
     sets += [_random_steps(rng) for _ in range(20)]
     ks = rng.uniform(0.0, 2.0 * np.pi, len(sets)).tolist()
     log = []
-    monkeypatch.setattr(fl, "brent_steps", _held(log))
-    monkeypatch.setattr(discriminant, "brent_steps", _held(log))
+    monkeypatch.setattr(fl, "brent_steps", _held(log, window))
+    monkeypatch.setattr(discriminant, "brent_steps", _held(log, window))
     for c, k in zip(sets, ks):
         _results(c, k)
     early = []

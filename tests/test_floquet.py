@@ -237,8 +237,9 @@ def test_colliding_roots_get_multiplicity_two(zero_c, monkeypatch):
 
 # Period maps of the search over n = -4..4 on the strong step set of
 # tests/golden, one seed missed each: (k, maps, roots).  The golden case
-# holds the roots.
-_STEPS_MAPS = (("eigs-steps-k2", 2.0, 135, 8), ("eigs-steps-k5", 5.2, 143, 8))
+# holds the roots.  The inner pairs add 2 points to each opening and save
+# Brent rounds: 135 and 143 maps with the tight pairs alone.
+_STEPS_MAPS = (("eigs-steps-k2", 2.0, 152, 8), ("eigs-steps-k5", 5.2, 166, 8))
 
 
 @pytest.mark.parametrize("case, k, maps, roots", _STEPS_MAPS)
@@ -314,9 +315,10 @@ def test_root_outside_the_tight_pair_costs_one_round(zero_c, monkeypatch):
     """A root inside seed -+ 0.35 pi but off s0 -+ h takes one more round.
 
     The fake F has its root 0.3 from the seed.  Widening the tight pair
-    past the wide bracket turns it off, which is the search without it.
-    Both runs open with 2 points; the tight miss costs exactly one round,
-    and both return the same root.
+    past the wide bracket turns it off, inner pair and all, which is the
+    search without it.  The run with it opens with the 4 points of the
+    tight and inner pairs, the run without it with the 2 of the wide pair;
+    the tight miss costs exactly one round, and both return the same root.
     """
     import triband.floquet as fl
 
@@ -338,7 +340,7 @@ def test_root_outside_the_tight_pair_costs_one_round(zero_c, monkeypatch):
         res = fl.eigenvalues_at_k(zero_c, k, (n, n))
         runs.append((rounds, res.eigenvalues[0].lambda_n))
     (with_pair, lam), (without_pair, lam_before) = runs
-    assert with_pair[0] == without_pair[0] == 2
+    assert (with_pair[0], without_pair[0]) == (4, 2)
     assert with_pair[1:] == without_pair
     assert lam == lam_before == pytest.approx(root**3, rel=1e-10)
 

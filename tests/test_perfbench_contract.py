@@ -246,11 +246,12 @@ def test_verify_far_root_counts_ask_the_tight_pairs_first(workloads, tmp_path, m
 
 
 def test_roots_steps_eigs_ops_keep_their_core_calls(workloads, tmp_path, monkeypatch):
-    """The 70 eigs operations of roots-steps at seed 41 make 326 core calls
-    for 1509 period maps; Brent's confirming steps, asked for one round
-    early, take no call of their own.  Each operation's first core call asks
-    for 2 points per seed: the tight pair alone, or the wide pair where the
-    tight pair does not fit.  No lambda reaches the core twice within one call.
+    """The 70 eigs operations of roots-steps at seed 41 make 230 core calls
+    for 1649 period maps (326 and 1509 with the tight pairs alone); Brent's
+    confirming steps, asked for one round early, take no call of their own.
+    Each operation's first core call asks for 4 points per seed where the
+    tight pair fits, the tight and inner pairs, and for the 2 of the wide
+    pair where it does not.  No lambda reaches the core twice within one call.
     """
     ops = workloads.WORKLOADS["roots-steps"].build(np.random.default_rng(41), str(tmp_path))
     eigs = [op for op in ops if op.kind == "eigs"]
@@ -263,14 +264,21 @@ def test_roots_steps_eigs_ops_keep_their_core_calls(workloads, tmp_path, monkeyp
         return traces_at(c, lams)
 
     monkeypatch.setattr(fl, "traces_at", counting)
+    fits, seed_count = 0, 0
     for op in eigs:
         first = len(calls)
         mapped.clear()
-        n_lo, n_hi = op.expect["n_range"]
-        fl.eigenvalues_at_k(load_coefficients(op.coeffs), op.expect["k"], op.expect["n_range"])
-        assert calls[first] == 2 * (n_hi - n_lo + 1), op.argv
+        c, k, (n_lo, n_hi) = load_coefficients(op.coeffs), op.expect["k"], op.expect["n_range"]
+        fl.eigenvalues_at_k(c, k, (n_lo, n_hi))
+        p, q = np.mean(c.p_samples), np.mean(c.q_samples)
+        seeds = [2.0 * math.pi * n + k for n in range(n_lo, n_hi + 1)]
+        fit = sum(abs(np.cbrt(xi**3 - 2.0 * p * xi + q) - xi) + fl._TIGHT < 0.35 * math.pi
+                  for xi in seeds)
+        assert calls[first] == 2 * len(seeds) + 2 * fit, op.argv
         assert len(set(mapped)) == len(mapped), op.argv
-    assert (len(eigs), len(calls), sum(calls)) == (70, 326, 1509)
+        fits, seed_count = fits + fit, seed_count + len(seeds)
+    assert 0 < fits < seed_count  # both openings occur
+    assert (len(eigs), len(calls), sum(calls)) == (70, 230, 1649)
 
 
 def test_roots_steps_sigma3_ops_keep_their_core_calls(workloads, tmp_path, monkeypatch):
