@@ -266,6 +266,31 @@ def test_root_value_comes_from_the_brent_cache(case, k, maps, roots, monkeypatch
     assert [e.lambda_n for e in res.eigenvalues] == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("fixture", ["const_c", "sin_c", "steps"])
+def test_inner_pair_roots_hold_the_default_tol(fixture, request, monkeypatch):
+    """At the default tol every root lies within 1e-10 max(1, |lambda|) of a
+    tol = 1e-15 search, with the same n, missed seeds and multiplicities, on
+    dense index ranges at three k.  The reference search opens with the
+    tight pair alone, so a fault on the inner pair's brackets, which are
+    2e-6 wide in s and put the end nearer the root up to 3e-6 / s off in
+    relative lambda, cannot sit in both."""
+    import triband.floquet as fl
+
+    c = (load_coefficients(Path(__file__).parent / "golden" / "steps.json")
+         if fixture == "steps" else request.getfixturevalue(fixture))
+    scans = fl._scans
+    for k in (1.0, 2.0, 5.2):
+        got = eigenvalues_at_k(c, k, (-40, 40))
+        with monkeypatch.context() as m:
+            m.setattr(fl, "_scans", lambda seed, s0, inner: scans(seed, s0, False))
+            ref = eigenvalues_at_k(c, k, (-40, 40), tol=1e-15)
+        assert [(e.n, e.multiplicity) for e in got.eigenvalues] == \
+            [(e.n, e.multiplicity) for e in ref.eigenvalues]
+        assert [m.n for m in got.missed] == [m.n for m in ref.missed]
+        for e, r in zip(got.eigenvalues, ref.eigenvalues):
+            assert abs(e.lambda_n - r.lambda_n) <= 1e-10 * max(1.0, abs(r.lambda_n)), (k, e.n)
+
+
 # ------------------------------------------------------- the corrected seed
 
 # constant (p, q): const_c and three seeded draws with p of both signs;
