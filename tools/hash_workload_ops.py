@@ -16,7 +16,10 @@ followed by one digest per operation kind (scan, eigs, sigma3, verify,
 probe) over the same records, so a change confined to one command shows
 as the other kinds' digests held, and by a verify-masked digest: the
 verify records with every ``worst`` number masked, so a change that moves
-only the roundoff residuals verify reports shows every other byte held.
+only the roundoff residuals verify reports shows every other byte held, and
+by an eigs-masked digest: the eigs records with every ``lambda_n``,
+``residual`` and ``cube_root_gap`` masked, so a change that moves roots
+within tol shows n, k, multiplicity and every missed-root record held.
 Each such digest line is followed by a line with the period-map core calls
 and points its operations made, counted by wrappers that this tool puts on
 ``monodromy.period_maps`` and ``checks.period_maps``; those lines differ
@@ -31,9 +34,9 @@ and the triple set on the conftest fixtures, ROOT/tests/golden/steps.json
 and a constant set with kappa = 1e-16 (weak_c, where verify's perturbation
 caps fall below roundoff), each fixture's eigs at k = 1 over n in -40..40,
 its sigma3 in its default window, and its verify, in CSV and JSON; it too
-is split per command (scan, eigs, sigma3, verify), with a verify-masked
-digest and its ``verify worst`` line, and with the core calls and points
-of each.
+is split per command (scan, eigs, sigma3, verify), with the verify-masked
+digest and its ``verify worst`` line and the eigs-masked digest, and with
+the core calls and points of each.
 
 verify counts roots only at N = 5 and two k, and its report keeps only the
 counts, so a ``root counts`` digest covers the library's ``count_in_disk``
@@ -122,9 +125,20 @@ _SUITE_WORST = re.compile(rb'^(?:PASS|FAIL)  ([a-z-]+): worst (\S+)'
                           rb'|"name": "([a-z-]+)",\s+"passed": \w+,\s+"worst": ([^,\s]+)', re.M)
 
 
+# the root columns of an eigs record: its JSON fields, and the three middle
+# columns of its CSV rows n,k,lambda_n,residual,cube_root_gap,multiplicity
+_ROOT_FIELDS = re.compile(rb'("(?:lambda_n|residual|cube_root_gap)": )[^,\s]+')
+_ROOT_COLUMNS = re.compile(rb'^(-?\d+,[^,\n]+,)[^,\n]+,[^,\n]+,[^,\n]+(,\d+)$', re.M)
+
+
 def _masked(record: bytes) -> bytes:
     """A verify record with its worst numbers replaced by '#'."""
     return _WORST.sub(rb"\1#", record)
+
+
+def _roots_masked(record: bytes) -> bytes:
+    """An eigs record with each root's lambda_n, residual and cube_root_gap replaced by '#'."""
+    return _ROOT_COLUMNS.sub(rb"\1#,#,#\2", _ROOT_FIELDS.sub(rb"\1#", record))
 
 
 class _SortedFlags(frozenset):
@@ -146,7 +160,8 @@ class _Digests:
 
     def update(self, key: str, record: bytes, core: tuple[int, int]) -> None:
         """Take one record and the (core calls, points) made for it; a verify record also
-        under "verify-masked", with its worst numbers masked, and per suite, those alone."""
+        under "verify-masked", with its worst numbers masked, and per suite, those alone;
+        an eigs record also under "eigs-masked", with its root columns masked."""
         self.digests.setdefault(key, hashlib.sha256()).update(record)
         self.counts[key] += 1
         self.calls[key] += core[0]
@@ -156,6 +171,8 @@ class _Digests:
             for match in _SUITE_WORST.finditer(record):
                 self.suites.setdefault(match[1] or match[3], hashlib.sha256()).update(
                     (match[2] or match[4]) + b"\n")
+        elif key == "eigs":
+            self.update("eigs-masked", _roots_masked(record), core)
 
     def report(self, prefix: str, noun: str) -> None:
         for key, digest in self.digests.items():
