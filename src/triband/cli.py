@@ -245,11 +245,21 @@ def _cmd_eigs(args: argparse.Namespace, c: PeriodicCoefficients, config: dict) -
 
 
 def _cmd_sigma3(args: argparse.Namespace, c: PeriodicCoefficients, config: dict) -> int:
-    from .discriminant import sigma3_intervals
+    from .discriminant import default_search_interval, sigma3_intervals
+    from .monodromy import PropagationOverflowError
 
-    res = sigma3_intervals(
-        c, search_interval=args.interval, scan_points=args.points, tol=args.tol
-    )
+    try:
+        res = sigma3_intervals(
+            c, search_interval=args.interval, scan_points=args.points, tol=args.tol
+        )
+    except PropagationOverflowError as refusal:
+        if args.interval is not None:
+            raise
+        # the guard grows with |lambda|: it refused an end of the default window,
+        # a lambda the user never gave
+        r = default_search_interval(c)[1]
+        raise ValueError(f"{refusal}; the default window -+(10 + 10 kappa)^3 = -+{r:.3e} "
+                         "reaches past the growth guard: give --interval") from None
     config["search_interval"] = list(res.search_interval)
     if args.interval is None:
         # no rigorous radius exists for this set; make the guess visible

@@ -475,22 +475,30 @@ def test_refusals_are_clean_errors(capsys, argv):
 
 
 _GUARD_TAIL = "exceeds 700; entries of the period map would overflow double precision"
+# sigma3 without --interval names the default window the refused lambda came from
+_WINDOW_TAIL = ("; the default window -+(10 + 10 kappa)^3 = -+{} reaches past the growth "
+                "guard: give --interval")
 
 
 @pytest.mark.parametrize(
-    "argv, exponent",
+    "argv, exponent, tail",
     [
-        (["verify", "--p-const", "1e4", "--q-const", "0"], "10006.9"),
+        (["verify", "--p-const", "1e4", "--q-const", "0"], "10006.9", ""),
         # past 1e6 the exponent is printed in exponent form, not as 100 digits
-        (["sigma3", "--p-const", "1e100", "--q-const", "0"], "9.660e+100"),
+        (["sigma3", "--p-const", "1e100", "--q-const", "0"], "9.660e+100",
+         _WINDOW_TAIL.format("1.000e+303")),
+        # kappa = 205: the refused lambda = -+2060^3 is the default window's end
+        (["sigma3", "--p-const", "200", "--q-const", "5", "--points", "101"], "1989.0",
+         _WINDOW_TAIL.format("8.742e+09")),
     ],
-    ids=["verify", "sigma3-huge-kappa"],
+    ids=["verify", "sigma3-huge-kappa", "sigma3-kappa-205"],
 )
-def test_growth_refusal_line(capsys, argv, exponent):
-    """The growth guard's refusal is one full line naming the exponent."""
+def test_growth_refusal_line(capsys, argv, exponent, tail):
+    """The growth guard's refusal is one full line naming the exponent, and
+    for sigma3's default window, the window and the option that replaces it."""
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == f"error: growth exponent z0 + kappa = {exponent} {_GUARD_TAIL}\n"
+    assert err == f"error: growth exponent z0 + kappa = {exponent} {_GUARD_TAIL}{tail}\n"
 
 
 @pytest.mark.parametrize(
