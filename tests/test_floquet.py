@@ -238,11 +238,11 @@ def test_colliding_roots_get_multiplicity_two(zero_c, monkeypatch):
 # Period maps of the search over n = -4..4 on the strong step set of
 # tests/golden, one seed missed each: (k, maps, roots).  The golden case
 # holds the roots.  The inner pairs add 2 points to each opening and save
-# Brent rounds: 135 and 143 maps with the tight pairs alone.
+# Brent rounds.
 _STEPS_MAPS = (("eigs-steps-k2", 2.0, 152, 8), ("eigs-steps-k5", 5.2, 166, 8))
 
 
-@pytest.mark.parametrize("case, k, maps, roots", _STEPS_MAPS)
+@pytest.mark.parametrize("case, k, maps, roots", _STEPS_MAPS, ids=[m[0] for m in _STEPS_MAPS])
 def test_root_value_comes_from_the_brent_cache(case, k, maps, roots, monkeypatch):
     """No point is mapped twice, and each root is a point Brent evaluated."""
     import triband.floquet as fl

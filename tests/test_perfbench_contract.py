@@ -247,11 +247,11 @@ def test_verify_far_root_counts_ask_the_tight_pairs_first(workloads, tmp_path, m
 
 def test_roots_steps_eigs_ops_keep_their_core_calls(workloads, tmp_path, monkeypatch):
     """The 70 eigs operations of roots-steps at seed 41 make 230 core calls
-    for 1649 period maps (326 and 1509 with the tight pairs alone); Brent's
-    confirming steps, asked for one round early, take no call of their own.
-    Each operation's first core call asks for 4 points per seed where the
-    tight pair fits, the tight and inner pairs, and for the 2 of the wide
-    pair where it does not.  No lambda reaches the core twice within one call.
+    for 1649 period maps; Brent's confirming steps, asked for one round
+    early, take no call of their own.  Each operation's first core call
+    asks for 4 points per seed where the tight pair fits, the tight and
+    inner pairs, and for the 2 of the wide pair where it does not.  No
+    lambda reaches the core twice within one call.
     """
     ops = workloads.WORKLOADS["roots-steps"].build(np.random.default_rng(41), str(tmp_path))
     eigs = [op for op in ops if op.kind == "eigs"]
