@@ -27,9 +27,9 @@ from typing import Callable, Generator
 
 import numpy as np
 
-from ._rootfind import ASK_WITHIN, brent_steps, lockstep
+from ._rootfind import brent_steps, lockstep
 from .coeffs import PeriodicCoefficients
-from .monodromy import _check_growth, traces_at
+from .monodromy import MAX_GROWTH_EXPONENT, _check_growth, traces_at
 
 
 def char_real_function(k: float, T: complex) -> float:
@@ -74,7 +74,6 @@ class FloquetSolveResult:
     missed: tuple[MissedRoot, ...]
 
 
-_GROW = 1.45
 _FINE_SCAN = 48
 # half-widths in s of the tight pair and of the inner pair inside it, both
 # around the corrected seed; the inner pair holds the root for about 70% of
@@ -83,10 +82,10 @@ _FINE_SCAN = 48
 _TIGHT = 1e-2
 _INNER = 1e-6
 _TOL = 1e-10  # relative lambda accuracy of the Brent stage, unless a caller asks otherwise
-# Brent's early-ask window for eigenvalues_at_k, in units of its tol: the
-# first step from an inner-pair bracket is at most _INNER (half its width),
-# and at the default tol Brent's tol is at least 0.5 xtol_s >= _TOL / 6
-# (_refine), so the window takes in that step: 6e4 against brent_steps' 1e3
+# Brent's early-ask window in _refine, in units of its tol: the first step
+# from an inner-pair bracket is at most _INNER (half its width), and at the
+# default tol Brent's tol is at least 0.5 xtol_s >= _TOL / 6, so the window
+# takes in that step: 6e4 against brent_steps' 1e3
 _INNER_ASK_WITHIN = _INNER / (_TOL / 6.0)
 
 # a search stage yields lists of points s = cbrt(lambda) and is sent their F
@@ -95,41 +94,30 @@ _Stage = Generator[list[float], list[float], object]
 
 
 def _scans(seed: float, s0: float, inner: bool):
-    """The point lists of one bracket search around seed, in order.
+    """The three point lists of one bracket search around seed, in order.
 
-    The tight pair s0 -+ _TIGHT around the corrected seed s0 alone, with
-    the inner pair s0 -+ _INNER when inner, as one sorted list (unless the
-    tight pair reaches past the bracket ends [lo, hi]); then [lo, hi] and
-    its 9-point subdivision for each width, then the fine scan.  A
-    subdivision repeats its ends, which lockstep answers from its table.
+    The opening at the corrected seed s0, however far from seed: the tight
+    pair s0 -+ _TIGHT, with the inner pair s0 -+ _INNER when inner, as one
+    sorted list; the 9-point rung of seed -+ 0.35 pi; the fine scan of seed
+    -+ pi, the last resort, mostly to diagnose an even-order touch.
     """
-    # bracket stays inside the midpoints to the neighbouring seeds so a
-    # root cannot be captured from the wrong index
-    w_max = math.pi * (1.0 - 1e-9)
-    w = 0.35 * math.pi
-    if abs(s0 - seed) + _TIGHT < w:
-        yield ([s0 - _TIGHT, s0 - _INNER, s0 + _INNER, s0 + _TIGHT] if inner
-               else [s0 - _TIGHT, s0 + _TIGHT])
-    while True:
-        yield [seed - w, seed + w]
-        # same sign at the edges: an interior pair of roots would still
-        # show up on the subdivision
-        yield np.linspace(seed - w, seed + w, 9).tolist()
-        if w >= w_max:
-            break
-        w = min(w * _GROW, w_max)
-    # last resort: fine scan, mostly to diagnose an even-order touch
-    yield np.linspace(seed - w_max, seed + w_max, _FINE_SCAN + 1).tolist()
+    yield ([s0 - _TIGHT, s0 - _INNER, s0 + _INNER, s0 + _TIGHT] if inner
+           else [s0 - _TIGHT, s0 + _TIGHT])
+    yield np.linspace(seed - 0.35 * math.pi, seed + 0.35 * math.pi, 9).tolist()
+    # the rung and the fine scan stay inside the midpoints to the
+    # neighbouring seeds, so they capture no root from the wrong index
+    w = math.pi * (1.0 - 1e-9)
+    yield np.linspace(seed - w, seed + w, _FINE_SCAN + 1).tolist()
 
 
 def _bracket(k: float, n: int, p_mean: float, q_mean: float, inner: bool) -> _Stage:
     """Sign-change bracket (a, b, f(a), f(b)) of F near the seed s = 2 pi n + k, or a MissedRoot.
 
-    It yields the point lists of _scans in turn, up to the first with a sign
+    It yields the lists of _scans in turn, up to the first with a sign
     change, and returns that list's first adjacent pair of opposite signs:
     with the inner pair, a root within _INNER of the corrected seed gets a
-    bracket 2 _INNER wide, and any other root one no wider than the tight
-    pair.
+    bracket 2 _INNER wide, any other root within _TIGHT one no wider than
+    _TIGHT, and a root the opening misses a step of the rung or fine scan.
     """
     seed = 2.0 * math.pi * n + k
     s0 = float(np.cbrt(seed**3 - 2.0 * p_mean * seed + q_mean))
@@ -144,19 +132,18 @@ def _bracket(k: float, n: int, p_mean: float, q_mean: float, inner: bool) -> _St
                       "bracket (possible even-multiplicity touch)")
 
 
-def _refine(k: float, n: int, tol: float, bracket: tuple, traces: dict,
-            ask_within: float) -> _Stage:
+def _refine(k: float, n: int, tol: float, bracket: tuple, traces: dict) -> _Stage:
     """Brent's root in a bracket (a, b, f(a), f(b)) from _bracket, as a FloquetEigenvalue.
 
-    Brent asks early for its confirming points after steps up to ask_within
-    times its tol, and returns a point it was sent F at, whose trace the
-    record holds.
+    Brent asks early for its confirming points after steps up to
+    _INNER_ASK_WITHIN times its tol, and returns a point it was sent F at,
+    whose trace the record holds.
     """
     seed = 2.0 * math.pi * n + k
     xtol_s = max(tol * max(1.0, abs(seed)) / 3.0, 6e-16 * max(1.0, abs(seed)))
     a, b, fa, fb = bracket
     s_root, f_val = yield from brent_steps(a, b, xtol=xtol_s, fa=fa, fb=fb,
-                                           ask_within=ask_within)
+                                           ask_within=_INNER_ASK_WITHIN)
     return FloquetEigenvalue(n=n, k=k, lambda_n=s_root**3, cube_root_gap=s_root - seed,
                              residual=abs(f_val) / (1.0 + abs(traces[s_root])))
 
@@ -183,13 +170,15 @@ def _seed_searches(c: PeriodicCoefficients, k: float, seeds: range, inner: bool,
                    finish: Callable[[int, tuple, dict], _Stage]) -> list:
     """Per seed n, in order: the MissedRoot of _bracket, or finish(n, bracket, traces)'s outcome.
 
-    Every search opens in the first round, which the growth guard refuses
-    whole, so the guard is asked first about the openings of the two end
-    seeds, the largest |n|, before any search is built: their ends alone,
-    since the guard grows with |lambda| and an inner pair (when inner) lies
-    between them.  The searches then advance in one lockstep on one trace
-    record, traces: each round's points that the call has not mapped yet go
-    to the period-map core together.
+    Every search opens at its corrected seed in the first round, which the
+    growth guard refuses whole, so the guard is asked first about the
+    openings of the two end seeds, the largest |n|, before any search is
+    built: their ends alone, since the guard grows with |lambda| and an
+    inner pair (when inner) lies between them.  (Where a strong <p> bends
+    xi^3 - 2<p>xi + <q> back, a middle seed's opening can lie further out,
+    and the core refuses the first round with the same error.)  The
+    searches then advance in one lockstep on one trace record, traces: each
+    round's points that the call has not mapped yet go to the core together.
     """
     means = float(np.mean(c.p_samples)), float(np.mean(c.q_samples))
     _check_growth(c, [s**3 for n in (seeds[0], seeds[-1])
@@ -213,10 +202,10 @@ def eigenvalues_at_k(
 ) -> FloquetSolveResult:
     """Roots of F(k, .) near every seed (2 pi n + k)^3 for n in n_range.
 
-    A tight pair around the corrected seed (module docstring) and the
-    inner pair within it come first, alone, 4 points per seed; without a
-    sign change there, brackets grow adaptively around the seed, capped at
-    the midpoints to the neighbouring seeds.  Each sign change is refined by
+    Every seed opens with a tight pair around its corrected seed (module
+    docstring) and the inner pair within it, 4 points per seed; without a
+    sign change there it asks the 9-point rung of seed -+ 0.35 pi, then the
+    fine scan of seed -+ pi (_scans).  Each sign change is refined by
     Brent to a relative lambda accuracy of about tol; a root within _INNER
     of the corrected seed gets a bracket 2 _INNER wide, from which Brent's
     widened early ask (_INNER_ASK_WITHIN) serves the confirming step.
@@ -236,8 +225,8 @@ def eigenvalues_at_k(
     if not seeds:
         raise ValueError("empty index range")
 
-    outcomes = _seed_searches(c, k, seeds, True, lambda n, b, traces: _refine(
-        k, n, tol, b, traces, _INNER_ASK_WITHIN))
+    outcomes = _seed_searches(c, k, seeds, True,
+                              lambda n, b, traces: _refine(k, n, tol, b, traces))
     found = [o for o in outcomes if isinstance(o, FloquetEigenvalue)]
     missed = tuple(o for o in outcomes if isinstance(o, MissedRoot))
 
@@ -281,9 +270,11 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
     radius, with the arithmetic of eigenvalues_at_k; its root lies in the
     bracket, so every count is the one of the refined roots.  The searches
     run in _seed_searches, as in eigenvalues_at_k, whose growth guard
-    refuses a disk before any search is built.  A bracket stays within pi
-    of its seed, so the search takes every seed within pi of the disk, and
-    missed covers the seeds whose brackets can reach it.  N is an integer.
+    refuses a disk before any search is built.  A rung or fine scan stays
+    within pi of its seed and an opening within _TIGHT of its corrected
+    seed, which a strong <p> pulls far in, so the search also takes every
+    seed whose opening can reach the disk, and missed covers the seeds
+    whose brackets can reach it.  N is an integer.
     """
     k = float(k)
     N = operator.index(N)
@@ -291,25 +282,32 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
         raise ValueError("N must be at least 1")
     if not 0.0 <= k < 2.0 * math.pi:
         raise ValueError("quasimomentum k must lie in [0, 2*pi)")
-    if k < math.pi / 2 or k > 3 * math.pi / 2:
-        s_radius = math.pi * (2 * N + 1)
-        expected = 2 * N + 1
-    else:
-        s_radius = 2.0 * math.pi * N
-        expected = 2 * N
-    # from the last seed at or below -s_radius to the first at or above it
-    n_lo = math.floor((-s_radius - k) / (2 * math.pi))
-    n_hi = math.ceil((s_radius - k) / (2 * math.pi))
+    s_radius, expected = ((math.pi * (2 * N + 1), 2 * N + 1)
+                          if k < math.pi / 2 or k > 3 * math.pi / 2 else (2.0 * math.pi * N, 2 * N))
+    # per side, from the first seed at or past the radius out past every seed
+    # whose opening s0 -+ _TIGHT can reach inside; beyond the turn of
+    # xi^3 - 2<p>xi + <q>, s0 moves out monotonically.  A mean past the
+    # growth guard is refused anyway; the clip keeps the loops short.
+    p_mean, q_mean = np.clip([np.mean(c.p_samples), np.mean(c.q_samples)],
+                             -MAX_GROWTH_EXPONENT, MAX_GROWTH_EXPONENT).tolist()
+    turn, edge = math.sqrt(max(0.0, 2.0 * p_mean / 3.0)), (s_radius + _TIGHT) ** 3
+    ends = []
+    for side in (-1, 1):
+        n = side * math.ceil((s_radius - side * k) / (2 * math.pi))
+        while (side * (xi := 2.0 * math.pi * n + k) < turn
+               or side * (xi**3 - 2.0 * p_mean * xi + q_mean) < edge):
+            n += side
+        ends.append(n)
 
     def count_one(n: int, bracket: tuple, traces: dict) -> _Stage:
         """1 or 0 for the root in seed n's bracket; Brent only if it crosses the radius."""
         a_in, b_in = (bool(abs(np.cbrt(s**3)) < s_radius) for s in bracket[:2])
         if a_in == b_in:
             return int(a_in)
-        root = yield from _refine(k, n, _TOL, bracket, traces, ASK_WITHIN)
+        root = yield from _refine(k, n, _TOL, bracket, traces)
         return int(abs(np.cbrt(root.lambda_n)) < s_radius)
 
-    outcomes = _seed_searches(c, k, range(n_lo, n_hi + 1), False, count_one)
+    outcomes = _seed_searches(c, k, range(ends[0], ends[1] + 1), False, count_one)
     missed = tuple(o for o in outcomes if isinstance(o, MissedRoot))
     count = sum(o for o in outcomes if not isinstance(o, MissedRoot))
     return DiskCountResult(count=count, expected=expected, radius=s_radius**3, missed=missed)

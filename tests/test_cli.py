@@ -119,6 +119,21 @@ def test_eigs_reports_missed_seeds(capsys):
     assert miss["n"] == 0
 
 
+def test_strong_constant_set_counts_and_finds_every_root(capsys):
+    """p = 8, q = 0.5: the root of seed 0 at k = 1 is 1 - 16 + 0.5 = -14.5, at
+    s = -2.44, 3.44 below its bare seed.  verify's root counting finds all
+    10 roots at k = 2, and eigs reports seed 0's root with no missed seed."""
+    code, out, _ = run_cli(capsys, "verify", "--p-const", "8", "--q-const", "0.5")
+    assert code == 0
+    assert "PASS  root-counting:" in out and "k=2.0: 10/10" in out
+    code, out, err = run_cli(capsys, "eigs", "--p-const", "8", "--q-const", "0.5",
+                             "--k", "1.0", "--n-range", "-3..3")
+    assert (code, err) == (0, "")
+    _, _, rows = parse_csv(out)
+    assert [int(row[0]) for row in rows] == list(range(-3, 4))
+    assert float(rows[3][2]) == pytest.approx(-14.5, rel=1e-10)
+
+
 def test_sigma3_reports_heuristic_window(capsys):
     code, out, _ = run_cli(
         capsys, "sigma3", "--p-const", "0", "--q-const", "0", "--grid", "2",

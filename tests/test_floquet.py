@@ -238,8 +238,9 @@ def test_colliding_roots_get_multiplicity_two(zero_c, monkeypatch):
 # Period maps of the search over n = -4..4 on the strong step set of
 # tests/golden, one seed missed each: (k, maps, roots).  The golden case
 # holds the roots.  The inner pairs add 2 points to each opening and save
-# Brent rounds.
-_STEPS_MAPS = (("eigs-steps-k2", 2.0, 152, 8), ("eigs-steps-k5", 5.2, 166, 8))
+# Brent rounds; every seed opens at its corrected seed, then asks the 9-point
+# rung and the fine scan.
+_STEPS_MAPS = (("eigs-steps-k2", 2.0, 145, 8), ("eigs-steps-k5", 5.2, 157, 8))
 
 
 @pytest.mark.parametrize("case, k, maps, roots", _STEPS_MAPS, ids=[m[0] for m in _STEPS_MAPS])
@@ -293,12 +294,13 @@ def test_inner_pair_roots_hold_the_default_tol(fixture, request, monkeypatch):
 
 # ------------------------------------------------------- the corrected seed
 
-# constant (p, q): const_c and three seeded draws with p of both signs;
+# constant (p, q): const_c, three seeded draws with p of both signs, and
+# three strong sets whose roots near s = 0 lie far from their bare seeds;
 # the roots are exactly xi^3 - 2 p xi + q at xi = 2 pi n + k
 _CONSTANT_SETS = [(1.0, -0.5)] + [
     tuple(pq) for pq in np.random.default_rng(5).uniform(-3.0, 3.0, (3, 2))
-]
-_CONSTANT_IDS = ["const_c", "draw0", "draw1", "draw2"]
+] + [(8.0, 0.5), (20.0, 0.5), (-50.0, 0.5)]
+_CONSTANT_IDS = ["const_c", "draw0", "draw1", "draw2", "p8", "p20", "p-50"]
 
 
 @pytest.mark.parametrize("p, q", _CONSTANT_SETS, ids=_CONSTANT_IDS)
@@ -339,35 +341,31 @@ def test_two_roots_on_a_constant_set_take_few_rounds(p, q, monkeypatch):
 def test_root_outside_the_tight_pair_costs_one_round(zero_c, monkeypatch):
     """A root inside seed -+ 0.35 pi but off s0 -+ h takes one more round.
 
-    The fake F has its root 0.3 from the seed.  Widening the tight pair
-    past the wide bracket turns it off, inner pair and all, which is the
-    search without it.  The run with it opens with the 4 points of the
-    tight and inner pairs, the run without it with the 2 of the wide pair;
-    the tight miss costs exactly one round, and both return the same root.
+    The fake F has its root 0.3 from the seed.  The search opens with the
+    4 points of the tight and inner pairs, asks exactly the 9-point rung of
+    seed -+ 0.35 pi next, and then only Brent's steps, never the 49-point
+    fine scan; Brent returns the root from the rung's bracket.
     """
     import triband.floquet as fl
 
     k, n = 0.5, 2
-    root = TWO_PI * n + k + 0.3
+    seed = TWO_PI * n + k
+    root = seed + 0.3
+    rounds = []
 
     def fake_factory(c, k_arg, traces):
         def g(points):
-            rounds.append(len(points))
+            rounds.append(points)
             traces.update((s, 1.0 + 0j) for s in points)
             return [math.tanh(s - root) + 0.1 * (s - root) ** 3 for s in points]
         return g
 
     monkeypatch.setattr(fl, "_f_in_s", fake_factory)
-    runs = []
-    for tight in (fl._TIGHT, 2.0):
-        monkeypatch.setattr(fl, "_TIGHT", tight)
-        rounds = []
-        res = fl.eigenvalues_at_k(zero_c, k, (n, n))
-        runs.append((rounds, res.eigenvalues[0].lambda_n))
-    (with_pair, lam), (without_pair, lam_before) = runs
-    assert (with_pair[0], without_pair[0]) == (4, 2)
-    assert with_pair[1:] == without_pair
-    assert lam == lam_before == pytest.approx(root**3, rel=1e-10)
+    res = fl.eigenvalues_at_k(zero_c, k, (n, n))
+    assert len(rounds[0]) == 4
+    assert rounds[1] == np.linspace(seed - 0.35 * math.pi, seed + 0.35 * math.pi, 9).tolist()
+    assert max(map(len, rounds[2:])) <= 3  # Brent's steps, with their early confirming points
+    assert res.eigenvalues[0].lambda_n == pytest.approx(root**3, rel=1e-10)
 
 
 # ----------------------------------------------------------------- counting
@@ -395,22 +393,41 @@ def test_count_case_boundaries(zero_c):
     assert res.count == 6
 
 
-def test_count_flags_strong_coupling_regime():
-    # kappa = 5 is far below any index threshold where the exact counts
-    # are guaranteed: inside the triple-multiplicity window the free-seed
-    # indexing breaks down and the solver must flag the count rather than
-    # fabricate a root
+def test_count_on_a_strong_constant_set_is_the_closed_form():
+    """kappa = 5: the roots lambda = xi^3 - 10 xi lie far from their bare
+    seeds near s = 0, and each search opens at its corrected seed, the exact
+    root, so the disk holds its closed-form 10 roots and no seed is missed."""
     c = PeriodicCoefficients.from_constants(5.0, 0.0, 32)
     res = count_in_disk(c, 2.0, 5)
-    assert res.missed
-    assert res.count < res.expected
+    xi = TWO_PI * np.arange(-8, 9) + 2.0
+    assert np.sum(np.abs(np.cbrt(xi**3 - 10.0 * xi)) < 10 * math.pi) == 10
+    assert (res.count, res.expected, res.missed) == (10, 10, ())
+
+
+_DISKS = ((0.3, 5), (2.0, 5), (2.0, 3))
+_STRONG_COUNTS = [(p, k, N) for p in (5.0, 8.0, 20.0, -50.0, 100.0, -150.0, 600.0) for k, N in _DISKS]
+
+
+@pytest.mark.parametrize("p, k, N", _STRONG_COUNTS,
+                         ids=[f"p{p:g}-k{k:g}-N{N}" for p, k, N in _STRONG_COUNTS])
+def test_count_on_constant_sets_is_the_closed_form(p, k, N):
+    """The disk holds the closed-form roots xi^3 - 2 p xi + 0.5 that lie in
+    it, and no seed is missed.  At p = 600 a seed past the first one beyond
+    the radius opens inside the disk (n = 6 at k = 2, N = 5: lambda = 14928
+    against the radius 31006), pulled in by p."""
+    c = PeriodicCoefficients.from_constants(p, 0.5, 4)
+    res = count_in_disk(c, k, N)
+    xi = TWO_PI * np.arange(-50, 51) + k
+    assert (res.count, res.missed) == (int(np.sum(np.abs(xi**3 - 2.0 * p * xi + 0.5) < res.radius)), ())
 
 
 def test_count_by_brackets_matches_the_refined_roots(monkeypatch):
     """count_in_disk counts the eigenvalues_at_k roots inside the disk.
 
-    It refines only the brackets that cross the radius.  On the p = -150
-    constant set one bracket does, so the test needs the Brent path.
+    It refines only the brackets that cross the radius.  On the p = -147.4
+    constant set the root of seed 5 at k = 0.3 lies 0.0046 inside the
+    radius 11 pi in s, so its tight pair crosses it and the test needs the
+    Brent path.
     """
     import triband.floquet as fl
 
@@ -422,7 +439,10 @@ def test_count_by_brackets_matches_the_refined_roots(monkeypatch):
                 a * np.cos(TWO_PI * t) + 0.5 * a * np.sin(2 * TWO_PI * t), a * np.sin(TWO_PI * t)))
             sets.append(PeriodicCoefficients.from_samples(
                 np.repeat([0.8 * a, -0.4 * a, 0.6 * a], cuts), np.repeat([0.3 * a, a, -0.2 * a], cuts)))
-    strong = PeriodicCoefficients.from_constants(-150.0, 0.0, 4)
+    sets.append(PeriodicCoefficients.from_constants(-150.0, 0.0, 4))
+    xi = TWO_PI * 5 + 0.3
+    assert 0 < 11 * math.pi - np.cbrt(xi**3 + 2 * 147.4 * xi) < fl._TIGHT
+    crossing = PeriodicCoefficients.from_constants(-147.4, 0.0, 4)
     brent = fl.brent_steps
     refined = []
 
@@ -432,7 +452,7 @@ def test_count_by_brackets_matches_the_refined_roots(monkeypatch):
 
     monkeypatch.setattr(fl, "brent_steps", spying)
     counting_refines = {}
-    for i, c in enumerate([*sets, strong]):
+    for i, c in enumerate([*sets, crossing]):
         for k, s_radius, expected in ((0.3, 11 * math.pi, 11), (2.0, 10 * math.pi, 10)):
             refined.clear()
             res = count_in_disk(c, k, 5)

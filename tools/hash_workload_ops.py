@@ -44,6 +44,12 @@ on the dense fixtures at five k and N = 2, 5 and 8: each result's count,
 expected count and radius and each missed seed's record, followed by the
 core calls and points behind them.
 
+A ``strong constant set`` digest covers verify at p = 8, q = 0.5 and eigs
+there at k = 1 over n in -3..3, whose root of seed 0, -14.5, lies 3.44
+below its bare seed in s: it shows whether every seed is still searched
+from its corrected seed.  It is a line of its own, so the lines before it
+compare with checkouts that lack it.
+
 The CLI prints values rounded to complex128, so a kernel change that moves
 only the last bits of an extended-precision period map passes both
 digests unseen.  A last line digests the maps themselves: ``period_maps``
@@ -116,6 +122,11 @@ _MAP_LAMBDAS = [
 # count, k = pi/2 on their boundary, and disks from 2 to 8 seeds out
 _COUNT_KS = (0.0, 0.3, np.pi / 2, 2.0, 5.5)
 _COUNT_NS = (2, 5, 8)
+
+
+# verify and eigs on the strong constant set p = 8, q = 0.5
+_STRONG_ARGVS = [["verify", "--p-const", "8", "--q-const", "0.5"],
+                 ["eigs", "--p-const", "8", "--q-const", "0.5", "--k", "1.0", "--n-range", "-3..3"]]
 
 
 # the number after "worst " in verify's text report or after "worst": in its JSON
@@ -339,6 +350,11 @@ def main(argv: list[str] | None = None) -> int:
         text = _root_count_record(floquet, map_sets[name], k, N)
         counts.update("counts", f"{name} {k!r} {N}\n{text}\n".encode(), core.since(start))
     counts.report("root", "calls")
+    strong = _Digests()
+    for argv in _STRONG_ARGVS:
+        start = core.calls, core.points
+        strong.update("set", f"{argv!r}\n{_cli_text(cli, argv)}\n".encode(), core.since(start))
+    strong.report("strong constant", "commands")
     maps, map_digest = _period_map_digest(map_sets, monodromy)
     print(f"period maps: {len(map_sets)} sets, {maps} maps, sha256 {map_digest}")
     return 0
