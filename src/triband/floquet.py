@@ -172,13 +172,12 @@ def _seed_searches(c: PeriodicCoefficients, k: float, seeds: range, inner: bool,
 
     Every search opens at its corrected seed in the first round, which the
     growth guard refuses whole, so the guard is asked first about the
-    openings of the two end seeds, the largest |n|, before any search is
-    built: their ends alone, since the guard grows with |lambda| and an
-    inner pair (when inner) lies between them.  (Where a strong <p> bends
-    xi^3 - 2<p>xi + <q> back, a middle seed's opening can lie further out,
-    and the core refuses the first round with the same error.)  The
-    searches then advance in one lockstep on one trace record, traces: each
-    round's points that the call has not mapped yet go to the core together.
+    openings of the two end seeds before any search is built: their ends
+    alone, since the guard grows with |lambda| and an inner pair (when
+    inner) lies between them.  (A strong <p> can put a middle seed's opening
+    further out; the core then refuses the first round with the same
+    error.)  The searches then advance in one lockstep on one trace record,
+    traces: each round's points not yet mapped go to the core together.
     """
     means = float(np.mean(c.p_samples)), float(np.mean(c.q_samples))
     _check_growth(c, [s**3 for n in (seeds[0], seeds[-1])
@@ -203,18 +202,18 @@ def eigenvalues_at_k(
     """Roots of F(k, .) near every seed (2 pi n + k)^3 for n in n_range.
 
     Every seed opens with a tight pair around its corrected seed (module
-    docstring) and the inner pair within it, 4 points per seed; without a
-    sign change there it asks the 9-point rung of seed -+ 0.35 pi, then the
-    fine scan of seed -+ pi (_scans).  Each sign change is refined by
-    Brent to a relative lambda accuracy of about tol; a root within _INNER
-    of the corrected seed gets a bracket 2 _INNER wide, from which Brent's
-    widened early ask (_INNER_ASK_WITHIN) serves the confirming step.
-    Two roots that land within 10 * tol of each other (relative) are a
-    degenerate eigenvalue and are both reported with multiplicity 2.  Seeds
-    without any sign change are returned as missed-root diagnostics, which
-    is the expected signature of an even-order touch of F at a double
-    eigenvalue.  The searches run in _seed_searches, whose growth guard
-    refuses a range before any search is built.  n_range holds integers.
+    docstring) and the inner pair within it, 4 points per seed, and then
+    asks the 9-point rung and the fine scan of _scans up to a sign change,
+    which Brent refines to a relative lambda accuracy of about tol; a root
+    within _INNER of the corrected seed gets a bracket 2 _INNER wide, from
+    which Brent's widened early ask (_INNER_ASK_WITHIN) serves the
+    confirming step.  Two roots that land within 10 * tol of each other
+    (relative) are a degenerate eigenvalue and are both reported with
+    multiplicity 2.  Seeds without any sign change are returned as
+    missed-root diagnostics, which is the expected signature of an
+    even-order touch of F at a double eigenvalue.  The searches run in
+    _seed_searches, whose growth guard refuses a range before any search is
+    built.  n_range holds integers.
     """
     k = float(k)
     if not 0.0 <= k < 2.0 * math.pi:
@@ -270,11 +269,9 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
     radius, with the arithmetic of eigenvalues_at_k; its root lies in the
     bracket, so every count is the one of the refined roots.  The searches
     run in _seed_searches, as in eigenvalues_at_k, whose growth guard
-    refuses a disk before any search is built.  A rung or fine scan stays
-    within pi of its seed and an opening within _TIGHT of its corrected
-    seed, which a strong <p> pulls far in, so the search also takes every
-    seed whose opening can reach the disk, and missed covers the seeds
-    whose brackets can reach it.  N is an integer.
+    refuses a disk before any search is built.  The seed range takes every
+    seed whose brackets can reach the disk (comment there), so missed
+    covers them all.  N is an integer.
     """
     k = float(k)
     N = operator.index(N)
@@ -282,12 +279,16 @@ def count_in_disk(c: PeriodicCoefficients, k: float, N: int) -> DiskCountResult:
         raise ValueError("N must be at least 1")
     if not 0.0 <= k < 2.0 * math.pi:
         raise ValueError("quasimomentum k must lie in [0, 2*pi)")
-    s_radius, expected = ((math.pi * (2 * N + 1), 2 * N + 1)
-                          if k < math.pi / 2 or k > 3 * math.pi / 2 else (2.0 * math.pi * N, 2 * N))
-    # per side, from the first seed at or past the radius out past every seed
-    # whose opening s0 -+ _TIGHT can reach inside; beyond the turn of
-    # xi^3 - 2<p>xi + <q>, s0 moves out monotonically.  A mean past the
-    # growth guard is refused anyway; the clip keeps the loops short.
+    if k < math.pi / 2 or k > 3 * math.pi / 2:
+        s_radius = math.pi * (2 * N + 1)
+        expected = 2 * N + 1
+    else:
+        s_radius = 2.0 * math.pi * N
+        expected = 2 * N
+    # per side from the first seed at or past the radius, beyond which no
+    # rung or fine scan reaches in, out past every seed whose opening can lie
+    # inside (a strong <p> pulls s0 in; past the turn of xi^3 - 2<p>xi + <q>
+    # s0 moves out).  A mean past the guard is refused; the clip bounds this.
     p_mean, q_mean = np.clip([np.mean(c.p_samples), np.mean(c.q_samples)],
                              -MAX_GROWTH_EXPONENT, MAX_GROWTH_EXPONENT).tolist()
     turn, edge = math.sqrt(max(0.0, 2.0 * p_mean / 3.0)), (s_radius + _TIGHT) ** 3

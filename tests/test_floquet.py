@@ -238,8 +238,8 @@ def test_colliding_roots_get_multiplicity_two(zero_c, monkeypatch):
 # Period maps of the search over n = -4..4 on the strong step set of
 # tests/golden, one seed missed each: (k, maps, roots).  The golden case
 # holds the roots.  The inner pairs add 2 points to each opening and save
-# Brent rounds; every seed opens at its corrected seed, then asks the 9-point
-# rung and the fine scan.
+# Brent rounds; a seed whose opening misses asks the 9-point rung, then the
+# fine scan.
 _STEPS_MAPS = (("eigs-steps-k2", 2.0, 145, 8), ("eigs-steps-k5", 5.2, 157, 8))
 
 
